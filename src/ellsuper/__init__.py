@@ -48,7 +48,6 @@ from .linf import (
     check_structure,
     compose,
     extend_coderivation,
-    extend_morphism,
     identity_morphism,
     invert,
     morphisms_agree,
@@ -98,7 +97,6 @@ from .superpotential import (
     PiecewiseTable,
     T,
     T_infinity,
-    TargetSpace,
     closed_descendant_toric,
     embedding_bound,
     genfun_check,

@@ -52,7 +52,6 @@ __all__ = [
     "LinfMorphism",
     "abelian",
     "extend_coderivation",
-    "extend_morphism",
     "identity_morphism",
     "compose",
     "invert",
@@ -313,11 +312,6 @@ class LinfMorphism:
                         continue
                     _accumulate(out, target_word, coeff * sort_sign)
         return Combination(out)
-
-
-def extend_morphism(morphism: LinfMorphism, word: Word) -> Combination:
-    """Functional alias for :meth:`LinfMorphism.extend`."""
-    return morphism.extend(word)
 
 
 def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:

@@ -9,7 +9,10 @@ and exists only to validate the production code path:
   per-axis action streams (again independent of the walk);
 * :func:`morphism_bruteforce` — the cofunctor extension as a sum over all set
   partitions of the letter positions with explicit Koszul signs, bypassing
-  the block-ordered shuffle enumeration.
+  the block-ordered shuffle enumeration;
+* :func:`wt_T_partitions` — the CP^2 count T̃_d by the defining recursion,
+  summed over every partition of d (the production path evaluates the same
+  recursion as an exponential of power series).
 
 Input sizes are hard-guarded: these routines are intentionally exponential.
 """
@@ -17,19 +20,30 @@ Input sizes are hard-guarded: these routines are intentionally exponential.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import Iterator
 
-from .exact import DualRational, LatticePoint, koszul_sign, set_partitions
+from .exact import (
+    DualRational,
+    LatticePoint,
+    aut_size,
+    koszul_sign,
+    partitions,
+    set_partitions,
+    vec_add,
+    vec_factorial,
+)
 from .linf import Combination, LinfMorphism, Word, canonical_word
-from .orbits import OrbitId, SpectrumParams, perturbed_value
+from .orbits import OrbitId, SpectrumParams, gamma, perturbed_value
 
-__all__ = ["gamma_bruteforce", "merge_spectrum", "morphism_bruteforce"]
+__all__ = ["gamma_bruteforce", "merge_spectrum", "morphism_bruteforce", "wt_T_partitions"]
 
 _GAMMA_MAX_K = 40
 _GAMMA_MAX_N = 5
 _MERGE_MAX_COUNT = 10_000
 _MORPHISM_MAX_LEN = 5
+_PARTITIONS_MAX_D = 20
 
 
 def _compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -132,3 +146,33 @@ def morphism_bruteforce(morphism: LinfMorphism, word: Word) -> Combination:
             else:
                 total[out_word] = new
     return Combination(total)
+
+
+def wt_T_partitions(d: int, params: SpectrumParams) -> Fraction:
+    """T̃_d for CP^2 by the partition recursion
+
+        T̃_d = Γ_{3d-1}! * ( 1/(d!)^3 - Σ_{λ ⊢ d, len(λ) >= 2} Π_s T̃_{λ_s} / (|Aut λ| * (Σ_s Γ_{3λ_s-1})!) ).
+    """
+    if d > _PARTITIONS_MAX_D:
+        raise ValueError(f"partition recursion guarded to d <= {_PARTITIONS_MAX_D}, got {d}")
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    if params.n != 2:
+        raise ValueError("superpotential counts are defined for two-axis ellipsoids")
+    counts: dict[int, Fraction] = {}
+    for degree in range(1, d + 1):
+        correction = Fraction(0)
+        for parts in partitions(degree):
+            if len(parts) < 2:
+                continue
+            product = Fraction(1)
+            for part in parts:
+                product *= counts[part]
+            if product == 0:
+                continue
+            total_gamma = vec_add(*(gamma(params, 3 * part - 1) for part in parts))
+            correction += product / (aut_size(parts) * vec_factorial(total_gamma))
+        counts[degree] = vec_factorial(gamma(params, 3 * degree - 1)) * (
+            Fraction(1, math.factorial(degree) ** 3) - correction
+        )
+    return counts[d]

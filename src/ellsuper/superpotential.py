@@ -3,7 +3,7 @@ symplectic target with one negative end on a small ellipsoid.
 
 For a class A with c1(A) >= 2 and ellipsoid parameters a, the weighted count
 T̃_A^a (curves asymptotic to the (c1(A)-1)-st Reeb orbit, weighted by its
-multiplicity) satisfies the recursion
+multiplicity) is defined by the recursion
 
     T̃_A = Γ_{c1(A)-1}! * ( N_A - Σ  Π_s T̃_{A_s} / (|Aut| * (Σ_s Γ_{c1(A_s)-1})!) )
 
@@ -14,10 +14,22 @@ T_A = T̃_A / mult(o_{c1(A)-1}).
 
 For CP^2, classes are degrees d, N_d = 1/(d!)^3 (a special case of the Fano
 toric formula N_A = Π_i 1/(A·D_i)!), and decompositions are partitions of d.
+T̃_d therefore depends on a only through the Γ-signature
+((x_e, y_e))_{e <= d} = (Γ_{3e-1})_{e <= d}.  Summed over all partitions the
+recursion has p(d) terms; instead it is evaluated as an exponential of power
+series in (u, v).  With S_e = T̃_e u^{x_e} v^{y_e}, E_0 = 1 and E = exp(Σ S_e),
+
+    E_n - S_n = (1/n) Σ_{k<n} k S_k E_{n-k}
+    T̃_n = x_n! y_n! ( 1/(n!)^3 - Σ_{X,Y} [u^X v^Y](E_n - S_n) / (X! Y!) ),
+
+which is polynomial in d.  One evaluation yields T̃_1..T̃_d, and each value is
+cached under its signature prefix, so parameters with the same signature share
+one entry.  The partition sum itself is kept as the reference
+:func:`ellsuper.oracle.wt_T_partitions`.
+
 "Infinite" parameters mean any a > 3d - 1, where every lattice path is
-horizontal and the recursion closes over plain factorials; for these values
-the generating function F(x) = 1 + Σ_d T̃_d x^d obeys
-[x^d] F(x)^{3d} = (3d)!/(d!)^3.
+horizontal (the signature ((3e - 1, 0))_{e <= d}); there the generating
+function F(x) = 1 + Σ_d T̃_d x^d obeys [x^d] F(x)^{3d} = (3d)!/(d!)^3.
 
 As a function of a, T̃_d^a is piecewise constant with potential jumps on the
 sets J_{3i-1}, i <= d; :func:`piecewise_table` tabulates it over an interval
@@ -29,17 +41,15 @@ changes (at ratios in J_{3d-2}); :func:`normalized_table` includes those.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exact import aut_size, partitions, rational, vec_add, vec_factorial
+from .exact import LatticePoint, partitions, rational
 from .orbits import Side, SpectrumParams, action, gamma, jump_set, normalized, orbit
 from .report import Report
 
 __all__ = [
-    "TargetSpace",
     "CP2Target",
     "closed_descendant_toric",
     "wt_T",
@@ -52,27 +62,6 @@ __all__ = [
     "normalized_table",
     "genfun_check",
 ]
-
-
-class TargetSpace(ABC):
-    """Closed symplectic target: homology classes are opaque hashable labels."""
-
-    @abstractmethod
-    def chern(self, label: object) -> int:
-        """c1(A) evaluated on the class."""
-
-    @abstractmethod
-    def area(self, label: object) -> Fraction:
-        """Symplectic area of the class."""
-
-    @abstractmethod
-    def point_descendant(self, label: object) -> Fraction:
-        """The closed stationary descendant N_A⟨psi^{c1(A)-2} pt⟩."""
-
-    @abstractmethod
-    def decompositions(self, label: object) -> Iterable[Sequence[object]]:
-        """Unordered decompositions of the class into effective summands,
-        each as a canonical tuple (the trivial decomposition included)."""
 
 
 def closed_descendant_toric(intersections: Sequence[int]) -> Fraction:
@@ -91,7 +80,7 @@ def closed_descendant_toric(intersections: Sequence[int]) -> Fraction:
 
 
 @dataclass(frozen=True)
-class CP2Target(TargetSpace):
+class CP2Target:
     """The projective plane with its Fubini-Study form; classes are degrees d >= 1."""
 
     def _check(self, d: object) -> int:
@@ -110,44 +99,57 @@ class CP2Target(TargetSpace):
         return closed_descendant_toric((d, d, d))
 
     def decompositions(self, label: object) -> Iterable[Sequence[object]]:
+        """Unordered decompositions (partitions of d), the trivial one included."""
         return partitions(self._check(label))
 
 
-_WT_CACHE: dict[tuple[TargetSpace, object, SpectrumParams], Fraction] = {}
-_WT_INF_CACHE: dict[int, Fraction] = {}
+# Γ-signature prefix ((x_e, y_e))_{e <= d} -> T̃_d
+_WT_CACHE: dict[tuple[LatticePoint, ...], Fraction] = {}
 
 
-def wt_T(target: TargetSpace, label: object, params: SpectrumParams) -> Fraction:
-    """Weighted count T̃_A^a (multiplicity of the limiting orbit included)."""
-    if params.n != 2:
-        raise ValueError("superpotential counts are defined for two-axis ellipsoids")
-    cache_key = (target, label, params)
-    cached = _WT_CACHE.get(cache_key)
+def _signature_count(signature: tuple[LatticePoint, ...]) -> Fraction:
+    """T̃_d for the signature (Γ_{3e-1})_{e <= d}; fills the cache for every prefix."""
+    cached = _WT_CACHE.get(signature)
     if cached is not None:
         return cached
-    c1 = target.chern(label)
-    if c1 < 2:
-        raise ValueError(f"class needs c1 >= 2, got c1 = {c1}")
-    correction = Fraction(0)
-    for decomposition in target.decompositions(label):
-        parts = tuple(decomposition)
-        if len(parts) < 2:
-            continue
-        product = Fraction(1)
-        for part in parts:
-            product *= wt_T(target, part, params)
-            if product == 0:
-                break
-        if product == 0:
-            continue
-        total_gamma = vec_add(*(gamma(params, target.chern(part) - 1) for part in parts))
-        correction += product / (aut_size(parts) * vec_factorial(total_gamma))
-    value = vec_factorial(gamma(params, c1 - 1)) * (target.point_descendant(label) - correction)
-    _WT_CACHE[cache_key] = value
+    series: list[tuple[Fraction, int, int]] = [(Fraction(0), 0, 0)]  # S_k = (T̃_k, x_k, y_k)
+    exp_terms: list[dict[tuple[int, int], Fraction]] = [{(0, 0): Fraction(1)}]  # E_n
+    value = Fraction(0)
+    for n, (x_n, y_n) in enumerate(signature, start=1):
+        scaled: dict[tuple[int, int], Fraction] = {}  # n * (E_n - S_n)
+        for k in range(1, n):
+            count, x_k, y_k = series[k]
+            if count == 0:
+                continue
+            weight = k * count
+            for (x, y), coeff in exp_terms[n - k].items():
+                key = (x + x_k, y + y_k)
+                scaled[key] = scaled.get(key, 0) + weight * coeff
+        rest = {key: coeff / n for key, coeff in scaled.items()}  # E_n - S_n
+        correction = sum(
+            (coeff / (math.factorial(x) * math.factorial(y)) for (x, y), coeff in rest.items()),
+            Fraction(0),
+        )
+        value = math.factorial(x_n) * math.factorial(y_n) * (
+            Fraction(1, math.factorial(n) ** 3) - correction
+        )
+        _WT_CACHE[signature[:n]] = value
+        series.append((value, x_n, y_n))
+        if value != 0:
+            rest[(x_n, y_n)] = rest.get((x_n, y_n), 0) + value
+        exp_terms.append(rest)
     return value
 
 
-def T(target: TargetSpace, label: object, params: SpectrumParams) -> Fraction:
+def wt_T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
+    """Weighted count T̃_A^a (multiplicity of the limiting orbit included)."""
+    if params.n != 2:
+        raise ValueError("superpotential counts are defined for two-axis ellipsoids")
+    d = target.chern(label) // 3  # validates the class; c1 = 3d
+    return _signature_count(tuple(gamma(params, 3 * e - 1) for e in range(1, d + 1)))
+
+
+def T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
     """Unweighted count T_A^a = T̃_A^a / mult(o_{c1(A)-1})."""
     c1 = target.chern(label)
     return wt_T(target, label, params) / orbit(params, c1 - 1).multiplicity
@@ -157,20 +159,7 @@ def wt_T_infinity(d: int) -> Fraction:
     """T̃_d for CP^2 at a = infinity (any a > 3d - 1): all paths horizontal."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    cached = _WT_INF_CACHE.get(d)
-    if cached is not None:
-        return cached
-    correction = Fraction(0)
-    for parts in partitions(d):
-        if len(parts) < 2:
-            continue
-        product = Fraction(1)
-        for part in parts:
-            product *= wt_T_infinity(part)
-        correction += product / (aut_size(parts) * math.factorial(3 * d - len(parts)))
-    value = math.factorial(3 * d - 1) * (Fraction(1, math.factorial(d) ** 3) - correction)
-    _WT_INF_CACHE[d] = value
-    return value
+    return _signature_count(tuple((3 * e - 1, 0) for e in range(1, d + 1)))
 
 
 def T_infinity(d: int) -> Fraction:
@@ -178,7 +167,7 @@ def T_infinity(d: int) -> Fraction:
     return wt_T_infinity(d) / (3 * d - 1)
 
 
-def embedding_bound(target: TargetSpace, label: object, params: SpectrumParams) -> Fraction | None:
+def embedding_bound(target: CP2Target, label: object, params: SpectrumParams) -> Fraction | None:
     """Obstruction c from a nonzero count: E(λa) embeds in the (scaled) target
     only if λ <= area(A) / action(o_{c1(A)-1}).
 
@@ -228,20 +217,9 @@ class PiecewiseTable:
         return self.values[idx]
 
 
-def _reachable_labels(target: TargetSpace, label: object) -> set[object]:
-    """The class and everything appearing in its iterated decompositions."""
-    seen: set[object] = set()
-    frontier = [label]
-    while frontier:
-        current = frontier.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        for decomposition in target.decompositions(current):
-            for part in decomposition:
-                if part not in seen:
-                    frontier.append(part)
-    return seen
+def _count_candidates(target: CP2Target, label: object) -> set[Fraction]:
+    """∪_{e <= d} J_{3e-1}: the ratios where a point of the Γ-signature can move."""
+    return {r for k in range(2, target.chern(label), 3) for r in jump_set(k)}
 
 
 def _sweep(
@@ -283,40 +261,31 @@ def _sweep(
 
 
 def piecewise_table(
-    target: TargetSpace,
+    target: CP2Target,
     label: object,
     lo: int | str | Fraction,
     hi: int | str | Fraction | None,
 ) -> PiecewiseTable:
     """Tabulate a -> T̃_A^a over (lo, hi); hi = None sweeps to infinity."""
-    indices = {target.chern(part) - 1 for part in _reachable_labels(target, label)}
-    candidates: set[Fraction] = set()
-    for idx in indices:
-        candidates.update(jump_set(idx))
     return _sweep(
         rational(lo),
         None if hi is None else rational(hi),
-        candidates,
+        _count_candidates(target, label),
         lambda params: wt_T(target, label, params),
     )
 
 
 def normalized_table(
-    target: TargetSpace,
+    target: CP2Target,
     label: object,
     lo: int | str | Fraction,
     hi: int | str | Fraction | None,
 ) -> PiecewiseTable:
     """Tabulate a -> T_A^a; includes the orbit-identity ratios J_{c1(A)-2}."""
-    indices = {target.chern(part) - 1 for part in _reachable_labels(target, label)}
-    candidates: set[Fraction] = set()
-    for idx in indices:
-        candidates.update(jump_set(idx))
-    candidates.update(jump_set(target.chern(label) - 2))
     return _sweep(
         rational(lo),
         None if hi is None else rational(hi),
-        candidates,
+        _count_candidates(target, label).union(jump_set(target.chern(label) - 2)),
         lambda params: T(target, label, params),
     )
 

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellsuper.linf import Combination, GeneratorSet, LinfMorphism, Word
-from ellsuper.oracle import gamma_bruteforce, merge_spectrum, morphism_bruteforce
+from ellsuper.oracle import gamma_bruteforce, merge_spectrum, morphism_bruteforce, wt_T_partitions
 from ellsuper.orbits import (
     OrbitId,
     Side,
@@ -14,11 +16,13 @@ from ellsuper.orbits import (
     action,
     action_dual,
     gamma,
+    jump_set,
     normalized,
     orbit,
 )
 from ellsuper.rounding import psi_map, tilde_epsilon
 from ellsuper.sft import epsilon, o_key
+from ellsuper.superpotential import CP2Target, wt_T, wt_T_infinity
 
 
 def random_params(rng, max_n=4):
@@ -158,3 +162,41 @@ class TestMorphismOracle:
         long_word = Word(tuple(("g", 2 * i) for i in range(6)))
         with pytest.raises(ValueError):
             morphism_bruteforce(F, long_word)
+
+
+# ratios in (1, 40]: generic ones, and the jump candidates of Γ_{3e-1} and
+# of the orbit identity o_{3e-1} (J_{3e-2}) for e <= 12, where sides matter
+JUMP_RATIOS = sorted({r for k in range(1, 36) for r in jump_set(k) if r > 1})
+sided_ratios = st.tuples(
+    st.one_of(
+        st.fractions(min_value="13/12", max_value=40, max_denominator=12),
+        st.sampled_from(JUMP_RATIOS),
+    ),
+    st.sampled_from(list(Side)),
+)
+
+
+class TestCountOracle:
+    @given(ratio=sided_ratios, d=st.integers(1, 12))
+    @settings(deadline=None, max_examples=150)
+    def test_series_matches_partition_recursion(self, ratio, d):
+        params = normalized(*ratio)
+        assert wt_T(CP2Target(), d, params) == wt_T_partitions(d, params)
+
+    @given(d=st.integers(1, 16))
+    @settings(deadline=None, max_examples=16)
+    def test_infinity_matches_partition_recursion(self, d):
+        assert wt_T_infinity(d) == wt_T_partitions(d, normalized(3 * d))
+
+    def test_scaled_two_axis_parameters(self):
+        scaled = SpectrumParams((Fraction(2), Fraction(13)), Side.PLUS)
+        for d in range(1, 8):
+            assert wt_T(CP2Target(), d, scaled) == wt_T_partitions(d, scaled)
+
+    def test_guards(self):
+        with pytest.raises(ValueError):
+            wt_T_partitions(21, normalized(100))
+        with pytest.raises(ValueError):
+            wt_T_partitions(0, normalized(100))
+        with pytest.raises(ValueError):
+            wt_T_partitions(2, SpectrumParams((1, 2, 3), Side.CANONICAL))
