@@ -125,7 +125,7 @@ def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     if not idx or any(i < 1 for i in idx):
         raise ValueError(f"orbit indices must be positive integers, got {indices}")
     minus, plus = _sides(a)
-    morphism = xi(minus, plus, len(idx))
+    morphism = xi(minus, plus)
     word = Word(tuple(o_key(i) for i in idx))
     out_index = sum(idx) + len(idx) - 1
     return single_coefficient(morphism.level(len(idx), word), o_key(out_index))

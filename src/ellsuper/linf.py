@@ -8,7 +8,8 @@ Objects
 * :class:`Word` — a symmetric word of generators in canonical (sorted) order.
   Reordering signs are Koszul: two odd letters crossing contribute -1, and a
   word with a repeated odd letter is zero.
-* :class:`Combination` — a finite Q-linear combination of words.
+* :class:`Combination` — a finite Q-linear combination of words;
+  :meth:`Combination.apply` is the linear extension Σ_u c_u · f(u).
 * :class:`LinfStructure` — level maps l^k : Sym^k -> generators of degree +1,
   given lazily by a rule and memoized.
 * :class:`LinfMorphism` — level maps phi^k : Sym^k(source) -> target of
@@ -22,12 +23,15 @@ Operations
   φ̂(w) = Σ over block-size multisets and block-ordered shuffles of
   ± (φ^{k_1} ⊙ ... ⊙ φ^{k_s})(σ·w); equal-size blocks are enumerated once in
   canonical order (the same sum as over all set partitions of the letters).
-* :func:`compose` — (G ∘ F)^k(w) = Σ_{u ∈ F̂(w)} coeff · G^{|u|}(u), lazily.
+* :func:`compose` — (G ∘ F)^k(w) = Σ_{u ∈ F̂(w)} coeff · G^{|u|}(u).
 * :func:`invert` — levelwise inverse of a morphism whose φ^1 is diagonal on
   basis generators: H^1 inverts the diagonal, and for k >= 2
   H^k(u) = -(1/c) Σ H^{s}(non-diagonal blocks of F̂ applied to the preimage),
   where c is the coefficient of the all-singletons term.
 * :func:`check_structure` — verifies l̂ ∘ l̂ = 0 on supplied words.
+
+Every level map, including those of composites and inverses, is defined
+lazily at every arity and memoized per word.
 
 Level maps are required to land in single generators (length-one words);
 this holds for every structure in this package and keeps extensions small.
@@ -36,10 +40,10 @@ this holds for every structure in this package and keeps extensions small.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .exact import koszul_sign, ordered_shuffles, partitions
+from .exact import koszul_sign, ordered_shuffles, partitions, shuffles
 from .report import Report
 
 __all__ = [
@@ -191,6 +195,14 @@ class Combination:
     def __hash__(self) -> int:  # pragma: no cover - combinations are not dict keys in practice
         return hash(frozenset(self._terms.items()))
 
+    def apply(self, fn: Callable[[Word], "Combination"]) -> "Combination":
+        """The linear extension Σ_u c_u · fn(u), accumulated in one dict."""
+        out: dict[Word, Fraction] = {}
+        for u, c in self._terms.items():
+            for w, d in fn(u)._terms.items():
+                _accumulate(out, w, c * d)
+        return Combination(out)
+
     def restrict_length(self, length: int) -> "Combination":
         return Combination({w: c for w, c in self._terms.items() if len(w) == length})
 
@@ -221,18 +233,14 @@ class LinfStructure:
         self,
         generators: GeneratorSet,
         level_rule: Callable[[int, Word], Combination],
-        max_arity: int | None = None,
     ) -> None:
         self.generators = generators
         self._rule = level_rule
-        self.max_arity = max_arity
         self._memo: dict[Word, Combination] = {}
 
     def level(self, k: int, word: Word) -> Combination:
         if len(word) != k:
             raise ValueError(f"arity {k} does not match word length {len(word)}")
-        if self.max_arity is not None and k > self.max_arity:
-            raise ValueError(f"structure levels only defined up to arity {self.max_arity}")
         cached = self._memo.get(word)
         if cached is None:
             cached = self._memo[word] = self._rule(k, word)
@@ -252,20 +260,16 @@ class LinfMorphism:
         source: GeneratorSet,
         target: GeneratorSet,
         level_rule: Callable[[int, Word], Combination],
-        max_arity: int | None = None,
     ) -> None:
         self.source = source
         self.target = target
         self._rule = level_rule
-        self.max_arity = max_arity
         self._level_memo: dict[Word, Combination] = {}
         self._extend_memo: dict[Word, Combination] = {}
 
     def level(self, k: int, word: Word) -> Combination:
         if len(word) != k:
             raise ValueError(f"arity {k} does not match word length {len(word)}")
-        if self.max_arity is not None and k > self.max_arity:
-            raise ValueError(f"morphism levels only defined up to arity {self.max_arity}")
         cached = self._level_memo.get(word)
         if cached is None:
             cached = self._level_memo[word] = self._rule(k, word)
@@ -322,16 +326,13 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
     degrees = tuple(structure.generators.degree(key) for key in word.keys)
     out: dict[Word, Fraction] = {}
     for i in range(1, k + 1):
-        for head in combinations(range(k), i):
-            head_set = set(head)
-            tail = tuple(p for p in range(k) if p not in head_set)
-            sigma = head + tail
+        for sigma in shuffles(i, k - i):
             sign = koszul_sign(sigma, degrees)
-            head_word = Word(tuple(word.keys[p] for p in head))
+            head_word = Word(tuple(word.keys[p] for p in sigma[:i]))
             value = structure.level(i, head_word)
             if not value:
                 continue
-            tail_keys = tuple(word.keys[p] for p in tail)
+            tail_keys = tuple(word.keys[p] for p in sigma[i:])
             for out_word, coeff in value.terms():
                 letters = (_single_letter(out_word),) + tail_keys
                 target_word, sort_sign = canonical_word(structure.generators, letters)
@@ -352,8 +353,8 @@ def identity_morphism(generators: GeneratorSet) -> LinfMorphism:
     return LinfMorphism(generators, generators, rule)
 
 
-def compose(outer: LinfMorphism, inner: LinfMorphism, bound: int) -> LinfMorphism:
-    """Levelwise composition, defined for word lengths up to ``bound``.
+def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
+    """Levelwise composition.
 
     (outer ∘ inner)^k(w) = Σ_{u ∈ inner-hat(w)} coeff(u) · outer^{|u|}(u).
     """
@@ -364,20 +365,13 @@ def compose(outer: LinfMorphism, inner: LinfMorphism, bound: int) -> LinfMorphis
         )
 
     def rule(k: int, word: Word) -> Combination:
-        total = Combination.zero()
-        for u, coeff in inner.extend(word).terms():
-            total = total + coeff * outer.level(len(u), u)
-        return total
+        return inner.extend(word).apply(lambda u: outer.level(len(u), u))
 
-    return LinfMorphism(inner.source, outer.target, rule, max_arity=bound)
+    return LinfMorphism(inner.source, outer.target, rule)
 
 
-def invert(
-    morphism: LinfMorphism,
-    bound: int,
-    preimage: Callable[[Key], Key],
-) -> LinfMorphism:
-    """Levelwise inverse of a morphism with diagonal phi^1, up to word length ``bound``.
+def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphism:
+    """Levelwise inverse of a morphism with diagonal phi^1.
 
     ``preimage`` maps a target generator key to the source key whose phi^1
     image is proportional to it.  The inverse H satisfies (H ∘ F)^k = id^k;
@@ -409,14 +403,12 @@ def invert(
         coeff = diagonal[u_word]
         if coeff == 0 or len(diagonal) != 1:
             raise ValueError(f"phi^1 is not diagonal on the letters of {u_word}")
-        total = Combination.zero()
-        for u2, c2 in expansion.terms():
-            if len(u2) == k:
-                continue
-            total = total + c2 * inverse.level(len(u2), u2)
-        return (Fraction(-1) / coeff) * total
+        lower = expansion.apply(
+            lambda u2: Combination.zero() if len(u2) == k else inverse.level(len(u2), u2)
+        )
+        return (Fraction(-1) / coeff) * lower
 
-    inverse = LinfMorphism(morphism.target, morphism.source, rule, max_arity=bound)
+    inverse = LinfMorphism(morphism.target, morphism.source, rule)
     return inverse
 
 
@@ -427,9 +419,7 @@ def check_structure(structure: LinfStructure, words: Iterable[Word]) -> Report:
     for word in words:
         checked += 1
         first = extend_coderivation(structure, word)
-        residual = Combination.zero()
-        for u, coeff in first.terms():
-            residual = residual + coeff * extend_coderivation(structure, u)
+        residual = first.apply(lambda u: extend_coderivation(structure, u))
         if residual:
             failures.append(f"coderivation square nonzero on {word}: {residual}")
     return Report(not failures, checked, failures)

@@ -223,16 +223,12 @@ def verify_aug(
     for word in _window_words(index_bound, length_bound):
         checked += 1
         image = extend_coderivation(structure, word)
-        projected = Combination.zero()
-        for u, coeff in image.terms():
-            projected = projected + coeff * morphism.level(len(u), u)
+        projected = image.apply(lambda u: morphism.level(len(u), u))
         if projected:
             failures.append(f"pi_1(aug(coderivation)) nonzero on {word}: {projected}")
             continue
         if len(word) <= 3:
-            full = Combination.zero()
-            for u, coeff in image.terms():
-                full = full + coeff * morphism.extend(u)
+            full = image.apply(morphism.extend)
             if full:
                 failures.append(f"bar-level aug(coderivation) nonzero on {word}: {full}")
     return Report(not failures, checked, failures)
@@ -244,7 +240,7 @@ def psi_factorization(
     index_cap: int = 4,
 ) -> Report:
     """Check eps~ ∘ psi_a = eps_a on words of o_{1..index_cap} up to a length bound."""
-    composed = compose(tilde_epsilon(), psi_map(params), length_bound)
+    composed = compose(tilde_epsilon(), psi_map(params))
     direct = epsilon(params)
     words = []
     for length in range(1, length_bound + 1):

@@ -109,8 +109,8 @@ def co_algebra() -> LinfStructure:
 
 
 _EPSILON_CACHE: dict[SpectrumParams, LinfMorphism] = {}
-_ETA_CACHE: dict[tuple[SpectrumParams, int], LinfMorphism] = {}
-_XI_CACHE: dict[tuple[SpectrumParams, SpectrumParams, int], LinfMorphism] = {}
+_ETA_CACHE: dict[SpectrumParams, LinfMorphism] = {}
+_XI_CACHE: dict[tuple[SpectrumParams, SpectrumParams], LinfMorphism] = {}
 
 
 def epsilon(params: SpectrumParams) -> LinfMorphism:
@@ -120,37 +120,29 @@ def epsilon(params: SpectrumParams) -> LinfMorphism:
         return cached
 
     def rule(k: int, word: Word) -> Combination:
-        indices = [key[1] for key in word.keys]
-        total = vec_add(*(gamma(params, i) for i in indices))
-        out_index = sum(indices) + k - 1
-        return Combination.single(
-            Word((q_key(out_index),)), Fraction(1, vec_factorial(total))
-        )
+        count, psi_power = local_descendant(params, [key[1] for key in word.keys])
+        return Combination.single(Word((q_key(psi_power + 1),)), count)
 
     morphism = LinfMorphism(ca_generators(params), co_generators(), rule)
     _EPSILON_CACHE[params] = morphism
     return morphism
 
 
-def eta(params: SpectrumParams, bound: int) -> LinfMorphism:
-    """Levelwise inverse of eps_params, defined up to word length ``bound``."""
-    cache_key = (params, bound)
-    cached = _ETA_CACHE.get(cache_key)
+def eta(params: SpectrumParams) -> LinfMorphism:
+    """Levelwise inverse of eps_params, cached per parameter set (all arities)."""
+    cached = _ETA_CACHE.get(params)
     if cached is None:
-        cached = _ETA_CACHE[cache_key] = invert(
-            epsilon(params), bound, lambda key: o_key(key[1])
-        )
+        cached = _ETA_CACHE[params] = invert(epsilon(params), lambda key: o_key(key[1]))
     return cached
 
 
-def xi(source: SpectrumParams, target: SpectrumParams, bound: int) -> LinfMorphism:
-    """Transfer morphism Xi = eta_target ∘ eps_source : C_source -> C_target."""
-    cache_key = (source, target, bound)
+def xi(source: SpectrumParams, target: SpectrumParams) -> LinfMorphism:
+    """Transfer morphism Xi = eta_target ∘ eps_source : C_source -> C_target,
+    cached per ordered pair and shared by every arity."""
+    cache_key = (source, target)
     cached = _XI_CACHE.get(cache_key)
     if cached is None:
-        cached = _XI_CACHE[cache_key] = compose(
-            eta(target, bound), epsilon(source), bound
-        )
+        cached = _XI_CACHE[cache_key] = compose(eta(target), epsilon(source))
     return cached
 
 
@@ -226,9 +218,9 @@ def _index_words(key_fn: Callable[[int], Key], length_bound: int, index_cap: int
 def inverse_check(params: SpectrumParams, bound: int, index_cap: int = 4) -> Report:
     """Verify eta∘eps = id on C_a and eps∘eta = id on C_o up to a word-length bound."""
     eps = epsilon(params)
-    inv = eta(params, bound)
-    left = compose(inv, eps, bound)
-    right = compose(eps, inv, bound)
+    inv = eta(params)
+    left = compose(inv, eps)
+    right = compose(eps, inv)
     source_words = _index_words(o_key, bound, index_cap)
     target_words = _index_words(q_key, bound, index_cap)
     return merge_reports(
@@ -245,6 +237,6 @@ def xi_chain_check(
     index_cap: int = 3,
 ) -> Report:
     """Verify Xi_{mid->high} ∘ Xi_{low->mid} = Xi_{low->high} on a word window."""
-    chained = compose(xi(mid, high, bound), xi(low, mid, bound), bound)
-    direct = xi(low, high, bound)
+    chained = compose(xi(mid, high), xi(low, mid))
+    direct = xi(low, high)
     return morphisms_agree(chained, direct, _index_words(o_key, bound, index_cap))

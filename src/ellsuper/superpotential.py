@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .exact import LatticePoint, partitions, rational
-from .orbits import Side, SpectrumParams, action, gamma, jump_set, normalized, orbit
+from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma, jump_set, normalized, orbit
 from .report import Report
 
 __all__ = [
@@ -217,11 +217,6 @@ class PiecewiseTable:
         return self.values[idx]
 
 
-def _count_candidates(target: CP2Target, label: object) -> set[Fraction]:
-    """∪_{e <= d} J_{3e-1}: the ratios where a point of the Γ-signature can move."""
-    return {r for k in range(2, target.chern(label), 3) for r in jump_set(k)}
-
-
 def _sweep(
     lo: Fraction,
     hi: Fraction | None,
@@ -270,7 +265,7 @@ def piecewise_table(
     return _sweep(
         rational(lo),
         None if hi is None else rational(hi),
-        _count_candidates(target, label),
+        candidate_discontinuities(target._check(label), 0),
         lambda params: wt_T(target, label, params),
     )
 
@@ -285,7 +280,7 @@ def normalized_table(
     return _sweep(
         rational(lo),
         None if hi is None else rational(hi),
-        _count_candidates(target, label).union(jump_set(target.chern(label) - 2)),
+        candidate_discontinuities(target._check(label), 0) + jump_set(target.chern(label) - 2),
         lambda params: T(target, label, params),
     )
 

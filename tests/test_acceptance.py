@@ -267,8 +267,8 @@ def _chain_through_breakpoints(d: int, a_top: Fraction | None = None) -> Fractio
     )
     total = None
     for b in candidates:
-        step = xi(normalized(b, Side.MINUS), normalized(b, Side.PLUS), d)
-        total = step if total is None else compose(step, total, d)
+        step = xi(normalized(b, Side.MINUS), normalized(b, Side.PLUS))
+        total = step if total is None else compose(step, total)
     word = Word((o_key(2),) * d)
     coefficient = single_coefficient(total.level(d, word), o_key(3 * d - 1))
     return coefficient / math.factorial(d)

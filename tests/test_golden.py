@@ -1,9 +1,10 @@
-"""Byte-for-byte CLI outputs for the count commands.
+"""Byte-for-byte CLI outputs.
 
 The files under ``tests/golden/`` hold the exact stdout of each command
-(``ellsuper <argv> > file``).  The counts behind them were computed by the
-partition-sum recursion; the series recursion that replaced it must print the
-same bytes.
+(``ellsuper <argv> > file``).  The count outputs were computed by the
+partition-sum recursion, the transfer-stack outputs (``jumps``, ``check``,
+``gamma``, ``spectrum``, ``descendant``) by L-infinity maps with a word-length
+bound; the code that replaced them must print the same bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ CASES = [
         ["table", "--d", "8", "--min", "1", "--max", "inf", "--refine-orbit-id", "--format", "csv"],
     ),
     ("bound_d4_a1-7-3.json", ["bound", "--d", "4", "--a", "1,7/3"]),
+    ("jumps_a5-4_o2-8.json", ["jumps", "--a", "5/4", "--orbits", "2,8"]),
+    ("jumps_a1-2_o1-2-2.json", ["jumps", "--a", "1/2", "--orbits", "1,2,2"]),
+    ("jumps_a3-2_o1-1-2_xi.json", ["jumps", "--a", "3/2", "--orbits", "1,1,2", "--route", "xi"]),
+    ("check_linf.json", ["check", "--suite", "linf"]),
+    ("check_jumps_b7.json", ["check", "--suite", "jumps", "--bound", "7"]),
+    ("gamma_a1-3-2_k0-8.csv", ["gamma", "--a", "1,3/2", "--k", "0..8", "--format", "csv"]),
+    ("spectrum_a1-3-2_c10.json", ["spectrum", "--a", "1,3/2", "--count", "10"]),
+    ("descendant_a1-3_o2-2.json", ["descendant", "--a", "1,3", "--orbits", "2,2"]),
 ]
 
 

@@ -4,6 +4,9 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ellsuper.jumps import (
     ScanHit,
     jump_cylinder,
@@ -112,6 +115,43 @@ class TestViaXi:
                 )
 
 
+@st.composite
+def jump_problems(draw):
+    """(ratio, indices): arity 1-4, indices <= 5, output index Σi + k - 1 <= 12.
+
+    The ratio lies on the candidate locus ∪_{s <= out} J_s three times in four,
+    and is otherwise an arbitrary positive rational.
+    """
+    k = draw(st.integers(1, 4))
+    index_budget = 13 - k
+    indices = []
+    for slot in range(k):
+        top = min(5, index_budget - sum(indices) - (k - slot - 1))
+        indices.append(draw(st.integers(1, top)))
+    out_index = sum(indices) + k - 1
+    if draw(st.integers(0, 3)):
+        candidates = sorted({a for s in range(1, out_index + 1) for a in jump_set(s)})
+        a = draw(st.sampled_from(candidates))
+    else:
+        a = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 12)))
+    return a, tuple(indices)
+
+
+class TestRoutesDifferential:
+    @given(problem=jump_problems())
+    @settings(deadline=None, max_examples=150)
+    def test_routes_agree(self, problem):
+        """Mixed arities at one ratio share a single cached Xi; every route
+        must give the same jump."""
+        a, indices = problem
+        value = jump_general(a, indices)
+        assert jump_via_xi(a, indices) == value
+        if len(indices) == 1:
+            assert jump_cylinder(a, indices[0]) == value
+        elif len(indices) == 2:
+            assert jump_pants(a, *indices) == value
+
+
 class TestSupportScan:
     def test_finds_reference_hit(self):
         hits = support_scan(11)
@@ -156,8 +196,8 @@ class TestFactorization:
         )
         composed = None
         for b in candidates:
-            step = xi(normalized(b, Side.MINUS), normalized(b, Side.PLUS), d)
-            composed = step if composed is None else compose(step, composed, d)
+            step = xi(normalized(b, Side.MINUS), normalized(b, Side.PLUS))
+            composed = step if composed is None else compose(step, composed)
         w = Word(tuple([o_key(2)] * d))
         coeff = single_coefficient(composed.level(d, w), o_key(out_index))
         assert coeff / math.factorial(d) == wt_T_infinity(d) == 32

@@ -209,11 +209,6 @@ class TestArityValidation:
         with pytest.raises(ValueError):
             S.level(2, word(g(1)))
 
-    def test_structure_respects_max_arity(self):
-        S = LinfStructure(GRADED, lambda k, w: Combination.zero(), max_arity=2)
-        with pytest.raises(ValueError):
-            S.level(3, word(g(1), g(2), g(3)))
-
     def test_morphism_levels_must_be_single_generators(self):
         def bad_rule(k, w):
             return Combination.single(word(h(1), h(2)))
@@ -228,8 +223,8 @@ class TestCompose:
         F = LinfMorphism(EVEN_SOURCE, EVEN_SOURCE, two_level_morphism())
         # Rebuild with matching labels so h-letters live in the same family.
         words = [word(g(1)), word(g(1), g(2)), word(g(1), g(2), g(2))]
-        left = compose(identity_morphism(EVEN_SOURCE), F, bound=3)
-        right = compose(F, identity_morphism(EVEN_SOURCE), bound=3)
+        left = compose(identity_morphism(EVEN_SOURCE), F)
+        right = compose(F, identity_morphism(EVEN_SOURCE))
         assert morphisms_agree(left, F, words).ok
         assert morphisms_agree(right, F, words).ok
 
@@ -239,7 +234,7 @@ class TestCompose:
         G = LinfMorphism(EVEN_SOURCE, EVEN_SOURCE, two_level_morphism(Fraction(3)))
 
         w = word(g(1), g(2))
-        got = compose(G, F, bound=2).level(2, w)
+        got = compose(G, F).level(2, w)
         # F-hat(w) = F^2(w) + F^1(g1).F^1(g2) = h3 + 4 h1.h2
         # G on that: G^1(h3) = 3 h'3; G^2(h1.h2) = h'3 -> (3 + 4) h3.
         assert got == Combination.single(word(h(3)), 7)
@@ -248,7 +243,7 @@ class TestCompose:
         F = LinfMorphism(GRADED, EVEN_TARGET, two_level_morphism())
         G = LinfMorphism(GRADED, EVEN_TARGET, two_level_morphism())
         with pytest.raises(ValueError):
-            compose(G, F, bound=2)
+            compose(G, F)
 
 
 class TestInvert:
@@ -259,14 +254,14 @@ class TestInvert:
 
     def test_level_one_inverts_diagonal(self):
         F, pre = self.morphism_and_preimage()
-        H = invert(F, bound=3, preimage=pre)
+        H = invert(F, preimage=pre)
         assert H.level(1, word(h(4))) == Combination.single(word(g(4)), Fraction(1, 2))
 
     def test_level_two_formula(self):
         """H^2(h1.h2) = -(1/c) H^1(F^2(g1.g2)) with c the coefficient of the
         all-singletons term of F-hat on the preimage word."""
         F, pre = self.morphism_and_preimage()
-        H = invert(F, bound=3, preimage=pre)
+        H = invert(F, preimage=pre)
         # F-hat(g1.g2) = h3 + 4 h1.h2, so c = 4 and
         # H^2(h1.h2) = -(1/4) H^1(h3) = -(1/8) g3.
         assert H.level(2, word(h(1), h(2))) == Combination.single(
@@ -275,7 +270,7 @@ class TestInvert:
 
     def test_left_and_right_inverse(self):
         F, pre = self.morphism_and_preimage()
-        H = invert(F, bound=4, preimage=pre)
+        H = invert(F, preimage=pre)
         ident = identity_morphism(EVEN_SOURCE)
         g_words = [
             word(g(1)),
@@ -285,8 +280,8 @@ class TestInvert:
             word(g(1), g(1), g(2), g(3)),
         ]
         h_words = [Word(tuple(h(k[1]) for k in w.keys)) for w in g_words]
-        assert morphisms_agree(compose(H, F, bound=4), ident, g_words).ok
-        assert morphisms_agree(compose(F, H, bound=4), ident, h_words).ok
+        assert morphisms_agree(compose(H, F), ident, g_words).ok
+        assert morphisms_agree(compose(F, H), ident, h_words).ok
 
 
 class TestMorphismsAgree:

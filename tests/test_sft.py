@@ -110,9 +110,9 @@ class TestEpsilon:
 
 class TestEta:
     def test_level_one_inverts_diagonal(self):
-        eta_low = eta(normalized("3/2"), 2)
+        eta_low = eta(normalized("3/2"))
         assert eta_low.level(1, q_word(2)) == Combination.single(o_word(2), 1)
-        eta_high = eta(normalized(3), 2)
+        eta_high = eta(normalized(3))
         assert eta_high.level(1, q_word(2)) == Combination.single(o_word(2), 2)
 
     def test_two_sided_inverse(self):
@@ -124,20 +124,20 @@ class TestEta:
 class TestXi:
     def test_same_parameters_give_identity(self):
         p = normalized("5/2")
-        F = xi(p, p, 3)
+        F = xi(p, p)
         for w in (o_word(1), o_word(2, 2), o_word(1, 2, 3)):
             assert F.extend(w) == Combination.single(w)
 
     def test_breakpoint_jump_coefficient(self):
         src = normalized("5/4", Side.MINUS)
         tgt = normalized("5/4", Side.PLUS)
-        F = xi(src, tgt, 2)
+        F = xi(src, tgt)
         assert single_coefficient(F.level(2, o_word(2, 8)), o_key(11)) == Fraction(
             -1, 4
         )
 
     def test_output_index_constraint(self):
-        F = xi(normalized(3), normalized("3/2"), 3)
+        F = xi(normalized(3), normalized("3/2"))
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(range(1, 5), k):
                 out = F.level(k, o_word(*combo))
@@ -154,7 +154,7 @@ class TestXi:
         """epsilon(target) . xi(source->target) = epsilon(source)."""
         src = normalized(3)
         tgt = normalized("3/2")
-        left = compose(epsilon(tgt), xi(src, tgt, 3), 3)
+        left = compose(epsilon(tgt), xi(src, tgt))
         words = [
             o_word(*combo)
             for k in (1, 2, 3)
@@ -171,7 +171,7 @@ class TestXi:
             (normalized("5/4", Side.MINUS), normalized("5/4", Side.PLUS), False),
         ]
         for src, tgt, expect_strict in cases:
-            F = xi(src, tgt, 3)
+            F = xi(src, tgt)
             saw_strict = False
             for k in (1, 2, 3):
                 for combo in combinations_with_replacement(range(1, 5), k):

@@ -192,7 +192,7 @@ class TestCrossFormulation:
         for a in samples:
             tgt = normalized(a)
             for d in range(1, 5):
-                F = xi(src, tgt, d)
+                F = xi(src, tgt)
                 w = Word(tuple([o_key(2)] * d))
                 coeff = single_coefficient(F.level(d, w), o_key(3 * d - 1))
                 assert coeff / math.factorial(d) == wt_T(CP2, d, tgt), (a, d)
