@@ -323,18 +323,12 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     target = _require_cp2(args.target)
     if args.d < 1:
         raise CLIError("--d must be >= 1")
-    core, suffix_side = _split_side_suffix(args.a)
-    side = _resolve_side(suffix_side, args.side)
+    core, _ = _split_side_suffix(args.a)
     components = [tok for tok in core.split(",") if tok.strip() != ""]
-    if len(components) == 1:
-        params = normalized(_parse_rational(components[0]), side)
-    elif len(components) == 2:
-        try:
-            params = SpectrumParams(tuple(_parse_rational(t) for t in components), side)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
-    else:
+    if len(components) not in (1, 2):
         raise CLIError("--a needs one or two components")
+    # a single component a stands for the normalized E(1, a)
+    params = _parse_params(args.a if len(components) == 2 else "1," + args.a, args.side)
     value = embedding_bound(target, args.d, params)
     if value is None:
         result = {"bound": None, "note": "count vanishes; no obstruction from this class"}
@@ -417,6 +411,8 @@ def _suite_jumps(bound: int) -> Report:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    if args.bound is not None and args.bound < 1:
+        raise CLIError(f"--bound must be >= 1, got {args.bound}")
     suites = {
         "gamma": lambda: _suite_gamma(args.bound if args.bound is not None else 50),
         "linf": lambda: _suite_linf(args.bound if args.bound is not None else 3),

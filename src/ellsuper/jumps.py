@@ -34,7 +34,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import ordered_shuffles, partitions, rational, vec_add, vec_factorial
-from .linf import Word
 from .orbits import Side, action, gamma, jump_set, normalized
 from .sft import o_key, single_coefficient, xi
 
@@ -126,7 +125,7 @@ def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
         raise ValueError(f"orbit indices must be positive integers, got {indices}")
     minus, plus = _sides(a)
     morphism = xi(minus, plus)
-    word = Word(tuple(o_key(i) for i in idx))
+    word = tuple(o_key(i) for i in idx)
     out_index = sum(idx) + len(idx) - 1
     return single_coefficient(morphism.level(len(idx), word), o_key(out_index))
 

@@ -3,11 +3,10 @@
 Objects
 -------
 * :class:`GeneratorSet` — a (possibly infinite) family of graded generators
-  addressed by hashable, orderable keys, with a degree rule and an optional
-  action (filtration) rule.
-* :class:`Word` — a symmetric word of generators in canonical (sorted) order.
-  Reordering signs are Koszul: two odd letters crossing contribute -1, and a
-  word with a repeated odd letter is zero.
+  addressed by hashable, orderable keys: a label plus a degree rule.
+* ``Word`` — a symmetric word of generators: the tuple of its keys in
+  canonical (sorted) order.  Reordering signs are Koszul: two odd letters
+  crossing contribute -1, and a word with a repeated odd letter is zero.
 * :class:`Combination` — a finite Q-linear combination of words;
   :meth:`Combination.apply` is the linear extension Σ_u c_u · f(u).
 * :class:`LinfStructure` — level maps l^k : Sym^k -> generators of degree +1,
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .exact import koszul_sign, ordered_shuffles, partitions, shuffles
 from .report import Report
@@ -75,23 +74,12 @@ class GeneratorSet:
     shares one key space regardless of its parameters.
     """
 
-    def __init__(
-        self,
-        label: str,
-        degree_fn: Callable[[Key], int],
-        action_fn: Callable[[Key], Fraction] | None = None,
-    ) -> None:
+    def __init__(self, label: str, degree_fn: Callable[[Key], int]) -> None:
         self.label = label
         self._degree_fn = degree_fn
-        self._action_fn = action_fn
 
     def degree(self, key: Key) -> int:
         return self._degree_fn(key)
-
-    def action(self, key: Key) -> Fraction | None:
-        if self._action_fn is None:
-            return None
-        return self._action_fn(key)
 
     def compatible(self, other: "GeneratorSet") -> bool:
         return self.label == other.label
@@ -100,28 +88,8 @@ class GeneratorSet:
         return f"GeneratorSet({self.label!r})"
 
 
-class Word:
-    """A symmetric word stored in canonical (key-sorted) order."""
-
-    __slots__ = ("keys",)
-
-    def __init__(self, keys: Sequence[Key]) -> None:
-        self.keys = tuple(keys)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __iter__(self) -> Iterator[Key]:
-        return iter(self.keys)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Word) and self.keys == other.keys
-
-    def __hash__(self) -> int:
-        return hash(self.keys)
-
-    def __repr__(self) -> str:
-        return "(" + " . ".join(map(str, self.keys)) + ")"
+# A word is the tuple of its keys in canonical (sorted) order.
+Word = tuple
 
 
 def canonical_word(genset: GeneratorSet, keys: Sequence[Key]) -> tuple[Word | None, int]:
@@ -144,7 +112,7 @@ def canonical_word(genset: GeneratorSet, keys: Sequence[Key]) -> tuple[Word | No
     for i in range(1, len(items)):
         if items[i - 1] == items[i] and degrees[i] % 2:
             return None, 0
-    return Word(items), sign
+    return tuple(items), sign
 
 
 class Combination:
@@ -192,9 +160,6 @@ class Combination:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Combination) and self._terms == other._terms
 
-    def __hash__(self) -> int:  # pragma: no cover - combinations are not dict keys in practice
-        return hash(frozenset(self._terms.items()))
-
     def apply(self, fn: Callable[[Word], "Combination"]) -> "Combination":
         """The linear extension Σ_u c_u · fn(u), accumulated in one dict."""
         out: dict[Word, Fraction] = {}
@@ -209,7 +174,7 @@ class Combination:
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"{c}*{w}" for w, c in sorted(self._terms.items(), key=lambda t: t[0].keys))
+        return " + ".join(f"{c}*{w}" for w, c in sorted(self._terms.items(), key=lambda t: t[0]))
 
 
 def _accumulate(store: dict[Word, Fraction], word: Word, coeff: Fraction) -> None:
@@ -223,7 +188,7 @@ def _accumulate(store: dict[Word, Fraction], word: Word, coeff: Fraction) -> Non
 def _single_letter(comb_word: Word) -> Key:
     if len(comb_word) != 1:
         raise AssertionError(f"level maps must land in single generators, got {comb_word}")
-    return comb_word.keys[0]
+    return comb_word[0]
 
 
 class LinfStructure:
@@ -286,7 +251,7 @@ class LinfMorphism:
         k = len(word)
         if k == 0:
             raise ValueError("words must be nonempty")
-        degrees = tuple(self.source.degree(key) for key in word.keys)
+        degrees = tuple(self.source.degree(key) for key in word)
         out: dict[Word, Fraction] = {}
         for desc_sizes in partitions(k):
             sizes = tuple(reversed(desc_sizes))  # ascending block sizes
@@ -297,7 +262,7 @@ class LinfMorphism:
                 for size in sizes:
                     block = sigma[pos:pos + size]
                     pos += size
-                    block_word = Word(tuple(word.keys[p] for p in block))
+                    block_word = tuple(word[p] for p in block)
                     value = self.level(size, block_word)
                     if not value:
                         block_values = []
@@ -323,16 +288,16 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
     k = len(word)
     if k == 0:
         raise ValueError("words must be nonempty")
-    degrees = tuple(structure.generators.degree(key) for key in word.keys)
+    degrees = tuple(structure.generators.degree(key) for key in word)
     out: dict[Word, Fraction] = {}
     for i in range(1, k + 1):
         for sigma in shuffles(i, k - i):
             sign = koszul_sign(sigma, degrees)
-            head_word = Word(tuple(word.keys[p] for p in sigma[:i]))
+            head_word = tuple(word[p] for p in sigma[:i])
             value = structure.level(i, head_word)
             if not value:
                 continue
-            tail_keys = tuple(word.keys[p] for p in sigma[i:])
+            tail_keys = tuple(word[p] for p in sigma[i:])
             for out_word, coeff in value.terms():
                 letters = (_single_letter(out_word),) + tail_keys
                 target_word, sort_sign = canonical_word(structure.generators, letters)
@@ -386,8 +351,8 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
 
     def rule(k: int, u_word: Word) -> Combination:
         if k == 1:
-            source_key = preimage(u_word.keys[0])
-            w = Word((source_key,))
+            source_key = preimage(u_word[0])
+            w = (source_key,)
             image = morphism.level(1, w)
             coeff = image[u_word]
             if coeff == 0 or len(image) != 1:
@@ -395,7 +360,7 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
                     f"phi^1 is not diagonal at {source_key}: phi^1 = {image}, expected a multiple of {u_word}"
                 )
             return Combination.single(w, Fraction(1) / coeff)
-        w, _ = canonical_word(morphism.source, [preimage(key) for key in u_word.keys])
+        w, _ = canonical_word(morphism.source, [preimage(key) for key in u_word])
         if w is None:
             raise ValueError(f"preimage of {u_word} vanishes (repeated odd letter)")
         expansion = morphism.extend(w)

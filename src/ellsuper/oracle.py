@@ -115,14 +115,14 @@ def morphism_bruteforce(morphism: LinfMorphism, word: Word) -> Combination:
     k = len(word)
     if k > _MORPHISM_MAX_LEN:
         raise ValueError(f"brute force guarded to word length <= {_MORPHISM_MAX_LEN}, got {k}")
-    degrees = tuple(morphism.source.degree(key) for key in word.keys)
+    degrees = tuple(morphism.source.degree(key) for key in word)
     total: dict[Word, Fraction] = {}
     for blocks in set_partitions(k):
         arrangement = tuple(p for block in blocks for p in block)
         sign = koszul_sign(arrangement, degrees)
         factors: list[Combination] = []
         for block in blocks:
-            value = morphism.level(len(block), Word(tuple(word.keys[p] for p in block)))
+            value = morphism.level(len(block), tuple(word[p] for p in block))
             if not value:
                 factors = []
                 break
@@ -132,7 +132,7 @@ def morphism_bruteforce(morphism: LinfMorphism, word: Word) -> Combination:
         partial: list[tuple[list, Fraction]] = [([], Fraction(sign))]
         for factor in factors:
             partial = [
-                (letters + [w.keys[0]], coeff * c)
+                (letters + [w[0]], coeff * c)
                 for letters, coeff in partial
                 for w, c in factor.terms()
             ]

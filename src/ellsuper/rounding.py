@@ -45,7 +45,7 @@ from .linf import (
 )
 from .orbits import SpectrumParams, gamma
 from .report import Report, merge_reports
-from .sft import ca_generators, co_generators, epsilon, o_key, q_key
+from .sft import ca_generators, co_generators, epsilon, index_words, o_key, q_key
 
 __all__ = [
     "alpha_key",
@@ -92,25 +92,25 @@ def v_generators() -> GeneratorSet:
 
 def _v_rule(k: int, word: Word) -> Combination:
     if k == 1:
-        kind, i, j = word.keys[0]
+        kind, i, j = word[0]
         if kind != "alpha":
             return Combination.zero()
         out: dict[Word, Fraction] = {}
         if j != 0 and (i - 1, j) != (0, 0):
-            out[Word((beta_key(i - 1, j),))] = Fraction(j)
+            out[(beta_key(i - 1, j),)] = Fraction(j)
         if i != 0 and (i, j - 1) != (0, 0):
-            word_down = Word((beta_key(i, j - 1),))
+            word_down = (beta_key(i, j - 1),)
             out[word_down] = out.get(word_down, Fraction(0)) - Fraction(i)
         return Combination(out)
     if k == 2:
-        (kind1, i, j), (kind2, kk, ll) = word.keys
+        (kind1, i, j), (kind2, kk, ll) = word
         coefficient = Fraction(i * ll - j * kk)
         if coefficient == 0:
             return Combination.zero()
         if kind1 == "alpha" and kind2 == "alpha":
-            return Combination.single(Word((alpha_key(i + kk, j + ll),)), coefficient)
+            return Combination.single((alpha_key(i + kk, j + ll),), coefficient)
         if kind1 == "alpha" and kind2 == "beta":
-            return Combination.single(Word((beta_key(i + kk, j + ll),)), coefficient)
+            return Combination.single((beta_key(i + kk, j + ll),), coefficient)
         return Combination.zero()  # beta . beta
     return Combination.zero()
 
@@ -134,14 +134,14 @@ def v_ell(k: int, word: Word) -> Combination:
 def _tilde_rule(k: int, word: Word) -> Combination:
     i_total = 0
     j_total = 0
-    for kind, i, j in word.keys:
+    for kind, i, j in word:
         if kind != "beta":
             return Combination.zero()
         i_total += i
         j_total += j
     out_index = i_total + j_total + k - 1
     return Combination.single(
-        Word((q_key(out_index),)),
+        (q_key(out_index),),
         Fraction(1, factorial(i_total) * factorial(j_total)),
     )
 
@@ -165,8 +165,8 @@ def psi_map(params: SpectrumParams) -> LinfMorphism:
     def rule(k: int, word: Word) -> Combination:
         if k != 1:
             return Combination.zero()
-        x, y = gamma(params, word.keys[0][1])
-        return Combination.single(Word((beta_key(x, y),)))
+        x, y = gamma(params, word[0][1])
+        return Combination.single((beta_key(x, y),))
 
     return LinfMorphism(ca_generators(params), v_generators(), rule)
 
@@ -195,10 +195,10 @@ def _window_words(index_bound: int, length_bound: int) -> Iterator[Word]:
     alphas = _alpha_window(index_bound)
     for length in range(1, length_bound + 1):
         for beta_part in combinations_with_replacement(betas, length):
-            yield Word(beta_part)
+            yield beta_part
         for alpha in alphas:
             for beta_part in combinations_with_replacement(betas, length - 1):
-                yield Word((alpha,) + beta_part)
+                yield (alpha,) + beta_part
 
 
 def verify_aug(
@@ -242,11 +242,7 @@ def psi_factorization(
     """Check eps~ ∘ psi_a = eps_a on words of o_{1..index_cap} up to a length bound."""
     composed = compose(tilde_epsilon(), psi_map(params))
     direct = epsilon(params)
-    words = []
-    for length in range(1, length_bound + 1):
-        for keys in combinations_with_replacement([o_key(i) for i in range(1, index_cap + 1)], length):
-            words.append(Word(keys))
-    return morphisms_agree(composed, direct, words)
+    return morphisms_agree(composed, direct, index_words(o_key, length_bound, index_cap))
 
 
 def structure_window_check(index_bound: int, length_bound: int) -> Report:
@@ -255,7 +251,7 @@ def structure_window_check(index_bound: int, length_bound: int) -> Report:
     # also include words with two alphas: the odd/odd bracket is exercised there
     alphas = _alpha_window(index_bound)
     extra = [
-        Word(tuple(sorted(pair)))
+        tuple(sorted(pair))
         for pair in combinations_with_replacement(alphas, 2)
         if pair[0] != pair[1]
     ]

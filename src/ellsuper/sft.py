@@ -3,7 +3,7 @@
 Two abelian models appear:
 
 * ``C_a`` — one even generator o_k per orbit index k >= 1, degree -2-2k,
-  filtered by the action of the k-th Reeb orbit of E(a);
+  filtered by the action of the k-th Reeb orbit of E(a) (``orbits.action``);
 * ``C_o`` — the same graded module with generators q_k and no filtration
   (the model of a point, i.e. of the trivial isotropy cylinder data).
 
@@ -43,7 +43,7 @@ from .linf import (
     invert,
     morphisms_agree,
 )
-from .orbits import SpectrumParams, action, gamma
+from .orbits import SpectrumParams, gamma
 from .report import Report, merge_reports
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "MCElement",
     "exp_mc",
     "single_coefficient",
+    "index_words",
     "inverse_check",
     "xi_chain_check",
 ]
@@ -87,12 +88,7 @@ def _orbit_degree(prefix: str, key: Key) -> int:
 
 def ca_generators(params: SpectrumParams) -> GeneratorSet:
     """Generators o_k of the filtered ellipsoid model for E(params)."""
-
-    def action_fn(key: Key) -> Fraction:
-        _orbit_degree("o", key)
-        return action(params, key[1])
-
-    return GeneratorSet("Ca", lambda key: _orbit_degree("o", key), action_fn)
+    return GeneratorSet("Ca", lambda key: _orbit_degree("o", key))
 
 
 def ca_algebra(params: SpectrumParams) -> LinfStructure:
@@ -120,8 +116,8 @@ def epsilon(params: SpectrumParams) -> LinfMorphism:
         return cached
 
     def rule(k: int, word: Word) -> Combination:
-        count, psi_power = local_descendant(params, [key[1] for key in word.keys])
-        return Combination.single(Word((q_key(psi_power + 1),)), count)
+        count, psi_power = local_descendant(params, [key[1] for key in word])
+        return Combination.single((q_key(psi_power + 1),), count)
 
     morphism = LinfMorphism(ca_generators(params), co_generators(), rule)
     _EPSILON_CACHE[params] = morphism
@@ -191,7 +187,7 @@ def exp_mc(
             letters.append(o_key(element.orbit_index))
         if coeff == 0:
             continue
-        word = Word(tuple(sorted(letters)))
+        word = tuple(sorted(letters))
         previous = out.get(word, Fraction(0)) + coeff
         if previous == 0:
             out.pop(word, None)
@@ -202,17 +198,17 @@ def exp_mc(
 
 def single_coefficient(comb: Combination, key: Key) -> Fraction:
     """Coefficient of the length-one word (key) in a combination."""
-    return comb[Word((key,))]
+    return comb[(key,)]
 
 
-def _index_words(key_fn: Callable[[int], Key], length_bound: int, index_cap: int) -> list[Word]:
-    out = []
-    for length in range(1, length_bound + 1):
-        for keys in combinations_with_replacement(
-            [key_fn(i) for i in range(1, index_cap + 1)], length
-        ):
-            out.append(Word(keys))
-    return out
+def index_words(key_fn: Callable[[int], Key], length_bound: int, index_cap: int) -> list[Word]:
+    """Canonical words of key_fn(1..index_cap) of length 1..length_bound, shortest first."""
+    letters = [key_fn(i) for i in range(1, index_cap + 1)]
+    return [
+        keys
+        for length in range(1, length_bound + 1)
+        for keys in combinations_with_replacement(letters, length)
+    ]
 
 
 def inverse_check(params: SpectrumParams, bound: int, index_cap: int = 4) -> Report:
@@ -221,8 +217,8 @@ def inverse_check(params: SpectrumParams, bound: int, index_cap: int = 4) -> Rep
     inv = eta(params)
     left = compose(inv, eps)
     right = compose(eps, inv)
-    source_words = _index_words(o_key, bound, index_cap)
-    target_words = _index_words(q_key, bound, index_cap)
+    source_words = index_words(o_key, bound, index_cap)
+    target_words = index_words(q_key, bound, index_cap)
     return merge_reports(
         morphisms_agree(left, identity_morphism(ca_generators(params)), source_words),
         morphisms_agree(right, identity_morphism(co_generators()), target_words),
@@ -239,4 +235,4 @@ def xi_chain_check(
     """Verify Xi_{mid->high} ∘ Xi_{low->mid} = Xi_{low->high} on a word window."""
     chained = compose(xi(mid, high), xi(low, mid))
     direct = xi(low, high)
-    return morphisms_agree(chained, direct, _index_words(o_key, bound, index_cap))
+    return morphisms_agree(chained, direct, index_words(o_key, bound, index_cap))

@@ -259,6 +259,11 @@ def test_bound_two_component_parameters(capsys):
     assert payload["result"] == {"bound": "5/26"}
 
 
+@pytest.mark.parametrize("a", ["0", "-3", "0+"])
+def test_bound_rejects_nonpositive_parameter(capsys, a):
+    assert "positive" in run_error(capsys, ["bound", "--d", "2", "--a", a])
+
+
 def test_bound_vanishing_count_reports_no_obstruction(capsys):
     payload = run_json(capsys, ["bound", "--d", "2", "--a", "3/2"])
     assert payload["result"]["bound"] is None
@@ -271,6 +276,11 @@ def test_bound_vanishing_count_reports_no_obstruction(capsys):
 def test_check_genfun_suite_passes(capsys):
     payload = run_json(capsys, ["check", "--suite", "genfun", "--bound", "4"])
     assert payload["result"] == {"ok": True, "checked": 4, "failures": []}
+
+
+@pytest.mark.parametrize("suite, bound", [("genfun", "0"), ("gamma", "-1")])
+def test_check_rejects_bound_below_one(capsys, suite, bound):
+    assert "--bound" in run_error(capsys, ["check", "--suite", suite, "--bound", bound])
 
 
 def test_check_failing_suite_exits_2(capsys, monkeypatch):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellsuper.linf import Combination, GeneratorSet, LinfMorphism, Word
@@ -106,9 +106,9 @@ def toy_morphism():
 
     def rule(k, w):
         if k == 1:
-            return Combination.single(Word((("h", w.keys[0][1]),)), Fraction(1, 2))
+            return Combination.single(Word((("h", w[0][1]),)), Fraction(1, 2))
         if k == 2:
-            return Combination.single(Word((("h", w.keys[0][1] + w.keys[1][1]),)))
+            return Combination.single(Word((("h", w[0][1] + w[1][1]),)))
         return Combination.zero()
 
     return LinfMorphism(graded, graded, rule)
@@ -126,6 +126,15 @@ class TestMorphismOracle:
         ]
         for w in words:
             assert F.extend(w) == morphism_bruteforce(F, w), w
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=5))
+    def test_toy_morphism_on_random_words(self, indices):
+        w = tuple(("g", i) for i in sorted(indices))
+        # a repeated odd letter makes the word zero, so it is not a canonical word
+        assume(all(w[p] != w[p + 1] or w[p][1] % 2 == 0 for p in range(len(w) - 1)))
+        F = toy_morphism()
+        assert F.extend(w) == morphism_bruteforce(F, w)
 
     def test_orbit_count_morphism(self):
         eps = epsilon(normalized("3/2"))

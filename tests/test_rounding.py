@@ -110,10 +110,10 @@ class TestCoderivation:
             w(alpha_key(1, 1), alpha_key(1, 2), beta_key(0, 1)),
         ]
         for word_ in words:
-            din = sum(gens.degree(k) for k in word_.keys)
+            din = sum(gens.degree(k) for k in word_)
             out = extend_coderivation(v_algebra(), word_)
             for ow, _ in out.terms():
-                dout = sum(gens.degree(k) for k in ow.keys)
+                dout = sum(gens.degree(k) for k in ow)
                 assert dout == din + 1, (word_, ow)
 
     def test_structure_squares_to_zero_on_window(self):
