@@ -14,6 +14,8 @@ recursions sum over them and tests freeze their output:
 * :func:`shuffles` — (p, q)-shuffles as position permutations;
 * :func:`ordered_shuffles` — block-increasing permutations for ascending block
   sizes, one representative per set partition with those block sizes;
+  both shuffle enumerations are memoized, one entry per block-size tuple
+  actually asked for;
 * :func:`set_partitions` — all set partitions, blocks ordered by minimum;
 * :func:`koszul_sign` — the sign a permutation picks up acting on graded
   letters (each crossing of two odd letters contributes -1).
@@ -25,7 +27,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -177,6 +179,7 @@ def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+@cache
 def shuffles(p: int, q: int) -> tuple[Permutation, ...]:
     """(p, q)-shuffles of positions 0..p+q-1.
 
@@ -206,7 +209,11 @@ def ordered_shuffles(sizes: Sequence[int]) -> tuple[Permutation, ...]:
         len(ordered_shuffles(sizes)) * prod(mult! over repeated sizes)
             = multinomial(k; sizes).
     """
-    sizes = tuple(sizes)
+    return _ordered_shuffles(tuple(sizes))
+
+
+@cache
+def _ordered_shuffles(sizes: tuple[int, ...]) -> tuple[Permutation, ...]:
     if not sizes or any(s <= 0 for s in sizes):
         raise ValueError("block sizes must be positive")
     if any(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1)):

@@ -10,14 +10,18 @@ Objects
 * :class:`Combination` — a finite Q-linear combination of words;
   :meth:`Combination.apply` is the linear extension Σ_u c_u · f(u).
 * :class:`LinfStructure` — level maps l^k : Sym^k -> generators of degree +1,
-  given lazily by a rule and memoized.
+  given lazily by a rule and memoized.  A structure may declare the arities
+  at which its level maps can be nonzero (``arities=(1, 2)``; omitted means
+  every arity, ``()`` means abelian).  The declaration is a promise about the
+  rule: extensions never evaluate the other arities.
 * :class:`LinfMorphism` — level maps phi^k : Sym^k(source) -> target of
   degree 0, same representation.
 
 Operations
 ----------
 * :func:`extend_coderivation` — the coderivation extension
-  l̂(v_1 ⊙ ... ⊙ v_k) = Σ_i Σ_{(i, k-i)-shuffles} ± l^i(block) ⊙ rest.
+  l̂(v_1 ⊙ ... ⊙ v_k) = Σ_i Σ_{(i, k-i)-shuffles} ± l^i(block) ⊙ rest,
+  over the declared arities i only.
 * :meth:`LinfMorphism.extend` — the cofunctor extension
   φ̂(w) = Σ over block-size multisets and block-ordered shuffles of
   ± (φ^{k_1} ⊙ ... ⊙ φ^{k_s})(σ·w); equal-size blocks are enumerated once in
@@ -32,17 +36,27 @@ Operations
 Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word.
 
+Signs come from parity counts: each word's letter parities are computed
+once, and a shuffle sign is (-1) to the number of crossings of two odd
+letters, counted directly rather than by sorting.  In the coderivation the
+output letter of l^i is inserted into the already canonical rest by
+bisection, crossing exactly the rest letters smaller than it.  Both
+extensions therefore require canonical input: a word whose keys are not
+sorted raises ValueError (:func:`canonical_word` sorts arbitrary keys).
+
 Level maps are required to land in single generators (length-one words);
 this holds for every structure in this package and keeps extensions small.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
+from operator import le
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .exact import koszul_sign, ordered_shuffles, partitions, shuffles
+from .exact import ordered_shuffles, partitions, shuffles
 from .report import Report
 
 __all__ = [
@@ -178,11 +192,12 @@ class Combination:
 
 
 def _accumulate(store: dict[Word, Fraction], word: Word, coeff: Fraction) -> None:
-    new = store.get(word, Fraction(0)) + coeff
-    if new == 0:
-        store.pop(word, None)
-    else:
+    old = store.get(word)
+    new = coeff if old is None else old + coeff
+    if new:
         store[word] = new
+    else:
+        store.pop(word, None)
 
 
 def _single_letter(comb_word: Word) -> Key:
@@ -192,14 +207,25 @@ def _single_letter(comb_word: Word) -> Key:
 
 
 class LinfStructure:
-    """L-infinity structure: lazy, memoized level maps l^k of degree +1."""
+    """L-infinity structure: lazy, memoized level maps l^k of degree +1.
+
+    ``arities`` declares the arities at which ``level_rule`` can be nonzero;
+    ``None`` (the default) means every arity.  :func:`extend_coderivation`
+    evaluates head blocks at the declared arities only.
+    """
 
     def __init__(
         self,
         generators: GeneratorSet,
         level_rule: Callable[[int, Word], Combination],
+        arities: Iterable[int] | None = None,
     ) -> None:
+        if arities is not None:
+            arities = tuple(sorted(set(arities)))
+            if any(not isinstance(i, int) or i < 1 for i in arities):
+                raise ValueError(f"arities must be positive integers, got {arities}")
         self.generators = generators
+        self.arities = arities
         self._rule = level_rule
         self._memo: dict[Word, Combination] = {}
 
@@ -214,7 +240,23 @@ class LinfStructure:
 
 def abelian(generators: GeneratorSet) -> LinfStructure:
     """The structure with all level maps zero."""
-    return LinfStructure(generators, lambda k, word: Combination.zero())
+    return LinfStructure(generators, lambda k, word: Combination.zero(), arities=())
+
+
+def _require_canonical(word: Word) -> None:
+    if not all(map(le, word, word[1:])):
+        raise ValueError(f"word {word!r} is not canonical: its keys must be sorted")
+
+
+def _odd_crossings(sigma: Sequence[int], odd: Sequence[int]) -> int:
+    """Pairs of odd letters that sigma moves past each other."""
+    positions = [p for p in sigma if odd[p]]
+    return sum(
+        1
+        for s in range(len(positions))
+        for t in range(s + 1, len(positions))
+        if positions[s] > positions[t]
+    )
 
 
 class LinfMorphism:
@@ -251,12 +293,14 @@ class LinfMorphism:
         k = len(word)
         if k == 0:
             raise ValueError("words must be nonempty")
-        degrees = tuple(self.source.degree(key) for key in word)
+        _require_canonical(word)
+        odd = [self.source.degree(key) & 1 for key in word]
+        signed = sum(odd) >= 2  # with fewer odd letters every sign is +1
         out: dict[Word, Fraction] = {}
         for desc_sizes in partitions(k):
             sizes = tuple(reversed(desc_sizes))  # ascending block sizes
             for sigma in ordered_shuffles(sizes):
-                shuffle_sign = koszul_sign(sigma, degrees)
+                shuffle_sign = -1 if signed and _odd_crossings(sigma, odd) & 1 else 1
                 block_values: list[Combination] = []
                 pos = 0
                 for size in sizes:
@@ -284,26 +328,55 @@ class LinfMorphism:
 
 
 def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
-    """l̂(w) = Σ_{i} Σ_{(i, k-i)-shuffles} ± l^i(first block) ⊙ (rest)."""
+    """l̂(w) = Σ_{i} Σ_{(i, k-i)-shuffles} ± l^i(first block) ⊙ (rest).
+
+    Only the declared arities i of ``structure`` are visited.  The shuffle
+    sign counts, for each odd head letter, the odd rest letters before it;
+    the output letter of l^i is inserted into the canonical rest by
+    bisection, crossing the rest letters smaller than it.
+    """
     k = len(word)
     if k == 0:
         raise ValueError("words must be nonempty")
-    degrees = tuple(structure.generators.degree(key) for key in word)
+    _require_canonical(word)
+    degree = structure.generators.degree
+    odd = [degree(key) & 1 for key in word]
+    odd_before = [0]  # odd_before[p]: odd letters at positions < p
+    for parity in odd:
+        odd_before.append(odd_before[-1] + parity)
+    # a rest holding a repeated odd letter is zero (only in non-reduced words)
+    repeats = any(odd[p] and word[p] == word[p + 1] for p in range(k - 1))
     out: dict[Word, Fraction] = {}
-    for i in range(1, k + 1):
+    for i in range(1, k + 1) if structure.arities is None else structure.arities:
+        if i > k:
+            break
         for sigma in shuffles(i, k - i):
-            sign = koszul_sign(sigma, degrees)
-            head_word = tuple(word[p] for p in sigma[:i])
-            value = structure.level(i, head_word)
+            head = sigma[:i]
+            value = structure.level(i, tuple([word[p] for p in head]))
             if not value:
                 continue
-            tail_keys = tuple(word[p] for p in sigma[i:])
+            rest = sigma[i:]
+            rest_word = tuple([word[p] for p in rest])
+            if repeats and any(
+                odd[rest[t]] and rest_word[t] == rest_word[t + 1] for t in range(k - i - 1)
+            ):
+                continue
+            crossings = 0  # odd rest letters before each odd head letter
+            seen = 0
+            for p in head:
+                if odd[p]:
+                    crossings += odd_before[p] - seen
+                    seen += 1
             for out_word, coeff in value.terms():
-                letters = (_single_letter(out_word),) + tail_keys
-                target_word, sort_sign = canonical_word(structure.generators, letters)
-                if target_word is None:
-                    continue
-                _accumulate(out, target_word, coeff * sign * sort_sign)
+                letter = _single_letter(out_word)
+                at = bisect_left(rest_word, letter)
+                flips = crossings
+                if degree(letter) & 1:
+                    if at < k - i and rest_word[at] == letter:
+                        continue
+                    flips += sum(odd[p] for p in rest[:at])
+                target_word = rest_word[:at] + (letter,) + rest_word[at:]
+                _accumulate(out, target_word, -coeff if flips & 1 else coeff)
     return Combination(out)
 
 

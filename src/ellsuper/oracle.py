@@ -10,6 +10,9 @@ and exists only to validate the production code path:
 * :func:`morphism_bruteforce` — the cofunctor extension as a sum over all set
   partitions of the letter positions with explicit Koszul signs, bypassing
   the block-ordered shuffle enumeration;
+* :func:`coderivation_bruteforce` — the coderivation extension as a sum over
+  every subset of letter positions at every arity, with explicit Koszul signs
+  and a full re-sort of each output word, ignoring declared arities;
 * :func:`wt_T_partitions` — the CP^2 count T̃_d by the defining recursion,
   summed over every partition of d (the production path evaluates the same
   recursion as an exponential of power series).
@@ -22,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator
 
 from .exact import (
@@ -34,15 +38,22 @@ from .exact import (
     vec_add,
     vec_factorial,
 )
-from .linf import Combination, LinfMorphism, Word, canonical_word
+from .linf import Combination, LinfMorphism, LinfStructure, Word, canonical_word
 from .orbits import OrbitId, SpectrumParams, gamma, perturbed_value
 
-__all__ = ["gamma_bruteforce", "merge_spectrum", "morphism_bruteforce", "wt_T_partitions"]
+__all__ = [
+    "gamma_bruteforce",
+    "merge_spectrum",
+    "morphism_bruteforce",
+    "coderivation_bruteforce",
+    "wt_T_partitions",
+]
 
 _GAMMA_MAX_K = 40
 _GAMMA_MAX_N = 5
 _MERGE_MAX_COUNT = 10_000
 _MORPHISM_MAX_LEN = 5
+_CODERIVATION_MAX_LEN = 6
 _PARTITIONS_MAX_D = 20
 
 
@@ -145,6 +156,38 @@ def morphism_bruteforce(morphism: LinfMorphism, word: Word) -> Combination:
                 total.pop(out_word, None)
             else:
                 total[out_word] = new
+    return Combination(total)
+
+
+def coderivation_bruteforce(structure: LinfStructure, word: Word) -> Combination:
+    """l̂(w) as a sum over every subset of letter positions at every arity.
+
+    For each arity i = 1..k and each i-subset of positions (the head), the
+    letters are rearranged head first, picking up the explicit Koszul sign of
+    that rearrangement; l^i is applied to the head whatever arities the
+    structure declares, and each output letter is put in front of the rest
+    and the whole word re-sorted by :func:`canonical_word`.
+    """
+    k = len(word)
+    if k > _CODERIVATION_MAX_LEN:
+        raise ValueError(f"brute force guarded to word length <= {_CODERIVATION_MAX_LEN}, got {k}")
+    degrees = tuple(structure.generators.degree(key) for key in word)
+    total: dict[Word, Fraction] = {}
+    for arity in range(1, k + 1):
+        for head in combinations(range(k), arity):
+            rest = tuple(p for p in range(k) if p not in head)
+            sign = koszul_sign(head + rest, degrees)
+            value = structure.level(arity, tuple(word[p] for p in head))
+            for out_word, coeff in value.terms():
+                letters = [out_word[0]] + [word[p] for p in rest]
+                target, sort_sign = canonical_word(structure.generators, letters)
+                if target is None:
+                    continue
+                new = total.get(target, Fraction(0)) + coeff * sign * sort_sign
+                if new == 0:
+                    total.pop(target, None)
+                else:
+                    total[target] = new
     return Combination(total)
 
 

@@ -122,7 +122,7 @@ def v_algebra() -> LinfStructure:
     """The structure above (memoized module-wide)."""
     global _V_ALGEBRA
     if _V_ALGEBRA is None:
-        _V_ALGEBRA = LinfStructure(v_generators(), _v_rule)
+        _V_ALGEBRA = LinfStructure(v_generators(), _v_rule, arities=(1, 2))
     return _V_ALGEBRA
 
 

@@ -146,11 +146,23 @@ class TestShuffles:
     def test_small_example(self):
         assert shuffles(1, 1) == ((0, 1), (1, 0))
 
+    def test_enumerated_once(self):
+        assert shuffles(2, 3) is shuffles(2, 3)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                shuffles(-1, 2)
+
 
 class TestOrderedShuffles:
     def test_requires_ascending_sizes(self):
         with pytest.raises(ValueError):
             ordered_shuffles((2, 1))
+
+    def test_enumerated_once_for_any_sequence(self):
+        assert ordered_shuffles([1, 2, 2]) is ordered_shuffles((1, 2, 2))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                ordered_shuffles([0, 1])
 
     def test_distinct_sizes_count(self):
         # Multinomial coefficient 4!/(1!3!) = 4.

@@ -32,6 +32,7 @@ CASES = [
     ("jumps_a3-2_o1-1-2_xi.json", ["jumps", "--a", "3/2", "--orbits", "1,1,2", "--route", "xi"]),
     ("check_linf.json", ["check", "--suite", "linf"]),
     ("check_jumps_b7.json", ["check", "--suite", "jumps", "--bound", "7"]),
+    ("check_aug_b3.json", ["check", "--suite", "aug", "--bound", "3"]),
     ("gamma_a1-3-2_k0-8.csv", ["gamma", "--a", "1,3/2", "--k", "0..8", "--format", "csv"]),
     ("spectrum_a1-3-2_c10.json", ["spectrum", "--a", "1,3/2", "--count", "10"]),
     ("descendant_a1-3_o2-2.json", ["descendant", "--a", "1,3", "--orbits", "2,2"]),

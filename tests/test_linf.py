@@ -148,6 +148,12 @@ class TestMorphismExtend:
         F = LinfMorphism(GRADED, EVEN_TARGET, two_level_morphism(Fraction(7)))
         assert F.extend(word(g(2))) == Combination.single(word(h(2)), 7)
 
+    def test_rejects_non_canonical_word(self):
+        F = LinfMorphism(GRADED, EVEN_TARGET, two_level_morphism())
+        with pytest.raises(ValueError, match=r"\(\('g', 2\), \('g', 1\)\) is not canonical"):
+            F.extend((g(2), g(1)))
+        assert F.extend(word(g(1), g(2)))  # the sorted word is accepted
+
     def test_identity_morphism(self):
         ident = identity_morphism(GRADED)
         w = word(g(1), g(2), g(3))
@@ -214,6 +220,60 @@ class TestCoderivationExtend:
         S = abelian(GRADED)
         report = check_structure(S, [word(g(1), g(2)), word(g(1), g(3), g(5))])
         assert report.ok
+
+    def test_abelian_declares_no_arities(self):
+        S = abelian(GRADED)
+        assert S.arities == ()
+        words = [word(g(1)), word(g(1), g(2)), word(g(1), g(3), g(5)), word(g(2), g(2), g(4))]
+        report = check_structure(S, words)
+        assert report.ok and report.checked == len(words)
+        assert extend_coderivation(S, word(g(1), g(2))) == Combination.zero()
+
+    def test_rejects_non_canonical_word(self):
+        S = self.nilpotent_structure()
+        with pytest.raises(ValueError, match=r"\(\('g', 3\), \('g', 1\)\) is not canonical"):
+            extend_coderivation(S, (g(3), g(1)))
+
+
+class TestDeclaredArities:
+    @staticmethod
+    def recording_structure(arities):
+        """l^1(g_i) = g_{i+1} and l^2(g_i, g_j) = g_{i+j}; records each arity asked."""
+        asked = []
+
+        def rule(k, w):
+            asked.append(k)
+            if k == 1:
+                return Combination.single(word(g(w[0][1] + 1)))
+            if k == 2:
+                return Combination.single(word(g(w[0][1] + w[1][1])))
+            return Combination.zero()
+
+        return LinfStructure(GRADED, rule, arities=arities), asked
+
+    def test_default_is_every_arity(self):
+        S, asked = self.recording_structure(None)
+        assert S.arities is None
+        extend_coderivation(S, word(g(2), g(4), g(6)))
+        assert sorted(set(asked)) == [1, 2, 3]
+
+    def test_only_declared_arities_are_evaluated(self):
+        S, asked = self.recording_structure((2, 1, 2))
+        assert S.arities == (1, 2)
+        full, _ = self.recording_structure(None)
+        w = word(g(2), g(4), g(6))
+        assert extend_coderivation(S, w) == extend_coderivation(full, w)
+        assert sorted(set(asked)) == [1, 2]
+
+    def test_arities_above_the_word_length_are_skipped(self):
+        S, asked = self.recording_structure((1, 5))
+        extend_coderivation(S, word(g(2), g(4)))
+        assert asked == [1, 1]
+
+    @pytest.mark.parametrize("arities", [(0, 1), (-1,), (1.0,)])
+    def test_rejects_non_positive_arities(self, arities):
+        with pytest.raises(ValueError):
+            LinfStructure(GRADED, lambda k, w: Combination.zero(), arities=arities)
 
 
 class TestArityValidation:

@@ -7,8 +7,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellsuper.linf import Combination, GeneratorSet, LinfMorphism, Word
-from ellsuper.oracle import gamma_bruteforce, merge_spectrum, morphism_bruteforce, wt_T_partitions
+from ellsuper.linf import (
+    Combination,
+    GeneratorSet,
+    LinfMorphism,
+    LinfStructure,
+    Word,
+    extend_coderivation,
+)
+from ellsuper.oracle import (
+    coderivation_bruteforce,
+    gamma_bruteforce,
+    merge_spectrum,
+    morphism_bruteforce,
+    wt_T_partitions,
+)
 from ellsuper.orbits import (
     OrbitId,
     Side,
@@ -20,7 +33,7 @@ from ellsuper.orbits import (
     normalized,
     orbit,
 )
-from ellsuper.rounding import psi_map, tilde_epsilon
+from ellsuper.rounding import alpha_key, beta_key, psi_map, tilde_epsilon, v_algebra
 from ellsuper.sft import epsilon, o_key
 from ellsuper.superpotential import CP2Target, wt_T, wt_T_infinity
 
@@ -171,6 +184,71 @@ class TestMorphismOracle:
         long_word = Word(tuple(("g", 2 * i) for i in range(6)))
         with pytest.raises(ValueError):
             morphism_bruteforce(F, long_word)
+
+
+def toy_structure():
+    """Graded toy with nonzero l^1, l^2 and l^3 and the default arities.
+
+    It need not square to zero: the differential test only compares two
+    evaluations of the same extension formula.
+    """
+    graded = GeneratorSet("toy", lambda key: key[1])
+
+    def rule(k, w):
+        indices = [key[1] for key in w]
+        if k == 1 and indices[0] % 2:
+            return Combination.single((("g", indices[0] + 1),))
+        if k == 2:
+            return Combination.single((("g", sum(indices)),), indices[0] - 2 * indices[1])
+        if k == 3:
+            coefficient = Fraction(indices[0] - indices[1] + 3 * indices[2], 2)
+            return Combination.single((("g", sum(indices) + 1),), coefficient)
+        return Combination.zero()
+
+    return LinfStructure(graded, rule)
+
+
+ALPHAS = [alpha_key(i, j) for i in range(1, 4) for j in range(1, 4) if i + j <= 4]
+BETAS = [beta_key(i, j) for i in range(4) for j in range(4) if 0 < i + j <= 4]
+v_words = st.tuples(
+    st.lists(st.sampled_from(ALPHAS), max_size=2),
+    st.lists(st.sampled_from(BETAS), max_size=5),
+).filter(lambda parts: 1 <= len(parts[0]) + len(parts[1]) <= 5)
+
+
+class TestCoderivationOracle:
+    @staticmethod
+    def assert_same_terms(structure, w):
+        fast = extend_coderivation(structure, w)
+        slow = coderivation_bruteforce(structure, w)
+        assert fast == slow, w
+        assert list(fast.terms()) == list(slow.terms()), w
+
+    @settings(deadline=None, max_examples=300)
+    @given(v_words)
+    def test_rounding_algebra_on_random_words(self, parts):
+        alphas, betas = parts
+        self.assert_same_terms(v_algebra(), tuple(sorted(alphas + betas)))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=5))
+    def test_toy_structure_with_ternary_level(self, indices):
+        S = toy_structure()
+        assert S.arities is None
+        self.assert_same_terms(S, tuple(("g", i) for i in sorted(indices)))
+
+    def test_ternary_level_contributes(self):
+        S = toy_structure()
+        w = (("g", 1), ("g", 2), ("g", 4))
+        value = coderivation_bruteforce(S, w)
+        # l^3(g1.g2.g4) = ((1 - 2 + 12)/2) g8 is the only length-one term
+        assert value.restrict_length(1) == Combination.single((("g", 8),), Fraction(11, 2))
+        self.assert_same_terms(S, w)
+
+    def test_length_guard(self):
+        long_word = tuple(("g", 2 * i) for i in range(7))
+        with pytest.raises(ValueError):
+            coderivation_bruteforce(toy_structure(), long_word)
 
 
 # ratios in (1, 40]: generic ones, and the jump candidates of Γ_{3e-1} and

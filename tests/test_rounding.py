@@ -13,6 +13,8 @@ from ellsuper.linf import (
 )
 from ellsuper.orbits import Side, gamma, normalized
 from ellsuper.rounding import (
+    _v_rule,
+    _window_words,
     alpha_key,
     beta_key,
     psi_factorization,
@@ -120,6 +122,21 @@ class TestCoderivation:
         report = structure_window_check(4, 3)
         assert report.ok, report.failures[:3]
         assert report.checked > 100
+
+
+class TestDeclaredArities:
+    def test_algebra_declares_levels_one_and_two(self):
+        assert v_algebra().arities == (1, 2)
+
+    def test_rule_vanishes_above_arity_two(self):
+        """The declaration is honest: l^3..l^5 are zero on the whole window,
+        so skipping them in the coderivation changes no value."""
+        checked = 0
+        for word_ in _window_words(3, 5):
+            if len(word_) >= 3:
+                assert _v_rule(len(word_), word_) == Combination.zero(), word_
+                checked += 1
+        assert checked > 0
 
 
 class TestTildeEpsilon:
