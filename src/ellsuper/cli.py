@@ -8,6 +8,10 @@ serialized exactly as ``p/q`` (or ``p``), never as floats.  Exit codes:
 * 1 — invalid input (a machine-readable ``{"error": ...}`` goes to stderr);
 * 2 — internal assertion / invariant breach (including failing check suites).
 
+``gamma --k lo..hi`` prints at most ``GAMMA_MAX_WIDTH`` (100000) points; a
+wider range exits 1.  The start of the range costs O(log lo) however large lo
+is (the closed form for one index), so only the width is capped.
+
 Ellipsoid parameters are given with ``--a`` as comma-separated rationals; the
 tie-breaking side can be attached as a trailing ``+``/``-`` (e.g. ``13/2+``)
 or spelled out with ``--side``; both forms are interchangeable but must not
@@ -30,6 +34,7 @@ from .orbits import (
     SpectrumParams,
     action,
     gamma,
+    gamma_range,
     normalized,
     orbit,
 )
@@ -50,6 +55,9 @@ from .superpotential import (
 )
 
 __all__ = ["main"]
+
+# widest ``gamma --k lo..hi`` range, in indices
+GAMMA_MAX_WIDTH = 100_000
 
 
 class CLIError(Exception):
@@ -169,7 +177,10 @@ def _report_payload(report: Report) -> dict:
 def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     params = _parse_params(args.a, args.side)
     ks = _parse_k_range(args.k)
-    points = [{"k": k, "gamma": list(gamma(params, k))} for k in ks]
+    width = ks.stop - ks.start  # len() overflows on huge ranges
+    if width > GAMMA_MAX_WIDTH:
+        raise CLIError(f"--k range {args.k!r} spans {width} indices; the cap is {GAMMA_MAX_WIDTH}")
+    points = [{"k": k, "gamma": list(p)} for k, p in zip(ks, gamma_range(params, ks.start, ks.stop - 1))]
     csv_lines = ["k," + ",".join(f"v{i}" for i in range(1, params.n + 1))]
     csv_lines += [f"{row['k']}," + ",".join(str(c) for c in row["gamma"]) for row in points]
     payload = {

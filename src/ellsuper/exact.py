@@ -1,10 +1,13 @@
 """Exact arithmetic and deterministic combinatorial enumeration.
 
 All numerics in this package are exact: plain rationals are stdlib
-``fractions.Fraction`` (aliased ``Rational``), and degenerate ties are
-resolved symbolically with :class:`DualRational`, a rational number carrying
-an infinitesimal first-order term (``a + b*eps`` with ``eps**2 = 0``),
-ordered lexicographically.
+``fractions.Fraction`` (aliased ``Rational``).  :class:`DualRational` is a
+rational number carrying an infinitesimal first-order term (``a + b*eps``
+with ``eps**2 = 0``), ordered lexicographically; it spells out the symbolic
+perturbation that breaks ties in the Reeb spectrum.  It is the oracle's
+reference route (:mod:`ellsuper.oracle` and the tests): the production
+lattice walk in :mod:`ellsuper.orbits` breaks the same ties by an integer
+rank and never builds one.
 
 The enumeration helpers are all deterministic and ordered, since downstream
 recursions sum over them and tests freeze their output:

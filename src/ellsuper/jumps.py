@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import ordered_shuffles, partitions, rational, vec_add, vec_factorial
-from .orbits import Side, action, gamma, jump_set, normalized
+from .orbits import Side, action, gamma, gamma_points, jump_set, normalized
 from .sft import o_key, single_coefficient, xi
 
 __all__ = [
@@ -64,9 +64,9 @@ def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     minus, plus = _sides(a)
     out_index = i + j + 1
     numerator = vec_factorial(gamma(plus, out_index))
-    term_minus = Fraction(numerator, vec_factorial(vec_add(gamma(minus, i), gamma(minus, j))))
+    term_minus = Fraction(numerator, vec_factorial(vec_add(*gamma_points(minus, (i, j)))))
     term_plus = (
-        Fraction(numerator, vec_factorial(vec_add(gamma(plus, i), gamma(plus, j))))
+        Fraction(numerator, vec_factorial(vec_add(*gamma_points(plus, (i, j)))))
         * jump_cylinder(a, i)
         * jump_cylinder(a, j)
     )
@@ -94,14 +94,14 @@ def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     k = len(idx)
     out_index = sum(idx) + k - 1
     numerator = vec_factorial(gamma(plus, out_index))
-    value = Fraction(numerator, vec_factorial(vec_add(*(gamma(minus, i) for i in idx))))
+    value = Fraction(numerator, vec_factorial(vec_add(*gamma_points(minus, idx))))
     for desc_sizes in partitions(k):
         sizes = tuple(reversed(desc_sizes))
         if len(sizes) < 2:
             continue
         for sigma in ordered_shuffles(sizes):
             block_product = Fraction(1)
-            block_gammas = []
+            block_outputs = []
             pos = 0
             for size in sizes:
                 block = tuple(idx[p] for p in sigma[pos:pos + size])
@@ -109,10 +109,10 @@ def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
                 block_product *= jump_general(a, block)
                 if block_product == 0:
                     break
-                block_gammas.append(gamma(plus, sum(block) + size - 1))
+                block_outputs.append(sum(block) + size - 1)
             if block_product == 0:
                 continue
-            value -= block_product * Fraction(numerator, vec_factorial(vec_add(*block_gammas)))
+            value -= block_product * Fraction(numerator, vec_factorial(vec_add(*gamma_points(plus, block_outputs))))
     _GENERAL_CACHE[cache_key] = value
     return value
 

@@ -13,10 +13,34 @@ ordered after a symbolic first-order perturbation of the parameters:
 ``gamma(params, k)`` is the lattice point Γ_k recording how many covers of
 each axis orbit appear among the k smallest actions; equivalently it is the
 unique minimizer of max_i(perturbed a_i * v_i) over nonnegative integer
-vectors with v_1 + ... + v_n = k.  It is computed by a greedy walk (each step
-increments the axis whose next cover is cheapest) with memoized prefixes; the
-equivalence with the min-max description is enforced against a brute-force
-oracle in the test suite.
+vectors with v_1 + ... + v_n = k.
+
+The perturbation only decides ties, so the production path never evaluates
+it.  The parameters are scaled once to integers A_i = a_i * lcm(denominators),
+and the tie rule becomes an integer rank per axis:
+
+* CANONICAL: the lower axis goes first (rank_i = i);
+* PLUS: axis 1 goes first;
+* MINUS: axis 2 goes first.
+
+The m-th cover of axis i then has the key (m * A_i, rank_i), and the spectrum
+is the integer merge of the n progressions in key order.  ``gamma`` and
+``orbit`` read a memoized prefix of that merge, one walk per parameter set
+(at most ``_WALKS_CAP`` walks are kept; the oldest is evicted first), and
+``gamma_points`` reads several indices from one walk lookup.
+
+``gamma_closed_form(params, k)`` answers one index without walking.  The
+covers of axis j with key at most (T, r) number ⌊T / A_j⌋ when rank_j <= r
+and ⌊(T - 1) / A_j⌋ otherwise.  For each axis i, bisection finds the smallest
+m with at least k covers up to (m * A_i, rank_i); the least of these n keys
+is the k-th cover, and the per-axis counts up to it are Γ_k.  That costs
+O(n^2 log k) and memoizes nothing.  ``gamma_range`` starts there and takes
+integer steps, which is how the CLI answers ``gamma --k lo..hi``.
+
+``perturbed_value`` and :class:`~ellsuper.exact.DualRational` describe the
+perturbation itself.  They stay public as the independent reference route of
+:mod:`ellsuper.oracle` (brute-force minimizer, heap-merged spectrum), and the
+test suite checks the walk and the closed form against them.
 
 ``jump_set(k)`` = {k/1, (k-1)/2, ..., 1/k} collects the two-axis ratios at
 which Γ_k changes, and ``candidate_discontinuities`` aggregates these for the
@@ -25,10 +49,11 @@ indices 3i - 1 relevant to degree-d curve counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 from .exact import DualRational, LatticePoint, rational
 
@@ -39,6 +64,9 @@ __all__ = [
     "normalized",
     "perturbed_value",
     "gamma",
+    "gamma_points",
+    "gamma_closed_form",
+    "gamma_range",
     "orbit",
     "action",
     "action_dual",
@@ -125,35 +153,66 @@ def perturbed_value(params: SpectrumParams, axis: int, multiplicity: int) -> Dua
     return DualRational(main, eps if params.side is Side.PLUS else -eps)
 
 
+def _integer_actions(params: SpectrumParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integer actions A_i = a_i * lcm(denominators) and the tie rank of each axis (0-based).
+
+    Ranks order tied covers: CANONICAL and PLUS put the lower axis first,
+    MINUS puts axis 2 first.
+    """
+    scale = math.lcm(*(x.denominator for x in params.a))
+    actions = tuple(x.numerator * (scale // x.denominator) for x in params.a)
+    ranks = (1, 0) if params.side is Side.MINUS else tuple(range(params.n))
+    return actions, ranks
+
+
 class _Walk:
-    """Memoized greedy walk through the perturbed spectrum of one parameter set."""
+    """Integer merge of the progressions m * A_i, from a start point (Γ_0 by default).
 
-    __slots__ = ("params", "counts", "steps", "points")
+    ``points[j]`` is the lattice point j steps after the start and ``axes[j - 1]``
+    the (1-based) axis whose cover was taken at step j.
+    """
 
-    def __init__(self, params: SpectrumParams) -> None:
-        self.params = params
-        self.counts = [0] * params.n
-        self.steps: list[OrbitId] = []
+    __slots__ = ("actions", "order", "counts", "levels", "axes", "points")
+
+    def __init__(self, params: SpectrumParams, start: LatticePoint | None = None) -> None:
+        self.actions, ranks = _integer_actions(params)
+        # axes in rank order, so a strict comparison keeps the tie rule
+        self.order = sorted(range(params.n), key=ranks.__getitem__)
+        self.counts = list(start) if start is not None else [0] * params.n
+        self.levels = [(c + 1) * a for c, a in zip(self.counts, self.actions)]  # next cover's action
+        self.axes: list[int] = []
         self.points: list[LatticePoint] = [tuple(self.counts)]
 
     def ensure(self, k: int) -> None:
-        while len(self.steps) < k:
-            best_axis = min(
-                range(1, self.params.n + 1),
-                key=lambda i: perturbed_value(self.params, i, self.counts[i - 1] + 1),
-            )
-            self.counts[best_axis - 1] += 1
-            self.steps.append(OrbitId(best_axis, self.counts[best_axis - 1]))
-            self.points.append(tuple(self.counts))
+        todo = k + 1 - len(self.points)
+        if todo <= 0:
+            return
+        actions, counts, levels = self.actions, self.counts, self.levels
+        first, rest = self.order[0], self.order[1:]
+        add_axis, add_point = self.axes.append, self.points.append
+        for _ in range(todo):
+            best = first
+            for i in rest:
+                if levels[i] < levels[best]:
+                    best = i
+            counts[best] += 1
+            levels[best] += actions[best]
+            add_axis(best + 1)
+            add_point(tuple(counts))
 
 
+# at most this many walks are kept; the oldest is evicted first
+_WALKS_CAP = 4096
 _WALKS: dict[SpectrumParams, _Walk] = {}
 
 
-def _walk(params: SpectrumParams) -> _Walk:
+def _walk(params: SpectrumParams, k: int) -> _Walk:
     walk = _WALKS.get(params)
     if walk is None:
+        if len(_WALKS) >= _WALKS_CAP:
+            del _WALKS[next(iter(_WALKS))]
         walk = _WALKS[params] = _Walk(params)
+    walk.ensure(k)
     return walk
 
 
@@ -161,18 +220,66 @@ def gamma(params: SpectrumParams, k: int) -> LatticePoint:
     """Γ_k: per-axis cover counts among the k smallest perturbed actions."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    walk = _walk(params)
-    walk.ensure(k)
-    return walk.points[k]
+    return _walk(params, k).points[k]
+
+
+def gamma_points(params: SpectrumParams, indices: Iterable[int]) -> tuple[LatticePoint, ...]:
+    """(Γ_k for k in indices), read from one walk."""
+    indices = tuple(indices)
+    if indices and min(indices) < 0:
+        raise ValueError(f"k must be nonnegative, got {indices}")
+    points = _walk(params, max(indices, default=0)).points
+    return tuple(points[k] for k in indices)
+
+
+def gamma_closed_form(params: SpectrumParams, k: int) -> LatticePoint:
+    """Γ_k without walking: O(n^2 log k) integer operations, nothing memoized.
+
+    The k-th cover is the smallest key (m * A_i, rank_i) below which (key
+    included) lie at least k covers; per axis the smallest such m is found
+    by bisection, and Γ_k counts the covers of each axis up to the least key.
+    """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    if k == 0:
+        return (0,) * params.n
+    actions, ranks = _integer_actions(params)
+
+    def covers(level: int, rank: int) -> list[int]:
+        # per axis, the covers with key <= (level, rank); a cover of action
+        # exactly `level` counts only on axes ranked no later than `rank`
+        return [(level if r <= rank else level - 1) // a for a, r in zip(actions, ranks)]
+
+    least = None
+    for action_i, rank in zip(actions, ranks):
+        lo, hi = 1, k  # the k-th cover of axis i has at least k covers up to it
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sum(covers(mid * action_i, rank)) >= k:
+                hi = mid
+            else:
+                lo = mid + 1
+        if least is None or (lo * action_i, rank) < least:
+            least = (lo * action_i, rank)
+    return tuple(covers(*least))
+
+
+def gamma_range(params: SpectrumParams, lo: int, hi: int) -> list[LatticePoint]:
+    """[Γ_lo, ..., Γ_hi]: the closed form at lo, then integer steps; nothing memoized."""
+    if not 0 <= lo <= hi:
+        raise ValueError(f"need 0 <= lo <= hi, got {lo}..{hi}")
+    walk = _Walk(params, gamma_closed_form(params, lo))
+    walk.ensure(hi - lo)
+    return walk.points
 
 
 def orbit(params: SpectrumParams, k: int) -> OrbitId:
     """The k-th closed orbit (k >= 1) in increasing perturbed action."""
     if k < 1:
         raise ValueError(f"orbit index must be >= 1, got {k}")
-    walk = _walk(params)
-    walk.ensure(k)
-    return walk.steps[k - 1]
+    walk = _walk(params, k)
+    axis = walk.axes[k - 1]
+    return OrbitId(axis, walk.points[k][axis - 1])
 
 
 def action(params: SpectrumParams, k: int) -> Fraction:

@@ -43,7 +43,7 @@ from .linf import (
     invert,
     morphisms_agree,
 )
-from .orbits import SpectrumParams, gamma
+from .orbits import SpectrumParams, gamma_points
 from .report import Report, merge_reports
 
 __all__ = [
@@ -152,8 +152,7 @@ def local_descendant(params: SpectrumParams, indices: Sequence[int]) -> tuple[Fr
     indices = tuple(indices)
     if not indices or any(i < 1 for i in indices):
         raise ValueError(f"orbit indices must be positive integers, got {indices}")
-    total = vec_add(*(gamma(params, i) for i in indices))
-    n_value = Fraction(1, vec_factorial(total))
+    n_value = Fraction(1, vec_factorial(vec_add(*gamma_points(params, indices))))
     return n_value, sum(indices) + len(indices) - 2
 
 

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .exact import LatticePoint, partitions, rational
-from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma, jump_set, normalized, orbit
+from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma_points, jump_set, normalized
 from .report import Report
 
 __all__ = [
@@ -141,18 +141,25 @@ def _signature_count(signature: tuple[LatticePoint, ...]) -> Fraction:
     return value
 
 
-def wt_T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
-    """Weighted count T̃_A^a (multiplicity of the limiting orbit included)."""
+def _degree(target: CP2Target, label: object, params: SpectrumParams) -> int:
     if params.n != 2:
         raise ValueError("superpotential counts are defined for two-axis ellipsoids")
-    d = target.chern(label) // 3  # validates the class; c1 = 3d
-    return _signature_count(tuple(gamma(params, 3 * e - 1) for e in range(1, d + 1)))
+    return target.chern(label) // 3  # validates the class; c1 = 3d
+
+
+def wt_T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
+    """Weighted count T̃_A^a (multiplicity of the limiting orbit included)."""
+    d = _degree(target, label, params)
+    return _signature_count(gamma_points(params, range(2, 3 * d, 3)))
 
 
 def T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
     """Unweighted count T_A^a = T̃_A^a / mult(o_{c1(A)-1})."""
-    c1 = target.chern(label)
-    return wt_T(target, label, params) / orbit(params, c1 - 1).multiplicity
+    d = _degree(target, label, params)
+    *signature, before = gamma_points(params, (*range(2, 3 * d, 3), 3 * d - 2))
+    # o_{3d-1} is the cover taken between Γ_{3d-2} and Γ_{3d-1}
+    multiplicity = max(x for x, y in zip(signature[-1], before) if x != y)
+    return _signature_count(tuple(signature)) / multiplicity
 
 
 def wt_T_infinity(d: int) -> Fraction:

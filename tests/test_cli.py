@@ -9,10 +9,11 @@ and byte-for-byte determinism.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from ellsuper.cli import main
+from ellsuper.cli import GAMMA_MAX_WIDTH, main
 from ellsuper.report import Report
 
 
@@ -107,6 +108,26 @@ def test_gamma_bad_k_range(capsys, bad_k):
     code, _, err = run_cli(capsys, ["gamma", "--a", "1,2", "--k", bad_k])
     assert code == 1
     assert "error" in json.loads(err)
+
+
+def test_gamma_range_wider_than_cap_exits_1_before_walking(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("the walk must not start")
+
+    monkeypatch.setattr("ellsuper.cli.gamma_range", boom)
+    monkeypatch.setattr("ellsuper.orbits.gamma_closed_form", boom)
+    lo = 10**9
+    error = run_error(capsys, ["gamma", "--a", "1,7/3", "--k", f"{lo}..{lo + GAMMA_MAX_WIDTH}"])
+    assert f"{GAMMA_MAX_WIDTH + 1} indices" in error
+    assert f"cap is {GAMMA_MAX_WIDTH}" in error
+
+
+def test_gamma_large_single_index_is_fast(capsys):
+    start = time.perf_counter()
+    payload = run_json(capsys, ["gamma", "--a", "1,7/3", "--k", "3000000..3000000"])
+    elapsed = time.perf_counter() - start
+    assert payload["result"]["points"] == [{"k": 3000000, "gamma": [2100000, 900000]}]
+    assert elapsed < 5.0
 
 
 # ---------------------------------------------------------------- spectrum
@@ -298,10 +319,10 @@ def test_check_failing_suite_exits_2(capsys, monkeypatch):
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
-    def boom(params, k):
+    def boom(params, lo, hi):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("ellsuper.cli.gamma", boom)
+    monkeypatch.setattr("ellsuper.cli.gamma_range", boom)
     code, out, err = run_cli(capsys, ["gamma", "--a", "1,2", "--k", "1"])
     assert code == 2
     assert out == ""

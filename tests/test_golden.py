@@ -4,7 +4,8 @@ The files under ``tests/golden/`` hold the exact stdout of each command
 (``ellsuper <argv> > file``).  The count outputs were computed by the
 partition-sum recursion, the transfer-stack outputs (``jumps``, ``check``,
 ``gamma``, ``spectrum``, ``descendant``) by L-infinity maps with a word-length
-bound; the code that replaced them must print the same bytes.
+bound, and the ``gamma``/``spectrum`` outputs by a walk over DualRational
+perturbed actions; the code that replaced them must print the same bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ CASES = [
     ("gamma_a1-3-2_k0-8.csv", ["gamma", "--a", "1,3/2", "--k", "0..8", "--format", "csv"]),
     ("spectrum_a1-3-2_c10.json", ["spectrum", "--a", "1,3/2", "--count", "10"]),
     ("descendant_a1-3_o2-2.json", ["descendant", "--a", "1,3", "--orbits", "2,2"]),
+    ("gamma_a1-7-3_k30000.json", ["gamma", "--a", "1,7/3", "--k", "30000..30000"]),
+    ("gamma_a1-3-2plus_k5-60.csv", ["gamma", "--a", "1,3/2+", "--k", "5..60", "--format", "csv"]),
+    ("gamma_a1-3-2minus_k5-60.json", ["gamma", "--a", "1,3/2-", "--k", "5..60"]),
+    ("gamma_a2-3-5-2-7_k0-90.json", ["gamma", "--a", "2,3,5/2,7", "--k", "0..90"]),
+    ("spectrum_a4-3-5-2_c40.json", ["spectrum", "--a", "4/3,5/2", "--count", "40"]),
 ]
 
 

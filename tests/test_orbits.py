@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellsuper import orbits
 from ellsuper.exact import DualRational
+from ellsuper.oracle import gamma_bruteforce, merge_spectrum
 from ellsuper.orbits import (
     OrbitId,
     Side,
@@ -16,6 +18,9 @@ from ellsuper.orbits import (
     action_dual,
     candidate_discontinuities,
     gamma,
+    gamma_closed_form,
+    gamma_points,
+    gamma_range,
     jump_set,
     normalized,
     orbit,
@@ -73,6 +78,88 @@ class TestPerturbedValue:
         assert perturbed_value(plus, 1, 4) == DualRational(Fraction(4), Fraction(0))
         assert perturbed_value(plus, 2, 3) == DualRational(Fraction(6), Fraction(3))
         assert perturbed_value(minus, 2, 3) == DualRational(Fraction(6), Fraction(-3))
+
+
+# small numerators and denominators, so that covers of different axes tie often
+tie_prone = st.fractions(min_value="1/6", max_value=12, max_denominator=6).filter(lambda x: x > 0)
+
+
+@st.composite
+def any_side_params(draw):
+    a = draw(st.lists(tie_prone, min_size=1, max_size=4))
+    side = draw(st.sampled_from(list(Side))) if len(a) == 2 else Side.CANONICAL
+    return SpectrumParams(tuple(a), side)
+
+
+class TestIntegerWalkDifferential:
+    """The integer walk and the closed form against the DualRational oracles."""
+
+    @given(p=any_side_params(), k=st.integers(0, 59))
+    @settings(deadline=None, max_examples=200)
+    def test_walk_closed_form_and_bruteforce_agree(self, p, k):
+        assert gamma_closed_form(p, k) == gamma(p, k)
+        # the brute force enumerates all C(k + n - 1, n - 1) compositions of k
+        small = min(k, 40 if p.n < 4 else 20)
+        assert gamma(p, small) == gamma_closed_form(p, small) == gamma_bruteforce(p, small)
+
+    @given(p=any_side_params(), count=st.integers(1, 59))
+    @settings(deadline=None, max_examples=200)
+    def test_orbits_follow_heap_spectrum(self, p, count):
+        counts = [0] * p.n
+        for k, (value, oid) in enumerate(merge_spectrum(p, count), start=1):
+            counts[oid.axis - 1] += 1
+            assert orbit(p, k) == oid
+            assert action_dual(p, k) == value
+            assert gamma(p, k) == gamma_closed_form(p, k) == tuple(counts)
+
+    @given(p=any_side_params(), lo=st.integers(0, 40), width=st.integers(0, 20))
+    @settings(deadline=None, max_examples=100)
+    def test_range_steps_from_closed_form(self, p, lo, width):
+        assert gamma_range(p, lo, lo + width) == [gamma(p, k) for k in range(lo, lo + width + 1)]
+
+    def test_closed_form_at_large_index(self):
+        # a ratio 7/3: 3 covers of axis 2 for every 7 of axis 1, ties to axis 1
+        assert gamma_closed_form(normalized("7/3"), 3_000_000) == (2_100_000, 900_000)
+        # the ninth action is the tie 7 = 7 * 1 = 3 * 7/3
+        for k, plus, minus in ((8, (6, 2), (6, 2)), (9, (7, 2), (6, 3)), (10, (7, 3), (7, 3))):
+            assert gamma_closed_form(normalized("7/3", Side.PLUS), k) == plus
+            assert gamma_closed_form(normalized("7/3", Side.MINUS), k) == minus
+            assert gamma_closed_form(normalized("7/3"), k) == plus
+
+    def test_closed_form_memoizes_nothing(self):
+        p = normalized("1234567/89")
+        assert p not in orbits._WALKS
+        gamma_closed_form(p, 10**6)
+        gamma_range(p, 10**6, 10**6 + 3)
+        assert p not in orbits._WALKS
+
+    def test_rejects_negative_indices(self):
+        p = normalized("3/2")
+        with pytest.raises(ValueError):
+            gamma_closed_form(p, -1)
+        with pytest.raises(ValueError):
+            gamma_range(p, 3, 2)
+        with pytest.raises(ValueError):
+            gamma_points(p, (2, -1))
+
+    def test_points_read_in_index_order(self):
+        p = normalized("13/2", Side.MINUS)
+        indices = (5, 1, 14, 5)
+        assert gamma_points(p, indices) == tuple(gamma(p, k) for k in indices)
+        assert gamma_points(p, ()) == ()
+
+
+class TestWalkCache:
+    def test_walks_are_bounded_and_evicted_walks_recompute(self):
+        cap = orbits._WALKS_CAP
+        ratios = [Fraction(10**6 + i, 7919) for i in range(cap + 10)]
+        first = normalized(ratios[0])
+        expected = [gamma(first, k) for k in range(12)]
+        for a in ratios[1:]:
+            gamma(normalized(a), 11)
+        assert len(orbits._WALKS) <= cap
+        assert first not in orbits._WALKS
+        assert [gamma(first, k) for k in range(12)] == expected
 
 
 class TestGammaFixture:
