@@ -11,6 +11,8 @@ serialized exactly as ``p/q`` (or ``p``), never as floats.  Exit codes:
 ``gamma --k lo..hi`` prints at most ``GAMMA_MAX_WIDTH`` (100000) points; a
 wider range exits 1.  The start of the range costs O(log lo) however large lo
 is (the closed form for one index), so only the width is capped.
+``spectrum --count N`` shares the cap: N above it exits 1.  Both commands
+read their rows from one unmemoized integer walk.
 
 Ellipsoid parameters are given with ``--a`` as comma-separated rationals; the
 tie-breaking side can be attached as a trailing ``+``/``-`` (e.g. ``13/2+``)
@@ -32,7 +34,6 @@ from .jumps import jump_cylinder, jump_general, jump_pants, jump_via_xi, support
 from .orbits import (
     Side,
     SpectrumParams,
-    action,
     gamma,
     gamma_range,
     normalized,
@@ -56,7 +57,7 @@ from .superpotential import (
 
 __all__ = ["main"]
 
-# widest ``gamma --k lo..hi`` range, in indices
+# widest ``gamma --k lo..hi`` range, in indices, and largest ``spectrum --count``
 GAMMA_MAX_WIDTH = 100_000
 
 
@@ -147,10 +148,6 @@ def _require_cp2(name: str) -> CP2Target:
     return CP2Target()
 
 
-def _fmt_opt(value: Fraction | None) -> str | None:
-    return None if value is None else format_rational(value)
-
-
 def _table_payload(table: PiecewiseTable) -> dict:
     intervals = [
         {"lo": format_rational(lo), "hi": "inf" if hi is None else format_rational(hi), "value": format_rational(v)}
@@ -195,15 +192,20 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     params = _parse_params(args.a, args.side)
     if args.count < 1:
         raise CLIError("--count must be >= 1")
+    if args.count > GAMMA_MAX_WIDTH:
+        raise CLIError(f"--count {args.count} asks for too many orbits; the cap is {GAMMA_MAX_WIDTH}")
     rows = []
-    for k in range(1, args.count + 1):
-        o = orbit(params, k)
+    points = gamma_range(params, 0, args.count)
+    for k, (before, after) in enumerate(zip(points, points[1:]), start=1):
+        # the k-th orbit covers the one axis whose count grew at step k
+        axis = next(i for i, (x, y) in enumerate(zip(before, after)) if x != y)
+        mult = after[axis]
         rows.append(
             {
                 "k": k,
-                "axis": o.axis,
-                "multiplicity": o.multiplicity,
-                "action": format_rational(action(params, k)),
+                "axis": axis + 1,
+                "multiplicity": mult,
+                "action": format_rational(params.a[axis] * mult),
             }
         )
     csv_lines = ["k,axis,multiplicity,action"]

@@ -1,62 +1,55 @@
 """Exact arithmetic and deterministic combinatorial enumeration.
 
 All numerics in this package are exact: plain rationals are stdlib
-``fractions.Fraction`` (aliased ``Rational``).  :class:`DualRational` is a
-rational number carrying an infinitesimal first-order term (``a + b*eps``
-with ``eps**2 = 0``), ordered lexicographically; it spells out the symbolic
-perturbation that breaks ties in the Reeb spectrum.  It is the oracle's
-reference route (:mod:`ellsuper.oracle` and the tests): the production
-lattice walk in :mod:`ellsuper.orbits` breaks the same ties by an integer
-rank and never builds one.
+``fractions.Fraction``, and floats are rejected on input.  This module holds
+only what the production path calls; the symbolic ε-perturbation of the
+spectrum (``DualRational``) lives in :mod:`ellsuper.orbits`, and the
+enumerations that only the brute-force references need (set partitions,
+Koszul signs) live in :mod:`ellsuper.oracle`.
 
 The enumeration helpers are all deterministic and ordered, since downstream
 recursions sum over them and tests freeze their output:
 
 * :func:`partitions` — weakly decreasing positive parts, descending lex;
-* :func:`compositions` — fixed-length nonnegative tuples, first part descending;
 * :func:`shuffles` — (p, q)-shuffles as position permutations;
 * :func:`ordered_shuffles` — block-increasing permutations for ascending block
   sizes, one representative per set partition with those block sizes;
   both shuffle enumerations are memoized, one entry per block-size tuple
-  actually asked for;
-* :func:`set_partitions` — all set partitions, blocks ordered by minimum;
-* :func:`koszul_sign` — the sign a permutation picks up acting on graded
-  letters (each crossing of two odd letters contributes -1).
+  actually asked for.
+
+:func:`remember` stores into a module-level memo dict and keeps it at
+``CACHE_CAP`` entries by evicting the oldest first; the lattice walks of
+:mod:`ellsuper.orbits` and the ε/η/Ξ morphisms of :mod:`ellsuper.sft` are
+bounded this way.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, total_ordering
+from functools import cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
 __all__ = [
-    "Rational",
+    "CACHE_CAP",
     "LatticePoint",
-    "Permutation",
-    "DualRational",
     "rational",
     "format_rational",
     "vec_add",
     "vec_factorial",
     "partitions",
     "aut_size",
-    "compositions",
     "shuffles",
     "ordered_shuffles",
-    "set_partitions",
-    "koszul_sign",
+    "remember",
 ]
 
-Rational = Fraction
 LatticePoint = tuple  # tuple[int, ...]
-Permutation = tuple  # tuple[int, ...]; sigma[slot] = original position (0-based)
 
-_ZERO = Fraction(0)
+# entries kept by each memo dict filled through ``remember``
+CACHE_CAP = 4096
 
 
 def rational(value: int | str | Fraction) -> Fraction:
@@ -69,53 +62,6 @@ def rational(value: int | str | Fraction) -> Fraction:
 def format_rational(value: int | Fraction) -> str:
     """Serialize as 'p/q', or 'p' when the denominator is 1."""
     return str(Fraction(value))
-
-
-@total_ordering
-@dataclass(frozen=True)
-class DualRational:
-    """Rational with an infinitesimal tail: ``main + eps * ε`` where ``ε² = 0``.
-
-    Comparison is lexicographic in (main, eps), i.e. the ordering induced by
-    evaluating at any sufficiently small positive ε.  Products truncate the
-    ε² term.
-    """
-
-    main: Fraction = _ZERO
-    eps: Fraction = _ZERO
-
-    @classmethod
-    def of(cls, main: int | str | Fraction, eps: int | str | Fraction = 0) -> "DualRational":
-        return cls(rational(main), rational(eps))
-
-    def __add__(self, other: "DualRational") -> "DualRational":
-        return DualRational(self.main + other.main, self.eps + other.eps)
-
-    def __sub__(self, other: "DualRational") -> "DualRational":
-        return DualRational(self.main - other.main, self.eps - other.eps)
-
-    def __neg__(self) -> "DualRational":
-        return DualRational(-self.main, -self.eps)
-
-    def __mul__(self, other: "DualRational | int | Fraction") -> "DualRational":
-        if isinstance(other, DualRational):
-            return DualRational(self.main * other.main,
-                                self.main * other.eps + self.eps * other.main)
-        return DualRational(self.main * other, self.eps * other)
-
-    __rmul__ = __mul__
-
-    def __lt__(self, other: "DualRational") -> bool:
-        return (self.main, self.eps) < (other.main, other.eps)
-
-    def approx(self, delta: Fraction) -> Fraction:
-        """Evaluate at ε = delta (used only to sanity-check the ordering)."""
-        return self.main + self.eps * delta
-
-    def __str__(self) -> str:
-        if self.eps == 0:
-            return format_rational(self.main)
-        return f"{format_rational(self.main)}{'+' if self.eps > 0 else '-'}{format_rational(abs(self.eps))}e"
 
 
 def vec_add(*points: Sequence[int]) -> LatticePoint:
@@ -162,28 +108,8 @@ def aut_size(items: Sequence) -> int:
     return out
 
 
-def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer tuples of the given length summing to total.
-
-    Deterministic order with the first component descending:
-    compositions(2, 2) -> (2,0), (1,1), (0,2)
-    """
-    if total < 0 or length < 0:
-        raise ValueError("total and length must be nonnegative")
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, length - 1):
-            yield (first,) + rest
-
-
 @cache
-def shuffles(p: int, q: int) -> tuple[Permutation, ...]:
+def shuffles(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     """(p, q)-shuffles of positions 0..p+q-1.
 
     Each shuffle is returned as the permutation sigma with sigma[:p] the
@@ -200,7 +126,7 @@ def shuffles(p: int, q: int) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
-def ordered_shuffles(sizes: Sequence[int]) -> tuple[Permutation, ...]:
+def ordered_shuffles(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Block-increasing permutations for ascending block sizes, blocks canonical.
 
     ``sizes`` must be weakly increasing positive integers summing to k.  Each
@@ -216,13 +142,13 @@ def ordered_shuffles(sizes: Sequence[int]) -> tuple[Permutation, ...]:
 
 
 @cache
-def _ordered_shuffles(sizes: tuple[int, ...]) -> tuple[Permutation, ...]:
+def _ordered_shuffles(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     if not sizes or any(s <= 0 for s in sizes):
         raise ValueError("block sizes must be positive")
     if any(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1)):
         raise ValueError("block sizes must be weakly increasing")
     k = sum(sizes)
-    out: list[Permutation] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(idx: int, remaining: tuple[int, ...], acc: list[tuple[int, ...]]) -> None:
         if idx == len(sizes):
@@ -242,44 +168,9 @@ def _ordered_shuffles(sizes: tuple[int, ...]) -> tuple[Permutation, ...]:
     return tuple(out)
 
 
-def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All set partitions of {0..n-1}; blocks ascending, ordered by minimum."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for block in blocks:
-            block.append(i)
-            yield from rec(i + 1)
-            block.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    yield from rec(0)
-
-
-def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
-    """Sign of rearranging graded letters v_0..v_{k-1} into v_{sigma[0]}, v_{sigma[1]}, ...
-
-    Every pair of letters that crosses (an inversion of sigma) contributes
-    (-1)^(|v_i|*|v_j|), i.e. -1 exactly when both crossing letters have odd
-    degree.  ``degrees[i]`` is the degree of letter i in the original order.
-    """
-    if sorted(sigma) != list(range(len(sigma))):
-        raise ValueError(f"not a permutation of 0..{len(sigma) - 1}: {sigma}")
-    if len(degrees) != len(sigma):
-        raise ValueError("degrees must match the permutation length")
-    sign = 1
-    for s in range(len(sigma)):
-        for t in range(s + 1, len(sigma)):
-            if sigma[s] > sigma[t] and degrees[sigma[s]] % 2 and degrees[sigma[t]] % 2:
-                sign = -sign
-    return sign
+def remember(cache: dict, key, value):
+    """``cache[key] = value``, first evicting the oldest entry of a full cache; returns value."""
+    if len(cache) >= CACHE_CAP:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value

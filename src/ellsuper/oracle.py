@@ -17,6 +17,16 @@ and exists only to validate the production code path:
   summed over every partition of d (the production path evaluates the same
   recursion as an exponential of power series).
 
+Their enumeration helpers live here too, because nothing on the production
+path calls them:
+
+* :func:`set_partitions` — all set partitions, blocks ordered by minimum;
+* :func:`koszul_sign` — the sign a permutation picks up acting on graded
+  letters (each crossing of two odd letters contributes -1); the production
+  engine counts parities instead.
+
+The symbolic perturbation itself (:class:`~ellsuper.orbits.DualRational`,
+``perturbed_value``) lives beside the spectrum in :mod:`ellsuper.orbits`.
 Input sizes are hard-guarded: these routines are intentionally exponential.
 """
 
@@ -26,20 +36,11 @@ import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .exact import (
-    DualRational,
-    LatticePoint,
-    aut_size,
-    koszul_sign,
-    partitions,
-    set_partitions,
-    vec_add,
-    vec_factorial,
-)
+from .exact import LatticePoint, aut_size, partitions, vec_add, vec_factorial
 from .linf import Combination, LinfMorphism, LinfStructure, Word, canonical_word
-from .orbits import OrbitId, SpectrumParams, gamma, perturbed_value
+from .orbits import DualRational, OrbitId, SpectrumParams, gamma, perturbed_value
 
 __all__ = [
     "gamma_bruteforce",
@@ -47,6 +48,8 @@ __all__ = [
     "morphism_bruteforce",
     "coderivation_bruteforce",
     "wt_T_partitions",
+    "set_partitions",
+    "koszul_sign",
 ]
 
 _GAMMA_MAX_K = 40
@@ -66,6 +69,49 @@ def _compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _compositions(total - first, length - 1):
             yield (first,) + rest
+
+
+def set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All set partitions of {0..n-1}; blocks ascending, ordered by minimum."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+    blocks: list[list[int]] = []
+
+    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if i == n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for block in blocks:
+            block.append(i)
+            yield from rec(i + 1)
+            block.pop()
+        blocks.append([i])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    yield from rec(0)
+
+
+def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
+    """Sign of rearranging graded letters v_0..v_{k-1} into v_{sigma[0]}, v_{sigma[1]}, ...
+
+    Every pair of letters that crosses (an inversion of sigma) contributes
+    (-1)^(|v_i|*|v_j|), i.e. -1 exactly when both crossing letters have odd
+    degree.  ``degrees[i]`` is the degree of letter i in the original order.
+    """
+    if sorted(sigma) != list(range(len(sigma))):
+        raise ValueError(f"not a permutation of 0..{len(sigma) - 1}: {sigma}")
+    if len(degrees) != len(sigma):
+        raise ValueError("degrees must match the permutation length")
+    sign = 1
+    for s in range(len(sigma)):
+        for t in range(s + 1, len(sigma)):
+            if sigma[s] > sigma[t] and degrees[sigma[s]] % 2 and degrees[sigma[t]] % 2:
+                sign = -sign
+    return sign
 
 
 def gamma_bruteforce(params: SpectrumParams, k: int) -> LatticePoint:

@@ -26,7 +26,7 @@ and the tie rule becomes an integer rank per axis:
 The m-th cover of axis i then has the key (m * A_i, rank_i), and the spectrum
 is the integer merge of the n progressions in key order.  ``gamma`` and
 ``orbit`` read a memoized prefix of that merge, one walk per parameter set
-(at most ``_WALKS_CAP`` walks are kept; the oldest is evicted first), and
+(at most ``exact.CACHE_CAP`` walks are kept; the oldest is evicted first), and
 ``gamma_points`` reads several indices from one walk lookup.
 
 ``gamma_closed_form(params, k)`` answers one index without walking.  The
@@ -37,10 +37,11 @@ is the k-th cover, and the per-axis counts up to it are Γ_k.  That costs
 O(n^2 log k) and memoizes nothing.  ``gamma_range`` starts there and takes
 integer steps, which is how the CLI answers ``gamma --k lo..hi``.
 
-``perturbed_value`` and :class:`~ellsuper.exact.DualRational` describe the
-perturbation itself.  They stay public as the independent reference route of
-:mod:`ellsuper.oracle` (brute-force minimizer, heap-merged spectrum), and the
-test suite checks the walk and the closed form against them.
+:class:`DualRational` (``main + eps·ε``, ordered as at a tiny ε > 0),
+``perturbed_value`` and ``action_dual`` spell out the perturbation itself.
+They are the independent reference route of :mod:`ellsuper.oracle`
+(brute-force minimizer, heap-merged spectrum), and the test suite checks the
+walk and the closed form against them; the production path never builds one.
 
 ``jump_set(k)`` = {k/1, (k-1)/2, ..., 1/k} collects the two-axis ratios at
 which Γ_k changes, and ``candidate_discontinuities`` aggregates these for the
@@ -55,12 +56,13 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import DualRational, LatticePoint, rational
+from .exact import LatticePoint, rational, remember
 
 __all__ = [
     "Side",
     "OrbitId",
     "SpectrumParams",
+    "DualRational",
     "normalized",
     "perturbed_value",
     "gamma",
@@ -126,6 +128,15 @@ class SpectrumParams:
         from .exact import format_rational
 
         return ",".join(format_rational(x) for x in self.a) + self.side.suffix()
+
+
+@dataclass(frozen=True, order=True)
+class DualRational:
+    """A perturbed action ``main + eps·ε``; the order is lexicographic in (main, eps),
+    i.e. the order at any sufficiently small ε > 0."""
+
+    main: Fraction
+    eps: Fraction
 
 
 def normalized(a: int | str | Fraction, side: Side = Side.CANONICAL) -> SpectrumParams:
@@ -201,17 +212,13 @@ class _Walk:
             add_point(tuple(counts))
 
 
-# at most this many walks are kept; the oldest is evicted first
-_WALKS_CAP = 4096
 _WALKS: dict[SpectrumParams, _Walk] = {}
 
 
 def _walk(params: SpectrumParams, k: int) -> _Walk:
     walk = _WALKS.get(params)
     if walk is None:
-        if len(_WALKS) >= _WALKS_CAP:
-            del _WALKS[next(iter(_WALKS))]
-        walk = _WALKS[params] = _Walk(params)
+        walk = remember(_WALKS, params, _Walk(params))
     walk.ensure(k)
     return walk
 

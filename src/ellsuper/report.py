@@ -27,12 +27,6 @@ class Report:
     def __bool__(self) -> bool:
         return self.ok
 
-    def summary(self) -> str:
-        if self.ok:
-            return f"ok ({self.checked} checked)"
-        head = f"{len(self.failures)} failure(s) out of {self.checked} checked"
-        return "\n".join([head, *self.failures[:10]])
-
 
 def merge_reports(*reports: Report) -> Report:
     """Combine sub-reports into one (used by the CLI check suites)."""

@@ -22,6 +22,10 @@ through eps~ cancels pairwise.  :func:`verify_aug` checks this symbolically
 on a window of words.  For an ellipsoid E(1, a) the inclusion-like morphism
 psi_a sending o_k to beta_{Γ^a_k} (and no higher levels) factors the
 stationary-descendant morphism: eps~ ∘ psi_a = eps_a.
+
+The algebra and the augmentation are module constants built at import
+(building one only stores its rule), so their level memos are shared by
+every caller in the process.
 """
 
 from __future__ import annotations
@@ -115,14 +119,11 @@ def _v_rule(k: int, word: Word) -> Combination:
     return Combination.zero()
 
 
-_V_ALGEBRA: LinfStructure | None = None
+_V_ALGEBRA = LinfStructure(v_generators(), _v_rule, arities=(1, 2))
 
 
 def v_algebra() -> LinfStructure:
-    """The structure above (memoized module-wide)."""
-    global _V_ALGEBRA
-    if _V_ALGEBRA is None:
-        _V_ALGEBRA = LinfStructure(v_generators(), _v_rule, arities=(1, 2))
+    """The structure above (one instance, shared module-wide)."""
     return _V_ALGEBRA
 
 
@@ -146,14 +147,11 @@ def _tilde_rule(k: int, word: Word) -> Combination:
     )
 
 
-_TILDE: LinfMorphism | None = None
+_TILDE = LinfMorphism(v_generators(), co_generators(), _tilde_rule)
 
 
 def tilde_epsilon() -> LinfMorphism:
-    """The augmentation eps~ : V -> C_o (memoized module-wide)."""
-    global _TILDE
-    if _TILDE is None:
-        _TILDE = LinfMorphism(v_generators(), co_generators(), _tilde_rule)
+    """The augmentation eps~ : V -> C_o (one instance, shared module-wide)."""
     return _TILDE
 
 

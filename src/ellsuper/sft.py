@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Sequence
 
-from .exact import aut_size, vec_add, vec_factorial
+from .exact import aut_size, remember, vec_add, vec_factorial
 from .linf import (
     Combination,
     GeneratorSet,
@@ -104,6 +104,7 @@ def co_algebra() -> LinfStructure:
     return abelian(co_generators())
 
 
+# filled through ``remember``, so each keeps at most ``exact.CACHE_CAP`` morphisms
 _EPSILON_CACHE: dict[SpectrumParams, LinfMorphism] = {}
 _ETA_CACHE: dict[SpectrumParams, LinfMorphism] = {}
 _XI_CACHE: dict[tuple[SpectrumParams, SpectrumParams], LinfMorphism] = {}
@@ -119,16 +120,14 @@ def epsilon(params: SpectrumParams) -> LinfMorphism:
         count, psi_power = local_descendant(params, [key[1] for key in word])
         return Combination.single((q_key(psi_power + 1),), count)
 
-    morphism = LinfMorphism(ca_generators(params), co_generators(), rule)
-    _EPSILON_CACHE[params] = morphism
-    return morphism
+    return remember(_EPSILON_CACHE, params, LinfMorphism(ca_generators(params), co_generators(), rule))
 
 
 def eta(params: SpectrumParams) -> LinfMorphism:
     """Levelwise inverse of eps_params, cached per parameter set (all arities)."""
     cached = _ETA_CACHE.get(params)
     if cached is None:
-        cached = _ETA_CACHE[params] = invert(epsilon(params), lambda key: o_key(key[1]))
+        cached = remember(_ETA_CACHE, params, invert(epsilon(params), lambda key: o_key(key[1])))
     return cached
 
 
@@ -138,7 +137,7 @@ def xi(source: SpectrumParams, target: SpectrumParams) -> LinfMorphism:
     cache_key = (source, target)
     cached = _XI_CACHE.get(cache_key)
     if cached is None:
-        cached = _XI_CACHE[cache_key] = compose(eta(target), epsilon(source))
+        cached = remember(_XI_CACHE, cache_key, compose(eta(target), epsilon(source)))
     return cached
 
 

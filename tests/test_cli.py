@@ -9,10 +9,17 @@ and byte-for-byte determinism.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ellsuper
+from ellsuper import orbits
 from ellsuper.cli import GAMMA_MAX_WIDTH, main
 from ellsuper.report import Report
 
@@ -150,6 +157,22 @@ def test_spectrum_csv(capsys):
 def test_spectrum_count_must_be_positive(capsys):
     message = run_error(capsys, ["spectrum", "--a", "1,2", "--count", "0"])
     assert "--count" in message
+
+
+def test_spectrum_count_above_cap_exits_1_before_walking(capsys, monkeypatch):
+    def boom(*args):
+        raise AssertionError("the walk must not start")
+
+    monkeypatch.setattr("ellsuper.cli.gamma_range", boom)
+    error = run_error(capsys, ["spectrum", "--a", "1,7/3", "--count", str(GAMMA_MAX_WIDTH + 1)])
+    assert f"--count {GAMMA_MAX_WIDTH + 1}" in error
+    assert f"cap is {GAMMA_MAX_WIDTH}" in error
+
+
+def test_spectrum_memoizes_nothing(capsys):
+    payload = run_json(capsys, ["spectrum", "--a", "1,3/2,1000003/7919", "--count", "12"])
+    assert len(payload["result"]["orbits"]) == 12
+    assert not any(p.a[-1] == Fraction(1000003, 7919) for p in orbits._WALKS)
 
 
 # ---------------------------------------------------------------- descendant
@@ -368,3 +391,14 @@ def test_rationals_never_serialized_as_floats(capsys):
     _, out, _ = run_cli(capsys, ["spectrum", "--a", "1,3/2", "--count", "8"])
     assert "1.5" not in out
     assert "3/2" in out
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    """The brute-force oracle loads only for a check suite or a test."""
+    src = str(Path(ellsuper.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, ellsuper, ellsuper.cli; print(sorted(m for m in sys.modules if m.startswith('ellsuper')))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded = result.stdout.strip()
+    assert "'ellsuper.cli'" in loaded
+    assert "ellsuper.oracle" not in loaded

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellsuper.exact import koszul_sign
 from ellsuper.linf import (
     Combination,
     GeneratorSet,
@@ -22,6 +21,7 @@ from ellsuper.linf import (
     invert,
     morphisms_agree,
 )
+from ellsuper.oracle import koszul_sign
 
 
 def g(i):

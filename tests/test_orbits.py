@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsuper import orbits
-from ellsuper.exact import DualRational
+from ellsuper.exact import CACHE_CAP
 from ellsuper.oracle import gamma_bruteforce, merge_spectrum
 from ellsuper.orbits import (
+    DualRational,
     OrbitId,
     Side,
     SpectrumParams,
@@ -151,7 +152,7 @@ class TestIntegerWalkDifferential:
 
 class TestWalkCache:
     def test_walks_are_bounded_and_evicted_walks_recompute(self):
-        cap = orbits._WALKS_CAP
+        cap = CACHE_CAP
         ratios = [Fraction(10**6 + i, 7919) for i in range(cap + 10)]
         first = normalized(ratios[0])
         expected = [gamma(first, k) for k in range(12)]

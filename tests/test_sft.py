@@ -5,6 +5,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from ellsuper import sft
+from ellsuper.exact import CACHE_CAP
+from ellsuper.jumps import jump_general, jump_via_xi
 from ellsuper.linf import Combination, Word, compose, morphisms_agree
 from ellsuper.orbits import Side, action, normalized
 from ellsuper.sft import (
@@ -176,6 +179,21 @@ class TestXi:
                         assert a_out <= a_in
                         saw_strict = saw_strict or a_out < a_in
             assert saw_strict == expect_strict
+
+
+class TestMorphismCaches:
+    def test_caches_are_bounded_and_evicted_pairs_recompute(self):
+        first = Fraction(5, 4)
+        ratios = [first] + [Fraction(10**6 + i, 7919) for i in range(CACHE_CAP + 9)]
+        pairs = [(normalized(a, Side.MINUS), normalized(a, Side.PLUS)) for a in ratios]
+        for source, target in pairs:  # lazy: no level is evaluated
+            xi(source, target)
+        for cache in (sft._EPSILON_CACHE, sft._ETA_CACHE, sft._XI_CACHE):
+            assert len(cache) <= CACHE_CAP
+        assert pairs[0] not in sft._XI_CACHE
+        assert pairs[-1] in sft._XI_CACHE
+        value = jump_via_xi(first, (2, 8))
+        assert value == jump_general(first, (2, 8)) == Fraction(-1, 4)
 
 
 class TestLocalDescendant:
