@@ -13,6 +13,8 @@ wider range exits 1.  The start of the range costs O(log lo) however large lo
 is (the closed form for one index), so only the width is capped.
 ``spectrum --count N`` shares the cap: N above it exits 1.  Both commands
 read their rows from one unmemoized integer walk.
+``check --suite jumps --bound B`` exits 1 above ``JUMPS_MAX_BOUND`` (20), where
+the support scan already takes seconds and tens of MB.
 
 Ellipsoid parameters are given with ``--a`` as comma-separated rationals; the
 tie-breaking side can be attached as a trailing ``+``/``-`` (e.g. ``13/2+``)
@@ -59,6 +61,8 @@ __all__ = ["main"]
 
 # widest ``gamma --k lo..hi`` range, in indices, and largest ``spectrum --count``
 GAMMA_MAX_WIDTH = 100_000
+# largest ``check --suite jumps --bound``
+JUMPS_MAX_BOUND = 20
 
 
 class CLIError(Exception):
@@ -426,6 +430,8 @@ def _suite_jumps(bound: int) -> Report:
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if args.bound is not None and args.bound < 1:
         raise CLIError(f"--bound must be >= 1, got {args.bound}")
+    if args.suite == "jumps" and args.bound is not None and args.bound > JUMPS_MAX_BOUND:
+        raise CLIError(f"--bound {args.bound} is too large for the jumps suite; the cap is {JUMPS_MAX_BOUND}")
     suites = {
         "gamma": lambda: _suite_gamma(args.bound if args.bound is not None else 50),
         "linf": lambda: _suite_linf(args.bound if args.bound is not None else 3),

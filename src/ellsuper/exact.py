@@ -13,14 +13,16 @@ recursions sum over them and tests freeze their output:
 * :func:`partitions` — weakly decreasing positive parts, descending lex;
 * :func:`shuffles` — (p, q)-shuffles as position permutations;
 * :func:`ordered_shuffles` — block-increasing permutations for ascending block
-  sizes, one representative per set partition with those block sizes;
-  both shuffle enumerations are memoized, one entry per block-size tuple
-  actually asked for.
+  sizes, one representative per set partition with those block sizes; on
+  the production path it now serves only ``LinfMorphism._extend`` (the jumps
+  sum over index multisets instead; the set-partition jump recursion
+  ``oracle.jump_partitions`` still uses it).  Both shuffle enumerations are
+  memoized, one entry per block-size tuple actually asked for.
 
 :func:`remember` stores into a module-level memo dict and keeps it at
 ``CACHE_CAP`` entries by evicting the oldest first; the lattice walks of
-:mod:`ellsuper.orbits` and the ε/η/Ξ morphisms of :mod:`ellsuper.sft` are
-bounded this way.
+:mod:`ellsuper.orbits`, the ε/η/Ξ morphisms of :mod:`ellsuper.sft` and the
+per-ratio jump tables of :mod:`ellsuper.jumps` are bounded this way.
 """
 
 from __future__ import annotations

@@ -15,25 +15,42 @@ k-fold transfer at a.  Three independent routes are implemented:
 * :func:`jump_general` — the recursion obtained by expanding
   eps_{a-} = eps_{a+} ∘ Xi levelwise and isolating the one-block term:
 
-      J(i_1..i_k) = (Γ^{a+}_j)! / (Σ_s Γ^{a-}_{i_s})!
-                    - Σ_{partitions into >= 2 blocks}
-                        (Γ^{a+}_j)! / (Σ_r Γ^{a+}_{b_r})! * Π_r J(block_r)
+      J(I) = (Γ^{a+}_j)! / (Σ_s Γ^{a-}_{i_s})!
+             - Σ_{set partitions of I into >= 2 blocks}
+                 (Γ^{a+}_j)! / (Σ_r Γ^{a+}_{out(B_r)})! * Π_r J(B_r)
 
-  with j as above and b_r the output index of each block;
+  with I = (i_1..i_k), j = out(I) as above and out(B) = Σ_{i∈B} i + |B| - 1.
+  The set-partition sum is evaluated as an exponential of series over index
+  multisets.  With F = Σ_B J(B)/aut(B) t^B u^{Γ^{a+}_{out(B)}} over nonempty
+  multisets B (aut(B) = Π (multiplicity)!) and E = exp(F), the sum over
+  partitions into >= 2 blocks is aut(I) [t^I](E - F), so
+
+      J(I) = (Γ^{a+}_j)! * ( 1/(Σ_s Γ^{a-}_{i_s})!
+                             - aut(I) Σ_P [t^I u^P](E - F) / P! ).
+
+  Weighting the index i by i + 1 (so w(I) = out(I) + 1), Euler's operator
+  gives w(I) E_I = Σ_{∅ ≠ S ⊆ I} w(S) F_S E_{I∖S}, the multiset analogue of
+  the count recurrence in :mod:`ellsuper.superpotential`: E_I - F_I comes
+  from smaller multisets, then J(I), then E_I.  One pass at a ratio yields
+  every jump of a down-closed family of multisets, and repeated indices cost
+  nothing extra.  Values are kept per ratio, for at most ``CACHE_CAP``
+  ratios; the set-partition recursion itself is kept as the reference
+  :func:`ellsuper.oracle.jump_partitions`;
 * :func:`jump_via_xi` — direct evaluation through the L-infinity engine.
 
 :func:`support_scan` enumerates every nonzero k >= 2 jump with output index
-up to a bound, checking each hit against the energy inequality
-Σ_s A(Γ^a_{i_s}) >= A(Γ^a_j) at the unperturbed parameter.
+up to a bound, one pass per candidate ratio, checking each hit against the
+energy inequality Σ_s A(Γ^a_{i_s}) >= A(Γ^a_j) at the unperturbed parameter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import ordered_shuffles, partitions, rational, vec_add, vec_factorial
+from .exact import aut_size, rational, remember, vec_add, vec_factorial
 from .orbits import Side, action, gamma, gamma_points, jump_set, normalized
 from .sft import o_key, single_coefficient, xi
 
@@ -73,48 +90,119 @@ def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     return term_minus - term_plus
 
 
-_GENERAL_CACHE: dict[tuple[Fraction, tuple[int, ...]], Fraction] = {}
+# ratio a -> {sorted index tuple I: J^a(I)}, at most CACHE_CAP ratios
+_GENERAL_CACHE: dict[Fraction, dict[tuple[int, ...], Fraction]] = {}
+# family of index multisets -> its pass plan (see _plan)
+_PLANS: dict[tuple[tuple[int, ...], ...], tuple] = {}
+
+
+def _sub_multisets(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every sub-multiset of the sorted tuple ``idx``, each sorted; () first, ``idx`` last."""
+    out: list[tuple[int, ...]] = [()]
+    for value in sorted(set(idx)):
+        mult = idx.count(value)
+        out = [sub + (value,) * m for sub in out for m in range(mult + 1)]
+    return out
+
+
+def _weight_order(idx: tuple[int, ...]) -> tuple:
+    return sum(idx) + len(idx), len(idx), idx
+
+
+def _plan(family: tuple[tuple[int, ...], ...]) -> tuple:
+    """Per multiset I of a down-closed family, in weight order: (I, w(I), aut(I), splits).
+
+    The weight of an index i is i + 1, so w(I) = out(I) + 1.  The splits are
+    the (S, I∖S, w(S)) for every nonempty proper sub-multiset S; none of
+    this depends on the ratio, so one plan serves every ratio.
+    """
+    plan = _PLANS.get(family)
+    if plan is not None:
+        return plan
+    steps = []
+    for idx in family:
+        weight = sum(idx) + len(idx)
+        splits = []
+        for sub in _sub_multisets(idx)[1:-1]:
+            rest = list(idx)
+            for i in sub:
+                rest.remove(i)
+            splits.append((sub, tuple(rest), sum(sub) + len(sub)))
+        steps.append((idx, weight, aut_size(idx), tuple(splits)))
+    return remember(_PLANS, family, tuple(steps))
+
+
+def _ratio_pass(a: Fraction, family: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], Fraction]:
+    """J^a(I) for every multiset I of a down-closed family, in one exp-series pass.
+
+    F carries J(B)/aut(B) t^B u^{Γ⁺_{out(B)}} and E = exp(F); the Euler
+    identity w(I) (E_I - F_I) = Σ_{S ⊊ I} w(S) F_S E_{I∖S} gives the
+    many-block part of E_I from smaller multisets, then J(I), then E_I.
+    """
+    minus, plus = _sides(a)
+    plan = _plan(family)
+    top_index = max(max(idx) for idx in family)
+    top_out = max(weight for _, weight, _, _ in plan) - 1
+    g_minus = gamma_points(minus, range(top_index + 1))
+    g_plus = gamma_points(plus, range(top_out + 1))
+    values: dict[tuple[int, ...], Fraction] = {}
+    monomials: dict[tuple[int, ...], tuple[int, int, Fraction]] = {}  # F_B = c u^(x, y), c != 0
+    series: dict[tuple[int, ...], dict[tuple[int, int], Fraction]] = {}  # E_B
+    for idx, weight, aut, splits in plan:
+        scaled: dict[tuple[int, int], Fraction] = {}  # w(I) (E_I - F_I)
+        for sub, complement, sub_weight in splits:
+            mono = monomials.get(sub)
+            if mono is None:
+                continue
+            x_s, y_s, coeff = mono
+            coeff *= sub_weight
+            for (x, y), term in series[complement].items():
+                key = (x + x_s, y + y_s)
+                scaled[key] = scaled.get(key, 0) + coeff * term
+        x_out, y_out = g_plus[weight - 1]
+        numerator = math.factorial(x_out) * math.factorial(y_out)
+        x_in = sum(g_minus[i][0] for i in idx)
+        y_in = sum(g_minus[i][1] for i in idx)
+        correction = sum(
+            (coeff / (math.factorial(x) * math.factorial(y)) for (x, y), coeff in scaled.items()),
+            Fraction(0),
+        )
+        value = numerator * (
+            Fraction(1, math.factorial(x_in) * math.factorial(y_in)) - aut * correction / weight
+        )
+        values[idx] = value
+        exp_term = {key: coeff / weight for key, coeff in scaled.items()}  # E_I - F_I
+        if value != 0:
+            monomials[idx] = (x_out, y_out, value / aut)
+            exp_term[(x_out, y_out)] = exp_term.get((x_out, y_out), 0) + value / aut
+        series[idx] = exp_term
+    return values
+
+
+def _store(a: Fraction, values: dict[tuple[int, ...], Fraction]) -> None:
+    table = _GENERAL_CACHE.get(a)
+    if table is None:
+        remember(_GENERAL_CACHE, a, values)
+    else:
+        table.update(values)
 
 
 def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
-    """Arbitrary-arity jump via the levelwise transfer recursion (memoized).
+    """Arbitrary-arity jump via the exp-series form of the transfer recursion.
 
-    The jump is symmetric in the indices, so the cache is keyed by the sorted
-    tuple.
+    Values are kept per ratio; a miss runs one pass over the sub-multisets of
+    the sorted indices (Π (multiplicity + 1) of them).
     """
     a = rational(a)
     idx = tuple(sorted(indices))
     if not idx or any(i < 1 for i in idx):
         raise ValueError(f"orbit indices must be positive integers, got {indices}")
-    cache_key = (a, idx)
-    cached = _GENERAL_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    minus, plus = _sides(a)
-    k = len(idx)
-    out_index = sum(idx) + k - 1
-    numerator = vec_factorial(gamma(plus, out_index))
-    value = Fraction(numerator, vec_factorial(vec_add(*gamma_points(minus, idx))))
-    for desc_sizes in partitions(k):
-        sizes = tuple(reversed(desc_sizes))
-        if len(sizes) < 2:
-            continue
-        for sigma in ordered_shuffles(sizes):
-            block_product = Fraction(1)
-            block_outputs = []
-            pos = 0
-            for size in sizes:
-                block = tuple(idx[p] for p in sigma[pos:pos + size])
-                pos += size
-                block_product *= jump_general(a, block)
-                if block_product == 0:
-                    break
-                block_outputs.append(sum(block) + size - 1)
-            if block_product == 0:
-                continue
-            value -= block_product * Fraction(numerator, vec_factorial(vec_add(*gamma_points(plus, block_outputs))))
-    _GENERAL_CACHE[cache_key] = value
-    return value
+    table = _GENERAL_CACHE.get(a)
+    if table is not None and idx in table:
+        return table[idx]
+    values = _ratio_pass(a, tuple(sorted(_sub_multisets(idx)[1:], key=_weight_order)))
+    _store(a, values)
+    return values[idx]
 
 
 def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
@@ -139,39 +227,43 @@ class ScanHit:
     value: Fraction
 
 
+def _scan_family(bound: int) -> tuple[tuple[int, ...], ...]:
+    """Every sorted index tuple with output index Σi + k - 1 <= bound, in weight order."""
+    family: list[tuple[int, ...]] = []
+
+    def build(prefix: tuple[int, ...], minimum: int, room: int) -> None:
+        # room = bound + 1 - w(prefix): the weight still free
+        for i in range(minimum, room):
+            family.append(prefix + (i,))
+            build(prefix + (i,), i, room - i - 1)
+
+    build((), 1, bound + 1)
+    return tuple(sorted(family, key=_weight_order))
+
+
 def support_scan(bound: int) -> tuple[ScanHit, ...]:
     """All nonzero jumps with k >= 2 inputs and output index Σi + k - 1 <= bound.
 
-    For each unordered index tuple the ratio a ranges over the candidate set
-    ∪_{s <= Σi+k-1} J_s (nonzero jumps cannot occur elsewhere).  Every hit is
-    checked against the energy inequality at the unperturbed parameter; a
-    violation raises RuntimeError.
+    The ratio a ranges over ∪_{s <= bound} J_s; nonzero jumps cannot occur
+    elsewhere.  At each ratio one pass gives the jump of every index tuple up
+    to the bound.  Every hit is checked against the energy inequality at the
+    unperturbed parameter; a violation raises RuntimeError.
     """
     if bound < 3:
         return ()
+    family = _scan_family(bound)
+    ratios: set[Fraction] = set()
+    for s in range(1, bound + 1):
+        ratios.update(jump_set(s))
     hits: list[ScanHit] = []
-    tuples: list[tuple[int, ...]] = []
-
-    def build(prefix: tuple[int, ...], minimum: int, remaining: int) -> None:
-        if len(prefix) >= 2:
-            tuples.append(prefix)
-        for i in range(minimum, remaining + 1):
-            build(prefix + (i,), i, remaining - i)
-
-    # output index = sum + k - 1 <= bound, every index >= 1
-    build((), 1, bound)
-    for idx in tuples:
-        out_index = sum(idx) + len(idx) - 1
-        if out_index > bound:
-            continue
-        candidates: set[Fraction] = set()
-        for s in range(1, out_index + 1):
-            candidates.update(jump_set(s))
-        for a in sorted(candidates):
-            value = jump_general(a, idx)
-            if value == 0:
+    for a in sorted(ratios):
+        values = _ratio_pass(a, family)
+        _store(a, values)
+        at_a = normalized(a)
+        for idx, value in values.items():
+            if len(idx) < 2 or value == 0:
                 continue
-            at_a = normalized(a)
+            out_index = sum(idx) + len(idx) - 1
             total_action = sum(action(at_a, i) for i in idx)
             if total_action < action(at_a, out_index):
                 raise RuntimeError(

@@ -15,7 +15,10 @@ and exists only to validate the production code path:
   and a full re-sort of each output word, ignoring declared arities;
 * :func:`wt_T_partitions` — the CP^2 count T̃_d by the defining recursion,
   summed over every partition of d (the production path evaluates the same
-  recursion as an exponential of power series).
+  recursion as an exponential of power series);
+* :func:`jump_partitions` — the jump J^a(i_1..i_k) by the transfer recursion
+  summed over every set partition of the index positions (the production
+  path evaluates it as an exponential of series over index multisets).
 
 Their enumeration helpers live here too, because nothing on the production
 path calls them:
@@ -38,9 +41,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .exact import LatticePoint, aut_size, partitions, vec_add, vec_factorial
+from .exact import LatticePoint, aut_size, ordered_shuffles, partitions, rational, vec_add, vec_factorial
 from .linf import Combination, LinfMorphism, LinfStructure, Word, canonical_word
-from .orbits import DualRational, OrbitId, SpectrumParams, gamma, perturbed_value
+from .orbits import DualRational, OrbitId, Side, SpectrumParams, gamma, gamma_points, normalized, perturbed_value
 
 __all__ = [
     "gamma_bruteforce",
@@ -48,6 +51,7 @@ __all__ = [
     "morphism_bruteforce",
     "coderivation_bruteforce",
     "wt_T_partitions",
+    "jump_partitions",
     "set_partitions",
     "koszul_sign",
 ]
@@ -58,6 +62,7 @@ _MERGE_MAX_COUNT = 10_000
 _MORPHISM_MAX_LEN = 5
 _CODERIVATION_MAX_LEN = 6
 _PARTITIONS_MAX_D = 20
+_JUMP_MAX_ARITY = 9
 
 
 def _compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -265,3 +270,55 @@ def wt_T_partitions(d: int, params: SpectrumParams) -> Fraction:
             Fraction(1, math.factorial(degree) ** 3) - correction
         )
     return counts[d]
+
+
+def jump_partitions(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
+    """J^a(i_1..i_k) by the set-partition recursion
+
+        J(I) = (Γ^{a+}_j)! / (Σ_s Γ^{a-}_{i_s})!
+               - Σ_{set partitions into >= 2 blocks} (Γ^{a+}_j)! / (Σ_r Γ^{a+}_{out(B_r)})! * Π_r J(B_r),
+
+    one ordered shuffle of the index positions per set partition; the values
+    of the blocks are memoized for this call only.
+    """
+    a = rational(a)
+    top = tuple(sorted(indices))
+    if not top or any(i < 1 for i in top):
+        raise ValueError(f"orbit indices must be positive integers, got {indices}")
+    if len(top) > _JUMP_MAX_ARITY:
+        raise ValueError(f"partition recursion guarded to arity <= {_JUMP_MAX_ARITY}, got {len(top)}")
+    minus, plus = normalized(a, Side.MINUS), normalized(a, Side.PLUS)
+    memo: dict[tuple[int, ...], Fraction] = {}
+
+    def jump(idx: tuple[int, ...]) -> Fraction:
+        cached = memo.get(idx)
+        if cached is not None:
+            return cached
+        k = len(idx)
+        out_index = sum(idx) + k - 1
+        numerator = vec_factorial(gamma(plus, out_index))
+        value = Fraction(numerator, vec_factorial(vec_add(*gamma_points(minus, idx))))
+        for desc_sizes in partitions(k):
+            sizes = tuple(reversed(desc_sizes))
+            if len(sizes) < 2:
+                continue
+            for sigma in ordered_shuffles(sizes):
+                block_product = Fraction(1)
+                block_outputs = []
+                pos = 0
+                for size in sizes:
+                    block = tuple(idx[p] for p in sigma[pos:pos + size])
+                    pos += size
+                    block_product *= jump(block)
+                    if block_product == 0:
+                        break
+                    block_outputs.append(sum(block) + size - 1)
+                if block_product == 0:
+                    continue
+                value -= block_product * Fraction(
+                    numerator, vec_factorial(vec_add(*gamma_points(plus, block_outputs)))
+                )
+        memo[idx] = value
+        return value
+
+    return jump(top)

@@ -20,7 +20,7 @@ import pytest
 
 import ellsuper
 from ellsuper import orbits
-from ellsuper.cli import GAMMA_MAX_WIDTH, main
+from ellsuper.cli import GAMMA_MAX_WIDTH, JUMPS_MAX_BOUND, main
 from ellsuper.report import Report
 
 
@@ -325,6 +325,16 @@ def test_check_genfun_suite_passes(capsys):
 @pytest.mark.parametrize("suite, bound", [("genfun", "0"), ("gamma", "-1")])
 def test_check_rejects_bound_below_one(capsys, suite, bound):
     assert "--bound" in run_error(capsys, ["check", "--suite", suite, "--bound", bound])
+
+
+def test_check_jumps_bound_above_cap_exits_1_before_scanning(capsys, monkeypatch):
+    def boom(bound):
+        raise AssertionError("the scan must not start")
+
+    monkeypatch.setattr("ellsuper.cli.support_scan", boom)
+    error = run_error(capsys, ["check", "--suite", "jumps", "--bound", str(JUMPS_MAX_BOUND + 1)])
+    assert f"--bound {JUMPS_MAX_BOUND + 1}" in error
+    assert f"cap is {JUMPS_MAX_BOUND}" in error
 
 
 def test_check_failing_suite_exits_2(capsys, monkeypatch):

@@ -2,10 +2,11 @@
 
 The files under ``tests/golden/`` hold the exact stdout of each command
 (``ellsuper <argv> > file``).  The count outputs were computed by the
-partition-sum recursion, the transfer-stack outputs (``jumps``, ``check``,
-``gamma``, ``spectrum``, ``descendant``) by L-infinity maps with a word-length
-bound, and the ``gamma``/``spectrum`` outputs by a walk over DualRational
-perturbed actions; the code that replaced them must print the same bytes.
+partition-sum recursion, the jump values by the set-partition recursion, the
+transfer-stack outputs (``jumps``, ``check``, ``gamma``, ``spectrum``,
+``descendant``) by L-infinity maps with a word-length bound, and the
+``gamma``/``spectrum`` outputs by a walk over DualRational perturbed actions;
+the code that replaced them must print the same bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ CASES = [
     ("jumps_a3-2_o1-1-2_xi.json", ["jumps", "--a", "3/2", "--orbits", "1,1,2", "--route", "xi"]),
     ("check_linf.json", ["check", "--suite", "linf"]),
     ("check_jumps_b7.json", ["check", "--suite", "jumps", "--bound", "7"]),
+    ("check_jumps_b12.json", ["check", "--suite", "jumps", "--bound", "12"]),
+    ("jumps_a1-2_o2-2-2-2_all.json", ["jumps", "--a", "1/2", "--orbits", "2,2,2,2", "--route", "all"]),
+    ("jumps_a1-2_o1-2-2-2_recursive.json", ["jumps", "--a", "1/2", "--orbits", "1,2,2,2", "--route", "recursive"]),
+    ("jumps_a2-9_o1-10_all.json", ["jumps", "--a", "2/9", "--orbits", "1,10", "--route", "all"]),
     ("check_aug_b3.json", ["check", "--suite", "aug", "--bound", "3"]),
     ("gamma_a1-3-2_k0-8.csv", ["gamma", "--a", "1,3/2", "--k", "0..8", "--format", "csv"]),
     ("spectrum_a1-3-2_c10.json", ["spectrum", "--a", "1,3/2", "--count", "10"]),

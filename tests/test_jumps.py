@@ -7,6 +7,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellsuper import jumps
+from ellsuper.exact import CACHE_CAP
 from ellsuper.jumps import (
     ScanHit,
     jump_cylinder,
@@ -16,6 +18,7 @@ from ellsuper.jumps import (
     support_scan,
 )
 from ellsuper.linf import Word, compose
+from ellsuper.oracle import jump_partitions
 from ellsuper.orbits import Side, action, jump_set, normalized
 from ellsuper.sft import o_key, single_coefficient, xi
 from ellsuper.superpotential import wt_T_infinity
@@ -97,6 +100,29 @@ class TestGeneralRecursion:
         assert jump_general(a, (8, 2)) == jump_general(a, (2, 8))
         assert jump_general(a, (1, 2, 3)) == jump_general(a, (3, 1, 2))
 
+    def test_repeated_indices_match_partition_recursion(self):
+        for a in (Fraction(1, 2), Fraction(2), Fraction(3, 2), Fraction(2, 3)):
+            for indices in ((2, 2, 2, 2), (1, 2, 2, 2), (1, 1, 1, 1, 1, 1), (1, 1, 1, 2, 2)):
+                assert jump_general(a, indices) == jump_partitions(a, indices), (a, indices)
+
+
+class TestGeneralCache:
+    def test_cache_is_bounded_and_evicted_ratios_recompute(self):
+        first = Fraction(5, 4)
+        ratios = [first] + [Fraction(10**6 + i, 7919) for i in range(CACHE_CAP + 9)]
+        for a in ratios:
+            jump_general(a, (1,))
+        assert len(jumps._GENERAL_CACHE) <= CACHE_CAP
+        assert first not in jumps._GENERAL_CACHE
+        assert ratios[-1] in jumps._GENERAL_CACHE
+        assert jump_general(first, (2, 8)) == Fraction(-1, 4)
+
+    def test_table_holds_every_sub_multiset(self):
+        a = Fraction(7, 3)
+        jumps._GENERAL_CACHE.pop(a, None)
+        jump_general(a, (1, 1, 3))
+        assert set(jumps._GENERAL_CACHE[a]) == {(1,), (3,), (1, 1), (1, 3), (1, 1, 3)}
+
 
 class TestViaXi:
     def test_reference_value(self):
@@ -146,13 +172,40 @@ class TestRoutesDifferential:
         a, indices = problem
         value = jump_general(a, indices)
         assert jump_via_xi(a, indices) == value
+        assert jump_partitions(a, indices) == value
         if len(indices) == 1:
             assert jump_cylinder(a, indices[0]) == value
         elif len(indices) == 2:
             assert jump_pants(a, *indices) == value
 
 
+def partition_scan(bound):
+    """The support scan rebuilt from the set-partition recursion: every sorted
+    tuple with k >= 2 and output index <= bound, at every ratio of its own
+    candidate set ∪_{s <= out} J_s."""
+    hits = []
+
+    def build(prefix, minimum):
+        out_index = sum(prefix) + len(prefix) - 1
+        if len(prefix) >= 2:
+            candidates = {a for s in range(1, out_index + 1) for a in jump_set(s)}
+            for a in candidates:
+                value = jump_partitions(a, prefix)
+                if value != 0:
+                    hits.append(ScanHit(a, prefix, value))
+        for i in range(minimum, bound + 1):
+            if out_index + i + 1 <= bound:
+                build(prefix + (i,), i)
+
+    build((), 1)
+    return tuple(sorted(hits, key=lambda h: (h.a, len(h.indices), h.indices)))
+
+
 class TestSupportScan:
+    def test_matches_partition_recursion_scan(self):
+        for bound in range(1, 10):
+            assert support_scan(bound) == partition_scan(bound), bound
+
     def test_finds_reference_hit(self):
         hits = support_scan(11)
         assert ScanHit(Fraction(5, 4), (2, 8), Fraction(-1, 4)) in hits

@@ -18,6 +18,7 @@ from ellsuper.linf import (
 from ellsuper.oracle import (
     coderivation_bruteforce,
     gamma_bruteforce,
+    jump_partitions,
     merge_spectrum,
     morphism_bruteforce,
     wt_T_partitions,
@@ -287,3 +288,18 @@ class TestCountOracle:
             wt_T_partitions(0, normalized(100))
         with pytest.raises(ValueError):
             wt_T_partitions(2, SpectrumParams((1, 2, 3), Side.CANONICAL))
+
+
+class TestJumpOracle:
+    def test_reference_values(self):
+        assert jump_partitions(Fraction(5, 4), (2, 8)) == Fraction(-1, 4)
+        assert jump_partitions(Fraction(1, 2), (2, 2, 2, 2)) == Fraction(-15, 16)
+        assert jump_partitions(Fraction(2, 9), (1, 10)) == Fraction(-2, 9)
+
+    def test_guards(self):
+        with pytest.raises(ValueError):
+            jump_partitions(2, (1,) * 10)
+        with pytest.raises(ValueError):
+            jump_partitions(2, ())
+        with pytest.raises(ValueError):
+            jump_partitions(2, (0, 1))
