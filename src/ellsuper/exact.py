@@ -19,10 +19,15 @@ recursions sum over them and tests freeze their output:
   ``oracle.jump_partitions`` still uses it).  Both shuffle enumerations are
   memoized, one entry per block-size tuple actually asked for.
 
+:func:`exp_series_pass` is the one exponential-of-series recurrence behind
+both recursive counts: the CP² counts of :mod:`ellsuper.superpotential` and
+the jumps of :mod:`ellsuper.jumps`.
+
 :func:`remember` stores into a module-level memo dict and keeps it at
 ``CACHE_CAP`` entries by evicting the oldest first; the lattice walks of
-:mod:`ellsuper.orbits`, the ε/η/Ξ morphisms of :mod:`ellsuper.sft` and the
-per-ratio jump tables of :mod:`ellsuper.jumps` are bounded this way.
+:mod:`ellsuper.orbits`, the ε/η/Ξ morphisms of :mod:`ellsuper.sft`, the
+signature-prefix counts of :mod:`ellsuper.superpotential` and the per-ratio
+jump tables of :mod:`ellsuper.jumps` are bounded this way.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "CACHE_CAP",
@@ -45,6 +50,7 @@ __all__ = [
     "aut_size",
     "shuffles",
     "ordered_shuffles",
+    "exp_series_pass",
     "remember",
 ]
 
@@ -168,6 +174,53 @@ def _ordered_shuffles(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
     rec(0, tuple(range(k)), [])
     return tuple(out)
+
+
+def exp_series_pass(steps: Iterable[tuple]) -> dict:
+    """Values v_I = P_I! (N_I - Σ over splittings of I into >= 2 parts), all in one pass.
+
+    Each step is ``(I, w(I), aut(I), splits, P_I, N_I)``, and the steps come
+    in an order where every part of I precedes I.  ``splits`` yields
+    ``(S, I∖S, w(S))`` once for each nonempty proper part S of I, the weight
+    w is additive, and ``P_I = (x, y)`` is a lattice point.  With
+    F_I = v_I / aut(I) u^{P_I} and E = exp(F), Euler's operator gives
+
+        w(I) (E_I - F_I) = Σ_S w(S) F_S E_{I∖S},
+        v_I = P_I! ( N_I - aut(I) Σ_Q [u^Q](E_I - F_I) / Q! ),
+
+    so E_I - F_I comes from smaller parts, then v_I, then E_I.  Zero values
+    add no monomial.  Returns {I: v_I}.
+    """
+    values: dict = {}
+    monomials: dict = {}  # I -> (x, y, c) with F_I = c u^(x, y), c != 0
+    series: dict = {}  # I -> E_I as {(x, y): coefficient}
+    factorial = math.factorial
+    for key, weight, aut, splits, (x_out, y_out), base in steps:
+        scaled: dict[tuple[int, int], Fraction] = {}  # w(I) (E_I - F_I)
+        for sub, complement, sub_weight in splits:
+            mono = monomials.get(sub)
+            if mono is None:
+                continue
+            x_s, y_s, coeff = mono
+            coeff *= sub_weight
+            for (x, y), term in series[complement].items():
+                point = (x + x_s, y + y_s)
+                scaled[point] = scaled.get(point, 0) + coeff * term
+        rest = {point: coeff / weight for point, coeff in scaled.items()}  # E_I - F_I
+        correction = sum(
+            (coeff / (factorial(x) * factorial(y)) for (x, y), coeff in rest.items()),
+            Fraction(0),
+        )
+        if aut != 1:
+            correction *= aut
+        value = factorial(x_out) * factorial(y_out) * (base - correction)
+        values[key] = value
+        if value != 0:
+            coeff = value if aut == 1 else value / aut
+            monomials[key] = (x_out, y_out, coeff)
+            rest[(x_out, y_out)] = rest.get((x_out, y_out), 0) + coeff
+        series[key] = rest
+    return values
 
 
 def remember(cache: dict, key, value):

@@ -20,22 +20,17 @@ k-fold transfer at a.  Three independent routes are implemented:
                  (Γ^{a+}_j)! / (Σ_r Γ^{a+}_{out(B_r)})! * Π_r J(B_r)
 
   with I = (i_1..i_k), j = out(I) as above and out(B) = Σ_{i∈B} i + |B| - 1.
-  The set-partition sum is evaluated as an exponential of series over index
-  multisets.  With F = Σ_B J(B)/aut(B) t^B u^{Γ^{a+}_{out(B)}} over nonempty
-  multisets B (aut(B) = Π (multiplicity)!) and E = exp(F), the sum over
-  partitions into >= 2 blocks is aut(I) [t^I](E - F), so
-
-      J(I) = (Γ^{a+}_j)! * ( 1/(Σ_s Γ^{a-}_{i_s})!
-                             - aut(I) Σ_P [t^I u^P](E - F) / P! ).
-
-  Weighting the index i by i + 1 (so w(I) = out(I) + 1), Euler's operator
-  gives w(I) E_I = Σ_{∅ ≠ S ⊆ I} w(S) F_S E_{I∖S}, the multiset analogue of
-  the count recurrence in :mod:`ellsuper.superpotential`: E_I - F_I comes
-  from smaller multisets, then J(I), then E_I.  One pass at a ratio yields
-  every jump of a down-closed family of multisets, and repeated indices cost
-  nothing extra.  Values are kept per ratio, for at most ``CACHE_CAP``
-  ratios; the set-partition recursion itself is kept as the reference
-  :func:`ellsuper.oracle.jump_partitions`;
+  The set-partition sum is evaluated over index multisets by
+  :func:`ellsuper.exact.exp_series_pass`: the steps are the multisets I of a
+  down-closed family, with weight w(I) = out(I) + 1 (index i weighs i + 1),
+  aut(I) = Π (multiplicity)!, splits into sub-multisets S and I∖S,
+  P_I = Γ^{a+}_{out(I)} and N_I = 1/(Σ_s Γ^{a-}_{i_s})!.  The partitions into
+  >= 2 blocks are aut(I) [t^I](E - F) for F = Σ_B J(B)/aut(B) t^B u^{P_B} and
+  E = exp(F), so one pass at a ratio yields every jump of the family, and
+  repeated indices cost nothing extra.  Values are kept per ratio, for at
+  most ``CACHE_CAP`` ratios, and a ratio's table is replaced rather than
+  grown past ``CACHE_CAP`` multisets.  The set-partition recursion itself is
+  kept as the reference :func:`ellsuper.oracle.jump_partitions`;
 * :func:`jump_via_xi` — direct evaluation through the L-infinity engine.
 
 :func:`support_scan` enumerates every nonzero k >= 2 jump with output index
@@ -48,9 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .exact import aut_size, rational, remember, vec_add, vec_factorial
+from . import exact
+from .exact import aut_size, exp_series_pass, rational, remember, vec_add, vec_factorial
 from .orbits import Side, action, gamma, gamma_points, jump_set, normalized
 from .sft import o_key, single_coefficient, xi
 
@@ -90,10 +86,8 @@ def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     return term_minus - term_plus
 
 
-# ratio a -> {sorted index tuple I: J^a(I)}, at most CACHE_CAP ratios
+# ratio a -> {sorted index tuple I: J^a(I)}, at most CACHE_CAP ratios (see _store)
 _GENERAL_CACHE: dict[Fraction, dict[tuple[int, ...], Fraction]] = {}
-# family of index multisets -> its pass plan (see _plan)
-_PLANS: dict[tuple[tuple[int, ...], ...], tuple] = {}
 
 
 def _sub_multisets(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -109,80 +103,49 @@ def _weight_order(idx: tuple[int, ...]) -> tuple:
     return sum(idx) + len(idx), len(idx), idx
 
 
-def _plan(family: tuple[tuple[int, ...], ...]) -> tuple:
+def _plan(family: Iterable[tuple[int, ...]]) -> list[tuple]:
     """Per multiset I of a down-closed family, in weight order: (I, w(I), aut(I), splits).
 
     The weight of an index i is i + 1, so w(I) = out(I) + 1.  The splits are
     the (S, I∖S, w(S)) for every nonempty proper sub-multiset S; none of
     this depends on the ratio, so one plan serves every ratio.
     """
-    plan = _PLANS.get(family)
-    if plan is not None:
-        return plan
-    steps = []
+    plan = []
     for idx in family:
-        weight = sum(idx) + len(idx)
         splits = []
         for sub in _sub_multisets(idx)[1:-1]:
             rest = list(idx)
             for i in sub:
                 rest.remove(i)
             splits.append((sub, tuple(rest), sum(sub) + len(sub)))
-        steps.append((idx, weight, aut_size(idx), tuple(splits)))
-    return remember(_PLANS, family, tuple(steps))
+        plan.append((idx, sum(idx) + len(idx), aut_size(idx), tuple(splits)))
+    return plan
 
 
-def _ratio_pass(a: Fraction, family: tuple[tuple[int, ...], ...]) -> dict[tuple[int, ...], Fraction]:
-    """J^a(I) for every multiset I of a down-closed family, in one exp-series pass.
+def _ratio_pass(a: Fraction, plan: list[tuple]) -> dict[tuple[int, ...], Fraction]:
+    """J^a(I) for every multiset I of a plan, in one :func:`exact.exp_series_pass`.
 
-    F carries J(B)/aut(B) t^B u^{Γ⁺_{out(B)}} and E = exp(F); the Euler
-    identity w(I) (E_I - F_I) = Σ_{S ⊊ I} w(S) F_S E_{I∖S} gives the
-    many-block part of E_I from smaller multisets, then J(I), then E_I.
+    The pass gets P_I = Γ⁺_{out(I)} and N_I = 1/(Σ_s Γ⁻_{i_s})!.
     """
     minus, plus = _sides(a)
-    plan = _plan(family)
-    top_index = max(max(idx) for idx in family)
-    top_out = max(weight for _, weight, _, _ in plan) - 1
-    g_minus = gamma_points(minus, range(top_index + 1))
-    g_plus = gamma_points(plus, range(top_out + 1))
-    values: dict[tuple[int, ...], Fraction] = {}
-    monomials: dict[tuple[int, ...], tuple[int, int, Fraction]] = {}  # F_B = c u^(x, y), c != 0
-    series: dict[tuple[int, ...], dict[tuple[int, int], Fraction]] = {}  # E_B
+    g_minus = gamma_points(minus, range(max(max(step[0]) for step in plan) + 1))
+    g_plus = gamma_points(plus, range(plan[-1][1]))
+    steps = []
     for idx, weight, aut, splits in plan:
-        scaled: dict[tuple[int, int], Fraction] = {}  # w(I) (E_I - F_I)
-        for sub, complement, sub_weight in splits:
-            mono = monomials.get(sub)
-            if mono is None:
-                continue
-            x_s, y_s, coeff = mono
-            coeff *= sub_weight
-            for (x, y), term in series[complement].items():
-                key = (x + x_s, y + y_s)
-                scaled[key] = scaled.get(key, 0) + coeff * term
-        x_out, y_out = g_plus[weight - 1]
-        numerator = math.factorial(x_out) * math.factorial(y_out)
         x_in = sum(g_minus[i][0] for i in idx)
         y_in = sum(g_minus[i][1] for i in idx)
-        correction = sum(
-            (coeff / (math.factorial(x) * math.factorial(y)) for (x, y), coeff in scaled.items()),
-            Fraction(0),
-        )
-        value = numerator * (
-            Fraction(1, math.factorial(x_in) * math.factorial(y_in)) - aut * correction / weight
-        )
-        values[idx] = value
-        exp_term = {key: coeff / weight for key, coeff in scaled.items()}  # E_I - F_I
-        if value != 0:
-            monomials[idx] = (x_out, y_out, value / aut)
-            exp_term[(x_out, y_out)] = exp_term.get((x_out, y_out), 0) + value / aut
-        series[idx] = exp_term
-    return values
+        base = Fraction(1, math.factorial(x_in) * math.factorial(y_in))
+        steps.append((idx, weight, aut, splits, g_plus[weight - 1], base))
+    return exp_series_pass(steps)
 
 
 def _store(a: Fraction, values: dict[tuple[int, ...], Fraction]) -> None:
+    """Merge one pass into the ratio's table, or replace a table that would outgrow the cap."""
     table = _GENERAL_CACHE.get(a)
     if table is None:
         remember(_GENERAL_CACHE, a, values)
+    elif len(table) + len(values) > exact.CACHE_CAP:
+        _GENERAL_CACHE[a] = values
     else:
         table.update(values)
 
@@ -200,7 +163,7 @@ def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     table = _GENERAL_CACHE.get(a)
     if table is not None and idx in table:
         return table[idx]
-    values = _ratio_pass(a, tuple(sorted(_sub_multisets(idx)[1:], key=_weight_order)))
+    values = _ratio_pass(a, _plan(sorted(_sub_multisets(idx)[1:], key=_weight_order)))
     _store(a, values)
     return values[idx]
 
@@ -251,13 +214,13 @@ def support_scan(bound: int) -> tuple[ScanHit, ...]:
     """
     if bound < 3:
         return ()
-    family = _scan_family(bound)
+    plan = _plan(_scan_family(bound))
     ratios: set[Fraction] = set()
     for s in range(1, bound + 1):
         ratios.update(jump_set(s))
     hits: list[ScanHit] = []
     for a in sorted(ratios):
-        values = _ratio_pass(a, family)
+        values = _ratio_pass(a, plan)
         _store(a, values)
         at_a = normalized(a)
         for idx, value in values.items():

@@ -56,7 +56,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import LatticePoint, rational, remember
+from .exact import LatticePoint, format_rational, rational, remember
 
 __all__ = [
     "Side",
@@ -125,8 +125,6 @@ class SpectrumParams:
         return len(self.a)
 
     def describe(self) -> str:
-        from .exact import format_rational
-
         return ",".join(format_rational(x) for x in self.a) + self.side.suffix()
 
 

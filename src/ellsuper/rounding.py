@@ -56,7 +56,6 @@ __all__ = [
     "beta_key",
     "v_generators",
     "v_algebra",
-    "v_ell",
     "tilde_epsilon",
     "psi_map",
     "verify_aug",
@@ -125,11 +124,6 @@ _V_ALGEBRA = LinfStructure(v_generators(), _v_rule, arities=(1, 2))
 def v_algebra() -> LinfStructure:
     """The structure above (one instance, shared module-wide)."""
     return _V_ALGEBRA
-
-
-def v_ell(k: int, word: Word) -> Combination:
-    """Level map l^k of the rounding algebra on a canonical word."""
-    return v_algebra().level(k, word)
 
 
 def _tilde_rule(k: int, word: Word) -> Combination:

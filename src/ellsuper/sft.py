@@ -35,9 +35,7 @@ from .linf import (
     GeneratorSet,
     Key,
     LinfMorphism,
-    LinfStructure,
     Word,
-    abelian,
     compose,
     identity_morphism,
     invert,
@@ -50,9 +48,7 @@ __all__ = [
     "o_key",
     "q_key",
     "ca_generators",
-    "ca_algebra",
     "co_generators",
-    "co_algebra",
     "epsilon",
     "eta",
     "xi",
@@ -91,17 +87,9 @@ def ca_generators(params: SpectrumParams) -> GeneratorSet:
     return GeneratorSet("Ca", lambda key: _orbit_degree("o", key))
 
 
-def ca_algebra(params: SpectrumParams) -> LinfStructure:
-    return abelian(ca_generators(params))
-
-
 def co_generators() -> GeneratorSet:
     """Unfiltered generators q_k (the target of the descendant morphism)."""
     return GeneratorSet("Co", lambda key: _orbit_degree("q", key))
-
-
-def co_algebra() -> LinfStructure:
-    return abelian(co_generators())
 
 
 # filled through ``remember``, so each keeps at most ``exact.CACHE_CAP`` morphisms

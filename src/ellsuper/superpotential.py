@@ -16,16 +16,13 @@ For CP^2, classes are degrees d, N_d = 1/(d!)^3 (a special case of the Fano
 toric formula N_A = Π_i 1/(A·D_i)!), and decompositions are partitions of d.
 T̃_d therefore depends on a only through the Γ-signature
 ((x_e, y_e))_{e <= d} = (Γ_{3e-1})_{e <= d}.  Summed over all partitions the
-recursion has p(d) terms; instead it is evaluated as an exponential of power
-series in (u, v).  With S_e = T̃_e u^{x_e} v^{y_e}, E_0 = 1 and E = exp(Σ S_e),
-
-    E_n - S_n = (1/n) Σ_{k<n} k S_k E_{n-k}
-    T̃_n = x_n! y_n! ( 1/(n!)^3 - Σ_{X,Y} [u^X v^Y](E_n - S_n) / (X! Y!) ),
-
-which is polynomial in d.  One evaluation yields T̃_1..T̃_d, and each value is
-cached under its signature prefix, so parameters with the same signature share
-one entry.  The partition sum itself is kept as the reference
-:func:`ellsuper.oracle.wt_T_partitions`.
+recursion has p(d) terms; instead :func:`ellsuper.exact.exp_series_pass`
+evaluates it as an exponential of power series, with steps n = 1..d of weight
+n, aut 1, splits n = k + (n - k), P_n = Γ_{3n-1} and N_n = 1/(n!)^3.  That is
+polynomial in d, and one pass yields T̃_1..T̃_d.  Each value is cached under
+its signature prefix (at most ``CACHE_CAP`` prefixes), so parameters with the
+same signature share one entry.  The partition sum itself is kept as the
+reference :func:`ellsuper.oracle.wt_T_partitions`.
 
 "Infinite" parameters mean any a > 3d - 1, where every lattice path is
 horizontal (the signature ((3e - 1, 0))_{e <= d}); there the generating
@@ -45,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exact import LatticePoint, partitions, rational
+from .exact import LatticePoint, exp_series_pass, partitions, rational, remember
 from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma_points, jump_set, normalized
 from .report import Report
 
@@ -103,7 +100,7 @@ class CP2Target:
         return partitions(self._check(label))
 
 
-# Γ-signature prefix ((x_e, y_e))_{e <= d} -> T̃_d
+# Γ-signature prefix ((x_e, y_e))_{e <= d} -> T̃_d, at most CACHE_CAP entries
 _WT_CACHE: dict[tuple[LatticePoint, ...], Fraction] = {}
 
 
@@ -112,33 +109,14 @@ def _signature_count(signature: tuple[LatticePoint, ...]) -> Fraction:
     cached = _WT_CACHE.get(signature)
     if cached is not None:
         return cached
-    series: list[tuple[Fraction, int, int]] = [(Fraction(0), 0, 0)]  # S_k = (T̃_k, x_k, y_k)
-    exp_terms: list[dict[tuple[int, int], Fraction]] = [{(0, 0): Fraction(1)}]  # E_n
-    value = Fraction(0)
-    for n, (x_n, y_n) in enumerate(signature, start=1):
-        scaled: dict[tuple[int, int], Fraction] = {}  # n * (E_n - S_n)
-        for k in range(1, n):
-            count, x_k, y_k = series[k]
-            if count == 0:
-                continue
-            weight = k * count
-            for (x, y), coeff in exp_terms[n - k].items():
-                key = (x + x_k, y + y_k)
-                scaled[key] = scaled.get(key, 0) + weight * coeff
-        rest = {key: coeff / n for key, coeff in scaled.items()}  # E_n - S_n
-        correction = sum(
-            (coeff / (math.factorial(x) * math.factorial(y)) for (x, y), coeff in rest.items()),
-            Fraction(0),
-        )
-        value = math.factorial(x_n) * math.factorial(y_n) * (
-            Fraction(1, math.factorial(n) ** 3) - correction
-        )
-        _WT_CACHE[signature[:n]] = value
-        series.append((value, x_n, y_n))
-        if value != 0:
-            rest[(x_n, y_n)] = rest.get((x_n, y_n), 0) + value
-        exp_terms.append(rest)
-    return value
+    steps = []
+    for n, point in enumerate(signature, start=1):
+        splits = zip(range(1, n), range(n - 1, 0, -1), range(1, n))  # (k, n - k, w(k) = k)
+        steps.append((n, n, 1, splits, point, Fraction(1, math.factorial(n) ** 3)))
+    values = exp_series_pass(steps)
+    for n in range(1, len(signature) + 1):
+        remember(_WT_CACHE, signature[:n], values[n])
+    return values[len(signature)]
 
 
 def _degree(target: CP2Target, label: object, params: SpectrumParams) -> int:

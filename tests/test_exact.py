@@ -6,6 +6,7 @@ stay here beside the production enumerations they complement.
 """
 
 import math
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from ellsuper.exact import (
     aut_size,
+    exp_series_pass,
     ordered_shuffles,
     partitions,
     rational,
@@ -102,6 +104,49 @@ class TestAutSize:
 
     def test_works_on_any_hashable_labels(self):
         assert aut_size(("x", "x", "y")) == 2
+
+
+def multiplicity_steps(top, weights, base):
+    """Steps over multisets of len(top) index kinds, keyed by multiplicity vectors m <= top."""
+
+    def weight(m):
+        return sum(w * x for w, x in zip(weights, m))
+
+    keys = sorted(product(*(range(t + 1) for t in top)), key=weight)[1:]
+    steps = []
+    for m in keys:
+        splits = tuple(
+            (s, tuple(x - y for x, y in zip(m, s)), weight(s))
+            for s in product(*(range(x + 1) for x in m))
+            if any(s) and s != m
+        )
+        aut = math.prod(math.factorial(x) for x in m)
+        steps.append((m, weight(m), aut, splits, (0, 0), base(m)))
+    return steps
+
+
+class TestExpSeriesPass:
+    def test_single_step_is_factorial_times_base(self):
+        assert exp_series_pass([("I", 1, 1, (), (3, 2), Fraction(1, 7))]) == {"I": Fraction(12, 7)}
+
+    def test_logarithm_of_geometric_series(self):
+        # E = 1/(1 - t) forces F = -log(1 - t) = Σ t^n / n
+        steps = [
+            (n, n, 1, tuple((k, n - k, k) for k in range(1, n)), (0, 0), Fraction(1)) for n in range(1, 9)
+        ]
+        assert exp_series_pass(steps) == {n: Fraction(1, n) for n in range(1, 9)}
+
+    def test_multisets_of_unit_blocks(self):
+        # N = 1 on every multiset makes E = exp(t_1 + t_2): only the singletons survive
+        values = exp_series_pass(multiplicity_steps((3, 2), (2, 3), lambda m: Fraction(1)))
+        assert values == {m: Fraction(int(sum(m) == 1)) for m in values}
+        assert len(values) == 11
+
+    def test_zero_values_add_no_monomial(self):
+        steps = [
+            (n, n, 1, tuple((k, n - k, k) for k in range(1, n)), (n, 0), Fraction(0)) for n in range(1, 6)
+        ]
+        assert set(exp_series_pass(steps).values()) == {0}
 
 
 class TestShuffles:

@@ -24,6 +24,7 @@ CASES = [
     ("superpotential_d12_a13-2plus.json", ["superpotential", "--d", "12", "--a", "13/2+"]),
     ("superpotential_d9_inf.json", ["superpotential", "--d", "9", "--a", "inf"]),
     ("table_d8_refine.json", ["table", "--d", "8", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
+    ("table_d14_refine.json", ["table", "--d", "14", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
     (
         "table_d8_refine.csv",
         ["table", "--d", "8", "--min", "1", "--max", "inf", "--refine-orbit-id", "--format", "csv"],

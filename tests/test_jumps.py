@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellsuper import jumps
+from ellsuper import exact, jumps
 from ellsuper.exact import CACHE_CAP
 from ellsuper.jumps import (
     ScanHit,
@@ -116,6 +116,15 @@ class TestGeneralCache:
         assert first not in jumps._GENERAL_CACHE
         assert ratios[-1] in jumps._GENERAL_CACHE
         assert jump_general(first, (2, 8)) == Fraction(-1, 4)
+
+    def test_one_ratio_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(exact, "CACHE_CAP", 16)
+        a = Fraction(2)
+        jumps._GENERAL_CACHE.pop(a, None)
+        for i in range(1, 60):
+            assert jump_general(a, (1, i)) == jump_pants(a, 1, i)
+            assert len(jumps._GENERAL_CACHE[a]) <= exact.CACHE_CAP
+        assert jumps._GENERAL_CACHE[a][(1, 59)] == jump_pants(a, 1, 59)
 
     def test_table_holds_every_sub_multiset(self):
         a = Fraction(7, 3)

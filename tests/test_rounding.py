@@ -22,7 +22,6 @@ from ellsuper.rounding import (
     structure_window_check,
     tilde_epsilon,
     v_algebra,
-    v_ell,
     v_generators,
     verify_aug,
 )
@@ -57,39 +56,39 @@ class TestGenerators:
 
 class TestLevelMaps:
     def test_differential_of_alpha(self):
-        assert v_ell(1, w(alpha_key(1, 1))) == Combination.single(
+        assert v_algebra().level(1, w(alpha_key(1, 1))) == Combination.single(
             w(beta_key(0, 1))
         ) - Combination.single(w(beta_key(1, 0)))
 
     def test_differential_drops_zero_coefficients(self):
         # l1(alpha_{1,2}) = 2 beta_{0,2} - 1 beta_{1,1}; both substripts valid.
-        assert v_ell(1, w(alpha_key(1, 2))) == 2 * Combination.single(
+        assert v_algebra().level(1, w(alpha_key(1, 2))) == 2 * Combination.single(
             w(beta_key(0, 2))
         ) - Combination.single(w(beta_key(1, 1)))
 
     def test_differential_of_beta_vanishes(self):
-        assert v_ell(1, w(beta_key(2, 1))) == Combination.zero()
+        assert v_algebra().level(1, w(beta_key(2, 1))) == Combination.zero()
 
     def test_bracket_alpha_alpha(self):
         # (il - jk) alpha_{i+k, j+l} on (1,2),(2,1): 1*1 - 2*2 = -3.
-        assert v_ell(2, w(alpha_key(1, 2), alpha_key(2, 1))) == Combination.single(
+        assert v_algebra().level(2, w(alpha_key(1, 2), alpha_key(2, 1))) == Combination.single(
             w(alpha_key(3, 3)), -3
         )
 
     def test_bracket_with_vanishing_determinant(self):
-        assert v_ell(2, w(alpha_key(1, 1), alpha_key(2, 2))) == Combination.zero()
+        assert v_algebra().level(2, w(alpha_key(1, 1), alpha_key(2, 2))) == Combination.zero()
 
     def test_bracket_alpha_beta(self):
         # (il - jk) beta_{i+k, j+l} on alpha_{1,1}, beta_{1,0}: -1.
-        assert v_ell(2, w(alpha_key(1, 1), beta_key(1, 0))) == Combination.single(
+        assert v_algebra().level(2, w(alpha_key(1, 1), beta_key(1, 0))) == Combination.single(
             w(beta_key(2, 1)), -1
         )
 
     def test_bracket_beta_beta_vanishes(self):
-        assert v_ell(2, w(beta_key(1, 0), beta_key(0, 1))) == Combination.zero()
+        assert v_algebra().level(2, w(beta_key(1, 0), beta_key(0, 1))) == Combination.zero()
 
     def test_higher_levels_vanish(self):
-        assert v_ell(
+        assert v_algebra().level(
             3, w(alpha_key(1, 1), alpha_key(1, 2), beta_key(1, 0))
         ) == Combination.zero()
 

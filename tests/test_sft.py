@@ -8,13 +8,12 @@ import pytest
 from ellsuper import sft
 from ellsuper.exact import CACHE_CAP
 from ellsuper.jumps import jump_general, jump_via_xi
-from ellsuper.linf import Combination, Word, compose, morphisms_agree
+from ellsuper.linf import Combination, Word, abelian, compose, morphisms_agree
 from ellsuper.orbits import Side, action, normalized
 from ellsuper.sft import (
     MCElement,
-    ca_algebra,
     ca_generators,
-    co_algebra,
+    co_generators,
     epsilon,
     eta,
     exp_mc,
@@ -43,7 +42,7 @@ class TestGenerators:
         ca = ca_generators(p)
         for k in (1, 2, 7):
             assert ca.degree(o_key(k)) == -2 - 2 * k
-        co = co_algebra().generators
+        co = co_generators()
         assert co.degree(q_key(3)) == -8
 
     def test_bad_keys_rejected(self):
@@ -56,8 +55,8 @@ class TestGenerators:
     def test_algebras_are_abelian(self):
         p = normalized(2, Side.MINUS)
         for structure, w in (
-            (ca_algebra(p), o_word(1, 2)),
-            (co_algebra(), q_word(1, 1, 2)),
+            (abelian(ca_generators(p)), o_word(1, 2)),
+            (abelian(co_generators()), q_word(1, 1, 2)),
         ):
             assert structure.level(len(w), w) == Combination.zero()
 
@@ -95,7 +94,7 @@ class TestEpsilon:
         p = normalized(2, Side.PLUS)
         eps = epsilon(p)
         ca = ca_generators(p)
-        co = co_algebra().generators
+        co = co_generators()
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(range(1, 5), k):
                 w = o_word(*combo)

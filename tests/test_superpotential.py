@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from ellsuper import superpotential
+from ellsuper.exact import CACHE_CAP
 from ellsuper.linf import Word
 from ellsuper.orbits import (
     Side,
@@ -83,6 +85,24 @@ class TestWtT:
         plus = wt_T(CP2, 5, normalized("13/2", Side.PLUS))
         minus = wt_T(CP2, 5, normalized("13/2", Side.MINUS))
         assert (plus, minus) == (13, 2)
+
+
+class TestSignatureCache:
+    def test_cache_is_bounded_and_counts_survive(self, monkeypatch):
+        monkeypatch.setattr(superpotential, "_WT_CACHE", {})
+        side = math.isqrt(CACHE_CAP + 10) + 1
+        points = [(x, y) for x in range(side) for y in range(side)][: CACHE_CAP + 10]
+        for x, y in points:  # one-degree signatures: T̃_1 = x! y!
+            assert superpotential._signature_count(((x, y),)) == math.factorial(x) * math.factorial(y)
+        assert len(superpotential._WT_CACHE) <= CACHE_CAP
+        assert (points[0],) not in superpotential._WT_CACHE
+        assert wt_T(CP2, 5, normalized("13/2", Side.PLUS)) == 13
+
+    def test_every_prefix_is_cached(self, monkeypatch):
+        monkeypatch.setattr(superpotential, "_WT_CACHE", {})
+        wt_T_infinity(4)
+        prefixes = {tuple((3 * e - 1, 0) for e in range(1, d + 1)) for d in range(1, 5)}
+        assert set(superpotential._WT_CACHE) == prefixes
 
 
 class TestInfinity:
