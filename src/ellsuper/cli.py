@@ -14,7 +14,10 @@ is (the closed form for one index), so only the width is capped.
 ``spectrum --count N`` shares the cap: N above it exits 1.  Both commands
 read their rows from one unmemoized integer walk.
 ``check --suite jumps --bound B`` exits 1 above ``JUMPS_MAX_BOUND`` (20), where
-the support scan already takes seconds and tens of MB.
+the support scan already takes seconds and tens of MB; ``check --suite linf
+--bound B`` exits 1 above ``LINF_MAX_BOUND`` (6), where the inverse checks
+already take seconds and every further letter multiplies their words.  Both
+caps are checked before any check starts.
 
 Ellipsoid parameters are given with ``--a`` as comma-separated rationals; the
 tie-breaking side can be attached as a trailing ``+``/``-`` (e.g. ``13/2+``)
@@ -61,8 +64,9 @@ __all__ = ["main"]
 
 # widest ``gamma --k lo..hi`` range, in indices, and largest ``spectrum --count``
 GAMMA_MAX_WIDTH = 100_000
-# largest ``check --suite jumps --bound``
+# largest ``check --suite jumps --bound`` and ``check --suite linf --bound``
 JUMPS_MAX_BOUND = 20
+LINF_MAX_BOUND = 6
 
 
 class CLIError(Exception):
@@ -430,8 +434,9 @@ def _suite_jumps(bound: int) -> Report:
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if args.bound is not None and args.bound < 1:
         raise CLIError(f"--bound must be >= 1, got {args.bound}")
-    if args.suite == "jumps" and args.bound is not None and args.bound > JUMPS_MAX_BOUND:
-        raise CLIError(f"--bound {args.bound} is too large for the jumps suite; the cap is {JUMPS_MAX_BOUND}")
+    cap = {"jumps": JUMPS_MAX_BOUND, "linf": LINF_MAX_BOUND}.get(args.suite)
+    if cap is not None and args.bound is not None and args.bound > cap:
+        raise CLIError(f"--bound {args.bound} is too large for the {args.suite} suite; the cap is {cap}")
     suites = {
         "gamma": lambda: _suite_gamma(args.bound if args.bound is not None else 50),
         "linf": lambda: _suite_linf(args.bound if args.bound is not None else 3),

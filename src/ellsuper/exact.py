@@ -11,13 +11,10 @@ The enumeration helpers are all deterministic and ordered, since downstream
 recursions sum over them and tests freeze their output:
 
 * :func:`partitions` — weakly decreasing positive parts, descending lex;
-* :func:`shuffles` — (p, q)-shuffles as position permutations;
-* :func:`ordered_shuffles` — block-increasing permutations for ascending block
-  sizes, one representative per set partition with those block sizes; on
-  the production path it now serves only ``LinfMorphism._extend`` (the jumps
-  sum over index multisets instead; the set-partition jump recursion
-  ``oracle.jump_partitions`` still uses it).  Both shuffle enumerations are
-  memoized, one entry per block-size tuple actually asked for.
+* :func:`shuffles` — (p, q)-shuffles as position permutations, memoized
+  per (p, q).  Both L∞ extensions sum over them: the coderivation over its
+  head blocks, the cofunctor extension over the blocks holding the first
+  letter.
 
 :func:`exp_series_pass` is the one exponential-of-series recurrence behind
 both recursive counts: the CP² counts of :mod:`ellsuper.superpotential` and
@@ -49,7 +46,6 @@ __all__ = [
     "partitions",
     "aut_size",
     "shuffles",
-    "ordered_shuffles",
     "exp_series_pass",
     "remember",
 ]
@@ -131,48 +127,6 @@ def shuffles(p: int, q: int) -> tuple[tuple[int, ...], ...]:
         head_set = set(head)
         tail = tuple(x for x in range(k) if x not in head_set)
         out.append(head + tail)
-    return tuple(out)
-
-
-def ordered_shuffles(sizes: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Block-increasing permutations for ascending block sizes, blocks canonical.
-
-    ``sizes`` must be weakly increasing positive integers summing to k.  Each
-    returned permutation lists the blocks consecutively, ascending within each
-    block, with equal-size blocks ordered by their minimum element.  This
-    enumerates each set partition with the given block-size multiset exactly
-    once, so
-
-        len(ordered_shuffles(sizes)) * prod(mult! over repeated sizes)
-            = multinomial(k; sizes).
-    """
-    return _ordered_shuffles(tuple(sizes))
-
-
-@cache
-def _ordered_shuffles(sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    if not sizes or any(s <= 0 for s in sizes):
-        raise ValueError("block sizes must be positive")
-    if any(sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1)):
-        raise ValueError("block sizes must be weakly increasing")
-    k = sum(sizes)
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, remaining: tuple[int, ...], acc: list[tuple[int, ...]]) -> None:
-        if idx == len(sizes):
-            out.append(tuple(x for block in acc for x in block))
-            return
-        size = sizes[idx]
-        for block in combinations(remaining, size):
-            if idx > 0 and sizes[idx - 1] == size and not acc[-1][0] < block[0]:
-                continue
-            block_set = set(block)
-            rest = tuple(x for x in remaining if x not in block_set)
-            acc.append(block)
-            rec(idx + 1, rest, acc)
-            acc.pop()
-
-    rec(0, tuple(range(k)), [])
     return tuple(out)
 
 

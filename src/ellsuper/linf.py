@@ -22,10 +22,11 @@ Operations
 * :func:`extend_coderivation` — the coderivation extension
   l̂(v_1 ⊙ ... ⊙ v_k) = Σ_i Σ_{(i, k-i)-shuffles} ± l^i(block) ⊙ rest,
   over the declared arities i only.
-* :meth:`LinfMorphism.extend` — the cofunctor extension
-  φ̂(w) = Σ over block-size multisets and block-ordered shuffles of
-  ± (φ^{k_1} ⊙ ... ⊙ φ^{k_s})(σ·w); equal-size blocks are enumerated once in
-  canonical order (the same sum as over all set partitions of the letters).
+* :meth:`LinfMorphism.extend` — the cofunctor extension, a sum over the set
+  partitions of the letters with blocks ordered by their first letter,
+  computed by recursion on the block B that holds the first letter:
+  φ̂(w) = Σ_{B ∋ w_0} ± φ^{|B|}(w_B) ⊙ φ̂(w∖B).  The rest of a canonical
+  word is canonical, so φ̂(w∖B) is a memoized sub-word of w.
 * :func:`compose` — (G ∘ F)^k(w) = Σ_{u ∈ F̂(w)} coeff · G^{|u|}(u).
 * :func:`invert` — levelwise inverse of a morphism whose φ^1 is diagonal on
   basis generators: H^1 inverts the diagonal, and for k >= 2
@@ -37,12 +38,15 @@ Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word.
 
 Signs come from parity counts: each word's letter parities are computed
-once, and a shuffle sign is (-1) to the number of crossings of two odd
-letters, counted directly rather than by sorting.  In the coderivation the
-output letter of l^i is inserted into the already canonical rest by
-bisection, crossing exactly the rest letters smaller than it.  Both
-extensions therefore require canonical input: a word whose keys are not
-sorted raises ValueError (:func:`canonical_word` sorts arbitrary keys).
+once, and the sign of pulling a head block to the front is (-1) to the
+number of crossings of two odd letters, counted directly rather than by
+sorting; both extensions share that count.  In the coderivation the output
+letter of l^i is inserted into the already canonical rest by bisection,
+crossing exactly the rest letters smaller than it; in the cofunctor
+extension the letter of φ^{|B|} is sorted into each term of φ̂(w∖B) by
+:func:`canonical_word`.  Both extensions therefore require canonical input:
+a word whose keys are not sorted raises ValueError (:func:`canonical_word`
+sorts arbitrary keys).
 
 Level maps are required to land in single generators (length-one words);
 this holds for every structure in this package and keeps extensions small.
@@ -52,11 +56,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
 from operator import le
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .exact import ordered_shuffles, partitions, shuffles
+from .exact import shuffles
 from .report import Report
 
 __all__ = [
@@ -248,15 +251,30 @@ def _require_canonical(word: Word) -> None:
         raise ValueError(f"word {word!r} is not canonical: its keys must be sorted")
 
 
-def _odd_crossings(sigma: Sequence[int], odd: Sequence[int]) -> int:
-    """Pairs of odd letters that sigma moves past each other."""
-    positions = [p for p in sigma if odd[p]]
-    return sum(
-        1
-        for s in range(len(positions))
-        for t in range(s + 1, len(positions))
-        if positions[s] > positions[t]
-    )
+def _parities(degree: Callable[[Key], int], word: Word) -> tuple[list[int], list[int]]:
+    """Letter parities of a word, and the count of odd letters before each position."""
+    odd = [degree(key) & 1 for key in word]
+    odd_before = [0]
+    for parity in odd:
+        odd_before.append(odd_before[-1] + parity)
+    return odd, odd_before
+
+
+def _head_crossings(head: Sequence[int], odd: Sequence[int], odd_before: Sequence[int]) -> int:
+    """Crossings of two odd letters when the ascending positions ``head`` move to the front.
+
+    Each odd head letter crosses the odd letters before it that stay behind.
+    """
+    crossings = 0
+    seen = 0
+    for p in head:
+        if odd[p]:
+            crossings += odd_before[p] - seen
+            seen += 1
+    return crossings
+
+
+_EMPTY = Combination.single(())  # φ̂ of the empty rest: the unit word
 
 
 class LinfMorphism:
@@ -290,40 +308,28 @@ class LinfMorphism:
         return cached
 
     def _extend(self, word: Word) -> Combination:
+        """φ̂(w) = Σ ± φ^{|B|}(w_B) ⊙ φ̂(w∖B) over the blocks B holding position 0."""
         k = len(word)
         if k == 0:
             raise ValueError("words must be nonempty")
         _require_canonical(word)
-        odd = [self.source.degree(key) & 1 for key in word]
-        signed = sum(odd) >= 2  # with fewer odd letters every sign is +1
+        odd, odd_before = _parities(self.source.degree, word)
         out: dict[Word, Fraction] = {}
-        for desc_sizes in partitions(k):
-            sizes = tuple(reversed(desc_sizes))  # ascending block sizes
-            for sigma in ordered_shuffles(sizes):
-                shuffle_sign = -1 if signed and _odd_crossings(sigma, odd) & 1 else 1
-                block_values: list[Combination] = []
-                pos = 0
-                for size in sizes:
-                    block = sigma[pos:pos + size]
-                    pos += size
-                    block_word = tuple(word[p] for p in block)
-                    value = self.level(size, block_word)
-                    if not value:
-                        block_values = []
-                        break
-                    block_values.append(value)
-                if not block_values:
+        for size in range(1, k + 1):
+            for sigma in shuffles(size - 1, k - size):
+                head = (0,) + tuple([p + 1 for p in sigma[:size - 1]])
+                value = self.level(size, tuple([word[p] for p in head]))
+                if not value:
                     continue
-                for chosen in product(*(v.terms() for v in block_values)):
-                    coeff = Fraction(shuffle_sign)
-                    letters = []
-                    for out_word, c in chosen:
-                        coeff *= c
-                        letters.append(_single_letter(out_word))
-                    target_word, sort_sign = canonical_word(self.target, letters)
-                    if target_word is None:
-                        continue
-                    _accumulate(out, target_word, coeff * sort_sign)
+                sign = -1 if _head_crossings(head, odd, odd_before) & 1 else 1
+                tail = tuple([word[p + 1] for p in sigma[size - 1:]])
+                rest = self.extend(tail) if tail else _EMPTY
+                for out_word, coeff in value.terms():
+                    letter = (_single_letter(out_word),)
+                    for u, d in rest.terms():
+                        target_word, sort_sign = canonical_word(self.target, letter + u)
+                        if target_word is not None:
+                            _accumulate(out, target_word, sign * sort_sign * coeff * d)
         return Combination(out)
 
 
@@ -340,10 +346,7 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
         raise ValueError("words must be nonempty")
     _require_canonical(word)
     degree = structure.generators.degree
-    odd = [degree(key) & 1 for key in word]
-    odd_before = [0]  # odd_before[p]: odd letters at positions < p
-    for parity in odd:
-        odd_before.append(odd_before[-1] + parity)
+    odd, odd_before = _parities(degree, word)
     # a rest holding a repeated odd letter is zero (only in non-reduced words)
     repeats = any(odd[p] and word[p] == word[p + 1] for p in range(k - 1))
     out: dict[Word, Fraction] = {}
@@ -361,12 +364,7 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
                 odd[rest[t]] and rest_word[t] == rest_word[t + 1] for t in range(k - i - 1)
             ):
                 continue
-            crossings = 0  # odd rest letters before each odd head letter
-            seen = 0
-            for p in head:
-                if odd[p]:
-                    crossings += odd_before[p] - seen
-                    seen += 1
+            crossings = _head_crossings(head, odd, odd_before)
             for out_word, coeff in value.terms():
                 letter = _single_letter(out_word)
                 at = bisect_left(rest_word, letter)

@@ -7,9 +7,9 @@ and exists only to validate the production code path:
   over *all* compositions of k (the greedy walk never enters);
 * :func:`merge_spectrum` — the ordered spectrum via a lazy heap merge of the
   per-axis action streams (again independent of the walk);
-* :func:`morphism_bruteforce` — the cofunctor extension as a sum over all set
-  partitions of the letter positions with explicit Koszul signs, bypassing
-  the block-ordered shuffle enumeration;
+* :func:`morphism_bruteforce` — the cofunctor extension as one sum over all
+  set partitions of the letter positions with explicit Koszul signs, instead
+  of the production recursion on the block that holds the first letter;
 * :func:`coderivation_bruteforce` — the coderivation extension as a sum over
   every subset of letter positions at every arity, with explicit Koszul signs
   and a full re-sort of each output word, ignoring declared arities;
@@ -28,6 +28,10 @@ path calls them:
   letters (each crossing of two odd letters contributes -1); the production
   engine counts parities instead.
 
+Both L∞ oracles sort their output letters themselves (``sorted`` plus
+:func:`koszul_sign`, dropping a repeated odd letter), so they take only the
+types of :mod:`ellsuper.linf` and none of its sign code.
+
 The symbolic perturbation itself (:class:`~ellsuper.orbits.DualRational`,
 ``perturbed_value``) lives beside the spectrum in :mod:`ellsuper.orbits`.
 Input sizes are hard-guarded: these routines are intentionally exponential.
@@ -41,8 +45,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .exact import LatticePoint, aut_size, ordered_shuffles, partitions, rational, vec_add, vec_factorial
-from .linf import Combination, LinfMorphism, LinfStructure, Word, canonical_word
+from .exact import LatticePoint, aut_size, partitions, rational, vec_add, vec_factorial
+from .linf import Combination, GeneratorSet, LinfMorphism, LinfStructure, Word
 from .orbits import DualRational, OrbitId, Side, SpectrumParams, gamma, gamma_points, normalized, perturbed_value
 
 __all__ = [
@@ -117,6 +121,16 @@ def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
             if sigma[s] > sigma[t] and degrees[sigma[s]] % 2 and degrees[sigma[t]] % 2:
                 sign = -sign
     return sign
+
+
+def _sorted_word(generators: GeneratorSet, letters: Sequence) -> tuple[Word | None, int]:
+    """The letters sorted, with the Koszul sign of the sort; (None, 0) on a repeated odd letter."""
+    degrees = [generators.degree(key) for key in letters]
+    order = sorted(range(len(letters)), key=letters.__getitem__)
+    word = tuple(letters[i] for i in order)
+    if any(word[i] == word[i + 1] and degrees[order[i]] % 2 for i in range(len(word) - 1)):
+        return None, 0
+    return word, koszul_sign(order, degrees)
 
 
 def gamma_bruteforce(params: SpectrumParams, k: int) -> LatticePoint:
@@ -199,7 +213,7 @@ def morphism_bruteforce(morphism: LinfMorphism, word: Word) -> Combination:
                 for w, c in factor.terms()
             ]
         for letters, coeff in partial:
-            out_word, sort_sign = canonical_word(morphism.target, letters)
+            out_word, sort_sign = _sorted_word(morphism.target, letters)
             if out_word is None:
                 continue
             new = total.get(out_word, Fraction(0)) + coeff * sort_sign
@@ -217,7 +231,7 @@ def coderivation_bruteforce(structure: LinfStructure, word: Word) -> Combination
     letters are rearranged head first, picking up the explicit Koszul sign of
     that rearrangement; l^i is applied to the head whatever arities the
     structure declares, and each output letter is put in front of the rest
-    and the whole word re-sorted by :func:`canonical_word`.
+    and the whole word re-sorted with the Koszul sign of the sort.
     """
     k = len(word)
     if k > _CODERIVATION_MAX_LEN:
@@ -231,7 +245,7 @@ def coderivation_bruteforce(structure: LinfStructure, word: Word) -> Combination
             value = structure.level(arity, tuple(word[p] for p in head))
             for out_word, coeff in value.terms():
                 letters = [out_word[0]] + [word[p] for p in rest]
-                target, sort_sign = canonical_word(structure.generators, letters)
+                target, sort_sign = _sorted_word(structure.generators, letters)
                 if target is None:
                     continue
                 new = total.get(target, Fraction(0)) + coeff * sign * sort_sign
@@ -278,8 +292,8 @@ def jump_partitions(a: int | str | Fraction, indices: Sequence[int]) -> Fraction
         J(I) = (Γ^{a+}_j)! / (Σ_s Γ^{a-}_{i_s})!
                - Σ_{set partitions into >= 2 blocks} (Γ^{a+}_j)! / (Σ_r Γ^{a+}_{out(B_r)})! * Π_r J(B_r),
 
-    one ordered shuffle of the index positions per set partition; the values
-    of the blocks are memoized for this call only.
+    summed over :func:`set_partitions` of the index positions; the values of
+    the blocks are memoized for this call only.
     """
     a = rational(a)
     top = tuple(sorted(indices))
@@ -298,26 +312,20 @@ def jump_partitions(a: int | str | Fraction, indices: Sequence[int]) -> Fraction
         out_index = sum(idx) + k - 1
         numerator = vec_factorial(gamma(plus, out_index))
         value = Fraction(numerator, vec_factorial(vec_add(*gamma_points(minus, idx))))
-        for desc_sizes in partitions(k):
-            sizes = tuple(reversed(desc_sizes))
-            if len(sizes) < 2:
+        for blocks in set_partitions(k):
+            if len(blocks) < 2:
                 continue
-            for sigma in ordered_shuffles(sizes):
-                block_product = Fraction(1)
-                block_outputs = []
-                pos = 0
-                for size in sizes:
-                    block = tuple(idx[p] for p in sigma[pos:pos + size])
-                    pos += size
-                    block_product *= jump(block)
-                    if block_product == 0:
-                        break
-                    block_outputs.append(sum(block) + size - 1)
+            block_product = Fraction(1)
+            for block in blocks:
+                block_product *= jump(tuple(idx[p] for p in block))
                 if block_product == 0:
-                    continue
-                value -= block_product * Fraction(
-                    numerator, vec_factorial(vec_add(*gamma_points(plus, block_outputs)))
-                )
+                    break
+            if block_product == 0:
+                continue
+            block_outputs = [sum(idx[p] for p in block) + len(block) - 1 for block in blocks]
+            value -= block_product * Fraction(
+                numerator, vec_factorial(vec_add(*gamma_points(plus, block_outputs)))
+            )
         memo[idx] = value
         return value
 

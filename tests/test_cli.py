@@ -20,7 +20,7 @@ import pytest
 
 import ellsuper
 from ellsuper import orbits
-from ellsuper.cli import GAMMA_MAX_WIDTH, JUMPS_MAX_BOUND, main
+from ellsuper.cli import GAMMA_MAX_WIDTH, JUMPS_MAX_BOUND, LINF_MAX_BOUND, main
 from ellsuper.report import Report
 
 
@@ -335,6 +335,16 @@ def test_check_jumps_bound_above_cap_exits_1_before_scanning(capsys, monkeypatch
     error = run_error(capsys, ["check", "--suite", "jumps", "--bound", str(JUMPS_MAX_BOUND + 1)])
     assert f"--bound {JUMPS_MAX_BOUND + 1}" in error
     assert f"cap is {JUMPS_MAX_BOUND}" in error
+
+
+def test_check_linf_bound_above_cap_exits_1_before_checking(capsys, monkeypatch):
+    def boom(params, bound):
+        raise AssertionError("the check must not start")
+
+    monkeypatch.setattr("ellsuper.cli.inverse_check", boom)
+    error = run_error(capsys, ["check", "--suite", "linf", "--bound", str(LINF_MAX_BOUND + 1)])
+    assert f"--bound {LINF_MAX_BOUND + 1}" in error
+    assert f"cap is {LINF_MAX_BOUND}" in error
 
 
 def test_check_failing_suite_exits_2(capsys, monkeypatch):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from ellsuper.exact import (
     aut_size,
     exp_series_pass,
-    ordered_shuffles,
     partitions,
     rational,
     shuffles,
@@ -169,49 +168,6 @@ class TestShuffles:
         for _ in range(2):
             with pytest.raises(ValueError):
                 shuffles(-1, 2)
-
-
-class TestOrderedShuffles:
-    def test_requires_ascending_sizes(self):
-        with pytest.raises(ValueError):
-            ordered_shuffles((2, 1))
-
-    def test_enumerated_once_for_any_sequence(self):
-        assert ordered_shuffles([1, 2, 2]) is ordered_shuffles((1, 2, 2))
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                ordered_shuffles([0, 1])
-
-    def test_distinct_sizes_count(self):
-        # Multinomial coefficient 4!/(1!3!) = 4.
-        assert len(ordered_shuffles((1, 3))) == 4
-
-    def test_equal_sizes_divide_by_block_symmetry(self):
-        # Multinomial 4!/(2!2!) = 6, divided by 2! block swaps = 3.
-        result = ordered_shuffles((2, 2))
-        assert len(result) == 3
-        # Block containing position 0 always comes first.
-        for arrangement in result:
-            assert arrangement[0] == 0
-
-    @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    @settings(deadline=None)
-    def test_counting_identity(self, sizes):
-        """|ordered shuffles| * prod(multiplicity!) == multinomial coefficient."""
-        sizes = tuple(sorted(sizes))
-        total = sum(sizes)
-        multinomial = math.factorial(total)
-        for s in sizes:
-            multinomial //= math.factorial(s)
-        sym = aut_size(sizes)
-        assert len(ordered_shuffles(sizes)) * sym == multinomial
-
-    def test_each_block_ascending(self):
-        for arrangement in ordered_shuffles((1, 2, 2)):
-            blocks = (arrangement[0:1], arrangement[1:3], arrangement[3:5])
-            for block in blocks:
-                assert list(block) == sorted(block)
-            assert sorted(arrangement) == list(range(5))
 
 
 class TestSetPartitions:

@@ -33,6 +33,7 @@ CASES = [
     ("jumps_a5-4_o2-8.json", ["jumps", "--a", "5/4", "--orbits", "2,8"]),
     ("jumps_a1-2_o1-2-2.json", ["jumps", "--a", "1/2", "--orbits", "1,2,2"]),
     ("jumps_a3-2_o1-1-2_xi.json", ["jumps", "--a", "3/2", "--orbits", "1,1,2", "--route", "xi"]),
+    ("jumps_a1-2_o2-2-2-2-2_xi.json", ["jumps", "--a", "1/2", "--orbits", "2,2,2,2,2", "--route", "xi"]),
     ("check_linf.json", ["check", "--suite", "linf"]),
     ("check_jumps_b7.json", ["check", "--suite", "jumps", "--bound", "7"]),
     ("check_jumps_b12.json", ["check", "--suite", "jumps", "--bound", "12"]),

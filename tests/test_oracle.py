@@ -109,12 +109,13 @@ class TestMergeSpectrum:
             merge_spectrum(normalized("3/2"), 10_001)
 
 
-def toy_morphism():
+def toy_morphism(shift=0):
     """Sign-sensitive toy: graded letters, F nonzero at arity 1 and 2.
 
-    The map preserves degree parity (h_i has degree i, blocks map to the sum
-    of their indices); only then are the set-partition sum and the
-    block-ordered shuffle sum the same morphism extension.
+    h_i has degree i; F^1(g_i) = h_i / 2 and F^2(g_i g_j) = h_{i+j+shift}.
+    With an odd ``shift`` the level-2 map flips degree parity, so the sign
+    of a term depends on the order in which the extension multiplies its
+    block values: the oracle orders the blocks by their first letter.
     """
     graded = GeneratorSet("toy", lambda key: key[1])
 
@@ -122,7 +123,7 @@ def toy_morphism():
         if k == 1:
             return Combination.single(Word((("h", w[0][1]),)), Fraction(1, 2))
         if k == 2:
-            return Combination.single(Word((("h", w[0][1] + w[1][1]),)))
+            return Combination.single(Word((("h", w[0][1] + w[1][1] + shift),)))
         return Combination.zero()
 
     return LinfMorphism(graded, graded, rule)
@@ -142,12 +143,15 @@ class TestMorphismOracle:
             assert F.extend(w) == morphism_bruteforce(F, w), w
 
     @settings(deadline=None)
-    @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=5))
-    def test_toy_morphism_on_random_words(self, indices):
+    @given(
+        st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=5),
+        st.sampled_from([0, 1]),
+    )
+    def test_toy_morphism_on_random_words(self, indices, shift):
         w = tuple(("g", i) for i in sorted(indices))
         # a repeated odd letter makes the word zero, so it is not a canonical word
         assume(all(w[p] != w[p + 1] or w[p][1] % 2 == 0 for p in range(len(w) - 1)))
-        F = toy_morphism()
+        F = toy_morphism(shift)
         assert F.extend(w) == morphism_bruteforce(F, w)
 
     def test_orbit_count_morphism(self):
