@@ -6,15 +6,16 @@ Exact-arithmetic computation of:
   lattice-path bookkeeping Γ_k (:mod:`ellsuper.orbits`);
 * a lazy L-infinity engine over Q — coderivation and cofunctor extensions,
   composition, levelwise inversion (:mod:`ellsuper.linf`);
-* the stationary-descendant morphism, its inverse, transfer morphisms, and
-  Maurer-Cartan exponentials (:mod:`ellsuper.sft`);
+* the stationary-descendant morphism, its inverse, and transfer morphisms
+  (:mod:`ellsuper.sft`);
 * weighted and unweighted counts T̃/T of rational curves in CP^2 with one
   end on an ellipsoid, piecewise in the parameter, with the generating
   function cross-check (:mod:`ellsuper.superpotential`);
 * jump formulas for the transfer morphism across a single rational ratio
   (:mod:`ellsuper.jumps`);
 * the two-family rounding algebra and its augmentation (:mod:`ellsuper.rounding`);
-* brute-force oracles for all of the above (:mod:`ellsuper.oracle`).
+* brute-force oracles for all of the above, with the dual-number spectrum
+  and the CP^2 Maurer-Cartan exponential (:mod:`ellsuper.oracle`).
 
 The package root exports the submodules only (``from ellsuper.orbits import
 gamma``); the ``ellsuper`` console script exposes the main computations; see

@@ -18,6 +18,11 @@ the support scan already takes seconds and tens of MB; ``check --suite linf
 --bound B`` exits 1 above ``LINF_MAX_BOUND`` (6), where the inverse checks
 already take seconds and every further letter multiplies their words.  Both
 caps are checked before any check starts.
+``descendant --orbits i_1,...,i_k`` exits 1 when Σ i_s exceeds
+``DESCENDANT_MAX_INDEX_SUM`` (1500), before any work starts: Γ's coordinates
+sum to its index, so the printed denominator divides (Σ i_s)!, and 1500! has
+4,115 digits, below Python's 4,300-digit limit on printing an integer.  A
+parameter too long to print back is rejected with exit 1 as well.
 
 Ellipsoid parameters are given with ``--a`` as comma-separated rationals; the
 tie-breaking side can be attached as a trailing ``+``/``-`` (e.g. ``13/2+``)
@@ -67,6 +72,8 @@ GAMMA_MAX_WIDTH = 100_000
 # largest ``check --suite jumps --bound`` and ``check --suite linf --bound``
 JUMPS_MAX_BOUND = 20
 LINF_MAX_BOUND = 6
+# largest sum of the ``descendant --orbits`` indices
+DESCENDANT_MAX_INDEX_SUM = 1500
 
 
 class CLIError(Exception):
@@ -83,9 +90,11 @@ _SIDE_NAMES = {"minus": Side.MINUS, "canonical": Side.CANONICAL, "plus": Side.PL
 
 def _parse_rational(token: str) -> Fraction:
     try:
-        return rational(token.strip())
+        value = rational(token.strip())
+        format_rational(value)  # e.g. '1e5000' parses, but is too long to print back
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise CLIError(f"not a rational number: {token!r} ({exc})") from None
+    return value
 
 
 def _split_side_suffix(text: str) -> tuple[str, Side | None]:
@@ -229,6 +238,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 def _cmd_descendant(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     params = _parse_params(args.a, args.side)
     indices = _parse_orbits(args.orbits)
+    if sum(indices) > DESCENDANT_MAX_INDEX_SUM:
+        raise CLIError(
+            f"--orbits indices sum to {sum(indices)}; the cap is {DESCENDANT_MAX_INDEX_SUM} (DESCENDANT_MAX_INDEX_SUM)"
+        )
     count, psi_power = local_descendant(params, indices)
     payload = {
         "command": "descendant",

@@ -3,18 +3,14 @@
 All numerics in this package are exact: plain rationals are stdlib
 ``fractions.Fraction``, and floats are rejected on input.  This module holds
 only what the production path calls; the symbolic ε-perturbation of the
-spectrum (``DualRational``) lives in :mod:`ellsuper.orbits`, and the
-enumerations that only the brute-force references need (set partitions,
-Koszul signs) live in :mod:`ellsuper.oracle`.
+spectrum (``DualRational``) and the enumerations that only the brute-force
+references need (integer partitions, set partitions, Koszul signs) live in
+:mod:`ellsuper.oracle`.
 
-The enumeration helpers are all deterministic and ordered, since downstream
-recursions sum over them and tests freeze their output:
-
-* :func:`partitions` — weakly decreasing positive parts, descending lex;
-* :func:`shuffles` — (p, q)-shuffles as position permutations, memoized
-  per (p, q).  Both L∞ extensions sum over them: the coderivation over its
-  head blocks, the cofunctor extension over the blocks holding the first
-  letter.
+:func:`shuffles` enumerates the (p, q)-shuffles as position permutations,
+deterministically ordered and memoized per (p, q).  Both L∞ extensions sum
+over them: the coderivation over its head blocks, the cofunctor extension
+over the blocks holding the first letter.
 
 :func:`exp_series_pass` is the one exponential-of-series recurrence behind
 both recursive counts: the CP² counts of :mod:`ellsuper.superpotential` and
@@ -34,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "CACHE_CAP",
@@ -43,7 +39,6 @@ __all__ = [
     "format_rational",
     "vec_add",
     "vec_factorial",
-    "partitions",
     "aut_size",
     "shuffles",
     "exp_series_pass",
@@ -86,22 +81,6 @@ def vec_factorial(point: Sequence[int]) -> int:
             raise ValueError(f"vector factorial needs nonnegative integers, got {point}")
         out *= math.factorial(int(comp))
     return out
-
-
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n as weakly decreasing positive tuples, descending lex order.
-
-    partitions(4) -> (4,), (3,1), (2,2), (2,1,1), (1,1,1,1)
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    cap = n if max_part is None else min(max_part, n)
-    for first in range(cap, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
 
 
 def aut_size(items: Sequence) -> int:

@@ -160,15 +160,6 @@ class Combination:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __add__(self, other: "Combination") -> "Combination":
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            _accumulate(out, w, c)
-        return Combination(out)
-
-    def __sub__(self, other: "Combination") -> "Combination":
-        return self + (-1) * other
-
     def __mul__(self, scalar: int | Fraction) -> "Combination":
         return Combination({w: c * scalar for w, c in self._terms.items()})
 

@@ -18,11 +18,20 @@ and exists only to validate the production code path:
   recursion as an exponential of power series);
 * :func:`jump_partitions` — the jump J^a(i_1..i_k) by the transfer recursion
   summed over every set partition of the index positions (the production
-  path evaluates it as an exponential of series over index multisets).
+  path evaluates it as an exponential of series over index multisets);
+* :func:`cp2_exp_mc` — the degree-d piece of exp(Σ_e T̃_e o_{3e-1}) over the
+  partitions of d; pushed through the L∞ engine by ``sft.epsilon``, its
+  single-letter part must be the closed count N_d = 1/(d!)^3.
 
-Their enumeration helpers live here too, because nothing on the production
-path calls them:
+The symbolic perturbation and the enumerations behind these live here too,
+because nothing on the production path calls them:
 
+* :class:`DualRational` — a perturbed action ``main + eps·ε``, ordered as at
+  a tiny ε > 0; :func:`perturbed_value` and :func:`action_dual` give the
+  perturbed action of a cover and of the k-th orbit (the production spectrum
+  ranks ties by integers instead);
+* :func:`partitions` — integer partitions, weakly decreasing parts in
+  descending lex order;
 * :func:`set_partitions` — all set partitions, blocks ordered by minimum;
 * :func:`koszul_sign` — the sign a permutation picks up acting on graded
   letters (each crossing of two odd letters contributes -1); the production
@@ -32,8 +41,6 @@ Both L∞ oracles sort their output letters themselves (``sorted`` plus
 :func:`koszul_sign`, dropping a repeated odd letter), so they take only the
 types of :mod:`ellsuper.linf` and none of its sign code.
 
-The symbolic perturbation itself (:class:`~ellsuper.orbits.DualRational`,
-``perturbed_value``) lives beside the spectrum in :mod:`ellsuper.orbits`.
 Input sizes are hard-guarded: these routines are intentionally exponential.
 """
 
@@ -41,21 +48,28 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .exact import LatticePoint, aut_size, partitions, rational, vec_add, vec_factorial
+from .exact import LatticePoint, aut_size, rational, vec_add, vec_factorial
 from .linf import Combination, GeneratorSet, LinfMorphism, LinfStructure, Word
-from .orbits import DualRational, OrbitId, Side, SpectrumParams, gamma, gamma_points, normalized, perturbed_value
+from .orbits import OrbitId, Side, SpectrumParams, gamma, gamma_points, normalized, orbit
+from .sft import o_key
 
 __all__ = [
+    "DualRational",
+    "perturbed_value",
+    "action_dual",
     "gamma_bruteforce",
     "merge_spectrum",
     "morphism_bruteforce",
     "coderivation_bruteforce",
     "wt_T_partitions",
     "jump_partitions",
+    "cp2_exp_mc",
+    "partitions",
     "set_partitions",
     "koszul_sign",
 ]
@@ -67,6 +81,57 @@ _MORPHISM_MAX_LEN = 5
 _CODERIVATION_MAX_LEN = 6
 _PARTITIONS_MAX_D = 20
 _JUMP_MAX_ARITY = 9
+
+
+@dataclass(frozen=True, order=True)
+class DualRational:
+    """A perturbed action ``main + eps·ε``; the order is lexicographic in (main, eps),
+    i.e. the order at any sufficiently small ε > 0."""
+
+    main: Fraction
+    eps: Fraction
+
+
+def perturbed_value(params: SpectrumParams, axis: int, multiplicity: int) -> DualRational:
+    """Symbolically perturbed action of the multiplicity-fold cover on the given axis.
+
+    CANONICAL: a_i -> a_i * (1 + i*ε), so the value is (m*a_i, i*m*a_i*ε).
+    PLUS/MINUS: a_2 -> a_2 ± ε, so axis 2 carries an ε-part of ±m and axis 1
+    is unperturbed.
+    """
+    if not 1 <= axis <= params.n:
+        raise ValueError(f"axis must be in 1..{params.n}, got {axis}")
+    if multiplicity < 1:
+        raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
+    main = params.a[axis - 1] * multiplicity
+    if params.side is Side.CANONICAL:
+        return DualRational(main, axis * main)
+    if axis == 1:
+        return DualRational(main, Fraction(0))
+    eps = Fraction(multiplicity)
+    return DualRational(main, eps if params.side is Side.PLUS else -eps)
+
+
+def action_dual(params: SpectrumParams, k: int) -> DualRational:
+    """Perturbed action of the k-th orbit."""
+    o = orbit(params, k)
+    return perturbed_value(params, o.axis, o.multiplicity)
+
+
+def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as weakly decreasing positive tuples, descending lex order.
+
+    partitions(4) -> (4,), (3,1), (2,2), (2,1,1), (1,1,1,1)
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+    cap = n if max_part is None else min(max_part, n)
+    for first in range(cap, 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
 
 
 def _compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -330,3 +395,23 @@ def jump_partitions(a: int | str | Fraction, indices: Sequence[int]) -> Fraction
         return value
 
     return jump(top)
+
+
+def cp2_exp_mc(counts: Mapping[int, Fraction], d: int) -> Combination:
+    """Degree-d piece of exp(Σ_e T̃_e · o_{3e-1}) for CP^2, with ``counts[e]`` = T̃_e.
+
+    One word o_{3λ_1-1} ⊙ ... ⊙ o_{3λ_s-1} per partition λ of d (the trivial
+    one included), with coefficient Π_s T̃_{λ_s} / |Aut λ|; distinct
+    partitions give distinct words, and zero coefficients are dropped.
+    """
+    if d > _PARTITIONS_MAX_D:
+        raise ValueError(f"partition sum guarded to d <= {_PARTITIONS_MAX_D}, got {d}")
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    terms: dict[Word, Fraction] = {}
+    for parts in partitions(d):
+        coeff = Fraction(1, aut_size(parts))
+        for part in parts:
+            coeff *= counts[part]
+        terms[tuple(o_key(3 * part - 1) for part in reversed(parts))] = coeff
+    return Combination(terms)

@@ -37,11 +37,10 @@ is the k-th cover, and the per-axis counts up to it are Γ_k.  That costs
 O(n^2 log k) and memoizes nothing.  ``gamma_range`` starts there and takes
 integer steps, which is how the CLI answers ``gamma --k lo..hi``.
 
-:class:`DualRational` (``main + eps·ε``, ordered as at a tiny ε > 0),
-``perturbed_value`` and ``action_dual`` spell out the perturbation itself.
-They are the independent reference route of :mod:`ellsuper.oracle`
-(brute-force minimizer, heap-merged spectrum), and the test suite checks the
-walk and the closed form against them; the production path never builds one.
+The perturbation spelled out as dual numbers (``DualRational``,
+``perturbed_value``, ``action_dual``) lives in :mod:`ellsuper.oracle` as the
+independent reference route; the test suite checks the walk and the closed
+form against it.
 
 ``jump_set(k)`` = {k/1, (k-1)/2, ..., 1/k} collects the two-axis ratios at
 which Γ_k changes, and ``candidate_discontinuities`` aggregates these for the
@@ -62,16 +61,13 @@ __all__ = [
     "Side",
     "OrbitId",
     "SpectrumParams",
-    "DualRational",
     "normalized",
-    "perturbed_value",
     "gamma",
     "gamma_points",
     "gamma_closed_form",
     "gamma_range",
     "orbit",
     "action",
-    "action_dual",
     "jump_set",
     "candidate_discontinuities",
 ]
@@ -128,38 +124,9 @@ class SpectrumParams:
         return ",".join(format_rational(x) for x in self.a) + self.side.suffix()
 
 
-@dataclass(frozen=True, order=True)
-class DualRational:
-    """A perturbed action ``main + eps·ε``; the order is lexicographic in (main, eps),
-    i.e. the order at any sufficiently small ε > 0."""
-
-    main: Fraction
-    eps: Fraction
-
-
 def normalized(a: int | str | Fraction, side: Side = Side.CANONICAL) -> SpectrumParams:
     """Parameters for the normalized ellipsoid E(1, a)."""
     return SpectrumParams((Fraction(1), rational(a)), side)
-
-
-def perturbed_value(params: SpectrumParams, axis: int, multiplicity: int) -> DualRational:
-    """Symbolically perturbed action of the multiplicity-fold cover on the given axis.
-
-    CANONICAL: a_i -> a_i * (1 + i*ε), so the value is (m*a_i, i*m*a_i*ε).
-    PLUS/MINUS: a_2 -> a_2 ± ε, so axis 2 carries an ε-part of ±m and axis 1
-    is unperturbed.
-    """
-    if not 1 <= axis <= params.n:
-        raise ValueError(f"axis must be in 1..{params.n}, got {axis}")
-    if multiplicity < 1:
-        raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")
-    main = params.a[axis - 1] * multiplicity
-    if params.side is Side.CANONICAL:
-        return DualRational(main, axis * main)
-    if axis == 1:
-        return DualRational(main, Fraction(0))
-    eps = Fraction(multiplicity)
-    return DualRational(main, eps if params.side is Side.PLUS else -eps)
 
 
 def _integer_actions(params: SpectrumParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -291,12 +258,6 @@ def action(params: SpectrumParams, k: int) -> Fraction:
     """Unperturbed action of the k-th orbit (the ε-free part; side-independent)."""
     o = orbit(params, k)
     return params.a[o.axis - 1] * o.multiplicity
-
-
-def action_dual(params: SpectrumParams, k: int) -> DualRational:
-    """Perturbed action of the k-th orbit."""
-    o = orbit(params, k)
-    return perturbed_value(params, o.axis, o.multiplicity)
 
 
 def jump_set(k: int) -> tuple[Fraction, ...]:

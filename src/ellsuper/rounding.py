@@ -160,7 +160,7 @@ def psi_map(params: SpectrumParams) -> LinfMorphism:
         x, y = gamma(params, word[0][1])
         return Combination.single((beta_key(x, y),))
 
-    return LinfMorphism(ca_generators(params), v_generators(), rule)
+    return LinfMorphism(ca_generators(), v_generators(), rule)
 
 
 def _beta_window(index_bound: int) -> list[Key]:

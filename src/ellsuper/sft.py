@@ -3,9 +3,12 @@
 Two abelian models appear:
 
 * ``C_a`` — one even generator o_k per orbit index k >= 1, degree -2-2k,
-  filtered by the action of the k-th Reeb orbit of E(a) (``orbits.action``);
-* ``C_o`` — the same graded module with generators q_k and no filtration
-  (the model of a point, i.e. of the trivial isotropy cylinder data).
+  where o_k stands for the k-th Reeb orbit of E(a);
+* ``C_o`` — the same graded module with generators q_k (the model of a
+  point, i.e. of the trivial isotropy cylinder data).
+
+Neither generator set carries a filtration; the parameters a enter only
+through the level maps below.
 
 The stationary-descendant morphism eps_a : C_a -> C_o has level maps
 
@@ -16,20 +19,15 @@ where Γ_i is the lattice path of E(a) and (x, y)! = x! * y! (any number of
 axes).  Its levelwise inverse is eta_a, and the transfer map between two
 parameter sets is Xi = eta_{target} ∘ eps_{source}; its single-generator
 coefficients are the building blocks of every jump formula downstream.
-
-``exp_mc`` expands the exponential of a Maurer-Cartan element supported on
-single generators T̃_A · o_{c1(A)-1} over unordered decompositions of a class,
-weighting each by 1/|Aut|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .exact import aut_size, remember, vec_add, vec_factorial
+from .exact import remember, vec_add, vec_factorial
 from .linf import (
     Combination,
     GeneratorSet,
@@ -53,8 +51,6 @@ __all__ = [
     "eta",
     "xi",
     "local_descendant",
-    "MCElement",
-    "exp_mc",
     "single_coefficient",
     "index_words",
     "inverse_check",
@@ -82,13 +78,13 @@ def _orbit_degree(prefix: str, key: Key) -> int:
     return -2 - 2 * key[1]
 
 
-def ca_generators(params: SpectrumParams) -> GeneratorSet:
-    """Generators o_k of the filtered ellipsoid model for E(params)."""
+def ca_generators() -> GeneratorSet:
+    """Generators o_k of the ellipsoid model (the same set for every E(a))."""
     return GeneratorSet("Ca", lambda key: _orbit_degree("o", key))
 
 
 def co_generators() -> GeneratorSet:
-    """Unfiltered generators q_k (the target of the descendant morphism)."""
+    """Generators q_k (the target of the descendant morphism)."""
     return GeneratorSet("Co", lambda key: _orbit_degree("q", key))
 
 
@@ -108,7 +104,7 @@ def epsilon(params: SpectrumParams) -> LinfMorphism:
         count, psi_power = local_descendant(params, [key[1] for key in word])
         return Combination.single((q_key(psi_power + 1),), count)
 
-    return remember(_EPSILON_CACHE, params, LinfMorphism(ca_generators(params), co_generators(), rule))
+    return remember(_EPSILON_CACHE, params, LinfMorphism(ca_generators(), co_generators(), rule))
 
 
 def eta(params: SpectrumParams) -> LinfMorphism:
@@ -143,45 +139,6 @@ def local_descendant(params: SpectrumParams, indices: Sequence[int]) -> tuple[Fr
     return n_value, sum(indices) + len(indices) - 2
 
 
-@dataclass(frozen=True)
-class MCElement:
-    """Maurer-Cartan summand for one homology class: coefficient * o_{orbit_index}."""
-
-    coefficient: Fraction
-    orbit_index: int
-
-
-def exp_mc(
-    mc_of: Callable[[object], MCElement],
-    label: object,
-    decompositions: Callable[[object], Iterable[Sequence[object]]],
-) -> Combination:
-    """Exponential of a Maurer-Cartan element, graded piece of one class.
-
-    Sums, over unordered decompositions label = A_1 + ... + A_s supplied by
-    ``decompositions``, the words o_{idx(A_1)} ⊙ ... ⊙ o_{idx(A_s)} with
-    coefficient (Π_s coeff(A_s)) / |Aut(A_1, ..., A_s)|.
-    """
-    out: dict[Word, Fraction] = {}
-    for decomposition in decompositions(label):
-        parts = tuple(decomposition)
-        coeff = Fraction(1, aut_size(parts))
-        letters = []
-        for part in parts:
-            element = mc_of(part)
-            coeff *= element.coefficient
-            letters.append(o_key(element.orbit_index))
-        if coeff == 0:
-            continue
-        word = tuple(sorted(letters))
-        previous = out.get(word, Fraction(0)) + coeff
-        if previous == 0:
-            out.pop(word, None)
-        else:
-            out[word] = previous
-    return Combination(out)
-
-
 def single_coefficient(comb: Combination, key: Key) -> Fraction:
     """Coefficient of the length-one word (key) in a combination."""
     return comb[(key,)]
@@ -206,7 +163,7 @@ def inverse_check(params: SpectrumParams, bound: int, index_cap: int = 4) -> Rep
     source_words = index_words(o_key, bound, index_cap)
     target_words = index_words(q_key, bound, index_cap)
     return merge_reports(
-        morphisms_agree(left, identity_morphism(ca_generators(params)), source_words),
+        morphisms_agree(left, identity_morphism(ca_generators()), source_words),
         morphisms_agree(right, identity_morphism(co_generators()), target_words),
     )
 

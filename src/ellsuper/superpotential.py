@@ -21,8 +21,11 @@ evaluates it as an exponential of power series, with steps n = 1..d of weight
 n, aut 1, splits n = k + (n - k), P_n = Γ_{3n-1} and N_n = 1/(n!)^3.  That is
 polynomial in d, and one pass yields T̃_1..T̃_d.  Each value is cached under
 its signature prefix (at most ``CACHE_CAP`` prefixes), so parameters with the
-same signature share one entry.  The partition sum itself is kept as the
-reference :func:`ellsuper.oracle.wt_T_partitions`.
+same signature share one entry.  N_n = 1/(n!)^3 is written out once, in
+``_signature_count``.  Two references check this path from outside:
+:func:`ellsuper.oracle.wt_T_partitions` sums the recursion over partitions,
+and :func:`ellsuper.oracle.cp2_exp_mc` builds exp(Σ_e T̃_e o_{3e-1}), whose
+augmentation by :func:`ellsuper.sft.epsilon` must give N_d on single letters.
 
 "Infinite" parameters mean any a > 3d - 1, where every lattice path is
 horizontal (the signature ((3e - 1, 0))_{e <= d}); there the generating
@@ -40,15 +43,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .exact import LatticePoint, exp_series_pass, partitions, rational, remember
+from .exact import LatticePoint, exp_series_pass, rational, remember
 from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma_points, jump_set, normalized
 from .report import Report
 
 __all__ = [
     "CP2Target",
-    "closed_descendant_toric",
     "wt_T",
     "T",
     "wt_T_infinity",
@@ -59,21 +61,6 @@ __all__ = [
     "normalized_table",
     "genfun_check",
 ]
-
-
-def closed_descendant_toric(intersections: Sequence[int]) -> Fraction:
-    """N_A⟨psi^{c1(A)-2} pt⟩ = Π_i 1/(A·D_i)! for a Fano toric target.
-
-    ``intersections`` lists A·D_i over the toric divisors; all must be
-    positive for the formula to apply.
-    """
-    values = tuple(intersections)
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"toric descendant formula needs positive intersections, got {values}")
-    denominator = 1
-    for v in values:
-        denominator *= math.factorial(v)
-    return Fraction(1, denominator)
 
 
 @dataclass(frozen=True)
@@ -90,14 +77,6 @@ class CP2Target:
 
     def area(self, label: object) -> Fraction:
         return Fraction(self._check(label))
-
-    def point_descendant(self, label: object) -> Fraction:
-        d = self._check(label)
-        return closed_descendant_toric((d, d, d))
-
-    def decompositions(self, label: object) -> Iterable[Sequence[object]]:
-        """Unordered decompositions (partitions of d), the trivial one included."""
-        return partitions(self._check(label))
 
 
 # Γ-signature prefix ((x_e, y_e))_{e <= d} -> T̃_d, at most CACHE_CAP entries

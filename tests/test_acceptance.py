@@ -16,16 +16,14 @@ from fractions import Fraction
 
 from ellsuper.jumps import jump_general, jump_pants, jump_via_xi, support_scan
 from ellsuper.linf import Word, compose
-from ellsuper.oracle import gamma_bruteforce
+from ellsuper.oracle import action_dual, gamma_bruteforce, perturbed_value
 from ellsuper.orbits import (
     Side,
     SpectrumParams,
     action,
-    action_dual,
     gamma,
     jump_set,
     normalized,
-    perturbed_value,
 )
 from ellsuper.rounding import psi_factorization, verify_aug
 from ellsuper.sft import inverse_check, o_key, single_coefficient, xi, xi_chain_check

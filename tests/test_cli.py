@@ -8,8 +8,10 @@ and byte-for-byte determinism.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -20,7 +22,7 @@ import pytest
 
 import ellsuper
 from ellsuper import orbits
-from ellsuper.cli import GAMMA_MAX_WIDTH, JUMPS_MAX_BOUND, LINF_MAX_BOUND, main
+from ellsuper.cli import DESCENDANT_MAX_INDEX_SUM, GAMMA_MAX_WIDTH, JUMPS_MAX_BOUND, LINF_MAX_BOUND, main
 from ellsuper.report import Report
 
 
@@ -187,6 +189,22 @@ def test_descendant_payload(capsys):
 def test_descendant_rejects_nonpositive_orbits(capsys):
     message = run_error(capsys, ["descendant", "--a", "1,3", "--orbits", "0,2"])
     assert "positive" in message
+
+
+@pytest.mark.parametrize("a, orbits", [("1,7/3", str(DESCENDANT_MAX_INDEX_SUM + 1)), ("1,1", "800,800,800")])
+def test_descendant_index_sum_above_cap_exits_1_before_counting(capsys, monkeypatch, a, orbits):
+    def boom(params, indices):
+        raise AssertionError("the count must not start")
+
+    monkeypatch.setattr("ellsuper.cli.local_descendant", boom)
+    error = run_error(capsys, ["descendant", "--a", a, "--orbits", orbits])
+    assert "DESCENDANT_MAX_INDEX_SUM" in error
+    assert f"cap is {DESCENDANT_MAX_INDEX_SUM}" in error
+
+
+def test_parameter_too_long_to_print_exits_1(capsys):
+    error = run_error(capsys, ["descendant", "--a", "1,1e5000", "--orbits", "3"])
+    assert "not a rational number: '1e5000'" in error
 
 
 # ---------------------------------------------------------------- superpotential
@@ -422,3 +440,11 @@ def test_cli_import_leaves_the_oracle_unloaded():
     loaded = result.stdout.strip()
     assert "'ellsuper.cli'" in loaded
     assert "ellsuper.oracle" not in loaded
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(ellsuper.__path__)))
+def test_every_exported_name_resolves(name):
+    """A name left in ``__all__`` after its definition moved away is caught here."""
+    module = importlib.import_module(f"ellsuper.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []

@@ -1,8 +1,9 @@
 """Tests for the exact-arithmetic toolkit and its combinatorics.
 
-The classes for the dual-number order (``orbits.DualRational``) and for the
-oracle's enumerations (``oracle.set_partitions``, ``oracle.koszul_sign``)
-stay here beside the production enumerations they complement.
+The classes for the dual-number order (``oracle.DualRational``) and for the
+oracle's enumerations (``oracle.partitions``, ``oracle.set_partitions``,
+``oracle.koszul_sign``) stay here beside the production enumerations they
+complement.
 """
 
 import math
@@ -16,14 +17,12 @@ from hypothesis import strategies as st
 from ellsuper.exact import (
     aut_size,
     exp_series_pass,
-    partitions,
     rational,
     shuffles,
     vec_add,
     vec_factorial,
 )
-from ellsuper.oracle import koszul_sign, set_partitions
-from ellsuper.orbits import DualRational
+from ellsuper.oracle import DualRational, koszul_sign, partitions, set_partitions
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=40)
 small_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)

@@ -5,8 +5,10 @@ The files under ``tests/golden/`` hold the exact stdout of each command
 partition-sum recursion, the jump values by the set-partition recursion, the
 transfer-stack outputs (``jumps``, ``check``, ``gamma``, ``spectrum``,
 ``descendant``) by L-infinity maps with a word-length bound, and the
-``gamma``/``spectrum`` outputs by a walk over DualRational perturbed actions;
-the code that replaced them must print the same bytes.
+``gamma``/``spectrum`` outputs by a walk over dual-number perturbed actions
+(now ``oracle.DualRational``); the code that replaced them must print the
+same bytes.  ``descendant --orbits 1500`` sits at the index-sum cap, where the
+printed denominator has 3,719 digits.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ CASES = [
     ("gamma_a1-3-2_k0-8.csv", ["gamma", "--a", "1,3/2", "--k", "0..8", "--format", "csv"]),
     ("spectrum_a1-3-2_c10.json", ["spectrum", "--a", "1,3/2", "--count", "10"]),
     ("descendant_a1-3_o2-2.json", ["descendant", "--a", "1,3", "--orbits", "2,2"]),
+    ("descendant_a1-7-3_o1500.json", ["descendant", "--a", "1,7/3", "--orbits", "1500"]),
     ("gamma_a1-7-3_k30000.json", ["gamma", "--a", "1,7/3", "--k", "30000..30000"]),
     ("gamma_a1-3-2plus_k5-60.csv", ["gamma", "--a", "1,3/2+", "--k", "5..60", "--format", "csv"]),
     ("gamma_a1-3-2minus_k5-60.json", ["gamma", "--a", "1,3/2-", "--k", "5..60"]),

@@ -16,6 +16,7 @@ from ellsuper.linf import (
     extend_coderivation,
 )
 from ellsuper.oracle import (
+    action_dual,
     coderivation_bruteforce,
     gamma_bruteforce,
     jump_partitions,
@@ -28,7 +29,6 @@ from ellsuper.orbits import (
     Side,
     SpectrumParams,
     action,
-    action_dual,
     gamma,
     jump_set,
     normalized,

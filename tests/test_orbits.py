@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from ellsuper import orbits
 from ellsuper.exact import CACHE_CAP
-from ellsuper.oracle import gamma_bruteforce, merge_spectrum
+from ellsuper.oracle import DualRational, action_dual, gamma_bruteforce, merge_spectrum, perturbed_value
 from ellsuper.orbits import (
-    DualRational,
     OrbitId,
     Side,
     SpectrumParams,
     action,
-    action_dual,
     candidate_discontinuities,
     gamma,
     gamma_closed_form,
@@ -25,7 +23,6 @@ from ellsuper.orbits import (
     jump_set,
     normalized,
     orbit,
-    perturbed_value,
 )
 
 positive_rationals = st.fractions(min_value="1/12", max_value=40, max_denominator=12)

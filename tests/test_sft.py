@@ -1,22 +1,24 @@
 """Tests for the concrete SFT objects: augmentations, inverses, cobordism maps."""
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellsuper import sft
 from ellsuper.exact import CACHE_CAP
 from ellsuper.jumps import jump_general, jump_via_xi
 from ellsuper.linf import Combination, Word, abelian, compose, morphisms_agree
-from ellsuper.orbits import Side, action, normalized
+from ellsuper.oracle import cp2_exp_mc
+from ellsuper.orbits import Side, action, candidate_discontinuities, normalized
 from ellsuper.sft import (
-    MCElement,
     ca_generators,
     co_generators,
     epsilon,
     eta,
-    exp_mc,
     inverse_check,
     local_descendant,
     o_key,
@@ -38,24 +40,22 @@ def q_word(*indices):
 
 class TestGenerators:
     def test_degrees(self):
-        p = normalized("3/2")
-        ca = ca_generators(p)
+        ca = ca_generators()
         for k in (1, 2, 7):
             assert ca.degree(o_key(k)) == -2 - 2 * k
         co = co_generators()
         assert co.degree(q_key(3)) == -8
 
     def test_bad_keys_rejected(self):
-        ca = ca_generators(normalized("3/2"))
+        ca = ca_generators()
         with pytest.raises(ValueError):
             ca.degree(("o", 0))
         with pytest.raises(ValueError):
             ca.degree(("x", 1))
 
     def test_algebras_are_abelian(self):
-        p = normalized(2, Side.MINUS)
         for structure, w in (
-            (abelian(ca_generators(p)), o_word(1, 2)),
+            (abelian(ca_generators()), o_word(1, 2)),
             (abelian(co_generators()), q_word(1, 1, 2)),
         ):
             assert structure.level(len(w), w) == Combination.zero()
@@ -93,7 +93,7 @@ class TestEpsilon:
         output index is pinned so that deg q_j matches the block's degree."""
         p = normalized(2, Side.PLUS)
         eps = epsilon(p)
-        ca = ca_generators(p)
+        ca = ca_generators()
         co = co_generators()
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(range(1, 5), k):
@@ -209,55 +209,58 @@ class TestLocalDescendant:
 
 class TestExpMc:
     @staticmethod
-    def cp2_mc(params):
-        cp2 = CP2Target()
+    def counts(params, d):
+        """e -> T̃_e for e = 1..d, from the production path."""
+        return {e: wt_T(CP2Target(), e, params) for e in range(1, d + 1)}
 
-        def mc_of(d):
-            return MCElement(wt_T(cp2, d, params), 3 * d - 1)
-
-        return cp2, mc_of
+    @staticmethod
+    def augmented_single_letter(params, d):
+        """Single-letter part of ε(exp MC) in degree d, summed with ``Combination.apply``."""
+        eps = epsilon(params)
+        comb = cp2_exp_mc(TestExpMc.counts(params, d), d)
+        return single_coefficient(comb.apply(lambda w: eps.level(len(w), w)), q_key(3 * d - 1))
 
     def test_degree_two_shape(self):
-        params = normalized(3)
-        cp2, mc_of = self.cp2_mc(params)
-        t1 = wt_T(cp2, 1, params)
-        t2 = wt_T(cp2, 2, params)
-        got = exp_mc(mc_of, 2, cp2.decompositions)
-        expected = Combination.single(o_word(5), t2) + Combination.single(
-            o_word(2, 2), Fraction(1, 2) * t1 * t1
+        counts = self.counts(normalized(3), 2)
+        t1, t2 = counts[1], counts[2]
+        assert cp2_exp_mc(counts, 2) == Combination(
+            {o_word(5): t2, o_word(2, 2): Fraction(1, 2) * t1 * t1}
         )
-        assert got == expected
 
     def test_degree_three_weights(self):
-        params = normalized(3)
-        cp2, mc_of = self.cp2_mc(params)
-        t1 = wt_T(cp2, 1, params)
-        t2 = wt_T(cp2, 2, params)
-        t3 = wt_T(cp2, 3, params)
-        got = exp_mc(mc_of, 3, cp2.decompositions)
-        expected = (
-            Combination.single(o_word(8), t3)
-            + Combination.single(o_word(2, 5), t2 * t1)
-            + Combination.single(o_word(2, 2, 2), Fraction(1, 6) * t1 ** 3)
+        counts = self.counts(normalized(3), 3)
+        t1, t2, t3 = counts[1], counts[2], counts[3]
+        assert cp2_exp_mc(counts, 3) == Combination(
+            {
+                o_word(8): t3,
+                o_word(2, 5): t2 * t1,
+                o_word(2, 2, 2): Fraction(1, 6) * t1 ** 3,
+            }
         )
-        assert got == expected
 
     def test_vanishing_factor_drops_word(self):
-        params = normalized("3/2")  # wt_T_2 = 0 below a = 2
-        cp2, mc_of = self.cp2_mc(params)
-        got = exp_mc(mc_of, 2, cp2.decompositions)
-        assert got == Combination.single(o_word(2, 2), Fraction(1, 2))
+        counts = self.counts(normalized("3/2"), 2)  # wt_T_2 = 0 below a = 2
+        assert cp2_exp_mc(counts, 2) == Combination.single(o_word(2, 2), Fraction(1, 2))
 
     def test_augmentation_of_exponential_counts_closed_curves(self):
         """Projecting the augmented exponential to single letters recovers the
         closed stationary descendant for every degree and parameter tested."""
         for a, side in ((Fraction(3, 2), Side.CANONICAL), (2, Side.PLUS), (9, Side.CANONICAL)):
             params = normalized(a, side)
-            cp2, mc_of = self.cp2_mc(params)
-            eps = epsilon(params)
             for d in range(1, 5):
-                comb = exp_mc(mc_of, d, cp2.decompositions)
-                total = Combination.zero()
-                for w, c in comb.terms():
-                    total = total + c * eps.level(len(w), w)
-                assert single_coefficient(total, q_key(3 * d - 1)) == cp2.point_descendant(d)
+                assert self.augmented_single_letter(params, d) == Fraction(1, math.factorial(d) ** 3)
+
+    @given(
+        ratio=st.one_of(
+            st.sampled_from(candidate_discontinuities(5, 1)),
+            st.fractions(min_value=1, max_value=20, max_denominator=12).filter(lambda x: x > 1),
+        ),
+        side=st.sampled_from(Side),
+        d=st.integers(min_value=1, max_value=5),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_augmentation_on_random_ratios(self, ratio, side, d):
+        """The same identity at jump candidates and random ratios, on all three sides:
+        a differential test of ``wt_T`` through the L∞ engine."""
+        params = normalized(ratio, side)
+        assert self.augmented_single_letter(params, d) == Fraction(1, math.factorial(d) ** 3)

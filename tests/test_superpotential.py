@@ -4,8 +4,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from ellsuper import superpotential
 from ellsuper.exact import CACHE_CAP
 from ellsuper.linf import Word
@@ -15,14 +13,12 @@ from ellsuper.orbits import (
     candidate_discontinuities,
     gamma,
     normalized,
-    orbit,
 )
 from ellsuper.sft import o_key, single_coefficient, xi
 from ellsuper.superpotential import (
     CP2Target,
     T,
     T_infinity,
-    closed_descendant_toric,
     embedding_bound,
     genfun_check,
     normalized_table,
@@ -34,25 +30,10 @@ from ellsuper.superpotential import (
 CP2 = CP2Target()
 
 
-class TestClosedDescendantToric:
-    def test_projective_plane_instances(self):
-        assert closed_descendant_toric((1, 1, 1)) == 1
-        assert closed_descendant_toric((2, 2, 2)) == Fraction(1, 8)
-
-    def test_higher_dimensional_instance(self):
-        assert closed_descendant_toric((2,) * 5) == Fraction(1, 32)
-
-    def test_rejects_nonpositive_intersections(self):
-        with pytest.raises(ValueError):
-            closed_descendant_toric((2, 0, 1))
-
-
 class TestCP2Target:
     def test_fields(self):
         assert CP2.chern(4) == 12
         assert CP2.area(4) == 4
-        assert CP2.point_descendant(2) == Fraction(1, 8)
-        assert list(CP2.decompositions(3)) == [(3,), (2, 1), (1, 1, 1)]
 
 
 class TestWtT:
