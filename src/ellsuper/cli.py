@@ -13,16 +13,23 @@ wider range exits 1.  The start of the range costs O(log lo) however large lo
 is (the closed form for one index), so only the width is capped.
 ``spectrum --count N`` shares the cap: N above it exits 1.  Both commands
 read their rows from one unmemoized integer walk.
-``check --suite jumps --bound B`` exits 1 above ``JUMPS_MAX_BOUND`` (20), where
-the support scan already takes seconds and tens of MB; ``check --suite linf
---bound B`` exits 1 above ``LINF_MAX_BOUND`` (6), where the inverse checks
-already take seconds and every further letter multiplies their words.  Both
-caps are checked before any check starts.
+``check --suite S --bound B`` exits 1 above the suite's cap, where one run
+already takes seconds: ``GAMMA_SUITE_MAX_BOUND`` (500 cases),
+``LINF_MAX_BOUND`` (6; every further letter multiplies the words of the
+inverse checks), ``AUG_MAX_BOUND`` (6), ``JUMPS_MAX_BOUND`` (20; the support
+scan also takes tens of MB) and ``GENFUN_MAX_BOUND`` (30).
+``jumps --orbits i_1,...,i_k`` exits 1 when a route that runs ξ (``xi``,
+``all``) gets more than ``JUMPS_XI_MAX_ORBITS`` (8) indices, or when
+``recursive``/``all`` would visit more than ``JUMPS_MAX_SUBMULTISETS`` (4096)
+sub-multisets, Π (m_i + 1) over the multiplicities m_i of the distinct indices.
+All these caps are checked before any work starts.
 ``descendant --orbits i_1,...,i_k`` exits 1 when Σ i_s exceeds
 ``DESCENDANT_MAX_INDEX_SUM`` (1500), before any work starts: Γ's coordinates
 sum to its index, so the printed denominator divides (Σ i_s)!, and 1500! has
 4,115 digits, below Python's 4,300-digit limit on printing an integer.  A
-parameter too long to print back is rejected with exit 1 as well.
+parameter too long to print back is rejected with exit 1 as well, and so is
+a ``spectrum`` whose printed action m·a_i would pass that limit: it exits 1
+before printing anything, naming the limit.
 
 Ellipsoid parameters are given with ``--a`` as comma-separated rationals; the
 tie-breaking side can be attached as a trailing ``+``/``-`` (e.g. ``13/2+``)
@@ -36,7 +43,9 @@ import argparse
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .exact import format_rational, rational
@@ -69,9 +78,16 @@ __all__ = ["main"]
 
 # widest ``gamma --k lo..hi`` range, in indices, and largest ``spectrum --count``
 GAMMA_MAX_WIDTH = 100_000
-# largest ``check --suite jumps --bound`` and ``check --suite linf --bound``
-JUMPS_MAX_BOUND = 20
+# largest ``check --suite S --bound`` per suite
+GAMMA_SUITE_MAX_BOUND = 500
 LINF_MAX_BOUND = 6
+AUG_MAX_BOUND = 6
+JUMPS_MAX_BOUND = 20
+GENFUN_MAX_BOUND = 30
+# most ``jumps --orbits`` indices on a route that runs xi, and most
+# sub-multisets of the indices on the recursive route
+JUMPS_XI_MAX_ORBITS = 8
+JUMPS_MAX_SUBMULTISETS = 4096
 # largest sum of the ``descendant --orbits`` indices
 DESCENDANT_MAX_INDEX_SUM = 1500
 
@@ -217,14 +233,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         # the k-th orbit covers the one axis whose count grew at step k
         axis = next(i for i, (x, y) in enumerate(zip(before, after)) if x != y)
         mult = after[axis]
-        rows.append(
-            {
-                "k": k,
-                "axis": axis + 1,
-                "multiplicity": mult,
-                "action": format_rational(params.a[axis] * mult),
-            }
-        )
+        action = params.a[axis] * mult
+        try:
+            action_text = format_rational(action)
+        except ValueError:
+            raise CLIError(
+                f"the action of orbit {k} has more than {sys.get_int_max_str_digits()} digits, "
+                "Python's limit on printing an integer"
+            ) from None
+        rows.append({"k": k, "axis": axis + 1, "multiplicity": mult, "action": action_text})
     csv_lines = ["k,axis,multiplicity,action"]
     csv_lines += [f"{r['k']},{r['axis']},{r['multiplicity']},{r['action']}" for r in rows]
     payload = {
@@ -326,8 +343,18 @@ def _cmd_jumps(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         raise CLIError("--a must be positive")
     indices = _parse_orbits(args.orbits)
     k = len(indices)
-    routes: dict[str, Fraction] = {}
     wanted = args.route
+    if wanted in ("xi", "all") and k > JUMPS_XI_MAX_ORBITS:
+        raise CLIError(
+            f"--orbits has {k} indices; the cap for the xi route is {JUMPS_XI_MAX_ORBITS} (JUMPS_XI_MAX_ORBITS)"
+        )
+    submultisets = prod(m + 1 for m in Counter(indices).values())
+    if wanted in ("recursive", "all") and submultisets > JUMPS_MAX_SUBMULTISETS:
+        raise CLIError(
+            f"--orbits has {submultisets} sub-multisets; the cap for the recursive route "
+            f"is {JUMPS_MAX_SUBMULTISETS} (JUMPS_MAX_SUBMULTISETS)"
+        )
+    routes: dict[str, Fraction] = {}
     if wanted in ("closed", "all"):
         if k == 1:
             routes["closed"] = jump_cylinder(a, indices[0])
@@ -447,8 +474,14 @@ def _suite_jumps(bound: int) -> Report:
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if args.bound is not None and args.bound < 1:
         raise CLIError(f"--bound must be >= 1, got {args.bound}")
-    cap = {"jumps": JUMPS_MAX_BOUND, "linf": LINF_MAX_BOUND}.get(args.suite)
-    if cap is not None and args.bound is not None and args.bound > cap:
+    cap = {
+        "gamma": GAMMA_SUITE_MAX_BOUND,
+        "linf": LINF_MAX_BOUND,
+        "aug": AUG_MAX_BOUND,
+        "jumps": JUMPS_MAX_BOUND,
+        "genfun": GENFUN_MAX_BOUND,
+    }[args.suite]
+    if args.bound is not None and args.bound > cap:
         raise CLIError(f"--bound {args.bound} is too large for the {args.suite} suite; the cap is {cap}")
     suites = {
         "gamma": lambda: _suite_gamma(args.bound if args.bound is not None else 50),

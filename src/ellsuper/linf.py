@@ -37,16 +37,15 @@ Operations
 Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word.
 
-Signs come from parity counts: each word's letter parities are computed
-once, and the sign of pulling a head block to the front is (-1) to the
-number of crossings of two odd letters, counted directly rather than by
-sorting; both extensions share that count.  In the coderivation the output
-letter of l^i is inserted into the already canonical rest by bisection,
-crossing exactly the rest letters smaller than it; in the cofunctor
-extension the letter of φ^{|B|} is sorted into each term of φ̂(w∖B) by
-:func:`canonical_word`.  Both extensions therefore require canonical input:
-a word whose keys are not sorted raises ValueError (:func:`canonical_word`
-sorts arbitrary keys).
+Signs follow one rule.  Pulling a head block to the front costs (-1) to the
+number of crossings of two odd letters, counted from the word's parities.
+Every output letter is placed by :func:`_insert_letter`, which bisects to its
+sorted place in a canonical word; an odd letter flips the sign once per odd
+letter it crosses, and zeroes the word if it is already there.  Both
+extensions insert into canonical words (the rest of the coderivation, each
+term of φ̂(w∖B)), so they reject a word whose keys are not sorted with a
+ValueError; :func:`canonical_word` sorts arbitrary keys by a right-to-left
+fold of insertions.
 
 Level maps are required to land in single generators (length-one words);
 this holds for every structure in this package and keeps extensions small.
@@ -109,27 +108,38 @@ class GeneratorSet:
 Word = tuple
 
 
+def _insert_letter(degree: Callable[[Key], int], letter: Key, word: Word) -> tuple[Word | None, int]:
+    """Insert ``letter`` into the canonical ``word`` at its sorted place: (word, sign).
+
+    The letter goes before any equal letters.  An odd letter flips the sign
+    once per odd letter it crosses, and one that is already in the word
+    makes it zero: (None, 0).
+    """
+    at = bisect_left(word, letter)
+    sign = 1
+    if degree(letter) & 1:
+        if at < len(word) and word[at] == letter:
+            return None, 0
+        for key in word[:at]:
+            if degree(key) & 1:
+                sign = -sign
+    return word[:at] + (letter,) + word[at:], sign
+
+
 def canonical_word(genset: GeneratorSet, keys: Sequence[Key]) -> tuple[Word | None, int]:
     """Sort keys into canonical order, returning (word, Koszul sign).
 
-    Returns (None, 0) when the word vanishes (a repeated odd-degree letter).
+    The sign is that of the stable sort.  Returns (None, 0) when the word
+    vanishes (a repeated odd-degree letter).
     """
-    items = list(keys)
-    degrees = [genset.degree(k) for k in items]
+    word: Word = ()
     sign = 1
-    # insertion sort; adjacent swaps of two odd letters flip the sign
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            if degrees[j - 1] % 2 and degrees[j] % 2:
-                sign = -sign
-            items[j - 1], items[j] = items[j], items[j - 1]
-            degrees[j - 1], degrees[j] = degrees[j], degrees[j - 1]
-            j -= 1
-    for i in range(1, len(items)):
-        if items[i - 1] == items[i] and degrees[i] % 2:
+    for key in reversed(keys):
+        word, flip = _insert_letter(genset.degree, key, word)
+        if word is None:
             return None, 0
-    return tuple(items), sign
+        sign *= flip
+    return word, sign
 
 
 class Combination:
@@ -237,13 +247,10 @@ def abelian(generators: GeneratorSet) -> LinfStructure:
     return LinfStructure(generators, lambda k, word: Combination.zero(), arities=())
 
 
-def _require_canonical(word: Word) -> None:
+def _parities(degree: Callable[[Key], int], word: Word) -> tuple[list[int], list[int]]:
+    """Letter parities of a canonical word, and the count of odd letters before each position."""
     if not all(map(le, word, word[1:])):
         raise ValueError(f"word {word!r} is not canonical: its keys must be sorted")
-
-
-def _parities(degree: Callable[[Key], int], word: Word) -> tuple[list[int], list[int]]:
-    """Letter parities of a word, and the count of odd letters before each position."""
     odd = [degree(key) & 1 for key in word]
     odd_before = [0]
     for parity in odd:
@@ -303,8 +310,8 @@ class LinfMorphism:
         k = len(word)
         if k == 0:
             raise ValueError("words must be nonempty")
-        _require_canonical(word)
         odd, odd_before = _parities(self.source.degree, word)
+        target_degree = self.target.degree
         out: dict[Word, Fraction] = {}
         for size in range(1, k + 1):
             for sigma in shuffles(size - 1, k - size):
@@ -312,15 +319,15 @@ class LinfMorphism:
                 value = self.level(size, tuple([word[p] for p in head]))
                 if not value:
                     continue
-                sign = -1 if _head_crossings(head, odd, odd_before) & 1 else 1
+                head_sign = -1 if _head_crossings(head, odd, odd_before) & 1 else 1
                 tail = tuple([word[p + 1] for p in sigma[size - 1:]])
                 rest = self.extend(tail) if tail else _EMPTY
                 for out_word, coeff in value.terms():
-                    letter = (_single_letter(out_word),)
+                    letter = _single_letter(out_word)
                     for u, d in rest.terms():
-                        target_word, sort_sign = canonical_word(self.target, letter + u)
+                        target_word, sign = _insert_letter(target_degree, letter, u)
                         if target_word is not None:
-                            _accumulate(out, target_word, sign * sort_sign * coeff * d)
+                            _accumulate(out, target_word, (coeff if sign == head_sign else -coeff) * d)
         return Combination(out)
 
 
@@ -329,13 +336,11 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
 
     Only the declared arities i of ``structure`` are visited.  The shuffle
     sign counts, for each odd head letter, the odd rest letters before it;
-    the output letter of l^i is inserted into the canonical rest by
-    bisection, crossing the rest letters smaller than it.
+    the output letter of l^i goes into the rest by :func:`_insert_letter`.
     """
     k = len(word)
     if k == 0:
         raise ValueError("words must be nonempty")
-    _require_canonical(word)
     degree = structure.generators.degree
     odd, odd_before = _parities(degree, word)
     # a rest holding a repeated odd letter is zero (only in non-reduced words)
@@ -355,17 +360,11 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
                 odd[rest[t]] and rest_word[t] == rest_word[t + 1] for t in range(k - i - 1)
             ):
                 continue
-            crossings = _head_crossings(head, odd, odd_before)
+            head_sign = -1 if _head_crossings(head, odd, odd_before) & 1 else 1
             for out_word, coeff in value.terms():
-                letter = _single_letter(out_word)
-                at = bisect_left(rest_word, letter)
-                flips = crossings
-                if degree(letter) & 1:
-                    if at < k - i and rest_word[at] == letter:
-                        continue
-                    flips += sum(odd[p] for p in rest[:at])
-                target_word = rest_word[:at] + (letter,) + rest_word[at:]
-                _accumulate(out, target_word, -coeff if flips & 1 else coeff)
+                target_word, sign = _insert_letter(degree, _single_letter(out_word), rest_word)
+                if target_word is not None:
+                    _accumulate(out, target_word, coeff if sign == head_sign else -coeff)
     return Combination(out)
 
 

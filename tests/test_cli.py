@@ -22,7 +22,18 @@ import pytest
 
 import ellsuper
 from ellsuper import orbits
-from ellsuper.cli import DESCENDANT_MAX_INDEX_SUM, GAMMA_MAX_WIDTH, JUMPS_MAX_BOUND, LINF_MAX_BOUND, main
+from ellsuper.cli import (
+    AUG_MAX_BOUND,
+    DESCENDANT_MAX_INDEX_SUM,
+    GAMMA_MAX_WIDTH,
+    GAMMA_SUITE_MAX_BOUND,
+    GENFUN_MAX_BOUND,
+    JUMPS_MAX_BOUND,
+    JUMPS_MAX_SUBMULTISETS,
+    JUMPS_XI_MAX_ORBITS,
+    LINF_MAX_BOUND,
+    main,
+)
 from ellsuper.report import Report
 
 
@@ -171,6 +182,15 @@ def test_spectrum_count_above_cap_exits_1_before_walking(capsys, monkeypatch):
     assert f"cap is {GAMMA_MAX_WIDTH}" in error
 
 
+def test_spectrum_action_too_long_to_print_exits_1(capsys):
+    # N has 4,300 digits, the most Python prints; the third orbit's action 2N has one more
+    n = "9" * 4300
+    assert len(run_json(capsys, ["spectrum", "--a", f"{n},{n}", "--count", "2"])["result"]["orbits"]) == 2
+    error = run_error(capsys, ["spectrum", "--a", f"{n},{n}", "--count", "3"])
+    assert "action of orbit 3" in error
+    assert "more than 4300 digits" in error
+
+
 def test_spectrum_memoizes_nothing(capsys):
     payload = run_json(capsys, ["spectrum", "--a", "1,3/2,1000003/7919", "--count", "12"])
     assert len(payload["result"]["orbits"]) == 12
@@ -313,6 +333,43 @@ def test_jumps_three_orbits_default_route(capsys):
     assert payload["result"]["value"] == payload["result"]["routes"]["recursive"]
 
 
+def route_must_not_start(*args):
+    raise AssertionError("the route must not start")
+
+
+@pytest.mark.parametrize("route", ["xi", "all"])
+def test_jumps_xi_route_above_orbit_cap_exits_1_before_work(capsys, monkeypatch, route):
+    for name in ("jump_general", "jump_via_xi"):
+        monkeypatch.setattr(f"ellsuper.cli.{name}", route_must_not_start)
+    orbits = ",".join(str(i) for i in range(1, JUMPS_XI_MAX_ORBITS + 2))
+    error = run_error(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", route])
+    assert f"--orbits has {JUMPS_XI_MAX_ORBITS + 1} indices" in error
+    assert f"cap for the xi route is {JUMPS_XI_MAX_ORBITS} (JUMPS_XI_MAX_ORBITS)" in error
+
+
+def test_jumps_xi_route_at_orbit_cap_runs(capsys, monkeypatch):
+    monkeypatch.setattr("ellsuper.cli.jump_via_xi", lambda a, indices: Fraction(len(indices)))
+    orbits = ",".join(str(i) for i in range(1, JUMPS_XI_MAX_ORBITS + 1))
+    payload = run_json(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", "xi"])
+    assert payload["result"]["value"] == str(JUMPS_XI_MAX_ORBITS)
+
+
+def test_jumps_recursive_route_above_submultiset_cap_exits_1_before_work(capsys, monkeypatch):
+    monkeypatch.setattr("ellsuper.cli.jump_general", route_must_not_start)
+    # (16 + 1) * (240 + 1) = 4097 sub-multisets, one above the cap
+    orbits = ",".join(["1"] * 16 + ["2"] * 240)
+    error = run_error(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", "recursive"])
+    assert f"--orbits has {JUMPS_MAX_SUBMULTISETS + 1} sub-multisets" in error
+    assert f"is {JUMPS_MAX_SUBMULTISETS} (JUMPS_MAX_SUBMULTISETS)" in error
+
+
+def test_jumps_recursive_route_at_submultiset_cap_runs(capsys, monkeypatch):
+    monkeypatch.setattr("ellsuper.cli.jump_general", lambda a, indices: Fraction(len(indices)))
+    orbits = ",".join(str(i) for i in range(1, 13))  # 2**12 = 4096 sub-multisets
+    payload = run_json(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", "recursive"])
+    assert payload["result"]["value"] == "12"
+
+
 # ---------------------------------------------------------------- bound
 
 
@@ -363,6 +420,24 @@ def test_check_linf_bound_above_cap_exits_1_before_checking(capsys, monkeypatch)
     error = run_error(capsys, ["check", "--suite", "linf", "--bound", str(LINF_MAX_BOUND + 1)])
     assert f"--bound {LINF_MAX_BOUND + 1}" in error
     assert f"cap is {LINF_MAX_BOUND}" in error
+
+
+@pytest.mark.parametrize(
+    "suite, cap, expensive",
+    [
+        ("gamma", GAMMA_SUITE_MAX_BOUND, "gamma"),
+        ("aug", AUG_MAX_BOUND, "verify_aug"),
+        ("genfun", GENFUN_MAX_BOUND, "genfun_check"),
+    ],
+)
+def test_check_bound_above_cap_exits_1_before_checking(capsys, monkeypatch, suite, cap, expensive):
+    def boom(*args):
+        raise AssertionError("the check must not start")
+
+    monkeypatch.setattr(f"ellsuper.cli.{expensive}", boom)
+    error = run_error(capsys, ["check", "--suite", suite, "--bound", str(cap + 1)])
+    assert f"--bound {cap + 1}" in error
+    assert f"cap is {cap}" in error
 
 
 def test_check_failing_suite_exits_2(capsys, monkeypatch):

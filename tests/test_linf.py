@@ -186,6 +186,19 @@ class TestCoderivationExtend:
         expected = Combination({word(g(2), g(3)): Fraction(1), word(g(1), g(4)): Fraction(-1)})
         assert result == expected
 
+    def test_odd_output_letter_is_inserted_with_its_sign(self):
+        """l^1(g_i) = g_{i+2} for odd i keeps odd letters odd.  On g1.g3 the
+        term l^1(g1).g3 = g3.g3 repeats an odd letter and vanishes; g1.l^1(g3)
+        takes -1 for pulling g3 to the front and -1 for g5 crossing g1."""
+
+        def rule(k, w):
+            if k == 1 and w[0][1] % 2 == 1:
+                return Combination.single(word(g(w[0][1] + 2)))
+            return Combination.zero()
+
+        result = extend_coderivation(LinfStructure(GRADED, rule), word(g(1), g(3)))
+        assert result == Combination.single(word(g(1), g(5)), 1)
+
     def test_square_vanishes(self):
         S = self.nilpotent_structure()
         first = extend_coderivation(S, word(g(1), g(3)))
