@@ -22,14 +22,19 @@ scan also takes tens of MB) and ``GENFUN_MAX_BOUND`` (30).
 ``all``) gets more than ``JUMPS_XI_MAX_ORBITS`` (8) indices, or when
 ``recursive``/``all`` would visit more than ``JUMPS_MAX_SUBMULTISETS`` (4096)
 sub-multisets, Π (m_i + 1) over the multiplicities m_i of the distinct indices.
+``superpotential --d`` and ``bound --d`` exit 1 above ``COUNT_MAX_DEGREE``
+(120; one count there takes about 2 s at the slowest ratios), and
+``table --d`` above ``TABLE_MAX_DEGREE`` (32; the table over (1, ∞) takes
+about 4 s, 7 s with ``--refine-orbit-id``).
 All these caps are checked before any work starts.
 ``descendant --orbits i_1,...,i_k`` exits 1 when Σ i_s exceeds
 ``DESCENDANT_MAX_INDEX_SUM`` (1500), before any work starts: Γ's coordinates
 sum to its index, so the printed denominator divides (Σ i_s)!, and 1500! has
 4,115 digits, below Python's 4,300-digit limit on printing an integer.  A
 parameter too long to print back is rejected with exit 1 as well, and so is
-a ``spectrum`` whose printed action m·a_i would pass that limit: it exits 1
-before printing anything, naming the limit.
+any printed value that would pass that limit (a ``spectrum`` action m·a_i, a
+``bound`` area/action): the command exits 1 before printing anything,
+naming the limit.
 
 Ellipsoid parameters are given with ``--a`` as comma-separated rationals; the
 tie-breaking side can be attached as a trailing ``+``/``-`` (e.g. ``13/2+``)
@@ -90,6 +95,9 @@ JUMPS_XI_MAX_ORBITS = 8
 JUMPS_MAX_SUBMULTISETS = 4096
 # largest sum of the ``descendant --orbits`` indices
 DESCENDANT_MAX_INDEX_SUM = 1500
+# largest ``--d`` of one count (``superpotential``, ``bound``) and of ``table``
+COUNT_MAX_DEGREE = 120
+TABLE_MAX_DEGREE = 32
 
 
 class CLIError(Exception):
@@ -175,6 +183,24 @@ def _parse_k_range(text: str) -> range:
     return range(k, k + 1)
 
 
+def _check_degree(d: int, cap: int, cap_name: str) -> None:
+    if d < 1:
+        raise CLIError("--d must be >= 1")
+    if d > cap:
+        raise CLIError(f"--d {d} is too large; the cap is {cap} ({cap_name})")
+
+
+def _printable(value: Fraction, what: str) -> str:
+    """``format_rational(value)``, or exit 1 naming the digit limit when it is too long to print."""
+    try:
+        return format_rational(value)
+    except ValueError:
+        raise CLIError(
+            f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit on printing an integer"
+        ) from None
+
+
 def _require_cp2(name: str) -> CP2Target:
     if name != "cp2":
         raise CLIError(f"unknown target {name!r} (supported: cp2)")
@@ -233,14 +259,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         # the k-th orbit covers the one axis whose count grew at step k
         axis = next(i for i, (x, y) in enumerate(zip(before, after)) if x != y)
         mult = after[axis]
-        action = params.a[axis] * mult
-        try:
-            action_text = format_rational(action)
-        except ValueError:
-            raise CLIError(
-                f"the action of orbit {k} has more than {sys.get_int_max_str_digits()} digits, "
-                "Python's limit on printing an integer"
-            ) from None
+        action_text = _printable(params.a[axis] * mult, f"the action of orbit {k}")
         rows.append({"k": k, "axis": axis + 1, "multiplicity": mult, "action": action_text})
     csv_lines = ["k,axis,multiplicity,action"]
     csv_lines += [f"{r['k']},{r['axis']},{r['multiplicity']},{r['action']}" for r in rows]
@@ -270,8 +289,7 @@ def _cmd_descendant(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def _cmd_superpotential(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     target = _require_cp2(args.target)
-    if args.d < 1:
-        raise CLIError("--d must be >= 1")
+    _check_degree(args.d, COUNT_MAX_DEGREE, "COUNT_MAX_DEGREE")
     core, suffix_side = _split_side_suffix(args.a)
     if core.strip() == "inf":
         if suffix_side is not None or args.side is not None:
@@ -304,8 +322,7 @@ def _cmd_superpotential(args: argparse.Namespace) -> tuple[dict, list[str], int]
 
 def _cmd_table(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     target = _require_cp2(args.target)
-    if args.d < 1:
-        raise CLIError("--d must be >= 1")
+    _check_degree(args.d, TABLE_MAX_DEGREE, "TABLE_MAX_DEGREE")
     lo = _parse_rational(args.min)
     hi = None if args.max.strip() == "inf" else _parse_rational(args.max)
     try:
@@ -382,8 +399,7 @@ def _cmd_jumps(args: argparse.Namespace) -> tuple[dict, list[str], int]:
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     target = _require_cp2(args.target)
-    if args.d < 1:
-        raise CLIError("--d must be >= 1")
+    _check_degree(args.d, COUNT_MAX_DEGREE, "COUNT_MAX_DEGREE")
     core, _ = _split_side_suffix(args.a)
     components = [tok for tok in core.split(",") if tok.strip() != ""]
     if len(components) not in (1, 2):
@@ -394,7 +410,7 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if value is None:
         result = {"bound": None, "note": "count vanishes; no obstruction from this class"}
     else:
-        result = {"bound": format_rational(value)}
+        result = {"bound": _printable(value, f"the bound area/action at d = {args.d}")}
     payload = {
         "command": "bound",
         "input": {"target": args.target, "d": args.d, "a": params.describe()},

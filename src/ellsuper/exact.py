@@ -14,7 +14,9 @@ over the blocks holding the first letter.
 
 :func:`exp_series_pass` is the one exponential-of-series recurrence behind
 both recursive counts: the CP² counts of :mod:`ellsuper.superpotential` and
-the jumps of :mod:`ellsuper.jumps`.
+the jumps of :mod:`ellsuper.jumps`.  It runs on integers: each series is one
+denominator and a dict of integer numerators, and only the values it returns
+are ``Fraction``s.
 
 :func:`remember` stores into a module-level memo dict and keeps it at
 ``CACHE_CAP`` entries by evicting the oldest first; the lattice walks of
@@ -122,37 +124,76 @@ def exp_series_pass(steps: Iterable[tuple]) -> dict:
         v_I = P_I! ( N_I - aut(I) Σ_Q [u^Q](E_I - F_I) / Q! ),
 
     so E_I - F_I comes from smaller parts, then v_I, then E_I.  Zero values
-    add no monomial.  Returns {I: v_I}.
+    add no monomial.  Returns {I: v_I}, each an exact ``Fraction``.
+
+    The arithmetic is on integers: E_I is one denominator D_I and a dict of
+    integer numerators, and F_S is a reduced numerator over a denominator.
+    A step puts its split sum over the ``lcm`` of the split denominators
+    (F_S's times D_{I∖S}), divides by w(I) through the denominator, and
+    takes out the ``gcd`` of the result; the correction is summed over the
+    ``lcm`` of the Q!.  Only v_I is built as a ``Fraction``; adding F_I to
+    E_I rescales the series when v_I / aut(I) needs a larger denominator.
+    :func:`ellsuper.oracle.exp_series_pass_fractions` is the same pass with
+    ``Fraction`` coefficients.
     """
     values: dict = {}
-    monomials: dict = {}  # I -> (x, y, c) with F_I = c u^(x, y), c != 0
-    series: dict = {}  # I -> E_I as {(x, y): coefficient}
+    monomials: dict = {}  # I -> (x, y, n, d) with F_I = n/d u^(x, y) in lowest terms, n != 0
+    series: dict = {}  # I -> (D_I, {(x, y): numerator}) with E_I = numerators / D_I
     factorial = math.factorial
+    gcd, lcm = math.gcd, math.lcm
+    point_factorials: dict[tuple[int, int], int] = {}  # Q -> Q!
     for key, weight, aut, splits, (x_out, y_out), base in steps:
-        scaled: dict[tuple[int, int], Fraction] = {}  # w(I) (E_I - F_I)
+        parts = []
         for sub, complement, sub_weight in splits:
             mono = monomials.get(sub)
             if mono is None:
                 continue
-            x_s, y_s, coeff = mono
-            coeff *= sub_weight
-            for (x, y), term in series[complement].items():
+            x_s, y_s, num_s, den_s = mono
+            den_c, nums = series[complement]
+            if nums:
+                parts.append((x_s, y_s, sub_weight * num_s, den_s * den_c, nums))
+        denominator = lcm(*(part[3] for part in parts))
+        rest: dict[tuple[int, int], int] = {}  # w(I) (E_I - F_I) = rest / denominator
+        for x_s, y_s, factor, split_den, nums in parts:
+            factor *= denominator // split_den
+            for (x, y), num in nums.items():
                 point = (x + x_s, y + y_s)
-                scaled[point] = scaled.get(point, 0) + coeff * term
-        rest = {point: coeff / weight for point, coeff in scaled.items()}  # E_I - F_I
-        correction = sum(
-            (coeff / (factorial(x) * factorial(y)) for (x, y), coeff in rest.items()),
-            Fraction(0),
+                rest[point] = rest.get(point, 0) + factor * num
+        denominator *= weight
+        common = denominator
+        for num in rest.values():
+            common = gcd(common, num)
+            if common == 1:
+                break
+        if common != 1:
+            denominator //= common
+            rest = {point: num // common for point, num in rest.items()}
+        # Σ_Q [u^Q](E_I - F_I) / Q! = (Σ_Q n_Q M / Q!) / (M D_I), with M the lcm of the Q!
+        q_facts = []
+        for point in rest:
+            q_fact = point_factorials.get(point)
+            if q_fact is None:
+                q_fact = point_factorials[point] = factorial(point[0]) * factorial(point[1])
+            q_facts.append(q_fact)
+        fact_lcm = lcm(*q_facts)
+        correction = aut * sum(num * (fact_lcm // q_fact) for num, q_fact in zip(rest.values(), q_facts))
+        scale = fact_lcm * denominator
+        value = Fraction(
+            factorial(x_out) * factorial(y_out) * (base.numerator * scale - correction * base.denominator),
+            base.denominator * scale,
         )
-        if aut != 1:
-            correction *= aut
-        value = factorial(x_out) * factorial(y_out) * (base - correction)
         values[key] = value
-        if value != 0:
-            coeff = value if aut == 1 else value / aut
-            monomials[key] = (x_out, y_out, coeff)
-            rest[(x_out, y_out)] = rest.get((x_out, y_out), 0) + coeff
-        series[key] = rest
+        if value:
+            shared = gcd(value.numerator, aut)
+            num_f, den_f = value.numerator // shared, value.denominator * (aut // shared)
+            monomials[key] = (x_out, y_out, num_f, den_f)
+            grow = den_f // gcd(denominator, den_f)
+            if grow != 1:
+                denominator *= grow
+                rest = {point: num * grow for point, num in rest.items()}
+            point = (x_out, y_out)
+            rest[point] = rest.get(point, 0) + num_f * (denominator // den_f)
+        series[key] = (denominator, rest)
     return values
 
 

@@ -21,7 +21,10 @@ and exists only to validate the production code path:
   path evaluates it as an exponential of series over index multisets);
 * :func:`cp2_exp_mc` — the degree-d piece of exp(Σ_e T̃_e o_{3e-1}) over the
   partitions of d; pushed through the L∞ engine by ``sft.epsilon``, its
-  single-letter part must be the closed count N_d = 1/(d!)^3.
+  single-letter part must be the closed count N_d = 1/(d!)^3;
+* :func:`exp_series_pass_fractions` — the exponential-of-series kernel with
+  every coefficient a ``Fraction``, the reference for the integer-numerator
+  kernel :func:`ellsuper.exact.exp_series_pass`.
 
 The symbolic perturbation and the enumerations behind these live here too,
 because nothing on the production path calls them:
@@ -51,7 +54,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact import LatticePoint, aut_size, rational, vec_add, vec_factorial
 from .linf import Combination, GeneratorSet, LinfMorphism, LinfStructure, Word
@@ -69,6 +72,7 @@ __all__ = [
     "wt_T_partitions",
     "jump_partitions",
     "cp2_exp_mc",
+    "exp_series_pass_fractions",
     "partitions",
     "set_partitions",
     "koszul_sign",
@@ -395,6 +399,58 @@ def jump_partitions(a: int | str | Fraction, indices: Sequence[int]) -> Fraction
         return value
 
     return jump(top)
+
+
+def exp_series_pass_fractions(steps: Iterable[tuple]) -> dict:
+    """The exponential-of-series pass with every coefficient a ``Fraction``.
+
+    The reference for :func:`ellsuper.exact.exp_series_pass`, which takes the
+    same steps but keeps each series as integer numerators over one
+    denominator.  Values v_I = P_I! (N_I - Σ over splittings of I into >= 2
+    parts), all in one pass.
+
+    Each step is ``(I, w(I), aut(I), splits, P_I, N_I)``, and the steps come
+    in an order where every part of I precedes I.  ``splits`` yields
+    ``(S, I∖S, w(S))`` once for each nonempty proper part S of I, the weight
+    w is additive, and ``P_I = (x, y)`` is a lattice point.  With
+    F_I = v_I / aut(I) u^{P_I} and E = exp(F), Euler's operator gives
+
+        w(I) (E_I - F_I) = Σ_S w(S) F_S E_{I∖S},
+        v_I = P_I! ( N_I - aut(I) Σ_Q [u^Q](E_I - F_I) / Q! ),
+
+    so E_I - F_I comes from smaller parts, then v_I, then E_I.  Zero values
+    add no monomial.  Returns {I: v_I}.
+    """
+    values: dict = {}
+    monomials: dict = {}  # I -> (x, y, c) with F_I = c u^(x, y), c != 0
+    series: dict = {}  # I -> E_I as {(x, y): coefficient}
+    factorial = math.factorial
+    for key, weight, aut, splits, (x_out, y_out), base in steps:
+        scaled: dict[tuple[int, int], Fraction] = {}  # w(I) (E_I - F_I)
+        for sub, complement, sub_weight in splits:
+            mono = monomials.get(sub)
+            if mono is None:
+                continue
+            x_s, y_s, coeff = mono
+            coeff *= sub_weight
+            for (x, y), term in series[complement].items():
+                point = (x + x_s, y + y_s)
+                scaled[point] = scaled.get(point, 0) + coeff * term
+        rest = {point: coeff / weight for point, coeff in scaled.items()}  # E_I - F_I
+        correction = sum(
+            (coeff / (factorial(x) * factorial(y)) for (x, y), coeff in rest.items()),
+            Fraction(0),
+        )
+        if aut != 1:
+            correction *= aut
+        value = factorial(x_out) * factorial(y_out) * (base - correction)
+        values[key] = value
+        if value != 0:
+            coeff = value if aut == 1 else value / aut
+            monomials[key] = (x_out, y_out, coeff)
+            rest[(x_out, y_out)] = rest.get((x_out, y_out), 0) + coeff
+        series[key] = rest
+    return values
 
 
 def cp2_exp_mc(counts: Mapping[int, Fraction], d: int) -> Combination:

@@ -24,6 +24,7 @@ import ellsuper
 from ellsuper import orbits
 from ellsuper.cli import (
     AUG_MAX_BOUND,
+    COUNT_MAX_DEGREE,
     DESCENDANT_MAX_INDEX_SUM,
     GAMMA_MAX_WIDTH,
     GAMMA_SUITE_MAX_BOUND,
@@ -32,6 +33,7 @@ from ellsuper.cli import (
     JUMPS_MAX_SUBMULTISETS,
     JUMPS_XI_MAX_ORBITS,
     LINF_MAX_BOUND,
+    TABLE_MAX_DEGREE,
     main,
 )
 from ellsuper.report import Report
@@ -251,6 +253,26 @@ def test_superpotential_infinite_parameter_rejects_side(capsys):
         assert "side" in message
 
 
+def count_must_not_start(*args):
+    raise AssertionError("the count must not start")
+
+
+@pytest.mark.parametrize("a", ["inf", "13/2+"])
+def test_superpotential_degree_above_cap_exits_1_before_counting(capsys, monkeypatch, a):
+    for name in ("wt_T", "T", "wt_T_infinity", "T_infinity"):
+        monkeypatch.setattr(f"ellsuper.cli.{name}", count_must_not_start)
+    error = run_error(capsys, ["superpotential", "--d", str(COUNT_MAX_DEGREE + 1), "--a", a])
+    assert f"--d {COUNT_MAX_DEGREE + 1}" in error
+    assert f"cap is {COUNT_MAX_DEGREE} (COUNT_MAX_DEGREE)" in error
+
+
+def test_superpotential_degree_at_cap_runs(capsys, monkeypatch):
+    monkeypatch.setattr("ellsuper.cli.wt_T_infinity", lambda d: Fraction(d))
+    monkeypatch.setattr("ellsuper.cli.T_infinity", lambda d: Fraction(1))
+    payload = run_json(capsys, ["superpotential", "--d", str(COUNT_MAX_DEGREE), "--a", "inf"])
+    assert payload["result"]["wt_T"] == str(COUNT_MAX_DEGREE)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -301,6 +323,16 @@ def test_table_csv(capsys):
     )
     lines = out.strip().splitlines()
     assert lines == ["quantity,lo,hi,value", "wt_T,1,2,0", "wt_T,2,4,1"]
+
+
+@pytest.mark.parametrize("refine", [[], ["--refine-orbit-id"]])
+def test_table_degree_above_cap_exits_1_before_tabulating(capsys, monkeypatch, refine):
+    for name in ("piecewise_table", "normalized_table"):
+        monkeypatch.setattr(f"ellsuper.cli.{name}", count_must_not_start)
+    argv = ["table", "--d", str(TABLE_MAX_DEGREE + 1), "--min", "1", "--max", "inf", *refine]
+    error = run_error(capsys, argv)
+    assert f"--d {TABLE_MAX_DEGREE + 1}" in error
+    assert f"cap is {TABLE_MAX_DEGREE} (TABLE_MAX_DEGREE)" in error
 
 
 # ---------------------------------------------------------------- jumps
@@ -387,6 +419,22 @@ def test_bound_vanishing_count_reports_no_obstruction(capsys):
     payload = run_json(capsys, ["bound", "--d", "2", "--a", "3/2"])
     assert payload["result"]["bound"] is None
     assert "no obstruction" in payload["result"]["note"]
+
+
+def test_bound_degree_above_cap_exits_1_before_counting(capsys, monkeypatch):
+    monkeypatch.setattr("ellsuper.cli.embedding_bound", count_must_not_start)
+    error = run_error(capsys, ["bound", "--d", str(COUNT_MAX_DEGREE + 1), "--a", "1,7/3"])
+    assert f"cap is {COUNT_MAX_DEGREE} (COUNT_MAX_DEGREE)" in error
+
+
+@pytest.mark.parametrize("d", ["3", "5", "9"])
+def test_bound_too_long_to_print_exits_1(capsys, d):
+    # 1/N with N of 4,300 digits prints, but the bound d·N/m has one digit more
+    n = "9" * 4300
+    error = run_error(capsys, ["bound", "--d", d, "--a", f"1/{n},1"])
+    assert f"the bound area/action at d = {d}" in error
+    assert "more than 4300 digits" in error
+    assert run_json(capsys, ["bound", "--d", d, "--a", f"1/{n[1:]},1"])["result"]["bound"]
 
 
 # ---------------------------------------------------------------- check

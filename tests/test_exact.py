@@ -3,7 +3,8 @@
 The classes for the dual-number order (``oracle.DualRational``) and for the
 oracle's enumerations (``oracle.partitions``, ``oracle.set_partitions``,
 ``oracle.koszul_sign``) stay here beside the production enumerations they
-complement.
+complement, and the integer exp-series kernel is compared here with its
+``Fraction`` reference ``oracle.exp_series_pass_fractions``.
 """
 
 import math
@@ -22,7 +23,7 @@ from ellsuper.exact import (
     vec_add,
     vec_factorial,
 )
-from ellsuper.oracle import DualRational, koszul_sign, partitions, set_partitions
+from ellsuper.oracle import DualRational, exp_series_pass_fractions, koszul_sign, partitions, set_partitions
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=40)
 small_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
@@ -104,7 +105,7 @@ class TestAutSize:
         assert aut_size(("x", "x", "y")) == 2
 
 
-def multiplicity_steps(top, weights, base):
+def multiplicity_steps(top, weights, base, point=lambda m: (0, 0)):
     """Steps over multisets of len(top) index kinds, keyed by multiplicity vectors m <= top."""
 
     def weight(m):
@@ -119,8 +120,20 @@ def multiplicity_steps(top, weights, base):
             if any(s) and s != m
         )
         aut = math.prod(math.factorial(x) for x in m)
-        steps.append((m, weight(m), aut, splits, (0, 0), base(m)))
+        steps.append((m, weight(m), aut, splits, point(m), base(m)))
     return steps
+
+
+def degree_steps(points, bases):
+    """Steps n = 1..len(points) of weight n and aut 1, split as k + (n - k), like the CP^2 counts."""
+    return [
+        (n, n, 1, tuple((k, n - k, k) for k in range(1, n)), point, base)
+        for n, (point, base) in enumerate(zip(points, bases), start=1)
+    ]
+
+
+lattice_points = st.tuples(st.integers(0, 6), st.integers(0, 6))
+bases = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-5, max_value=5, max_denominator=30))
 
 
 class TestExpSeriesPass:
@@ -145,6 +158,47 @@ class TestExpSeriesPass:
             (n, n, 1, tuple((k, n - k, k) for k in range(1, n)), (n, 0), Fraction(0)) for n in range(1, 6)
         ]
         assert set(exp_series_pass(steps).values()) == {0}
+
+    def test_aut_divides_the_monomial_and_scales_the_correction(self):
+        # F = 1/2 t u^(1,0) + v/2 t^2 u^(1,1): E_{tt} - F_{tt} = (1/2)^2 / 2 u^(2,0), so
+        # v = 1!1! (1/3 - aut · (1/8) / 2!) = 1/3 - 1/8 with aut = 2
+        steps = [
+            ("t", 1, 1, (), (1, 0), Fraction(1, 2)),
+            ("tt", 2, 2, (("t", "t", 1),), (1, 1), Fraction(1, 3)),
+        ]
+        assert exp_series_pass(steps) == {"t": Fraction(1, 2), "tt": Fraction(5, 24)}
+
+    def test_cumulants_of_the_exponential_distribution(self):
+        # with every P_I = 0, aut(m) = m! turns N into moments and v into cumulants:
+        # moments n! of Exp(1) have cumulants (n - 1)!
+        values = exp_series_pass(multiplicity_steps((5,), (1,), lambda m: Fraction(math.factorial(m[0]))))
+        assert values == {(n,): Fraction(math.factorial(n - 1)) for n in range(1, 6)}
+
+    @given(
+        points=st.lists(lattice_points, min_size=1, max_size=9),
+        data=st.data(),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_degree_steps_match_the_fraction_kernel(self, points, data):
+        base_list = data.draw(st.lists(bases, min_size=len(points), max_size=len(points)))
+        steps = degree_steps(points, base_list)
+        values = exp_series_pass(steps)
+        assert values == exp_series_pass_fractions(steps)
+        assert all(type(v) is Fraction for v in values.values())
+
+    @given(
+        top=st.lists(st.integers(1, 2), max_size=2).map(lambda rest: (2, *rest)),
+        data=st.data(),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_multiset_steps_match_the_fraction_kernel(self, top, data):
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=len(top), max_size=len(top)))
+        keys = list(product(*(range(t + 1) for t in top)))
+        table = data.draw(st.fixed_dictionaries({m: st.tuples(lattice_points, bases) for m in keys}))
+        steps = multiplicity_steps(top, weights, lambda m: table[m][1], lambda m: table[m][0])
+        values = exp_series_pass(steps)
+        assert values == exp_series_pass_fractions(steps)
+        assert all(type(v) is Fraction for v in values.values())
 
 
 class TestShuffles:

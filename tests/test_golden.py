@@ -8,7 +8,11 @@ transfer-stack outputs (``jumps``, ``check``, ``gamma``, ``spectrum``,
 ``gamma``/``spectrum`` outputs by a walk over dual-number perturbed actions
 (now ``oracle.DualRational``); the code that replaced them must print the
 same bytes.  ``descendant --orbits 1500`` sits at the index-sum cap, where the
-printed denominator has 3,719 digits.
+printed denominator has 3,719 digits.  ``superpotential --d 60 --a inf`` and
+``table --d 20 --min 1 --max inf`` were computed by the ``Fraction``
+exp-series kernel (now ``oracle.exp_series_pass_fractions``): deep counts
+with large numerators, where a denominator or rescaling slip of the integer
+kernel would show.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ CASES = [
     ("superpotential_d30_a7-3.json", ["superpotential", "--d", "30", "--a", "7/3"]),
     ("superpotential_d12_a13-2plus.json", ["superpotential", "--d", "12", "--a", "13/2+"]),
     ("superpotential_d9_inf.json", ["superpotential", "--d", "9", "--a", "inf"]),
+    ("superpotential_d60_inf.json", ["superpotential", "--d", "60", "--a", "inf"]),
+    ("table_d20_inf.json", ["table", "--d", "20", "--min", "1", "--max", "inf"]),
     ("table_d8_refine.json", ["table", "--d", "8", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
     ("table_d14_refine.json", ["table", "--d", "14", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
     (
