@@ -49,16 +49,28 @@ fold of insertions.
 
 Level maps are required to land in single generators (length-one words);
 this holds for every structure in this package and keeps extensions small.
+
+Arithmetic runs on integers.  :meth:`Combination.apply` and both extensions
+sum each output word as an unreduced (numerator, denominator) pair: equal
+denominators add numerators, unequal ones meet over their lcm.  One reduced
+``Fraction`` is built per surviving word at the end, so every public
+coefficient is a ``Fraction``.  A word whose sum reaches 0 is dropped, and
+a later term appends it again, so term order is that of the first nonzero
+partial sum.  Letter parities come from :meth:`GeneratorSet.parity`, a
+per-set memo filled through :func:`ellsuper.exact.remember` (at most
+``CACHE_CAP`` keys); a key the degree rule rejects is never stored, so it
+raises on every call.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 from operator import le
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .exact import shuffles
+from .exact import remember, shuffles
 from .report import Report
 
 __all__ = [
@@ -93,9 +105,20 @@ class GeneratorSet:
     def __init__(self, label: str, degree_fn: Callable[[Key], int]) -> None:
         self.label = label
         self._degree_fn = degree_fn
+        self._parity_memo: dict[Key, int] = {}
 
     def degree(self, key: Key) -> int:
         return self._degree_fn(key)
+
+    def parity(self, key: Key) -> int:
+        """``degree(key) & 1``, memoized per set (at most ``CACHE_CAP`` keys).
+
+        Only valid keys are stored: an unknown key raises on every call.
+        """
+        parity = self._parity_memo.get(key)
+        if parity is None:
+            parity = remember(self._parity_memo, key, self._degree_fn(key) & 1)
+        return parity
 
     def compatible(self, other: "GeneratorSet") -> bool:
         return self.label == other.label
@@ -108,7 +131,7 @@ class GeneratorSet:
 Word = tuple
 
 
-def _insert_letter(degree: Callable[[Key], int], letter: Key, word: Word) -> tuple[Word | None, int]:
+def _insert_letter(parity: Callable[[Key], int], letter: Key, word: Word) -> tuple[Word | None, int]:
     """Insert ``letter`` into the canonical ``word`` at its sorted place: (word, sign).
 
     The letter goes before any equal letters.  An odd letter flips the sign
@@ -117,11 +140,11 @@ def _insert_letter(degree: Callable[[Key], int], letter: Key, word: Word) -> tup
     """
     at = bisect_left(word, letter)
     sign = 1
-    if degree(letter) & 1:
+    if parity(letter):
         if at < len(word) and word[at] == letter:
             return None, 0
         for key in word[:at]:
-            if degree(key) & 1:
+            if parity(key):
                 sign = -sign
     return word[:at] + (letter,) + word[at:], sign
 
@@ -135,7 +158,7 @@ def canonical_word(genset: GeneratorSet, keys: Sequence[Key]) -> tuple[Word | No
     word: Word = ()
     sign = 1
     for key in reversed(keys):
-        word, flip = _insert_letter(genset.degree, key, word)
+        word, flip = _insert_letter(genset.parity, key, word)
         if word is None:
             return None, 0
         sign *= flip
@@ -180,11 +203,12 @@ class Combination:
 
     def apply(self, fn: Callable[[Word], "Combination"]) -> "Combination":
         """The linear extension Σ_u c_u · fn(u), accumulated in one dict."""
-        out: dict[Word, Fraction] = {}
+        out: _Sums = {}
         for u, c in self._terms.items():
+            c_num, c_den = c.numerator, c.denominator
             for w, d in fn(u)._terms.items():
-                _accumulate(out, w, c * d)
-        return Combination(out)
+                _add(out, w, c_num * d.numerator, c_den * d.denominator)
+        return _combination(out)
 
     def restrict_length(self, length: int) -> "Combination":
         return Combination({w: c for w, c in self._terms.items() if len(w) == length})
@@ -195,13 +219,38 @@ class Combination:
         return " + ".join(f"{c}*{w}" for w, c in sorted(self._terms.items(), key=lambda t: t[0]))
 
 
-def _accumulate(store: dict[Word, Fraction], word: Word, coeff: Fraction) -> None:
-    old = store.get(word)
-    new = coeff if old is None else old + coeff
-    if new:
-        store[word] = new
+# word -> unreduced (numerator, denominator) integer pair of its running coefficient
+_Sums = dict[Word, tuple[int, int]]
+
+
+def _add(sums: _Sums, word: Word, num: int, den: int) -> None:
+    """Add num/den to the coefficient of ``word`` in ``sums`` on integers.
+
+    Equal denominators add numerators; otherwise both go over the lcm.  A
+    word whose sum reaches 0 is dropped, and a later term re-appends it.
+    """
+    old = sums.get(word)
+    if old is None:
+        sums[word] = (num, den)
+        return
+    old_num, old_den = old
+    if old_den == den:
+        num += old_num
     else:
-        store.pop(word, None)
+        g = gcd(old_den, den)
+        num = old_num * (den // g) + num * (old_den // g)
+        den = old_den // g * den
+    if num:
+        sums[word] = (num, den)
+    else:
+        del sums[word]
+
+
+def _combination(sums: _Sums) -> Combination:
+    """The Combination of nonzero integer sums: one reduced Fraction per word."""
+    out = Combination.__new__(Combination)
+    out._terms = {w: Fraction(num, den) for w, (num, den) in sums.items()}
+    return out
 
 
 def _single_letter(comb_word: Word) -> Key:
@@ -247,14 +296,14 @@ def abelian(generators: GeneratorSet) -> LinfStructure:
     return LinfStructure(generators, lambda k, word: Combination.zero(), arities=())
 
 
-def _parities(degree: Callable[[Key], int], word: Word) -> tuple[list[int], list[int]]:
+def _parities(parity: Callable[[Key], int], word: Word) -> tuple[list[int], list[int]]:
     """Letter parities of a canonical word, and the count of odd letters before each position."""
     if not all(map(le, word, word[1:])):
         raise ValueError(f"word {word!r} is not canonical: its keys must be sorted")
-    odd = [degree(key) & 1 for key in word]
+    odd = [parity(key) for key in word]
     odd_before = [0]
-    for parity in odd:
-        odd_before.append(odd_before[-1] + parity)
+    for bit in odd:
+        odd_before.append(odd_before[-1] + bit)
     return odd, odd_before
 
 
@@ -310,9 +359,9 @@ class LinfMorphism:
         k = len(word)
         if k == 0:
             raise ValueError("words must be nonempty")
-        odd, odd_before = _parities(self.source.degree, word)
-        target_degree = self.target.degree
-        out: dict[Word, Fraction] = {}
+        odd, odd_before = _parities(self.source.parity, word)
+        target_parity = self.target.parity
+        out: _Sums = {}
         for size in range(1, k + 1):
             for sigma in shuffles(size - 1, k - size):
                 head = (0,) + tuple([p + 1 for p in sigma[:size - 1]])
@@ -324,11 +373,13 @@ class LinfMorphism:
                 rest = self.extend(tail) if tail else _EMPTY
                 for out_word, coeff in value.terms():
                     letter = _single_letter(out_word)
+                    num, den = coeff.numerator, coeff.denominator
                     for u, d in rest.terms():
-                        target_word, sign = _insert_letter(target_degree, letter, u)
+                        target_word, sign = _insert_letter(target_parity, letter, u)
                         if target_word is not None:
-                            _accumulate(out, target_word, (coeff if sign == head_sign else -coeff) * d)
-        return Combination(out)
+                            term = num * d.numerator
+                            _add(out, target_word, term if sign == head_sign else -term, den * d.denominator)
+        return _combination(out)
 
 
 def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
@@ -341,11 +392,11 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
     k = len(word)
     if k == 0:
         raise ValueError("words must be nonempty")
-    degree = structure.generators.degree
-    odd, odd_before = _parities(degree, word)
+    parity = structure.generators.parity
+    odd, odd_before = _parities(parity, word)
     # a rest holding a repeated odd letter is zero (only in non-reduced words)
     repeats = any(odd[p] and word[p] == word[p + 1] for p in range(k - 1))
-    out: dict[Word, Fraction] = {}
+    out: _Sums = {}
     for i in range(1, k + 1) if structure.arities is None else structure.arities:
         if i > k:
             break
@@ -362,10 +413,11 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
                 continue
             head_sign = -1 if _head_crossings(head, odd, odd_before) & 1 else 1
             for out_word, coeff in value.terms():
-                target_word, sign = _insert_letter(degree, _single_letter(out_word), rest_word)
+                target_word, sign = _insert_letter(parity, _single_letter(out_word), rest_word)
                 if target_word is not None:
-                    _accumulate(out, target_word, coeff if sign == head_sign else -coeff)
-    return Combination(out)
+                    num = coeff.numerator
+                    _add(out, target_word, num if sign == head_sign else -num, coeff.denominator)
+    return _combination(out)
 
 
 def identity_morphism(generators: GeneratorSet) -> LinfMorphism:

@@ -8,7 +8,9 @@ and byte-for-byte determinism.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -19,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellsuper
 from ellsuper import orbits
@@ -530,6 +534,104 @@ def test_invalid_inputs_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "error" in json.loads(err)
+
+
+# ---------------------------------------------------------------- random argument lists
+
+_RATIONALS = ["2", "3/2", "7/3", "13/2", "1", "5/4", "1/2", "2.5", "3"]
+# largest --bound drawn per suite; a suite whose default bound is slow always gets one
+_SUITE_BOUNDS = {"gamma": 8, "linf": 2, "aug": 3, "jumps": 8, "genfun": 8}
+_SLOW_DEFAULT = {"gamma", "aug"}
+
+
+@st.composite
+def cli_argv(draw):
+    """A random ``ellsuper`` argument list, each value from a small range per command.
+
+    At most one value is malformed (pick number ``bad``, if it is reached)
+    and at most one flag is missing, a required one or not; the simplest
+    draw is a valid list.  Sizes stay small, so one list runs in milliseconds.
+    """
+    bad = draw(st.integers(0, 40)) - 1
+    picks = iter(range(100))
+
+    def pick(valid, malformed):
+        return draw(st.sampled_from(malformed if next(picks) == bad else valid))
+
+    def rational():
+        return pick(_RATIONALS, ["0", "-1", "1/0", "x", ""])
+
+    def count(high):
+        return pick([str(n) for n in range(1, high + 1)], ["0", "-1", "x"])
+
+    def a_text(axes):
+        return ",".join(rational() for _ in range(pick([axes], [axes - 1, axes + 1])))
+
+    def orbits(most, high):
+        indices = [count(high) for _ in range(draw(st.integers(1, most)))]
+        return pick([",".join(indices)], ["", "1,,x"])
+
+    command = draw(st.sampled_from(["gamma", "spectrum", "descendant", "superpotential", "table", "jumps", "bound", "check"]))
+    flags: dict[str, str | None] = {}
+    if command == "gamma":
+        flags["--a"] = a_text(2)
+        flags["--k"] = pick([count(60), f"{count(40)}..{count(60)}", "1000000..1000003"], ["5..2", "1..x"])
+    elif command == "spectrum":
+        flags["--a"] = a_text(2)
+        flags["--count"] = count(40)
+    elif command == "descendant":
+        flags["--a"] = a_text(2)
+        flags["--orbits"] = orbits(4, 15)
+    elif command == "superpotential":
+        flags["--d"] = count(8)
+        flags["--a"] = pick([rational(), "inf"], [a_text(2)])
+    elif command == "table":
+        flags["--d"] = count(5)
+        flags["--min"] = rational()
+        flags["--max"] = pick(["inf", rational()], ["-inf"])
+        if draw(st.booleans()):
+            flags["--refine-orbit-id"] = None
+    elif command == "jumps":
+        flags["--a"] = rational()
+        flags["--orbits"] = orbits(3, 5)
+        flags["--route"] = pick(["all", "closed", "recursive", "xi"], ["other"])
+    elif command == "bound":
+        flags["--d"] = count(6)
+        flags["--a"] = a_text(2)
+    else:
+        suite = pick(sorted(_SUITE_BOUNDS), ["other"])
+        flags["--suite"] = suite
+        if suite in _SLOW_DEFAULT or draw(st.booleans()):
+            flags["--bound"] = count(_SUITE_BOUNDS.get(suite, 3))
+    if command in ("gamma", "spectrum", "descendant", "superpotential", "bound"):
+        # a side goes as a suffix of --a or as --side; a conflicting one is malformed
+        side = draw(st.sampled_from(["canonical", "minus", "plus"]))
+        form = draw(st.sampled_from(["none", "suffix", "flag"]))
+        if form == "suffix":
+            flags["--a"] += {"canonical": "", "minus": "-", "plus": "+"}[side]
+        if form == "flag" or pick([False], [True]):
+            flags["--side"] = pick([side], ["up", "canonical" if side != "canonical" else "plus"])
+    if command in ("gamma", "spectrum", "table") and draw(st.booleans()):
+        flags["--format"] = pick(["json", "csv"], ["xml"])
+    if draw(st.integers(0, 4)) == 4:
+        del flags[draw(st.sampled_from(sorted(flags)))]
+    argv = [command]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(deadline=None, max_examples=250, derandomize=True)
+@given(cli_argv())
+def test_random_argument_lists_never_exit_2(argv):
+    """Exit 2 means an internal breach; no argument list may cause one."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    if code == 1:
+        assert out.getvalue() == ""
+        assert "error" in json.loads(err.getvalue())
 
 
 def test_csv_unavailable_for_scalar_commands(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ellsuper.exact import CACHE_CAP
 from ellsuper.linf import (
     Combination,
     GeneratorSet,
@@ -105,6 +106,102 @@ class TestCombination:
     def test_restrict_length(self):
         c = Combination({word(g(1)): Fraction(1), word(g(1), g(2)): Fraction(5)})
         assert c.restrict_length(2) == Combination.single(word(g(1), g(2)), 5)
+
+    def test_apply_drops_a_cancelled_word_and_appends_it_when_it_returns(self):
+        """A word whose sum reaches 0 leaves the combination; a later term puts
+        it back at the end.  Sums over unequal denominators meet on the way."""
+        A, B, C = word(g(1)), word(g(2)), word(g(3))
+        images = {
+            word(h(1)): Combination({A: Fraction(1, 2), B: Fraction(1)}),
+            word(h(2)): Combination.single(A, Fraction(-1, 3)),
+            word(h(3)): Combination({A: Fraction(-1, 6), C: Fraction(2, 5)}),
+            word(h(4)): Combination.single(A, Fraction(3, 4)),
+        }
+        source = Combination({u: Fraction(1) for u in images})
+        assert list(source.apply(images.get).terms()) == [
+            (B, Fraction(1)),
+            (C, Fraction(2, 5)),
+            (A, Fraction(3, 4)),
+        ]
+
+
+def assert_fraction_coefficients(comb, probes=()):
+    """Every public coefficient of ``comb`` is exactly a ``Fraction``."""
+    for w, c in comb.terms():
+        assert type(c) is Fraction, (w, c)
+        assert type(comb[w]) is Fraction, w
+    for w in probes:
+        assert type(comb[w]) is Fraction, w
+
+
+class TestFractionCoefficients:
+    """Sums run on integer pairs inside the engine; what comes out is a Fraction."""
+
+    def test_apply_over_integer_and_unequal_denominators(self):
+        images = {
+            word(g(1)): Combination({word(h(1)): Fraction(1, 2), word(h(2)): Fraction(1, 3)}),
+            word(g(2)): Combination({word(h(1)): Fraction(1, 2), word(h(2)): Fraction(2, 5)}),
+        }
+        total = Combination({word(g(1)): Fraction(1), word(g(2)): Fraction(1)}).apply(images.get)
+        assert total[word(h(1))] == 1 and total[word(h(2))] == Fraction(11, 15)
+        assert_fraction_coefficients(total, probes=[word(h(9))])
+
+    def test_extensions_compose_and_invert(self):
+        F = LinfMorphism(EVEN_SOURCE, EVEN_SOURCE, two_level_morphism(Fraction(2)))
+        G = LinfMorphism(EVEN_SOURCE, EVEN_SOURCE, two_level_morphism(Fraction(1, 3)))
+        H = invert(F, preimage=lambda key: g(key[1]))
+        w = word(g(1), g(2), g(3))
+        for value in (
+            F.extend(w),
+            compose(G, F).level(3, w),
+            compose(G, F).extend(w),
+            H.level(3, word(h(1), h(2), h(3))),
+            H.extend(word(h(1), h(2), h(3))),
+        ):
+            assert value
+            assert_fraction_coefficients(value, probes=[word(h(7))])
+        # (G.F)^2(g1.g2) = G^1(F^2) + G^2(F^1.F^1) = 1/3 + 4, an integer plus a third
+        assert compose(G, F).level(2, word(g(1), g(2)))[word(h(3))] == Fraction(13, 3)
+
+    def test_coderivation(self):
+        def rule(k, w):
+            if k == 1 and w[0][1] % 2 == 1:
+                return Combination.single(word(g(w[0][1] + 1)), Fraction(1, 2))
+            if k == 2:
+                return Combination.single(word(g(w[0][1] + w[1][1])), 3)
+            return Combination.zero()
+
+        value = extend_coderivation(LinfStructure(GRADED, rule), word(g(1), g(2), g(3)))
+        assert value
+        assert_fraction_coefficients(value, probes=[word(g(9))])
+
+
+class TestParityMemo:
+    def test_memo_stays_within_the_cache_cap(self):
+        gens = GeneratorSet("toy", lambda key: key[1])
+        for i in range(CACHE_CAP + 1):
+            assert gens.parity(g(i)) == i % 2
+        assert len(gens._parity_memo) <= CACHE_CAP
+        assert gens.parity(g(CACHE_CAP)) == CACHE_CAP % 2
+
+    def test_unknown_keys_raise_on_every_call(self):
+        calls = []
+
+        def degree(key):
+            calls.append(key)
+            if key[1] < 0:
+                raise ValueError(f"unknown generator key {key!r}")
+            return key[1]
+
+        gens = GeneratorSet("toy", degree)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                gens.parity(g(-1))
+        assert calls == [g(-1), g(-1)]
+        assert g(-1) not in gens._parity_memo
+        gens.parity(g(3))
+        gens.parity(g(3))
+        assert calls[2:] == [g(3)]
 
 
 def two_level_morphism(coeff_one=Fraction(1)):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ellsuper.exact import CACHE_CAP
 from ellsuper.linf import (
     Combination,
     LinfMorphism,
@@ -206,7 +207,11 @@ class TestVerifyAug:
         bad = LinfStructure(good.generators, flipped_rule)
         report = verify_aug(4, 3, structure=bad)
         assert not report.ok
-        assert report.failures
+        assert len(report.failures) == 684
+        # the message text, term order included, is part of the report
+        assert report.failures[0] == (
+            "pi_1(aug(coderivation)) nonzero on (('alpha', 1, 1), ('beta', 0, 1)): -1*(('q', 3),)"
+        )
 
     def test_wrong_weight_morphism_fails(self):
         """Negative control: rescaling a single arity of the augmentation
@@ -221,3 +226,11 @@ class TestVerifyAug:
         bad = LinfMorphism(te.source, te.target, unweighted_rule)
         report = verify_aug(4, 3, morphism=bad)
         assert not report.ok
+        assert report.failures[0] == (
+            "pi_1(aug(coderivation)) nonzero on (('alpha', 1, 1), ('beta', 0, 1)): -1/2*(('q', 3),)"
+        )
+
+    def test_parity_memos_stay_within_the_cache_cap(self):
+        assert verify_aug(4, 4).ok
+        generator_sets = [v_algebra().generators, tilde_epsilon().source, tilde_epsilon().target]
+        assert all(0 < len(gens._parity_memo) <= CACHE_CAP for gens in generator_sets)
