@@ -41,9 +41,8 @@ energy inequality Σ_s A(Γ^a_{i_s}) >= A(Γ^a_j) at the unperturbed parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import exact
 from .exact import aut_size, exp_series_pass, rational, remember, vec_add, vec_factorial
@@ -181,8 +180,7 @@ def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     return single_coefficient(morphism.level(len(idx), word), o_key(out_index))
 
 
-@dataclass(frozen=True)
-class ScanHit:
+class ScanHit(NamedTuple):
     """One nonzero higher jump found by :func:`support_scan`."""
 
     a: Fraction

@@ -51,10 +51,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import LatticePoint, aut_size, rational, vec_add, vec_factorial
 from .linf import Combination, GeneratorSet, LinfMorphism, LinfStructure, Word
@@ -87,10 +86,9 @@ _PARTITIONS_MAX_D = 20
 _JUMP_MAX_ARITY = 9
 
 
-@dataclass(frozen=True, order=True)
-class DualRational:
-    """A perturbed action ``main + eps·ε``; the order is lexicographic in (main, eps),
-    i.e. the order at any sufficiently small ε > 0."""
+class DualRational(NamedTuple):
+    """A perturbed action ``main + eps·ε``; the tuple order is lexicographic in
+    (main, eps), i.e. the order at any sufficiently small ε > 0."""
 
     main: Fraction
     eps: Fraction

@@ -29,6 +29,11 @@ is the integer merge of the n progressions in key order.  ``gamma`` and
 (at most ``exact.CACHE_CAP`` walks are kept; the oldest is evicted first), and
 ``gamma_points`` reads several indices from one walk lookup.
 
+``SpectrumParams`` keys this memo and those of :mod:`ellsuper.sft`, so it
+validates its parameters and side and computes its hash once, when it is
+built; it is a slotted class and ``OrbitId`` a named tuple, because
+importing the dataclass machinery was a large share of the CLI's start-up.
+
 ``gamma_closed_form(params, k)`` answers one index without walking.  The
 covers of axis j with key at most (T, r) number ⌊T / A_j⌋ when rank_j <= r
 and ⌊(T - 1) / A_j⌋ otherwise.  For each axis i, bisection finds the smallest
@@ -50,10 +55,9 @@ indices 3i - 1 relevant to degree-d curve counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exact import LatticePoint, format_rational, rational, remember
 
@@ -84,8 +88,7 @@ class Side(Enum):
         return {"minus": "-", "canonical": "", "plus": "+"}[self.value]
 
 
-@dataclass(frozen=True)
-class OrbitId:
+class OrbitId(NamedTuple):
     """A closed Reeb orbit: the ``multiplicity``-fold cover of the ``axis`` orbit (1-based axis)."""
 
     axis: int
@@ -95,26 +98,55 @@ class OrbitId:
         return f"nu{self.axis}^{self.multiplicity}"
 
 
-@dataclass(frozen=True)
 class SpectrumParams:
-    """Ellipsoid parameters plus the tie-breaking side.
+    """Ellipsoid parameters plus the tie-breaking side; immutable and hashable.
 
     ``a`` is a tuple of positive rationals (ints and 'p/q' strings are
-    coerced).  PLUS/MINUS sides are only meaningful for two axes.
+    coerced), and ``side`` must be a :class:`Side`.  PLUS/MINUS sides are
+    only meaningful for two axes.  Every spectrum memo is keyed by these
+    parameters, so the hash is computed once, here.
     """
 
-    a: tuple[Fraction, ...]
-    side: Side = Side.CANONICAL
+    __slots__ = ("a", "side", "_hash")
 
-    def __post_init__(self) -> None:
-        coerced = tuple(rational(x) for x in self.a)
-        object.__setattr__(self, "a", coerced)
+    a: tuple[Fraction, ...]
+    side: Side
+
+    def __init__(self, a: Iterable[int | str | Fraction], side: Side = Side.CANONICAL) -> None:
+        coerced = tuple(rational(x) for x in a)
         if not coerced:
             raise ValueError("need at least one ellipsoid parameter")
         if any(x <= 0 for x in coerced):
             raise ValueError(f"ellipsoid parameters must be positive, got {coerced}")
-        if self.side is not Side.CANONICAL and len(coerced) != 2:
+        if not isinstance(side, Side):
+            raise ValueError(f"side must be Side.MINUS, Side.CANONICAL or Side.PLUS, got {side!r}")
+        if side is not Side.CANONICAL and len(coerced) != 2:
             raise ValueError("PLUS/MINUS sides are defined for two-axis ellipsoids only")
+        init = object.__setattr__
+        init(self, "a", coerced)
+        init(self, "side", side)
+        init(self, "_hash", hash((coerced, side)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"SpectrumParams is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"SpectrumParams is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # rebuild through __init__: the cached hash is per process
+        return SpectrumParams, (self.a, self.side)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.side is other.side
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"SpectrumParams(a={self.a!r}, side={self.side!r})"
 
     @property
     def n(self) -> int:

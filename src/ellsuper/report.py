@@ -3,26 +3,40 @@
 Every structural check in the package (coderivation squares to zero,
 augmentation compatibility, generating-function identity, ...) returns a
 `Report` rather than a bare bool, so callers — tests and the command line
-alike — can surface *which* instance failed.
+alike — can surface *which* instance failed.  `Report` is a plain slotted
+class rather than a dataclass, so that importing the package (every CLI
+command does) does not load the dataclass machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class Report:
     """Outcome of a batch verification.
 
     ok        -- True when every checked instance passed
     checked   -- number of instances examined
     failures  -- human-readable description of each violation, in order found
+
+    Reports compare equal field by field.  They are mutable, so defining
+    ``__eq__`` alone leaves them unhashable; each report built without
+    ``failures`` gets its own list.
     """
 
-    ok: bool
-    checked: int
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("ok", "checked", "failures")
+
+    def __init__(self, ok: bool, checked: int, failures: list[str] | None = None) -> None:
+        self.ok = ok
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.checked, self.failures) == (other.ok, other.checked, other.failures)
+
+    def __repr__(self) -> str:
+        return f"Report(ok={self.ok!r}, checked={self.checked!r}, failures={self.failures!r})"
 
     def __bool__(self) -> bool:
         return self.ok

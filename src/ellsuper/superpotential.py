@@ -41,9 +41,8 @@ changes (at ratios in J_{3d-2}); :func:`normalized_table` includes those.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .exact import LatticePoint, exp_series_pass, rational, remember
 from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma_points, jump_set, normalized
@@ -63,9 +62,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CP2Target:
-    """The projective plane with its Fubini-Study form; classes are degrees d >= 1."""
+    """The projective plane with its Fubini-Study form; classes are degrees d >= 1.
+
+    It has no fields: all instances are equal, hash alike and take no attributes.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "CP2Target()"
 
     def _check(self, d: object) -> int:
         if not isinstance(d, int) or d < 1:
@@ -142,8 +154,7 @@ def embedding_bound(target: CP2Target, label: object, params: SpectrumParams) ->
     return target.area(label) / action(params, target.chern(label) - 1)
 
 
-@dataclass(frozen=True)
-class PiecewiseTable:
+class PiecewiseTable(NamedTuple):
     """A piecewise-constant function of a on (lo, hi), exact breakpoints kept.
 
     ``values[i]`` is the constant value on the i-th open interval; ``hi`` is

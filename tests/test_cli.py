@@ -656,15 +656,35 @@ def test_rationals_never_serialized_as_floats(capsys):
     assert "3/2" in out
 
 
-def test_cli_import_leaves_the_oracle_unloaded():
-    """The brute-force oracle loads only for a check suite or a test."""
+def _fresh_python(probe: str) -> str:
+    """Stdout of ``probe`` run by a new interpreter that imports this ``ellsuper``."""
     src = str(Path(ellsuper.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, ellsuper, ellsuper.cli; print(sorted(m for m in sys.modules if m.startswith('ellsuper')))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    loaded = result.stdout.strip()
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    """The brute-force oracle loads only for a check suite or a test."""
+    loaded = _fresh_python(
+        "import sys, ellsuper, ellsuper.cli; print(sorted(m for m in sys.modules if m.startswith('ellsuper')))"
+    )
     assert "'ellsuper.cli'" in loaded
     assert "ellsuper.oracle" not in loaded
+
+
+@pytest.mark.parametrize("modules", ["ellsuper, ellsuper.cli", "ellsuper.oracle"])
+def test_cold_import_loads_no_dataclass_machinery(modules):
+    """Start-up imports neither ``dataclasses`` nor the modules it pulls in.
+
+    Only what the import adds counts, so a module that the interpreter's own
+    start-up (a site hook, say) already loaded cannot fail the test.
+    """
+    added = _fresh_python(
+        f"import json, sys; before = set(sys.modules); import {modules}; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert {"dataclasses", "inspect", "ast", "dis"}.isdisjoint(json.loads(added))
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(ellsuper.__path__)))

@@ -63,6 +63,12 @@ class TestSpectrumParams:
         with pytest.raises(ValueError):
             SpectrumParams((Fraction(2),), Side.MINUS)
 
+    @pytest.mark.parametrize("side", ["minus", "plus", None, 1])
+    def test_rejects_a_side_that_is_not_a_side(self, side):
+        """A string is not a side: unchecked, it walks with the CANONICAL rank and breaks ``describe``."""
+        with pytest.raises(ValueError, match="Side.MINUS, Side.CANONICAL or Side.PLUS"):
+            normalized(2, side)
+
 
 class TestPerturbedValue:
     def test_canonical_tilts_axis_i_by_i_eps(self):
