@@ -35,7 +35,10 @@ Operations
 * :func:`check_structure` — verifies l̂ ∘ l̂ = 0 on supplied words.
 
 Every level map, including those of composites and inverses, is defined
-lazily at every arity and memoized per word.
+lazily at every arity and memoized per word, or per the ``memo_key`` a
+morphism names.  Each level and extension memo is filled through
+:func:`ellsuper.exact.remember`, so it holds at most ``CACHE_CAP`` entries
+and evicts its oldest first.
 
 Signs follow one rule.  Pulling a head block to the front costs (-1) to the
 number of crossings of two odd letters, counted from the word's parities.
@@ -50,16 +53,20 @@ fold of insertions.
 Level maps are required to land in single generators (length-one words);
 this holds for every structure in this package and keeps extensions small.
 
-Arithmetic runs on integers.  :meth:`Combination.apply` and both extensions
-sum each output word as an unreduced (numerator, denominator) pair: equal
-denominators add numerators, unequal ones meet over their lcm.  One reduced
-``Fraction`` is built per surviving word at the end, so every public
-coefficient is a ``Fraction``.  A word whose sum reaches 0 is dropped, and
-a later term appends it again, so term order is that of the first nonzero
-partial sum.  Letter parities come from :meth:`GeneratorSet.parity`, a
-per-set memo filled through :func:`ellsuper.exact.remember` (at most
-``CACHE_CAP`` keys); a key the degree rule rejects is never stored, so it
-raises on every call.
+Arithmetic runs on integers.  A :class:`Combination` stores each
+coefficient as a reduced (numerator, denominator) pair with a positive
+denominator, and ``apply``, both extensions, :func:`compose` and
+:func:`invert` read the pairs directly.  They sum each output word as an
+unreduced pair: equal denominators add numerators, unequal ones meet over
+their lcm, and one ``math.gcd`` reduces each surviving sum at the end.  A
+``Fraction`` is built only where a value leaves the engine, in
+:meth:`Combination.terms`, ``Combination[word]`` and ``repr``, so every
+public coefficient is a ``Fraction``.  A word whose sum reaches 0 is
+dropped, and a later term appends it again, so term order is that of the
+first nonzero partial sum.  Letter parities come from
+:meth:`GeneratorSet.parity`, a per-set memo filled through
+:func:`ellsuper.exact.remember` (at most ``CACHE_CAP`` keys); a key the
+degree rule rejects is never stored, so it raises on every call.
 """
 
 from __future__ import annotations
@@ -166,12 +173,17 @@ def canonical_word(genset: GeneratorSet, keys: Sequence[Key]) -> tuple[Word | No
 
 
 class Combination:
-    """Finite Q-linear combination of words; zero coefficients are dropped."""
+    """Finite Q-linear combination of words; zero coefficients are dropped.
+
+    Each coefficient is stored as a reduced (numerator, denominator) integer
+    pair with a positive denominator; :meth:`terms`, ``[]`` and ``repr``
+    build the ``Fraction``.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Word, Fraction] | None = None) -> None:
-        self._terms = {w: c for w, c in (terms or {}).items() if c != 0}
+    def __init__(self, terms: dict[Word, int | Fraction] | None = None) -> None:
+        self._terms = {w: _pair(c) for w, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def zero(cls) -> "Combination":
@@ -179,13 +191,14 @@ class Combination:
 
     @classmethod
     def single(cls, word: Word, coeff: int | Fraction = 1) -> "Combination":
-        return cls({word: Fraction(coeff)})
+        return cls({word: coeff})
 
     def terms(self) -> Iterable[tuple[Word, Fraction]]:
-        return self._terms.items()
+        return [(w, Fraction(num, den)) for w, (num, den) in self._terms.items()]
 
     def __getitem__(self, word: Word) -> Fraction:
-        return self._terms.get(word, Fraction(0))
+        pair = self._terms.get(word)
+        return Fraction(0) if pair is None else Fraction(*pair)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -194,7 +207,9 @@ class Combination:
         return len(self._terms)
 
     def __mul__(self, scalar: int | Fraction) -> "Combination":
-        return Combination({w: c * scalar for w, c in self._terms.items()})
+        if scalar == 0:
+            return Combination()
+        return _scaled(self, *_pair(scalar))
 
     __rmul__ = __mul__
 
@@ -204,19 +219,37 @@ class Combination:
     def apply(self, fn: Callable[[Word], "Combination"]) -> "Combination":
         """The linear extension Σ_u c_u · fn(u), accumulated in one dict."""
         out: _Sums = {}
-        for u, c in self._terms.items():
-            c_num, c_den = c.numerator, c.denominator
-            for w, d in fn(u)._terms.items():
-                _add(out, w, c_num * d.numerator, c_den * d.denominator)
+        for u, (c_num, c_den) in self._terms.items():
+            for w, (d_num, d_den) in fn(u)._terms.items():
+                _add(out, w, c_num * d_num, c_den * d_den)
         return _combination(out)
 
     def restrict_length(self, length: int) -> "Combination":
-        return Combination({w: c for w, c in self._terms.items() if len(w) == length})
+        out = Combination()
+        out._terms = {w: c for w, c in self._terms.items() if len(w) == length}
+        return out
 
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"{c}*{w}" for w, c in sorted(self._terms.items(), key=lambda t: t[0]))
+        return " + ".join(f"{c}*{w}" for w, c in sorted(self.terms(), key=lambda t: t[0]))
+
+
+def _pair(value: int | Fraction) -> tuple[int, int]:
+    """The reduced (numerator, denominator) pair of a nonzero rational."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _reciprocal(num: int, den: int) -> tuple[int, int]:
+    """The reduced pair of den/num, for a reduced pair num/den with num != 0."""
+    return (den, num) if num > 0 else (-den, -num)
+
+
+def _scaled(comb: Combination, num: int, den: int) -> Combination:
+    """``comb`` times num/den, for num != 0 and den > 0."""
+    return _combination({w: (c_num * num, c_den * den) for w, (c_num, c_den) in comb._terms.items()})
 
 
 # word -> unreduced (numerator, denominator) integer pair of its running coefficient
@@ -247,9 +280,13 @@ def _add(sums: _Sums, word: Word, num: int, den: int) -> None:
 
 
 def _combination(sums: _Sums) -> Combination:
-    """The Combination of nonzero integer sums: one reduced Fraction per word."""
+    """The Combination of nonzero integer sums, each reduced by one gcd."""
+    terms = {}
+    for w, (num, den) in sums.items():
+        g = gcd(num, den)
+        terms[w] = (num // g, den // g) if g != 1 else (num, den)
     out = Combination.__new__(Combination)
-    out._terms = {w: Fraction(num, den) for w, (num, den) in sums.items()}
+    out._terms = terms
     return out
 
 
@@ -287,7 +324,7 @@ class LinfStructure:
             raise ValueError(f"arity {k} does not match word length {len(word)}")
         cached = self._memo.get(word)
         if cached is None:
-            cached = self._memo[word] = self._rule(k, word)
+            cached = remember(self._memo, word, self._rule(k, word))
         return cached
 
 
@@ -321,37 +358,46 @@ def _head_crossings(head: Sequence[int], odd: Sequence[int], odd_before: Sequenc
     return crossings
 
 
-_EMPTY = Combination.single(())  # φ̂ of the empty rest: the unit word
+_EMPTY = {(): (1, 1)}  # the terms of φ̂ of the empty rest: the unit word
 
 
 class LinfMorphism:
-    """L-infinity morphism: lazy, memoized level maps phi^k of degree 0."""
+    """L-infinity morphism: lazy, memoized level maps phi^k of degree 0.
+
+    ``memo_key(word)``, when given, names what the level rule reads of a
+    word: the level memo stores each value under that key, so words with one
+    key share one entry.  The key must determine the value: two words of one
+    key must have equal levels.  Without it the memo is keyed by the word.
+    """
 
     def __init__(
         self,
         source: GeneratorSet,
         target: GeneratorSet,
         level_rule: Callable[[int, Word], Combination],
+        memo_key: Callable[[Word], Hashable] | None = None,
     ) -> None:
         self.source = source
         self.target = target
         self._rule = level_rule
-        self._level_memo: dict[Word, Combination] = {}
+        self._memo_key = memo_key
+        self._level_memo: dict[Hashable, Combination] = {}
         self._extend_memo: dict[Word, Combination] = {}
 
     def level(self, k: int, word: Word) -> Combination:
         if len(word) != k:
             raise ValueError(f"arity {k} does not match word length {len(word)}")
-        cached = self._level_memo.get(word)
+        key = word if self._memo_key is None else self._memo_key(word)
+        cached = self._level_memo.get(key)
         if cached is None:
-            cached = self._level_memo[word] = self._rule(k, word)
+            cached = remember(self._level_memo, key, self._rule(k, word))
         return cached
 
     def extend(self, word: Word) -> Combination:
         """The cofunctor extension φ̂ evaluated on a canonical word."""
         cached = self._extend_memo.get(word)
         if cached is None:
-            cached = self._extend_memo[word] = self._extend(word)
+            cached = remember(self._extend_memo, word, self._extend(word))
         return cached
 
     def _extend(self, word: Word) -> Combination:
@@ -365,20 +411,19 @@ class LinfMorphism:
         for size in range(1, k + 1):
             for sigma in shuffles(size - 1, k - size):
                 head = (0,) + tuple([p + 1 for p in sigma[:size - 1]])
-                value = self.level(size, tuple([word[p] for p in head]))
+                value = self.level(size, tuple([word[p] for p in head]))._terms
                 if not value:
                     continue
                 head_sign = -1 if _head_crossings(head, odd, odd_before) & 1 else 1
                 tail = tuple([word[p + 1] for p in sigma[size - 1:]])
-                rest = self.extend(tail) if tail else _EMPTY
-                for out_word, coeff in value.terms():
+                rest = self.extend(tail)._terms if tail else _EMPTY
+                for out_word, (num, den) in value.items():
                     letter = _single_letter(out_word)
-                    num, den = coeff.numerator, coeff.denominator
-                    for u, d in rest.terms():
+                    for u, (d_num, d_den) in rest.items():
                         target_word, sign = _insert_letter(target_parity, letter, u)
                         if target_word is not None:
-                            term = num * d.numerator
-                            _add(out, target_word, term if sign == head_sign else -term, den * d.denominator)
+                            term = num * d_num
+                            _add(out, target_word, term if sign == head_sign else -term, den * d_den)
         return _combination(out)
 
 
@@ -402,7 +447,7 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
             break
         for sigma in shuffles(i, k - i):
             head = sigma[:i]
-            value = structure.level(i, tuple([word[p] for p in head]))
+            value = structure.level(i, tuple([word[p] for p in head]))._terms
             if not value:
                 continue
             rest = sigma[i:]
@@ -412,11 +457,10 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
             ):
                 continue
             head_sign = -1 if _head_crossings(head, odd, odd_before) & 1 else 1
-            for out_word, coeff in value.terms():
+            for out_word, (num, den) in value.items():
                 target_word, sign = _insert_letter(parity, _single_letter(out_word), rest_word)
                 if target_word is not None:
-                    num = coeff.numerator
-                    _add(out, target_word, num if sign == head_sign else -num, coeff.denominator)
+                    _add(out, target_word, num if sign == head_sign else -num, den)
     return _combination(out)
 
 
@@ -467,24 +511,25 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
             source_key = preimage(u_word[0])
             w = (source_key,)
             image = morphism.level(1, w)
-            coeff = image[u_word]
-            if coeff == 0 or len(image) != 1:
+            coeff = image._terms.get(u_word)
+            if coeff is None or len(image) != 1:
                 raise ValueError(
                     f"phi^1 is not diagonal at {source_key}: phi^1 = {image}, expected a multiple of {u_word}"
                 )
-            return Combination.single(w, Fraction(1) / coeff)
+            return _combination({w: _reciprocal(*coeff)})
         w, _ = canonical_word(morphism.source, [preimage(key) for key in u_word])
         if w is None:
             raise ValueError(f"preimage of {u_word} vanishes (repeated odd letter)")
         expansion = morphism.extend(w)
         diagonal = expansion.restrict_length(k)
-        coeff = diagonal[u_word]
-        if coeff == 0 or len(diagonal) != 1:
+        coeff = diagonal._terms.get(u_word)
+        if coeff is None or len(diagonal) != 1:
             raise ValueError(f"phi^1 is not diagonal on the letters of {u_word}")
         lower = expansion.apply(
             lambda u2: Combination.zero() if len(u2) == k else inverse.level(len(u2), u2)
         )
-        return (Fraction(-1) / coeff) * lower
+        num, den = _reciprocal(*coeff)
+        return _scaled(lower, -num, den)
 
     inverse = LinfMorphism(morphism.target, morphism.source, rule)
     return inverse

@@ -24,8 +24,12 @@ psi_a sending o_k to beta_{Γ^a_k} (and no higher levels) factors the
 stationary-descendant morphism: eps~ ∘ psi_a = eps_a.
 
 The algebra and the augmentation are module constants built at import
-(building one only stores its rule), so their level memos are shared by
-every caller in the process.
+(building one only stores its rule), so their memos are shared by every
+caller in the process; each memo holds at most ``CACHE_CAP`` entries.  The
+level of eps~ on a word depends only on (Σi, Σj, k) when every letter is a
+β, and is zero otherwise, so its level memo is keyed by exactly that
+(:func:`_tilde_key`): one entry per index total and length, plus one
+shared entry for every word that holds an α.
 """
 
 from __future__ import annotations
@@ -98,16 +102,16 @@ def _v_rule(k: int, word: Word) -> Combination:
         kind, i, j = word[0]
         if kind != "alpha":
             return Combination.zero()
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, int] = {}
         if j != 0 and (i - 1, j) != (0, 0):
-            out[(beta_key(i - 1, j),)] = Fraction(j)
+            out[(beta_key(i - 1, j),)] = j
         if i != 0 and (i, j - 1) != (0, 0):
             word_down = (beta_key(i, j - 1),)
-            out[word_down] = out.get(word_down, Fraction(0)) - Fraction(i)
+            out[word_down] = out.get(word_down, 0) - i
         return Combination(out)
     if k == 2:
         (kind1, i, j), (kind2, kk, ll) = word
-        coefficient = Fraction(i * ll - j * kk)
+        coefficient = i * ll - j * kk
         if coefficient == 0:
             return Combination.zero()
         if kind1 == "alpha" and kind2 == "alpha":
@@ -141,7 +145,22 @@ def _tilde_rule(k: int, word: Word) -> Combination:
     )
 
 
-_TILDE = LinfMorphism(v_generators(), co_generators(), _tilde_rule)
+_HAS_ALPHA = ("alpha",)  # the one key of every word with an α letter: its level is zero
+
+
+def _tilde_key(word: Word) -> tuple:
+    """What ``_tilde_rule`` reads of a word: (Σi, Σj, k) for all-β words, one key for the rest."""
+    i_total = 0
+    j_total = 0
+    for kind, i, j in word:
+        if kind != "beta":
+            return _HAS_ALPHA
+        i_total += i
+        j_total += j
+    return (i_total, j_total, len(word))
+
+
+_TILDE = LinfMorphism(v_generators(), co_generators(), _tilde_rule, memo_key=_tilde_key)
 
 
 def tilde_epsilon() -> LinfMorphism:

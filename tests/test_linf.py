@@ -175,6 +175,78 @@ class TestFractionCoefficients:
         assert value
         assert_fraction_coefficients(value, probes=[word(g(9))])
 
+    def test_equal_values_are_equal_pairs(self):
+        """2/4 stored directly equals 1/3 + 1/6 summed over unequal denominators."""
+        w = word(h(1))
+        images = {word(g(1)): Combination.single(w, Fraction(1, 3)), word(g(2)): Combination.single(w, Fraction(1, 6))}
+        total = Combination({word(g(1)): 1, word(g(2)): 1}).apply(images.get)
+        assert Combination({w: Fraction(2, 4)}) == total
+        assert total._terms == {w: (1, 2)}
+        assert total != Combination({w: Fraction(1, 3)})
+
+    def test_negative_coefficients_keep_positive_denominators(self):
+        A, B = word(g(1)), word(g(2))
+        values = [
+            Combination({A: Fraction(-3, 6), B: -4}),
+            Combination.single(A, Fraction(2, -6)),
+            Combination({A: Fraction(1, 2)}) * Fraction(-2, 3),
+            -1 * Combination({A: Fraction(5, 7)}),
+            Combination({A: 1, B: 1}).apply(
+                {A: Combination.single(A, Fraction(-1, 4)), B: Combination.single(A, Fraction(-1, 12))}.get
+            ),
+        ]
+        F = LinfMorphism(EVEN_SOURCE, EVEN_SOURCE, two_level_morphism(Fraction(-2, 3)))
+        H = invert(F, preimage=lambda key: g(key[1]))
+        values += [H.level(1, word(h(1))), H.level(2, word(h(1), h(2)))]
+        for value in values:
+            assert all(den > 0 for _, den in value._terms.values()), value._terms
+        assert values[0][A] == Fraction(-1, 2) and values[0][B] == -4
+        assert values[4][A] == Fraction(-1, 3)
+        # H^1 inverts -2/3; H^2(h1.h2) = -(9/4) H^1(F^2(g1.g2)) = -(9/4)(-3/2) g3
+        assert values[5] == Combination.single(A, Fraction(-3, 2))
+        assert values[6] == Combination.single(word(g(3)), Fraction(27, 8))
+
+    def test_scalar_multiplication(self):
+        c = Combination({word(g(1)): Fraction(1, 2), word(g(2)): Fraction(-2, 3)})
+        assert 3 * c == c * 3 == Combination({word(g(1)): Fraction(3, 2), word(g(2)): -2})
+        assert c * Fraction(3, 4) == Combination({word(g(1)): Fraction(3, 8), word(g(2)): Fraction(-1, 2)})
+        assert c * 0 == Combination.zero() and not c * Fraction(0)
+        assert_fraction_coefficients(3 * c)
+        assert_fraction_coefficients(c * Fraction(3, 4))
+
+    def test_restrict_length_keeps_coefficients(self):
+        c = Combination({word(g(1)): Fraction(1, 2), word(g(1), g(2)): Fraction(-5, 3), word(g(2), g(3)): 4})
+        short = c.restrict_length(2)
+        assert short == Combination({word(g(1), g(2)): Fraction(-5, 3), word(g(2), g(3)): 4})
+        assert_fraction_coefficients(short)
+        assert not c.restrict_length(3)
+
+    def test_missing_word_is_a_zero_fraction(self):
+        c = Combination.single(word(g(1)), 3)
+        missing = c[word(g(2))]
+        assert missing == 0 and type(missing) is Fraction
+        assert type(Combination.zero()[word(g(1))]) is Fraction
+
+    def test_repr_is_unchanged(self):
+        c = Combination({
+            word(g(2)): Fraction(-1, 3),
+            word(g(1), g(2)): 2,
+            word(g(1)): Fraction(5, 4),
+            word(g(3)): Fraction(6, 4),
+        })
+        # printed by the Fraction-valued Combination this one replaced
+        assert repr(c) == "5/4*(('g', 1),) + 2*(('g', 1), ('g', 2)) + -1/3*(('g', 2),) + 3/2*(('g', 3),)"
+        assert repr(Combination.zero()) == "0"
+
+    def test_integer_inputs_come_out_as_fractions(self):
+        for value in (
+            Combination.single(word(g(1))),
+            Combination.single(word(g(1)), -7),
+            Combination({word(g(1)): 2, word(g(2)): Fraction(4, 2)}),
+        ):
+            assert value
+            assert_fraction_coefficients(value)
+
 
 class TestParityMemo:
     def test_memo_stays_within_the_cache_cap(self):
@@ -202,6 +274,40 @@ class TestParityMemo:
         gens.parity(g(3))
         gens.parity(g(3))
         assert calls[2:] == [g(3)]
+
+
+class TestLevelMemos:
+    """The level and extension memos of structures and morphisms are bounded."""
+
+    def test_structure_memo_stays_within_the_cache_cap(self):
+        S = LinfStructure(EVEN_SOURCE, lambda k, w: Combination.single(w))
+        for i in range(CACHE_CAP + 1):
+            assert S.level(1, word(g(i))) == Combination.single(word(g(i)))
+        assert len(S._memo) <= CACHE_CAP
+        assert S.level(1, word(g(CACHE_CAP))) == Combination.single(word(g(CACHE_CAP)))
+
+    def test_morphism_memos_stay_within_the_cache_cap(self):
+        F = LinfMorphism(EVEN_SOURCE, EVEN_SOURCE, two_level_morphism(Fraction(2)))
+        for i in range(CACHE_CAP + 1):
+            assert F.level(1, word(g(i))) == Combination.single(word(h(i)), 2)
+            assert F.extend(word(g(i))) == Combination.single(word(h(i)), 2)
+        assert len(F._level_memo) <= CACHE_CAP
+        assert len(F._extend_memo) <= CACHE_CAP
+        # an evicted word is recomputed to the same value
+        assert F.extend(word(g(0), g(1))) == Combination({word(h(0), h(1)): 4, word(h(1)): 1})
+
+    def test_memo_key_shares_one_entry_per_key(self):
+        calls = []
+
+        def rule(k, w):
+            calls.append(w)
+            return Combination.single(word(h(sum(key[1] for key in w))))
+
+        F = LinfMorphism(EVEN_SOURCE, EVEN_SOURCE, rule, memo_key=lambda w: (sum(key[1] for key in w), len(w)))
+        assert F.level(2, word(g(1), g(3))) == F.level(2, word(g(2), g(2))) == Combination.single(word(h(4)))
+        assert F.level(1, word(g(4))) == Combination.single(word(h(4)))
+        assert calls == [word(g(1), g(3)), word(g(4))]
+        assert len(F._level_memo) == 2
 
 
 def two_level_morphism(coeff_one=Fraction(1)):

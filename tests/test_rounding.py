@@ -14,6 +14,7 @@ from ellsuper.linf import (
 )
 from ellsuper.orbits import Side, gamma, normalized
 from ellsuper.rounding import (
+    _tilde_rule,
     _v_rule,
     _window_words,
     alpha_key,
@@ -231,6 +232,19 @@ class TestVerifyAug:
         )
 
     def test_parity_memos_stay_within_the_cache_cap(self):
+        # the memos are shared module-wide; start eps~'s level memo from empty
+        tilde_epsilon()._level_memo.clear()
         assert verify_aug(4, 4).ok
         generator_sets = [v_algebra().generators, tilde_epsilon().source, tilde_epsilon().target]
         assert all(0 < len(gens._parity_memo) <= CACHE_CAP for gens in generator_sets)
+        # one level entry per (Σi, Σj, k) of an all-β word, one for every word with an α
+        assert 0 < len(tilde_epsilon()._level_memo) <= 400
+
+    def test_keyed_levels_match_the_rule(self):
+        """eps~'s level memo is keyed by (Σi, Σj, k), or one key for words with
+        an α; on every word of the window the memoized level is the bare rule's."""
+        te = tilde_epsilon()
+        words = list(_window_words(4, 4))
+        assert any(key[0] == "alpha" for word_ in words for key in word_)
+        for word_ in words:
+            assert te.level(len(word_), word_) == _tilde_rule(len(word_), word_), word_
