@@ -18,8 +18,8 @@ the jumps of :mod:`ellsuper.jumps`.  It runs on integers: each series is one
 denominator and a dict of integer numerators, and only the values it returns
 are ``Fraction``s.
 
-:func:`remember` stores into a module-level memo dict and keeps it at
-``CACHE_CAP`` entries by evicting the oldest first; the lattice walks of
+:func:`remember` stores into a memo dict and keeps it at most ``CACHE_CAP``
+entries, evicting the oldest first, a block at a time; the lattice walks of
 :mod:`ellsuper.orbits`, the ε/η/Ξ morphisms of :mod:`ellsuper.sft`, the
 signature-prefix counts of :mod:`ellsuper.superpotential` and the per-ratio
 jump tables of :mod:`ellsuper.jumps` are bounded this way.
@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -198,8 +198,16 @@ def exp_series_pass(steps: Iterable[tuple]) -> dict:
 
 
 def remember(cache: dict, key, value):
-    """``cache[key] = value``, first evicting the oldest entry of a full cache; returns value."""
+    """``cache[key] = value``, first evicting the oldest entries of a full cache; returns value.
+
+    A full cache drops its oldest ``CACHE_CAP // 16 + 1`` entries at once.
+    CPython leaves a deleted dict entry as a hole that iteration skips until
+    the dict is next resized, so finding the single oldest entry on every
+    insert would rescan the holes left by earlier evictions; one scan per
+    block keeps an insert into a full cache O(1) amortised.
+    """
     if len(cache) >= CACHE_CAP:
-        del cache[next(iter(cache))]
+        for old in list(islice(cache, CACHE_CAP // 16 + 1)):
+            del cache[old]
     cache[key] = value
     return value

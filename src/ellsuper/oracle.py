@@ -4,9 +4,14 @@ Each oracle recomputes a quantity by unoptimized first-principles enumeration
 and exists only to validate the production code path:
 
 * :func:`gamma_bruteforce` — Γ_k as the argmin of the perturbed max-action
-  over *all* compositions of k (the greedy walk never enters);
+  over *all* compositions of k, compared on one table of the covers'
+  perturbed actions as integer (main, eps) pairs over one common
+  denominator (the greedy walk never enters);
 * :func:`merge_spectrum` — the ordered spectrum via a lazy heap merge of the
-  per-axis action streams (again independent of the walk);
+  per-axis action streams (again independent of the walk); its prefix
+  counts are the Γ_k and orbit identities that :func:`wt_T_partitions`,
+  :func:`jump_partitions` and :func:`action_dual` read, so no oracle calls
+  the walk of :mod:`ellsuper.orbits`;
 * :func:`morphism_bruteforce` — the cofunctor extension as one sum over all
   set partitions of the letter positions with explicit Koszul signs, instead
   of the production recursion on the block that holds the first letter;
@@ -57,7 +62,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact import LatticePoint, aut_size, rational, vec_add, vec_factorial
 from .linf import Combination, GeneratorSet, LinfMorphism, LinfStructure, Word
-from .orbits import OrbitId, Side, SpectrumParams, gamma, gamma_points, normalized, orbit
+from .orbits import OrbitId, Side, SpectrumParams, normalized
 from .sft import o_key
 
 __all__ = [
@@ -115,9 +120,10 @@ def perturbed_value(params: SpectrumParams, axis: int, multiplicity: int) -> Dua
 
 
 def action_dual(params: SpectrumParams, k: int) -> DualRational:
-    """Perturbed action of the k-th orbit."""
-    o = orbit(params, k)
-    return perturbed_value(params, o.axis, o.multiplicity)
+    """Perturbed action of the k-th orbit, read off :func:`merge_spectrum`."""
+    if k < 1:
+        raise ValueError(f"orbit index must be >= 1, got {k}")
+    return merge_spectrum(params, k)[k - 1][0]
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -201,7 +207,12 @@ def _sorted_word(generators: GeneratorSet, letters: Sequence) -> tuple[Word | No
 
 
 def gamma_bruteforce(params: SpectrumParams, k: int) -> LatticePoint:
-    """Γ_k as the unique minimizer of max_i perturbed(a_i * v_i) over |v| = k."""
+    """Γ_k as the unique minimizer of max_i perturbed(a_i * v_i) over |v| = k.
+
+    The perturbed actions of the covers 1..k of each axis are computed once,
+    as a table of integer (main, eps) pairs over one common denominator;
+    every composition of k is then compared on that table.
+    """
     if k > _GAMMA_MAX_K or params.n > _GAMMA_MAX_N:
         raise ValueError(
             f"brute force guarded to k <= {_GAMMA_MAX_K}, n <= {_GAMMA_MAX_N}; "
@@ -211,15 +222,24 @@ def gamma_bruteforce(params: SpectrumParams, k: int) -> LatticePoint:
         raise ValueError("k must be nonnegative")
     if k == 0:
         return (0,) * params.n
-    best_value: DualRational | None = None
+    rows = [
+        [perturbed_value(params, axis, mult) for mult in range(1, k + 1)]
+        for axis in range(1, params.n + 1)
+    ]
+    # one positive scale for every (main, eps) keeps the lexicographic order
+    # and equality; the integer pair (0, 0) at multiplicity 0 lies below
+    # every cover, whose main part is positive
+    scale = math.lcm(*(x.denominator for row in rows for value in row for x in value))
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    table = [[(0, 0)] + [(scaled(main), scaled(eps)) for main, eps in row] for row in rows]
+    best_value: tuple[int, int] | None = None
     best_vector: tuple[int, ...] | None = None
     tie = False
     for vector in _compositions(k, params.n):
-        value = max(
-            perturbed_value(params, axis + 1, mult)
-            for axis, mult in enumerate(vector)
-            if mult > 0
-        )
+        value = max([row[mult] for row, mult in zip(table, vector)])
         if best_value is None or value < best_value:
             best_value, best_vector, tie = value, vector, False
         elif value == best_value:
@@ -245,6 +265,16 @@ def merge_spectrum(
         out.append((value, OrbitId(axis, mult)))
         heapq.heappush(heap, (perturbed_value(params, axis, mult + 1), axis, mult + 1))
     return out
+
+
+def _merge_gammas(params: SpectrumParams, count: int) -> list[LatticePoint]:
+    """[Γ_0, ..., Γ_count] as per-axis counts over prefixes of :func:`merge_spectrum`."""
+    counts = [0] * params.n
+    points = [tuple(counts)]
+    for _, (axis, _) in merge_spectrum(params, count):
+        counts[axis - 1] += 1
+        points.append(tuple(counts))
+    return points
 
 
 def morphism_bruteforce(morphism: LinfMorphism, word: Word) -> Combination:
@@ -334,6 +364,7 @@ def wt_T_partitions(d: int, params: SpectrumParams) -> Fraction:
         raise ValueError(f"degree must be >= 1, got {d}")
     if params.n != 2:
         raise ValueError("superpotential counts are defined for two-axis ellipsoids")
+    points = _merge_gammas(params, 3 * d - 1)
     counts: dict[int, Fraction] = {}
     for degree in range(1, d + 1):
         correction = Fraction(0)
@@ -345,9 +376,9 @@ def wt_T_partitions(d: int, params: SpectrumParams) -> Fraction:
                 product *= counts[part]
             if product == 0:
                 continue
-            total_gamma = vec_add(*(gamma(params, 3 * part - 1) for part in parts))
+            total_gamma = vec_add(*(points[3 * part - 1] for part in parts))
             correction += product / (aut_size(parts) * vec_factorial(total_gamma))
-        counts[degree] = vec_factorial(gamma(params, 3 * degree - 1)) * (
+        counts[degree] = vec_factorial(points[3 * degree - 1]) * (
             Fraction(1, math.factorial(degree) ** 3) - correction
         )
     return counts[d]
@@ -368,7 +399,8 @@ def jump_partitions(a: int | str | Fraction, indices: Sequence[int]) -> Fraction
         raise ValueError(f"orbit indices must be positive integers, got {indices}")
     if len(top) > _JUMP_MAX_ARITY:
         raise ValueError(f"partition recursion guarded to arity <= {_JUMP_MAX_ARITY}, got {len(top)}")
-    minus, plus = normalized(a, Side.MINUS), normalized(a, Side.PLUS)
+    minus = _merge_gammas(normalized(a, Side.MINUS), top[-1])
+    plus = _merge_gammas(normalized(a, Side.PLUS), sum(top) + len(top) - 1)
     memo: dict[tuple[int, ...], Fraction] = {}
 
     def jump(idx: tuple[int, ...]) -> Fraction:
@@ -377,8 +409,8 @@ def jump_partitions(a: int | str | Fraction, indices: Sequence[int]) -> Fraction
             return cached
         k = len(idx)
         out_index = sum(idx) + k - 1
-        numerator = vec_factorial(gamma(plus, out_index))
-        value = Fraction(numerator, vec_factorial(vec_add(*gamma_points(minus, idx))))
+        numerator = vec_factorial(plus[out_index])
+        value = Fraction(numerator, vec_factorial(vec_add(*(minus[i] for i in idx))))
         for blocks in set_partitions(k):
             if len(blocks) < 2:
                 continue
@@ -391,7 +423,7 @@ def jump_partitions(a: int | str | Fraction, indices: Sequence[int]) -> Fraction
                 continue
             block_outputs = [sum(idx[p] for p in block) + len(block) - 1 for block in blocks]
             value -= block_product * Fraction(
-                numerator, vec_factorial(vec_add(*gamma_points(plus, block_outputs)))
+                numerator, vec_factorial(vec_add(*(plus[i] for i in block_outputs)))
             )
         memo[idx] = value
         return value

@@ -26,7 +26,7 @@ and the tie rule becomes an integer rank per axis:
 The m-th cover of axis i then has the key (m * A_i, rank_i), and the spectrum
 is the integer merge of the n progressions in key order.  ``gamma`` and
 ``orbit`` read a memoized prefix of that merge, one walk per parameter set
-(at most ``exact.CACHE_CAP`` walks are kept; the oldest is evicted first), and
+(at most ``exact.CACHE_CAP`` walks are kept; the oldest are evicted first), and
 ``gamma_points`` reads several indices from one walk lookup.
 
 ``SpectrumParams`` keys this memo and those of :mod:`ellsuper.sft`, so it

@@ -1,12 +1,16 @@
 """Cross-checks of the fast implementations against brute-force oracles."""
 
+import ast
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellsuper import oracle
 from ellsuper.linf import (
     Combination,
     GeneratorSet,
@@ -16,12 +20,14 @@ from ellsuper.linf import (
     extend_coderivation,
 )
 from ellsuper.oracle import (
+    DualRational,
     action_dual,
     coderivation_bruteforce,
     gamma_bruteforce,
     jump_partitions,
     merge_spectrum,
     morphism_bruteforce,
+    perturbed_value,
     wt_T_partitions,
 )
 from ellsuper.orbits import (
@@ -51,6 +57,32 @@ def random_params(rng, max_n=4):
     return SpectrumParams(a, side)
 
 
+@st.composite
+def tie_prone_params(draw):
+    """1 to 4 axes with small numerators and denominators, every side on two axes."""
+    ratios = st.fractions(min_value="1/6", max_value=12, max_denominator=6)
+    a = draw(st.lists(ratios, min_size=1, max_size=4))
+    side = draw(st.sampled_from(list(Side))) if len(a) == 2 else Side.CANONICAL
+    return SpectrumParams(tuple(a), side)
+
+
+def gamma_dual_loop(params, k):
+    """The loop the action table replaced: a DualRational max, then min, over every composition."""
+    if k == 0:
+        return (0,) * params.n
+    best_value, best_vector, tie = None, None, False
+    for bars in combinations(range(k + params.n - 1), params.n - 1):
+        edges = (-1,) + bars + (k + params.n - 1,)
+        vector = tuple(edges[i + 1] - edges[i] - 1 for i in range(params.n))
+        value = max(perturbed_value(params, axis, m) for axis, m in enumerate(vector, start=1) if m > 0)
+        if best_value is None or value < best_value:
+            best_value, best_vector, tie = value, vector, False
+        elif value == best_value:
+            tie = True
+    assert not tie
+    return best_vector
+
+
 class TestGammaOracle:
     def test_random_cases_match(self):
         rng = random.Random(987123)
@@ -59,6 +91,35 @@ class TestGammaOracle:
             k = rng.randint(0, 25)
             assert gamma(p, k) == gamma_bruteforce(p, k), (p, k)
 
+    @given(p=tie_prone_params(), k=st.integers(0, 20))
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    def test_action_table_matches_the_dual_rational_loop(self, p, k):
+        assert gamma_bruteforce(p, k) == gamma_dual_loop(p, k)
+
+    @pytest.mark.parametrize(
+        "side, k, expected",
+        [
+            (Side.PLUS, 8, (6, 2)),
+            (Side.MINUS, 8, (6, 2)),
+            # 7 = 7·1 = 3·(7/3): the two covers differ only in their ε part
+            (Side.PLUS, 9, (7, 2)),
+            (Side.MINUS, 9, (6, 3)),
+            (Side.PLUS, 10, (7, 3)),
+            (Side.MINUS, 10, (7, 3)),
+        ],
+    )
+    def test_ties_split_by_the_eps_part(self, side, k, expected):
+        p = normalized("7/3", side)
+        assert gamma_bruteforce(p, k) == expected == gamma_dual_loop(p, k)
+
+    def test_an_unseparated_tie_raises(self, monkeypatch):
+        """Without its ε part, 7/3 ties (7, 2) with (6, 3) at k = 9."""
+        monkeypatch.setattr(
+            oracle, "perturbed_value", lambda p, axis, m: DualRational(p.a[axis - 1] * m, Fraction(0))
+        )
+        with pytest.raises(RuntimeError, match="failed to separate"):
+            gamma_bruteforce(normalized("7/3"), 9)
+
     def test_guards(self):
         p = normalized("3/2")
         with pytest.raises(ValueError):
@@ -66,6 +127,31 @@ class TestGammaOracle:
         big = SpectrumParams((1, 2, 3, 4, 5, 6), Side.CANONICAL)
         with pytest.raises(ValueError):
             gamma_bruteforce(big, 3)
+
+
+# The production names oracle.py may import: types, keys, parsers and integer
+# helpers.  A name that computes a checked quantity (gamma, gamma_points,
+# orbit, ...) would make an oracle agree with the fast path it checks.
+ORACLE_MAY_IMPORT = {
+    "exact": {"LatticePoint", "aut_size", "rational", "vec_add", "vec_factorial"},
+    "linf": {"Combination", "GeneratorSet", "LinfMorphism", "LinfStructure", "Word"},
+    "orbits": {"OrbitId", "Side", "SpectrumParams", "normalized"},
+    "sft": {"o_key"},
+}
+
+
+class TestOracleIndependence:
+    def test_oracle_imports_only_listed_production_names(self):
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(alias.name.split(".")[0] == "ellsuper" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "ellsuper"):
+                module = (node.module or "").removeprefix("ellsuper.")
+                imported.update((module, alias.name) for alias in node.names)
+        allowed = {(module, name) for module, names in ORACLE_MAY_IMPORT.items() for name in names}
+        assert imported <= allowed, imported - allowed
 
 
 class TestMergeSpectrum:
