@@ -9,8 +9,9 @@ references need (integer partitions, set partitions, Koszul signs) live in
 
 :func:`shuffles` enumerates the (p, q)-shuffles as position permutations,
 deterministically ordered and memoized per (p, q).  Both L∞ extensions sum
-over them: the coderivation over its head blocks, the cofunctor extension
-over the blocks holding the first letter.
+over them, the coderivation over its head blocks and the cofunctor extension
+over the blocks holding the first letter, through the block plans that
+:mod:`ellsuper.linf` builds once from them in the same order.
 
 :func:`exp_series_pass` is the one exponential-of-series recurrence behind
 both recursive counts: the CP² counts of :mod:`ellsuper.superpotential` and

@@ -34,6 +34,14 @@ Operations
   where c is the coefficient of the all-singletons term.
 * :func:`check_structure` — verifies l̂ ∘ l̂ = 0 on supplied words.
 
+Both extensions walk one block plan per (word length k, block size i): the
+head and rest positions of each (i, k-i)-shuffle in the order of
+:func:`ellsuper.exact.shuffles`, each with an ``itemgetter`` that reads that
+block of a word as a tuple.  The blocks whose head holds position 0 come
+first, and they are the cofunctor's.  Plans depend on no word: each is
+built once into a memo filled through :func:`ellsuper.exact.remember` (at
+most ``CACHE_CAP`` plans), so a word only runs the getters.
+
 Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word, or per the ``memo_key`` a
 morphism names.  Each level and extension memo is filled through
@@ -41,10 +49,12 @@ morphism names.  Each level and extension memo is filled through
 and evicts its oldest first.
 
 Signs follow one rule.  Pulling a head block to the front costs (-1) to the
-number of crossings of two odd letters, counted from the word's parities.
-Every output letter is placed by :func:`_insert_letter`, which bisects to its
-sorted place in a canonical word; an odd letter flips the sign once per odd
-letter it crosses, and zeroes the word if it is already there.  Both
+number of crossings of two odd letters, counted from the word's parities at
+the plan's head positions; a word with fewer than two odd letters has no
+crossing and skips the count.  Every output letter is placed by
+:func:`_insert_letter`, which bisects to its sorted place in a canonical
+word; an odd letter flips the sign once per odd letter it crosses, and
+zeroes the word if it is already there.  Both
 extensions insert into canonical words (the rest of the coderivation, each
 term of φ̂(w∖B)), so they reject a word whose keys are not sorted with a
 ValueError; :func:`canonical_word` sorts arbitrary keys by a right-to-left
@@ -74,7 +84,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
-from operator import le
+from operator import itemgetter, le
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .exact import remember, shuffles
@@ -358,6 +368,31 @@ def _head_crossings(head: Sequence[int], odd: Sequence[int], odd_before: Sequenc
     return crossings
 
 
+def _getter(positions: tuple[int, ...]) -> Callable[[Word], Word]:
+    """An ``itemgetter`` of ``positions`` that returns a tuple for any number of them."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
+
+
+# (k, i) -> the (i, k - i) blocks, each (head, head getter, rest, rest getter)
+_BLOCK_PLANS: dict[tuple[int, int], tuple] = {}
+
+
+def _block_plan(k: int, i: int) -> tuple:
+    """The head and rest positions of every (i, k - i)-shuffle, in :func:`shuffles` order.
+
+    The blocks whose head holds position 0 come first.
+    """
+    plan = _BLOCK_PLANS.get((k, i))
+    if plan is None:
+        plan = remember(_BLOCK_PLANS, (k, i), tuple(
+            (sigma[:i], _getter(sigma[:i]), sigma[i:], _getter(sigma[i:])) for sigma in shuffles(i, k - i)
+        ))
+    return plan
+
+
 _EMPTY = {(): (1, 1)}  # the terms of φ̂ of the empty rest: the unit word
 
 
@@ -406,16 +441,18 @@ class LinfMorphism:
         if k == 0:
             raise ValueError("words must be nonempty")
         odd, odd_before = _parities(self.source.parity, word)
+        signed = odd_before[-1] > 1
         target_parity = self.target.parity
         out: _Sums = {}
         for size in range(1, k + 1):
-            for sigma in shuffles(size - 1, k - size):
-                head = (0,) + tuple([p + 1 for p in sigma[:size - 1]])
-                value = self.level(size, tuple([word[p] for p in head]))._terms
+            for head, get_head, _, get_rest in _block_plan(k, size):
+                if head[0]:
+                    break
+                value = self.level(size, get_head(word))._terms
                 if not value:
                     continue
-                head_sign = -1 if _head_crossings(head, odd, odd_before) & 1 else 1
-                tail = tuple([word[p + 1] for p in sigma[size - 1:]])
+                head_sign = -1 if signed and _head_crossings(head, odd, odd_before) & 1 else 1
+                tail = get_rest(word)
                 rest = self.extend(tail)._terms if tail else _EMPTY
                 for out_word, (num, den) in value.items():
                     letter = _single_letter(out_word)
@@ -439,24 +476,23 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
         raise ValueError("words must be nonempty")
     parity = structure.generators.parity
     odd, odd_before = _parities(parity, word)
+    signed = odd_before[-1] > 1
     # a rest holding a repeated odd letter is zero (only in non-reduced words)
     repeats = any(odd[p] and word[p] == word[p + 1] for p in range(k - 1))
     out: _Sums = {}
     for i in range(1, k + 1) if structure.arities is None else structure.arities:
         if i > k:
             break
-        for sigma in shuffles(i, k - i):
-            head = sigma[:i]
-            value = structure.level(i, tuple([word[p] for p in head]))._terms
+        for head, get_head, rest, get_rest in _block_plan(k, i):
+            value = structure.level(i, get_head(word))._terms
             if not value:
                 continue
-            rest = sigma[i:]
-            rest_word = tuple([word[p] for p in rest])
+            rest_word = get_rest(word)
             if repeats and any(
                 odd[rest[t]] and rest_word[t] == rest_word[t + 1] for t in range(k - i - 1)
             ):
                 continue
-            head_sign = -1 if _head_crossings(head, odd, odd_before) & 1 else 1
+            head_sign = -1 if signed and _head_crossings(head, odd, odd_before) & 1 else 1
             for out_word, (num, den) in value.items():
                 target_word, sign = _insert_letter(parity, _single_letter(out_word), rest_word)
                 if target_word is not None:

@@ -1,12 +1,14 @@
 """Tests for the L-infinity engine on small hand-checked examples."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ellsuper.exact import CACHE_CAP
+from ellsuper import exact, linf
+from ellsuper.exact import CACHE_CAP, shuffles
 from ellsuper.linf import (
     Combination,
     GeneratorSet,
@@ -22,6 +24,7 @@ from ellsuper.linf import (
     invert,
     morphisms_agree,
 )
+from ellsuper.linf import _block_plan
 from ellsuper.oracle import koszul_sign
 
 
@@ -368,6 +371,55 @@ class TestMorphismExtend:
         w = word(g(1), g(2), g(3))
         assert ident.extend(w) == Combination.single(w)
         assert ident.level(2, word(g(1), g(2))) == Combination.zero()
+
+
+class TestBlockPlans:
+    """The word-independent head/rest plans that both extensions iterate."""
+
+    def test_plans_split_the_shuffles_in_their_order(self):
+        for k in range(1, 9):
+            for i in range(k + 1):
+                plan = _block_plan(k, i)
+                assert [(head, rest) for head, _, rest, _ in plan] == [
+                    (sigma[:i], sigma[i:]) for sigma in shuffles(i, k - i)
+                ]
+                assert _block_plan(k, i) is plan
+
+    def test_getters_return_the_block_words_as_tuples(self):
+        for k in range(1, 9):
+            w = tuple(g(10 + p) for p in range(k))
+            for i in range(k + 1):
+                for head, get_head, rest, get_rest in _block_plan(k, i):
+                    assert get_head(w) == tuple(w[p] for p in head)
+                    assert get_rest(w) == tuple(w[p] for p in rest)
+                    assert type(get_head(w)) is tuple and type(get_rest(w)) is tuple
+
+    def test_one_letter_and_empty_blocks_are_tuples(self):
+        w = word(g(1), g(2), g(3))
+        assert [get_head(w) for _, get_head, _, _ in _block_plan(3, 1)] == [(g(1),), (g(2),), (g(3),)]
+        assert [get_rest(w) for _, _, _, get_rest in _block_plan(3, 2)] == [(g(3),), (g(2),), (g(1),)]
+        for _, get_head, _, get_rest in _block_plan(3, 0) + _block_plan(3, 3):
+            assert () in (get_head(w), get_rest(w))
+
+    def test_blocks_holding_the_first_position_come_first(self):
+        """The cofunctor reads the leading blocks: 0 and the (i - 1, k - i)-shuffles of 1..k-1."""
+        for k in range(1, 9):
+            for i in range(1, k + 1):
+                plan = _block_plan(k, i)
+                first = comb(k - 1, i - 1)
+                assert [(head, rest) for head, _, rest, _ in plan[:first]] == [
+                    ((0,) + tuple(p + 1 for p in sigma[:i - 1]), tuple(p + 1 for p in sigma[i - 1:]))
+                    for sigma in shuffles(i - 1, k - i)
+                ]
+                assert all(head[0] for head, _, _, _ in plan[first:])
+
+    def test_plan_memo_stays_within_the_cache_cap(self, monkeypatch):
+        monkeypatch.setattr(exact, "CACHE_CAP", 5)
+        monkeypatch.setattr(linf, "_BLOCK_PLANS", {})
+        for k in range(1, 7):
+            for i in range(k + 1):
+                assert len(_block_plan(k, i)) == comb(k, i)
+                assert len(linf._BLOCK_PLANS) <= 5
 
 
 class TestCoderivationExtend:

@@ -355,6 +355,12 @@ class TestCoderivationOracle:
         assert S.arities is None
         self.assert_same_terms(S, tuple(("g", i) for i in sorted(indices)))
 
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(st.lists(st.integers(min_value=1, max_value=9), min_size=6, max_size=6), st.booleans())
+    def test_toy_structure_on_words_at_the_length_guard(self, indices, mixed):
+        S = toy_structure(mixed)
+        self.assert_same_terms(S, tuple(("g", i) for i in sorted(indices)))
+
     def test_mixed_denominators_cancel_and_come_back(self):
         """On g3.g4.g5.g6 the word itself collects -1/2 + 1/2 = 0 from g3 and
         g4 and is dropped; g5 and g6 bring it back at -1/3 + 2/5 = 1/15,
