@@ -386,6 +386,7 @@ class TestBlockPlans:
                 assert _block_plan(k, i) is plan
 
     def test_getters_return_the_block_words_as_tuples(self):
+        """Also for one-letter and empty blocks (i = 0, 1, k - 1, k)."""
         for k in range(1, 9):
             w = tuple(g(10 + p) for p in range(k))
             for i in range(k + 1):
@@ -393,13 +394,6 @@ class TestBlockPlans:
                     assert get_head(w) == tuple(w[p] for p in head)
                     assert get_rest(w) == tuple(w[p] for p in rest)
                     assert type(get_head(w)) is tuple and type(get_rest(w)) is tuple
-
-    def test_one_letter_and_empty_blocks_are_tuples(self):
-        w = word(g(1), g(2), g(3))
-        assert [get_head(w) for _, get_head, _, _ in _block_plan(3, 1)] == [(g(1),), (g(2),), (g(3),)]
-        assert [get_rest(w) for _, _, _, get_rest in _block_plan(3, 2)] == [(g(3),), (g(2),), (g(1),)]
-        for _, get_head, _, get_rest in _block_plan(3, 0) + _block_plan(3, 3):
-            assert () in (get_head(w), get_rest(w))
 
     def test_blocks_holding_the_first_position_come_first(self):
         """The cofunctor reads the leading blocks: 0 and the (i - 1, k - i)-shuffles of 1..k-1."""
