@@ -27,7 +27,7 @@ sub-multisets, Π (m_i + 1) over the multiplicities m_i of the distinct indices.
 ``superpotential --d`` and ``bound --d`` exit 1 above ``COUNT_MAX_DEGREE``
 (120; one count there takes about 2 s at the slowest ratios), and
 ``table --d`` above ``TABLE_MAX_DEGREE`` (32; the table over (1, ∞) takes
-about 4 s, 7 s with ``--refine-orbit-id``).
+about 1.5 s, with or without ``--refine-orbit-id``).
 All these caps are checked before any work starts.
 ``descendant --orbits i_1,...,i_k`` exits 1 when Σ i_s exceeds
 ``DESCENDANT_MAX_INDEX_SUM`` (1500), before any work starts: Γ's coordinates

@@ -17,12 +17,13 @@ over the blocks holding the first letter, through the block plans that
 both recursive counts: the CP² counts of :mod:`ellsuper.superpotential` and
 the jumps of :mod:`ellsuper.jumps`.  It runs on integers: each series is one
 denominator and a dict of integer numerators, and only the values it returns
-are ``Fraction``s.
+are ``Fraction``s.  It can resume from the state of an earlier pass, which
+the CP² counts use to recompute only the steps a new signature changes.
 
 :func:`remember` stores into a memo dict and keeps it at most ``CACHE_CAP``
 entries, evicting the oldest first, a block at a time; the lattice walks of
 :mod:`ellsuper.orbits`, the ε/η/Ξ morphisms of :mod:`ellsuper.sft`, the
-signature-prefix counts of :mod:`ellsuper.superpotential` and the per-ratio
+Γ-signature counts of :mod:`ellsuper.superpotential` and the per-ratio
 jump tables of :mod:`ellsuper.jumps` are bounded this way.
 """
 
@@ -55,7 +56,13 @@ CACHE_CAP = 4096
 
 
 def rational(value: int | str | Fraction) -> Fraction:
-    """Coerce to an exact rational; floats are rejected to keep arithmetic exact."""
+    """Coerce to an exact rational; floats are rejected to keep arithmetic exact.
+
+    A plain ``Fraction`` is returned as it is: it is immutable, and skipping
+    the constructor skips its numeric-type checks.
+    """
+    if value.__class__ is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass an int, Fraction, or 'p/q' string")
     return Fraction(value)
@@ -112,7 +119,7 @@ def shuffles(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def exp_series_pass(steps: Iterable[tuple]) -> dict:
+def exp_series_pass(steps: Iterable[tuple], state: tuple[dict, dict] | None = None) -> dict:
     """Values v_I = P_I! (N_I - Σ over splittings of I into >= 2 parts), all in one pass.
 
     Each step is ``(I, w(I), aut(I), splits, P_I, N_I)``, and the steps come
@@ -136,10 +143,17 @@ def exp_series_pass(steps: Iterable[tuple]) -> dict:
     E_I rescales the series when v_I / aut(I) needs a larger denominator.
     :func:`ellsuper.oracle.exp_series_pass_fractions` is the same pass with
     ``Fraction`` coefficients.
+
+    ``state`` resumes a pass: it is the pair of dicts (F_I monomials, E_I
+    series) of the steps already run, keyed by I, and the pass reads the
+    parts it needs from them and adds its own steps to them.  The values of
+    the steps already run are not returned again.  Without it the pass
+    starts empty and keeps its state to itself.
     """
     values: dict = {}
-    monomials: dict = {}  # I -> (x, y, n, d) with F_I = n/d u^(x, y) in lowest terms, n != 0
-    series: dict = {}  # I -> (D_I, {(x, y): numerator}) with E_I = numerators / D_I
+    # I -> (x, y, n, d) with F_I = n/d u^(x, y) in lowest terms, n != 0, and
+    # I -> (D_I, {(x, y): numerator}) with E_I = numerators / D_I
+    monomials, series = ({}, {}) if state is None else state
     factorial = math.factorial
     gcd, lcm = math.gcd, math.lcm
     point_factorials: dict[tuple[int, int], int] = {}  # Q -> Q!

@@ -19,10 +19,14 @@ T̃_d therefore depends on a only through the Γ-signature
 recursion has p(d) terms; instead :func:`ellsuper.exact.exp_series_pass`
 evaluates it as an exponential of power series, with steps n = 1..d of weight
 n, aut 1, splits n = k + (n - k), P_n = Γ_{3n-1} and N_n = 1/(n!)^3.  That is
-polynomial in d, and one pass yields T̃_1..T̃_d.  Each value is cached under
-its signature prefix (at most ``CACHE_CAP`` prefixes), so parameters with the
-same signature share one entry.  N_n = 1/(n!)^3 is written out once, in
-``_signature_count``.  Two references check this path from outside:
+polynomial in d, and one pass yields T̃_1..T̃_d.  Step n reads only the
+first n points of the signature, so a new signature resumes from the kernel
+state (F_n, E_n) of the pass run last, after the longest prefix the two share;
+only that one pass of state is kept.  Tables sample a in ascending order, so
+consecutive signatures differ near their end.  Each value is cached under its
+signature (one entry per signature, at most ``CACHE_CAP``), so parameters
+with the same signature share one entry.  N_n = 1/(n!)^3 is written out once,
+in ``_signature_count``.  Two references check this path from outside:
 :func:`ellsuper.oracle.wt_T_partitions` sums the recursion over partitions,
 and :func:`ellsuper.oracle.cp2_exp_mc` builds exp(Σ_e T̃_e o_{3e-1}), whose
 augmentation by :func:`ellsuper.sft.epsilon` must give N_d on single letters.
@@ -41,6 +45,7 @@ changes (at ratios in J_{3d-2}); :func:`normalized_table` includes those.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
@@ -91,23 +96,43 @@ class CP2Target:
         return Fraction(self._check(label))
 
 
-# Γ-signature prefix ((x_e, y_e))_{e <= d} -> T̃_d, at most CACHE_CAP entries
+# Γ-signature ((x_e, y_e))_{e <= d} -> T̃_d, one entry per signature, at most CACHE_CAP
 _WT_CACHE: dict[tuple[LatticePoint, ...], Fraction] = {}
+# the kernel pass run last: its signature, and the state (n -> F_n, n -> E_n) of its steps
+_last_signature: tuple[LatticePoint, ...] = ()
+_LAST_STATE: tuple[dict, dict] = ({}, {})
 
 
 def _signature_count(signature: tuple[LatticePoint, ...]) -> Fraction:
-    """T̃_d for the signature (Γ_{3e-1})_{e <= d}; fills the cache for every prefix."""
+    """T̃_d for the signature (Γ_{3e-1})_{e <= d}, resuming the last pass.
+
+    Step n of the pass reads only the first n points, so the steps of the
+    longest prefix shared with the last pass are kept and the rest rerun; a
+    prefix of the last signature reruns its final step alone.
+    """
+    global _last_signature
     cached = _WT_CACHE.get(signature)
     if cached is not None:
         return cached
+    last, (monomials, series) = _last_signature, _LAST_STATE
+    shared, limit = 0, min(len(signature) - 1, len(last))
+    while shared < limit and signature[shared] == last[shared]:
+        shared += 1
+    if shared:
+        for n in range(shared + 1, len(last) + 1):
+            monomials.pop(n, None)
+            del series[n]
+    else:  # also drops what a pass that did not finish left behind
+        monomials.clear()
+        series.clear()
+    _last_signature = ()
     steps = []
-    for n, point in enumerate(signature, start=1):
+    for n in range(shared + 1, len(signature) + 1):
         splits = zip(range(1, n), range(n - 1, 0, -1), range(1, n))  # (k, n - k, w(k) = k)
-        steps.append((n, n, 1, splits, point, Fraction(1, math.factorial(n) ** 3)))
-    values = exp_series_pass(steps)
-    for n in range(1, len(signature) + 1):
-        remember(_WT_CACHE, signature[:n], values[n])
-    return values[len(signature)]
+        steps.append((n, n, 1, splits, signature[n - 1], Fraction(1, math.factorial(n) ** 3)))
+    value = exp_series_pass(steps, _LAST_STATE)[len(signature)]
+    _last_signature = signature
+    return remember(_WT_CACHE, signature, value)
 
 
 def _degree(target: CP2Target, label: object, params: SpectrumParams) -> int:
@@ -174,21 +199,22 @@ class PiecewiseTable(NamedTuple):
 
     def side_values(self, breakpoint: Fraction) -> tuple[Fraction, Fraction]:
         """(Minus, Plus) values at a kept breakpoint."""
-        idx = self.breakpoints.index(breakpoint)
+        idx = bisect_left(self.breakpoints, breakpoint)
+        if idx == len(self.breakpoints) or self.breakpoints[idx] != breakpoint:
+            raise ValueError(f"{breakpoint} is not a kept breakpoint")
         return self.values[idx], self.values[idx + 1]
 
     def value_at(self, a: Fraction, side: Side = Side.CANONICAL) -> Fraction:
         a = rational(a)
-        if a in self.breakpoints:
-            minus, plus = self.side_values(a)
+        idx = bisect_left(self.breakpoints, a)  # breakpoints below a
+        if idx < len(self.breakpoints) and self.breakpoints[idx] == a:
             if side is Side.MINUS:
-                return minus
+                return self.values[idx]
             if side is Side.PLUS:
-                return plus
+                return self.values[idx + 1]
             raise ValueError(f"{a} is a jump; specify Side.MINUS or Side.PLUS")
         if a <= self.lo or (self.hi is not None and a >= self.hi):
             raise ValueError(f"{a} lies outside the tabulated range")
-        idx = sum(1 for b in self.breakpoints if b < a)
         return self.values[idx]
 
 

@@ -38,6 +38,21 @@ class TestRational:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             rational(1.5)
+        with pytest.raises(TypeError):
+            rational(2.0)
+
+    def test_returns_a_plain_fraction_as_it_is(self):
+        value = Fraction(7, 3)
+        assert rational(value) is value
+
+    def test_other_inputs_become_plain_fractions(self):
+        class Sub(Fraction):
+            pass
+
+        for value, expected in ((3, Fraction(3)), ("-13/2", Fraction(-13, 2)), (Sub(5, 4), Fraction(5, 4))):
+            out = rational(value)
+            assert out.__class__ is Fraction
+            assert out == expected
 
 
 class TestDualRational:

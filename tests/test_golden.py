@@ -12,7 +12,9 @@ printed denominator has 3,719 digits.  ``superpotential --d 60 --a inf`` and
 ``table --d 20 --min 1 --max inf`` were computed by the ``Fraction``
 exp-series kernel (now ``oracle.exp_series_pass_fractions``): deep counts
 with large numerators, where a denominator or rescaling slip of the integer
-kernel would show.
+kernel would show.  ``table --d 32 --min 1 --max inf --refine-orbit-id`` was
+printed before the count kernel resumed from its last pass and keyed its memo
+by signature: at the ``table --d`` cap, where 486 signatures are swept.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ CASES = [
     ("table_d20_inf.json", ["table", "--d", "20", "--min", "1", "--max", "inf"]),
     ("table_d8_refine.json", ["table", "--d", "8", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
     ("table_d14_refine.json", ["table", "--d", "14", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
+    ("table_d32_refine.json", ["table", "--d", "32", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
     (
         "table_d8_refine.csv",
         ["table", "--d", "8", "--min", "1", "--max", "inf", "--refine-orbit-id", "--format", "csv"],

@@ -4,14 +4,20 @@ import math
 import random
 from fractions import Fraction
 
-from ellsuper import superpotential
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ellsuper import exact, superpotential
 from ellsuper.exact import CACHE_CAP
 from ellsuper.linf import Word
+from ellsuper.oracle import exp_series_pass_fractions
 from ellsuper.orbits import (
     Side,
     SpectrumParams,
     candidate_discontinuities,
     gamma,
+    gamma_points,
     normalized,
 )
 from ellsuper.sft import o_key, single_coefficient, xi
@@ -79,11 +85,121 @@ class TestSignatureCache:
         assert (points[0],) not in superpotential._WT_CACHE
         assert wt_T(CP2, 5, normalized("13/2", Side.PLUS)) == 13
 
-    def test_every_prefix_is_cached(self, monkeypatch):
-        monkeypatch.setattr(superpotential, "_WT_CACHE", {})
-        wt_T_infinity(4)
-        prefixes = {tuple((3 * e - 1, 0) for e in range(1, d + 1)) for d in range(1, 5)}
-        assert set(superpotential._WT_CACHE) == prefixes
+    def test_prefixes_of_the_last_pass_cost_one_step(self, monkeypatch):
+        fresh_count_state(monkeypatch)
+        steps = count_kernel_steps(monkeypatch)
+        assert wt_T_infinity(4) == 286
+        assert steps == [4]
+        for d, expected in ((1, 2), (2, 5), (3, 32)):
+            calls = len(steps)
+            assert wt_T_infinity(d) == expected
+            assert sum(steps[calls:]) <= 1, d
+        signatures = {tuple((3 * e - 1, 0) for e in range(1, d + 1)) for d in range(1, 5)}
+        assert set(superpotential._WT_CACHE) == signatures  # one entry per signature
+        calls = len(steps)
+        assert [wt_T_infinity(d) for d in range(1, 5)] == [2, 5, 32, 286]
+        assert len(steps) == calls  # all four are memoized
+
+    def test_one_table_fits_a_small_cap(self, monkeypatch):
+        """A d = 11 table has 63 signatures but 266 prefixes: keyed per
+        signature, a cap of 100 holds both sweeps, and the normalized sweep
+        reads every count from the memo."""
+        weighted, unweighted = piecewise_table(CP2, 11, 1, None), normalized_table(CP2, 11, 1, None)
+        fresh_count_state(monkeypatch)
+        monkeypatch.setattr(exact, "CACHE_CAP", 100)
+        steps = count_kernel_steps(monkeypatch)
+        assert piecewise_table(CP2, 11, 1, None) == weighted
+        assert len(superpotential._WT_CACHE) <= 100
+        calls = len(steps)
+        assert normalized_table(CP2, 11, 1, None) == unweighted
+        assert len(steps) == calls
+        assert len(superpotential._WT_CACHE) <= 100
+
+
+def fresh_count_state(monkeypatch):
+    """An empty count memo and no last pass, restored after the test."""
+    monkeypatch.setattr(superpotential, "_WT_CACHE", {})
+    monkeypatch.setattr(superpotential, "_last_signature", ())
+    monkeypatch.setattr(superpotential, "_LAST_STATE", ({}, {}))
+
+
+def count_kernel_steps(monkeypatch):
+    """Wrap the count path's kernel; the returned list gets each pass's step count."""
+    counts = []
+
+    def counting_pass(steps, *args):
+        steps = list(steps)
+        counts.append(len(steps))
+        return exact.exp_series_pass(steps, *args)
+
+    monkeypatch.setattr(superpotential, "exp_series_pass", counting_pass)
+    return counts
+
+
+def degree_count_steps(signature):
+    """The CP^2 count's kernel steps for a signature, as the Fraction reference takes them."""
+    return [
+        (n, n, 1, tuple((k, n - k, k) for k in range(1, n)), point, Fraction(1, math.factorial(n) ** 3))
+        for n, point in enumerate(signature, start=1)
+    ]
+
+
+lattice_points = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@st.composite
+def signature_sequences(draw):
+    """2-5 signatures of length <= 8, each repeating, cutting, or diverging from the one before."""
+    sequence = [tuple(draw(st.lists(lattice_points, min_size=1, max_size=8)))]
+    for _ in range(draw(st.integers(1, 4))):
+        last = sequence[-1]
+        kind = draw(st.sampled_from(("same", "prefix", "first", "shared")))
+        if kind == "same":
+            sequence.append(last)
+        elif kind == "prefix" and len(last) > 1:
+            sequence.append(last[: draw(st.integers(1, len(last) - 1))])
+        else:
+            keep = 0 if kind == "first" else draw(st.integers(0, len(last)))
+            tail = draw(st.lists(lattice_points, min_size=max(1 - keep, 0), max_size=8 - keep))
+            if tail and keep < len(last) and tail[0] == last[keep]:
+                tail[0] = (tail[0][0] + 1, tail[0][1])  # diverge exactly after the kept prefix
+            sequence.append(last[:keep] + tuple(tail))
+    return sequence
+
+
+class TestResume:
+    """Each count that resumes the last pass equals a fresh pass of the ``Fraction`` kernel."""
+
+    def check(self, sequence):
+        with pytest.MonkeyPatch.context() as mp:
+            fresh_count_state(mp)
+            for signature in sequence:
+                superpotential._WT_CACHE.clear()  # every count runs the resume
+                expected = exp_series_pass_fractions(degree_count_steps(signature))[len(signature)]
+                assert superpotential._signature_count(signature) == expected, (sequence, signature)
+
+    def test_fixed_sequence_of_every_kind(self):
+        a = ((2, 0), (5, 0), (3, 2), (4, 4), (1, 6))
+        self.check([
+            a,
+            a,  # identical
+            a[:3],  # strict prefix
+            a[:3] + ((0, 0), (6, 6), (2, 2)),  # longer than the last, shared prefix 3
+            ((3, 3),) + a[1:],  # divergence at step 1
+            ((3, 3), (5, 0), (6, 1)),  # shared prefix 2
+        ])
+
+    def test_zero_counts_leave_no_stale_monomial(self):
+        """T̃_e vanishes for e >= 3 at a = 4 and for e >= 2 at a = 3/2 but not at
+        a = 11/2 or 7, so a stale F_e kept from the last pass would show."""
+        sig = {a: gamma_points(normalized(a), range(2, 18, 3)) for a in ("3/2", 4, "11/2", 7)}
+        assert sig[4][0] == sig["11/2"][0] and sig[7][0] != sig["3/2"][0]
+        self.check([sig["11/2"], sig[4], sig[7], sig["3/2"], sig[4][:4], sig["11/2"]])
+
+    @given(sequence=signature_sequences())
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    def test_random_sequences_match_the_fraction_kernel(self, sequence):
+        self.check(sequence)
 
 
 class TestInfinity:
@@ -140,6 +256,23 @@ class TestPiecewiseTable:
         assert table.value_at(Fraction(13, 2), Side.MINUS) == 2
         assert table.value_at(Fraction(13, 2), Side.PLUS) == 13
 
+    def test_lookups_match_a_linear_scan(self):
+        tables = [piecewise_table(CP2, d, 1, None) for d in range(1, 9)]
+        tables += [normalized_table(CP2, d, 1, None) for d in range(1, 9)]
+        tables.append(piecewise_table(CP2, 8, 2, 10))
+        assert tables[-1].hi == 10 and len(tables[-1].breakpoints) > 3
+        for table in tables:
+            ends = (table.lo, *table.breakpoints, *((table.hi,) if table.hi is not None else ()))
+            queries = [*ends, *((x + y) / 2 for x, y in zip(ends, ends[1:])), ends[-1] + 1]
+            for a in queries:
+                for side in Side:
+                    assert lookup(table.value_at, a, side) == linear_value_at(table, a, side), (table, a, side)
+            for b in table.breakpoints:
+                assert table.side_values(b) == linear_side_values(table, b)
+            for a in (table.lo, table.lo + Fraction(1, 3)):
+                with pytest.raises(ValueError):
+                    table.side_values(a)
+
     def test_jumps_lie_in_candidate_set(self):
         for d in (1, 2, 3, 4):
             table = piecewise_table(CP2, d, 1, 20)
@@ -152,6 +285,29 @@ class TestPiecewiseTable:
         table = normalized_table(CP2, 1, 1, 4)
         assert table.breakpoints == ()
         assert table.values == (1,)
+
+
+def lookup(fn, *args):
+    """The value, or the exception type it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def linear_side_values(table, b):
+    idx = table.breakpoints.index(b)
+    return table.values[idx], table.values[idx + 1]
+
+
+def linear_value_at(table, a, side):
+    """PiecewiseTable.value_at by a scan of the breakpoints: the value, or the exception type."""
+    if a in table.breakpoints:
+        minus, plus = linear_side_values(table, a)
+        return {Side.MINUS: minus, Side.PLUS: plus}.get(side, ValueError)
+    if a <= table.lo or (table.hi is not None and a >= table.hi):
+        return ValueError
+    return table.values[sum(1 for b in table.breakpoints if b < a)]
 
 
 class TestEmbeddingBound:
