@@ -141,14 +141,12 @@ def _resolve_side(suffix_side: Side | None, flag_value: str | None) -> Side:
     return suffix_side or flag_side or Side.CANONICAL
 
 
-def _parse_params(a_text: str, side_flag: str | None, expect_n: int | None = None) -> SpectrumParams:
+def _parse_params(a_text: str, side_flag: str | None) -> SpectrumParams:
     core, suffix_side = _split_side_suffix(a_text)
     side = _resolve_side(suffix_side, side_flag)
     components = [tok for tok in core.split(",") if tok.strip() != ""]
     if not components:
         raise CLIError("--a needs at least one component")
-    if expect_n is not None and len(components) != expect_n:
-        raise CLIError(f"--a needs exactly {expect_n} component(s), got {len(components)}")
     values = tuple(_parse_rational(tok) for tok in components)
     try:
         return SpectrumParams(values, side)
@@ -215,24 +213,17 @@ def _table_payload(table: PiecewiseTable) -> dict:
         for (lo, hi), v in zip(table.intervals(), table.values)
     ]
     breakpoints = [
-        {
-            "a": format_rational(b),
-            "minus": format_rational(table.side_values(b)[0]),
-            "plus": format_rational(table.side_values(b)[1]),
-        }
-        for b in table.breakpoints
+        {"a": format_rational(b), "minus": format_rational(minus), "plus": format_rational(plus)}
+        for b, minus, plus in zip(table.breakpoints, table.values, table.values[1:])
     ]
     return {"intervals": intervals, "breakpoints": breakpoints}
 
 
-def _report_payload(report: Report) -> dict:
-    return {"ok": report.ok, "checked": report.checked, "failures": report.failures}
-
-
 # ---------------------------------------------------------------- commands
+# Each command returns (input, result, csv_lines); ``main`` prints them.
 
 
-def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     params = _parse_params(args.a, args.side)
     ks = _parse_k_range(args.k)
     width = ks.stop - ks.start  # len() overflows on huge ranges
@@ -241,15 +232,10 @@ def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     points = [{"k": k, "gamma": list(p)} for k, p in zip(ks, gamma_range(params, ks.start, ks.stop - 1))]
     csv_lines = ["k," + ",".join(f"v{i}" for i in range(1, params.n + 1))]
     csv_lines += [f"{row['k']}," + ",".join(str(c) for c in row["gamma"]) for row in points]
-    payload = {
-        "command": "gamma",
-        "input": {"a": params.describe(), "k": args.k},
-        "result": {"points": points},
-    }
-    return payload, csv_lines, 0
+    return {"a": params.describe(), "k": args.k}, {"points": points}, csv_lines
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     params = _parse_params(args.a, args.side)
     if args.count < 1:
         raise CLIError("--count must be >= 1")
@@ -265,15 +251,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         rows.append({"k": k, "axis": axis + 1, "multiplicity": mult, "action": action_text})
     csv_lines = ["k,axis,multiplicity,action"]
     csv_lines += [f"{r['k']},{r['axis']},{r['multiplicity']},{r['action']}" for r in rows]
-    payload = {
-        "command": "spectrum",
-        "input": {"a": params.describe(), "count": args.count},
-        "result": {"orbits": rows},
-    }
-    return payload, csv_lines, 0
+    return {"a": params.describe(), "count": args.count}, {"orbits": rows}, csv_lines
 
 
-def _cmd_descendant(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_descendant(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     params = _parse_params(args.a, args.side)
     indices = _parse_orbits(args.orbits)
     if sum(indices) > DESCENDANT_MAX_INDEX_SUM:
@@ -281,15 +262,11 @@ def _cmd_descendant(args: argparse.Namespace) -> tuple[dict, list[str], int]:
             f"--orbits indices sum to {sum(indices)}; the cap is {DESCENDANT_MAX_INDEX_SUM} (DESCENDANT_MAX_INDEX_SUM)"
         )
     count, psi_power = local_descendant(params, indices)
-    payload = {
-        "command": "descendant",
-        "input": {"a": params.describe(), "orbits": list(indices)},
-        "result": {"count": format_rational(count), "psi_power": psi_power},
-    }
-    return payload, [], 0
+    result = {"count": format_rational(count), "psi_power": psi_power}
+    return {"a": params.describe(), "orbits": list(indices)}, result, []
 
 
-def _cmd_superpotential(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_superpotential(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     target = _require_cp2(args.target)
     _check_degree(args.d, COUNT_MAX_DEGREE, "COUNT_MAX_DEGREE")
     core, suffix_side = _split_side_suffix(args.a)
@@ -310,19 +287,11 @@ def _cmd_superpotential(args: argparse.Namespace) -> tuple[dict, list[str], int]
         mult = orbit(params, 3 * args.d - 1).multiplicity
         unweighted = T(target, args.d, params)
         described = params.describe()
-    payload = {
-        "command": "superpotential",
-        "input": {"target": args.target, "d": args.d, "a": described},
-        "result": {
-            "wt_T": format_rational(weighted),
-            "multiplicity": mult,
-            "T": format_rational(unweighted),
-        },
-    }
-    return payload, [], 0
+    result = {"wt_T": format_rational(weighted), "multiplicity": mult, "T": format_rational(unweighted)}
+    return {"target": args.target, "d": args.d, "a": described}, result, []
 
 
-def _cmd_table(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_table(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     target = _require_cp2(args.target)
     _check_degree(args.d, TABLE_MAX_DEGREE, "TABLE_MAX_DEGREE")
     lo = _parse_rational(args.min)
@@ -342,21 +311,17 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         for (lo_i, hi_i), value in zip(table.intervals(), table.values):
             hi_text = "inf" if hi_i is None else format_rational(hi_i)
             csv_lines.append(f"{name},{format_rational(lo_i)},{hi_text},{format_rational(value)}")
-    payload = {
-        "command": "table",
-        "input": {
-            "target": args.target,
-            "d": args.d,
-            "min": format_rational(lo),
-            "max": args.max,
-            "refine_orbit_id": bool(args.refine_orbit_id),
-        },
-        "result": result,
+    described = {
+        "target": args.target,
+        "d": args.d,
+        "min": format_rational(lo),
+        "max": args.max,
+        "refine_orbit_id": bool(args.refine_orbit_id),
     }
-    return payload, csv_lines, 0
+    return described, result, csv_lines
 
 
-def _cmd_jumps(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_jumps(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     a = _parse_rational(args.a)
     if a <= 0:
         raise CLIError("--a must be positive")
@@ -388,18 +353,14 @@ def _cmd_jumps(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     values = set(routes.values())
     if len(values) > 1:
         raise AssertionError(f"jump routes disagree at a={a}, orbits={indices}: {routes}")
-    payload = {
-        "command": "jumps",
-        "input": {"a": format_rational(a), "orbits": list(indices), "route": wanted},
-        "result": {
-            "value": format_rational(values.pop()),
-            "routes": {name: format_rational(v) for name, v in routes.items()},
-        },
+    result = {
+        "value": format_rational(values.pop()),
+        "routes": {name: format_rational(v) for name, v in routes.items()},
     }
-    return payload, [], 0
+    return {"a": format_rational(a), "orbits": list(indices), "route": wanted}, result, []
 
 
-def _cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+def _cmd_bound(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     target = _require_cp2(args.target)
     _check_degree(args.d, COUNT_MAX_DEGREE, "COUNT_MAX_DEGREE")
     core, _ = _split_side_suffix(args.a)
@@ -413,12 +374,7 @@ def _cmd_bound(args: argparse.Namespace) -> tuple[dict, list[str], int]:
         result = {"bound": None, "note": "count vanishes; no obstruction from this class"}
     else:
         result = {"bound": _printable(value, f"the bound area/action at d = {args.d}")}
-    payload = {
-        "command": "bound",
-        "input": {"target": args.target, "d": args.d, "a": params.describe()},
-        "result": result,
-    }
-    return payload, [], 0
+    return {"target": args.target, "d": args.d, "a": params.describe()}, result, []
 
 
 def _suite_gamma(cases: int) -> Report:
@@ -489,32 +445,26 @@ def _suite_jumps(bound: int) -> Report:
     return Report(not failures, checked, failures)
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[dict, list[str], int]:
+# suite -> (run, default bound, cap); each run reads the checks it calls from the
+# module globals at call time
+_SUITES = {
+    "gamma": (_suite_gamma, 50, GAMMA_SUITE_MAX_BOUND),
+    "linf": (_suite_linf, 3, LINF_MAX_BOUND),
+    "aug": (_suite_aug, 5, AUG_MAX_BOUND),
+    "jumps": (_suite_jumps, 9, JUMPS_MAX_BOUND),
+    "genfun": (lambda bound: genfun_check(bound), 5, GENFUN_MAX_BOUND),
+}
+
+
+def _cmd_check(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
+    run, default, cap = _SUITES[args.suite]
     if args.bound is not None and args.bound < 1:
         raise CLIError(f"--bound must be >= 1, got {args.bound}")
-    cap = {
-        "gamma": GAMMA_SUITE_MAX_BOUND,
-        "linf": LINF_MAX_BOUND,
-        "aug": AUG_MAX_BOUND,
-        "jumps": JUMPS_MAX_BOUND,
-        "genfun": GENFUN_MAX_BOUND,
-    }[args.suite]
     if args.bound is not None and args.bound > cap:
         raise CLIError(f"--bound {args.bound} is too large for the {args.suite} suite; the cap is {cap}")
-    suites = {
-        "gamma": lambda: _suite_gamma(args.bound if args.bound is not None else 50),
-        "linf": lambda: _suite_linf(args.bound if args.bound is not None else 3),
-        "aug": lambda: _suite_aug(args.bound if args.bound is not None else 5),
-        "jumps": lambda: _suite_jumps(args.bound if args.bound is not None else 9),
-        "genfun": lambda: genfun_check(args.bound if args.bound is not None else 5),
-    }
-    report = suites[args.suite]()
-    payload = {
-        "command": "check",
-        "input": {"suite": args.suite, "bound": args.bound},
-        "result": _report_payload(report),
-    }
-    return payload, [], 0 if report.ok else 2
+    report = run(default if args.bound is None else args.bound)
+    result = {"ok": report.ok, "checked": report.checked, "failures": report.failures}
+    return {"suite": args.suite, "bound": args.bound}, result, []
 
 
 # ---------------------------------------------------------------- wiring
@@ -531,29 +481,34 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("gamma", help="lattice path of the perturbed Reeb spectrum")
+    p.set_defaults(run=_cmd_gamma)
     p.add_argument("--a", required=True)
     p.add_argument("--k", required=True, help="index or inclusive range 'lo..hi'")
     add_side(p)
     add_format(p)
 
     p = sub.add_parser("spectrum", help="ordered closed orbits with actions")
+    p.set_defaults(run=_cmd_spectrum)
     p.add_argument("--a", required=True)
     p.add_argument("--count", type=int, required=True)
     add_side(p)
     add_format(p)
 
     p = sub.add_parser("descendant", help="ellipsoid curve count with a psi-point constraint")
+    p.set_defaults(run=_cmd_descendant)
     p.add_argument("--a", required=True)
     p.add_argument("--orbits", required=True)
     add_side(p)
 
     p = sub.add_parser("superpotential", help="weighted/unweighted curve counts T~ and T")
+    p.set_defaults(run=_cmd_superpotential)
     p.add_argument("--target", default="cp2")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--a", required=True, help="rational (normalized E(1,a)), optionally sided, or 'inf'")
     add_side(p)
 
     p = sub.add_parser("table", help="piecewise table of T~ (and optionally T) in a")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("--target", default="cp2")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--min", required=True)
@@ -562,46 +517,35 @@ def _build_parser() -> _Parser:
     add_format(p)
 
     p = sub.add_parser("jumps", help="jump of the transfer morphism at a ratio")
+    p.set_defaults(run=_cmd_jumps)
     p.add_argument("--a", required=True)
     p.add_argument("--orbits", required=True)
     p.add_argument("--route", choices=["closed", "recursive", "xi", "all"], default="all")
 
     p = sub.add_parser("bound", help="embedding obstruction from a nonzero count")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("--target", default="cp2")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--a", required=True)
     add_side(p)
 
     p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("--suite", choices=["gamma", "linf", "aug", "jumps", "genfun"], required=True)
+    p.set_defaults(run=_cmd_check)
+    p.add_argument("--suite", choices=list(_SUITES), required=True)
     p.add_argument("--bound", type=int, default=None)
 
     return parser
 
 
-_DISPATCH = {
-    "gamma": _cmd_gamma,
-    "spectrum": _cmd_spectrum,
-    "descendant": _cmd_descendant,
-    "superpotential": _cmd_superpotential,
-    "table": _cmd_table,
-    "jumps": _cmd_jumps,
-    "bound": _cmd_bound,
-    "check": _cmd_check,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        payload, csv_lines, code = _DISPATCH[args.cmd](args)
+        described, result, csv_lines = args.run(args)
         if getattr(args, "format", "json") == "csv":
-            if not csv_lines:
-                raise CLIError(f"--format csv is not available for {args.cmd!r}")
             print("\n".join(csv_lines))
         else:
-            print(json.dumps(payload, indent=2))
-        return code
+            print(json.dumps({"command": args.cmd, "input": described, "result": result}, indent=2))
+        return 2 if result.get("ok") is False else 0
     except CLIError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

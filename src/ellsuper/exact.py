@@ -4,14 +4,9 @@ All numerics in this package are exact: plain rationals are stdlib
 ``fractions.Fraction``, and floats are rejected on input.  This module holds
 only what the production path calls; the symbolic ε-perturbation of the
 spectrum (``DualRational``) and the enumerations that only the brute-force
-references need (integer partitions, set partitions, Koszul signs) live in
-:mod:`ellsuper.oracle`.
-
-:func:`shuffles` enumerates the (p, q)-shuffles as position permutations,
-deterministically ordered and memoized per (p, q).  Both L∞ extensions sum
-over them, the coderivation over its head blocks and the cofunctor extension
-over the blocks holding the first letter, through the block plans that
-:mod:`ellsuper.linf` builds once from them in the same order.
+references need (integer partitions, set partitions, Koszul signs, and the
+(p, q)-shuffles that :mod:`ellsuper.linf`'s block plans are checked against)
+live in :mod:`ellsuper.oracle`.
 
 :func:`exp_series_pass` is the one exponential-of-series recurrence behind
 both recursive counts: the CP² counts of :mod:`ellsuper.superpotential` and
@@ -32,8 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -44,7 +38,6 @@ __all__ = [
     "vec_add",
     "vec_factorial",
     "aut_size",
-    "shuffles",
     "exp_series_pass",
     "remember",
 ]
@@ -99,24 +92,6 @@ def aut_size(items: Sequence) -> int:
     for mult in Counter(items).values():
         out *= math.factorial(mult)
     return out
-
-
-@cache
-def shuffles(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """(p, q)-shuffles of positions 0..p+q-1.
-
-    Each shuffle is returned as the permutation sigma with sigma[:p] the
-    chosen first block (ascending) and sigma[p:] the rest (ascending).
-    """
-    if p < 0 or q < 0:
-        raise ValueError("block sizes must be nonnegative")
-    k = p + q
-    out = []
-    for head in combinations(range(k), p):
-        head_set = set(head)
-        tail = tuple(x for x in range(k) if x not in head_set)
-        out.append(head + tail)
-    return tuple(out)
 
 
 def exp_series_pass(steps: Iterable[tuple], state: tuple[dict, dict] | None = None) -> dict:

@@ -35,10 +35,10 @@ Operations
 * :func:`check_structure` — verifies l̂ ∘ l̂ = 0 on supplied words.
 
 Both extensions walk one block plan per (word length k, block size i): the
-head and rest positions of each (i, k-i)-shuffle in the order of
-:func:`ellsuper.exact.shuffles`, each with an ``itemgetter`` that reads that
-block of a word as a tuple.  The blocks whose head holds position 0 come
-first, and they are the cofunctor's.  Plans depend on no word: each is
+head and rest positions of each (i, k-i)-shuffle, heads in the order of
+``itertools.combinations(range(k), i)``, each with an ``itemgetter`` that
+reads that block of a word as a tuple.  The blocks whose head holds
+position 0 come first, and they are the cofunctor's.  Plans depend on no word: each is
 built once into a memo filled through :func:`ellsuper.exact.remember` (at
 most ``CACHE_CAP`` plans), so a word only runs the getters.
 
@@ -83,11 +83,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from operator import itemgetter, le
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .exact import remember, shuffles
+from .exact import remember
 from .report import Report
 
 __all__ = [
@@ -381,15 +382,17 @@ _BLOCK_PLANS: dict[tuple[int, int], tuple] = {}
 
 
 def _block_plan(k: int, i: int) -> tuple:
-    """The head and rest positions of every (i, k - i)-shuffle, in :func:`shuffles` order.
+    """The head and rest positions of every (i, k - i)-shuffle, heads in ``combinations`` order.
 
     The blocks whose head holds position 0 come first.
     """
     plan = _BLOCK_PLANS.get((k, i))
     if plan is None:
-        plan = remember(_BLOCK_PLANS, (k, i), tuple(
-            (sigma[:i], _getter(sigma[:i]), sigma[i:], _getter(sigma[i:])) for sigma in shuffles(i, k - i)
-        ))
+        blocks = []
+        for head in combinations(range(k), i):
+            rest = tuple(p for p in range(k) if p not in head)
+            blocks.append((head, _getter(head), rest, _getter(rest)))
+        plan = remember(_BLOCK_PLANS, (k, i), tuple(blocks))
     return plan
 
 

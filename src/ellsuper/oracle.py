@@ -43,7 +43,9 @@ because nothing on the production path calls them:
 * :func:`set_partitions` — all set partitions, blocks ordered by minimum;
 * :func:`koszul_sign` — the sign a permutation picks up acting on graded
   letters (each crossing of two odd letters contributes -1); the production
-  engine counts parities instead.
+  engine counts parities instead;
+* :func:`shuffles` — the (p, q)-shuffles as position permutations, the
+  reference for the head/rest block plans of :mod:`ellsuper.linf`.
 
 Both L∞ oracles sort their output letters themselves (``sorted`` plus
 :func:`koszul_sign`, dropping a repeated odd letter), so they take only the
@@ -80,6 +82,7 @@ __all__ = [
     "partitions",
     "set_partitions",
     "koszul_sign",
+    "shuffles",
 ]
 
 _GAMMA_MAX_K = 40
@@ -194,6 +197,23 @@ def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
             if sigma[s] > sigma[t] and degrees[sigma[s]] % 2 and degrees[sigma[t]] % 2:
                 sign = -sign
     return sign
+
+
+def shuffles(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """(p, q)-shuffles of positions 0..p+q-1.
+
+    Each shuffle is returned as the permutation sigma with sigma[:p] the
+    chosen first block (ascending) and sigma[p:] the rest (ascending).
+    """
+    if p < 0 or q < 0:
+        raise ValueError("block sizes must be nonnegative")
+    k = p + q
+    out = []
+    for head in combinations(range(k), p):
+        head_set = set(head)
+        tail = tuple(x for x in range(k) if x not in head_set)
+        out.append(head + tail)
+    return tuple(out)
 
 
 def _sorted_word(generators: GeneratorSet, letters: Sequence) -> tuple[Word | None, int]:

@@ -130,21 +130,6 @@ def v_algebra() -> LinfStructure:
     return _V_ALGEBRA
 
 
-def _tilde_rule(k: int, word: Word) -> Combination:
-    i_total = 0
-    j_total = 0
-    for kind, i, j in word:
-        if kind != "beta":
-            return Combination.zero()
-        i_total += i
-        j_total += j
-    out_index = i_total + j_total + k - 1
-    return Combination.single(
-        (q_key(out_index),),
-        Fraction(1, factorial(i_total) * factorial(j_total)),
-    )
-
-
 _HAS_ALPHA = ("alpha",)  # the one key of every word with an α letter: its level is zero
 
 
@@ -158,6 +143,17 @@ def _tilde_key(word: Word) -> tuple:
         i_total += i
         j_total += j
     return (i_total, j_total, len(word))
+
+
+def _tilde_rule(k: int, word: Word) -> Combination:
+    key = _tilde_key(word)
+    if key is _HAS_ALPHA:
+        return Combination.zero()
+    i_total, j_total, _ = key
+    return Combination.single(
+        (q_key(i_total + j_total + k - 1),),
+        Fraction(1, factorial(i_total) * factorial(j_total)),
+    )
 
 
 _TILDE = LinfMorphism(v_generators(), co_generators(), _tilde_rule, memo_key=_tilde_key)

@@ -8,6 +8,7 @@ and byte-for-byte determinism.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -38,6 +39,8 @@ from ellsuper.cli import (
     JUMPS_XI_MAX_ORBITS,
     LINF_MAX_BOUND,
     TABLE_MAX_DEGREE,
+    _build_parser,
+    _SUITES,
     main,
 )
 from ellsuper.report import Report
@@ -504,6 +507,40 @@ def test_check_failing_suite_exits_2(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------- exit codes / plumbing
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# one minimal valid argument list per subcommand
+_MINIMAL_ARGV = {
+    "gamma": ["--a", "1,2", "--k", "3"],
+    "spectrum": ["--a", "1,2", "--count", "3"],
+    "descendant": ["--a", "1,3", "--orbits", "2"],
+    "superpotential": ["--d", "2", "--a", "3"],
+    "table": ["--d", "2", "--min", "1", "--max", "4"],
+    "jumps": ["--a", "3/2", "--orbits", "1,2"],
+    "bound": ["--d", "2", "--a", "5/2"],
+    "check": ["--suite", "genfun", "--bound", "1"],
+}
+
+
+@pytest.mark.parametrize("command", list(_subparsers(_build_parser())))
+def test_every_subcommand_prints_its_name(capsys, command):
+    """Every subcommand the parser defines runs and names itself; a new one needs a case here."""
+    assert command in _MINIMAL_ARGV, f"no minimal argument list for {command!r}"
+    payload = run_json(capsys, [command, *_MINIMAL_ARGV[command]])
+    assert list(payload) == ["command", "input", "result"]
+    assert payload["command"] == command
+
+
+def test_suite_choices_are_the_suite_table():
+    (suite,) = [a for a in _subparsers(_build_parser())["check"]._actions if a.dest == "suite"]
+    assert suite.choices == list(_SUITES)
+    for name, (_, default, cap) in _SUITES.items():
+        assert 1 <= default <= cap, name
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):

@@ -19,7 +19,6 @@ from ellsuper.exact import (
     aut_size,
     exp_series_pass,
     rational,
-    shuffles,
     vec_add,
     vec_factorial,
 )
@@ -214,28 +213,6 @@ class TestExpSeriesPass:
         values = exp_series_pass(steps)
         assert values == exp_series_pass_fractions(steps)
         assert all(type(v) is Fraction for v in values.values())
-
-
-class TestShuffles:
-    @given(p=st.integers(0, 4), q=st.integers(0, 4))
-    @settings(deadline=None)
-    def test_count_is_binomial(self, p, q):
-        result = shuffles(p, q)
-        assert len(result) == math.comb(p + q, p)
-        for sigma in result:
-            left, right = sigma[:p], sigma[p:]
-            assert sorted(left) == list(left)
-            assert sorted(right) == list(right)
-            assert sorted(sigma) == list(range(p + q))
-
-    def test_small_example(self):
-        assert shuffles(1, 1) == ((0, 1), (1, 0))
-
-    def test_enumerated_once(self):
-        assert shuffles(2, 3) is shuffles(2, 3)
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                shuffles(-1, 2)
 
 
 class TestSetPartitions:

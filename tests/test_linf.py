@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ellsuper import exact, linf
-from ellsuper.exact import CACHE_CAP, shuffles
+from ellsuper.exact import CACHE_CAP
 from ellsuper.linf import (
     Combination,
     GeneratorSet,
@@ -25,7 +25,7 @@ from ellsuper.linf import (
     morphisms_agree,
 )
 from ellsuper.linf import _block_plan
-from ellsuper.oracle import koszul_sign
+from ellsuper.oracle import koszul_sign, shuffles
 
 
 def g(i):

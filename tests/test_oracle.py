@@ -1,6 +1,7 @@
 """Cross-checks of the fast implementations against brute-force oracles."""
 
 import ast
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -28,6 +29,7 @@ from ellsuper.oracle import (
     merge_spectrum,
     morphism_bruteforce,
     perturbed_value,
+    shuffles,
     wt_T_partitions,
 )
 from ellsuper.orbits import (
@@ -152,6 +154,28 @@ class TestOracleIndependence:
                 imported.update((module, alias.name) for alias in node.names)
         allowed = {(module, name) for module, names in ORACLE_MAY_IMPORT.items() for name in names}
         assert imported <= allowed, imported - allowed
+
+
+class TestShuffles:
+    """The reference enumeration that ``linf``'s block plans are compared with."""
+
+    @given(p=st.integers(0, 4), q=st.integers(0, 4))
+    @settings(deadline=None)
+    def test_count_is_binomial(self, p, q):
+        result = shuffles(p, q)
+        assert len(result) == math.comb(p + q, p)
+        for sigma in result:
+            left, right = sigma[:p], sigma[p:]
+            assert sorted(left) == list(left)
+            assert sorted(right) == list(right)
+            assert sorted(sigma) == list(range(p + q))
+
+    def test_small_example(self):
+        assert shuffles(1, 1) == ((0, 1), (1, 0))
+
+    def test_negative_block_sizes_raise(self):
+        with pytest.raises(ValueError):
+            shuffles(-1, 2)
 
 
 class TestMergeSpectrum:

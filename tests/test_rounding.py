@@ -1,6 +1,7 @@
 """Tests for the fully-rounded algebra and its augmentation identities."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,7 +15,6 @@ from ellsuper.linf import (
 )
 from ellsuper.orbits import Side, gamma, normalized
 from ellsuper.rounding import (
-    _tilde_rule,
     _v_rule,
     _window_words,
     alpha_key,
@@ -242,9 +242,19 @@ class TestVerifyAug:
 
     def test_keyed_levels_match_the_rule(self):
         """eps~'s level memo is keyed by (Σi, Σj, k), or one key for words with
-        an α; on every word of the window the memoized level is the bare rule's."""
+        an α; on every word of the window the memoized level is
+        q_{Σi+Σj+k-1} / (Σi! Σj!), and zero on a word with an α."""
         te = tilde_epsilon()
         words = list(_window_words(4, 4))
         assert any(key[0] == "alpha" for word_ in words for key in word_)
         for word_ in words:
-            assert te.level(len(word_), word_) == _tilde_rule(len(word_), word_), word_
+            k = len(word_)
+            if any(kind == "alpha" for kind, _, _ in word_):
+                expected = Combination.zero()
+            else:
+                i_total = sum(i for _, i, _ in word_)
+                j_total = sum(j for _, _, j in word_)
+                expected = Combination.single(
+                    (q_key(i_total + j_total + k - 1),), Fraction(1, factorial(i_total) * factorial(j_total))
+                )
+            assert te.level(k, word_) == expected, word_
