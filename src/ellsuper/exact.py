@@ -131,7 +131,6 @@ def exp_series_pass(steps: Iterable[tuple], state: tuple[dict, dict] | None = No
     monomials, series = ({}, {}) if state is None else state
     factorial = math.factorial
     gcd, lcm = math.gcd, math.lcm
-    point_factorials: dict[tuple[int, int], int] = {}  # Q -> Q!
     for key, weight, aut, splits, (x_out, y_out), base in steps:
         parts = []
         for sub, complement, sub_weight in splits:
@@ -159,12 +158,7 @@ def exp_series_pass(steps: Iterable[tuple], state: tuple[dict, dict] | None = No
             denominator //= common
             rest = {point: num // common for point, num in rest.items()}
         # Σ_Q [u^Q](E_I - F_I) / Q! = (Σ_Q n_Q M / Q!) / (M D_I), with M the lcm of the Q!
-        q_facts = []
-        for point in rest:
-            q_fact = point_factorials.get(point)
-            if q_fact is None:
-                q_fact = point_factorials[point] = factorial(point[0]) * factorial(point[1])
-            q_facts.append(q_fact)
+        q_facts = [factorial(x) * factorial(y) for x, y in rest]
         fact_lcm = lcm(*q_facts)
         correction = aut * sum(num * (fact_lcm // q_fact) for num, q_fact in zip(rest.values(), q_facts))
         scale = fact_lcm * denominator

@@ -34,6 +34,8 @@ augmentation by :func:`ellsuper.sft.epsilon` must give N_d on single letters.
 "Infinite" parameters mean any a > 3d - 1, where every lattice path is
 horizontal (the signature ((3e - 1, 0))_{e <= d}); there the generating
 function F(x) = 1 + Σ_d T̃_d x^d obeys [x^d] F(x)^{3d} = (3d)!/(d!)^3.
+:func:`genfun_check` checks it on integers: it scales F to integer
+coefficients and truncates each power at x^d.
 
 As a function of a, T̃_d^a is piecewise constant with potential jumps on the
 sets J_{3i-1}, i <= d; :func:`piecewise_table` tabulates it over an interval
@@ -50,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
 from .exact import LatticePoint, exp_series_pass, rational, remember
-from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma_points, jump_set, normalized
+from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma_points, jump_set, normalized, orbit
 from .report import Report
 
 __all__ = [
@@ -149,11 +151,7 @@ def wt_T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
 
 def T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
     """Unweighted count T_A^a = T̃_A^a / mult(o_{c1(A)-1})."""
-    d = _degree(target, label, params)
-    *signature, before = gamma_points(params, (*range(2, 3 * d, 3), 3 * d - 2))
-    # o_{3d-1} is the cover taken between Γ_{3d-2} and Γ_{3d-1}
-    multiplicity = max(x for x, y in zip(signature[-1], before) if x != y)
-    return _signature_count(tuple(signature)) / multiplicity
+    return wt_T(target, label, params) / orbit(params, target.chern(label) - 1).multiplicity
 
 
 def wt_T_infinity(d: int) -> Fraction:
@@ -286,30 +284,26 @@ def normalized_table(
     )
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction], size: int) -> list[Fraction]:
-    out = [Fraction(0)] * size
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if i + j >= size:
-                break
-            out[i + j] += ca * cb
-    return out
-
-
 def genfun_check(dmax: int) -> Report:
-    """Verify [x^d] (1 + Σ T̃_e x^e)^{3d} = (3d)!/(d!)^3 for d = 1..dmax."""
+    """Verify [x^d] (1 + Σ T̃_e x^e)^{3d} = (3d)!/(d!)^3 for d = 1..dmax.
+
+    The check runs on integers: F = 1 + Σ T̃_e x^e is put over the ``lcm`` of
+    its denominators, so a non-integer count is a failure, not a crash, and
+    each power keeps only the terms up to x^d.  It reads the counts through
+    :func:`wt_T_infinity` alone and shares no arithmetic with the count path.
+    """
     if dmax < 1:
         raise ValueError(f"dmax must be >= 1, got {dmax}")
-    size = dmax + 1
-    base = [Fraction(1)] + [wt_T_infinity(e) for e in range(1, size)]
+    counts = [wt_T_infinity(e) for e in range(1, dmax + 1)]
+    scale = math.lcm(*(t.denominator for t in counts))
+    base = [scale] + [t.numerator * (scale // t.denominator) for t in counts]  # scale * F
     failures: list[str] = []
     for d in range(1, dmax + 1):
-        power = [Fraction(1)] + [Fraction(0)] * dmax
+        power = [1] + [0] * d  # (scale * F)^m up to x^d
         for _ in range(3 * d):
-            power = _poly_mul(power, base, size)
+            power = [sum(power[i] * base[n - i] for i in range(n + 1)) for n in range(d + 1)]
+        power_d = Fraction(power[d], scale ** (3 * d))
         expected = Fraction(math.factorial(3 * d), math.factorial(d) ** 3)
-        if power[d] != expected:
-            failures.append(f"d={d}: [x^d] F^{3 * d} = {power[d]}, expected {expected}")
+        if power_d != expected:
+            failures.append(f"d={d}: [x^d] F^{3 * d} = {power_d}, expected {expected}")
     return Report(not failures, dmax, failures)

@@ -581,6 +581,10 @@ _SUITE_BOUNDS = {"gamma": 8, "linf": 2, "aug": 3, "jumps": 8, "genfun": 8}
 _SLOW_DEFAULT = {"gamma", "aug"}
 
 
+def test_every_suite_has_a_random_bound():
+    assert _SUITE_BOUNDS.keys() == _SUITES.keys()
+
+
 @st.composite
 def cli_argv(draw):
     """A random ``ellsuper`` argument list, each value from a small range per command.

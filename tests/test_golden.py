@@ -15,6 +15,8 @@ with large numerators, where a denominator or rescaling slip of the integer
 kernel would show.  ``table --d 32 --min 1 --max inf --refine-orbit-id`` was
 printed before the count kernel resumed from its last pass and keyed its memo
 by signature: at the ``table --d`` cap, where 486 signatures are swept.
+``check --suite genfun --bound 30`` was printed at the genfun cap by the
+check that multiplied ``Fraction`` series over the full length.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ CASES = [
     ("jumps_a1-2_o1-2-2-2_recursive.json", ["jumps", "--a", "1/2", "--orbits", "1,2,2,2", "--route", "recursive"]),
     ("jumps_a2-9_o1-10_all.json", ["jumps", "--a", "2/9", "--orbits", "1,10", "--route", "all"]),
     ("check_aug_b3.json", ["check", "--suite", "aug", "--bound", "3"]),
+    ("check_genfun_b30.json", ["check", "--suite", "genfun", "--bound", "30"]),
     ("gamma_a1-3-2_k0-8.csv", ["gamma", "--a", "1,3/2", "--k", "0..8", "--format", "csv"]),
     ("spectrum_a1-3-2_c10.json", ["spectrum", "--a", "1,3/2", "--count", "10"]),
     ("descendant_a1-3_o2-2.json", ["descendant", "--a", "1,3", "--orbits", "2,2"]),

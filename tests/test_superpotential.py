@@ -336,6 +336,17 @@ class TestGenfun:
         assert report.ok
         assert report.checked == 5
 
+    def test_a_perturbed_count_fails_without_raising(self, monkeypatch):
+        counts = superpotential.wt_T_infinity
+        monkeypatch.setattr(
+            superpotential, "wt_T_infinity", lambda e: counts(e) + (Fraction(1, 7) if e == 3 else 0)
+        )
+        report = genfun_check(6)
+        assert not report.ok
+        assert report.checked == 6
+        assert [line.split(":")[0] for line in report.failures] == ["d=3", "d=4", "d=5", "d=6"]
+        assert report.failures[0].endswith(f"expected {math.factorial(9) // 6**3}")
+
 
 class TestCrossFormulation:
     def test_single_cobordism_map_reproduces_recursion(self):
