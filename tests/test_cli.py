@@ -541,6 +541,7 @@ def test_suite_choices_are_the_suite_table():
     assert suite.choices == list(_SUITES)
     for name, (_, default, cap) in _SUITES.items():
         assert 1 <= default <= cap, name
+    assert _SUITE_BOUNDS.keys() == _SUITES.keys()  # the random argument lists draw every suite
 
 
 def test_internal_error_exits_2(capsys, monkeypatch):
@@ -579,10 +580,6 @@ _RATIONALS = ["2", "3/2", "7/3", "13/2", "1", "5/4", "1/2", "2.5", "3"]
 # largest --bound drawn per suite; a suite whose default bound is slow always gets one
 _SUITE_BOUNDS = {"gamma": 8, "linf": 2, "aug": 3, "jumps": 8, "genfun": 8}
 _SLOW_DEFAULT = {"gamma", "aug"}
-
-
-def test_every_suite_has_a_random_bound():
-    assert _SUITE_BOUNDS.keys() == _SUITES.keys()
 
 
 @st.composite
