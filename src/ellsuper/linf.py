@@ -12,21 +12,23 @@ Objects
 * :class:`LinfStructure` — level maps l^k : Sym^k -> generators of degree +1,
   given lazily by a rule and memoized.  A structure may declare the arities
   at which its level maps can be nonzero (``arities=(1, 2)``; omitted means
-  every arity, ``()`` means abelian).  The declaration is a promise about the
-  rule: extensions never evaluate the other arities.
+  every arity, ``()`` means abelian), and that they vanish on every head with
+  no odd letter (``odd_heads=True``).  Each declaration is a promise about
+  the rule: extensions never evaluate the arities or heads it excludes.
 * :class:`LinfMorphism` — level maps phi^k : Sym^k(source) -> target of
-  degree 0, same representation.
+  degree 0, same representation, with the same ``arities`` declaration.
 
 Operations
 ----------
 * :func:`extend_coderivation` — the coderivation extension
   l̂(v_1 ⊙ ... ⊙ v_k) = Σ_i Σ_{(i, k-i)-shuffles} ± l^i(block) ⊙ rest,
-  over the declared arities i only.
+  over the declared arities i only; with ``odd_heads``, over the blocks that
+  hold an odd letter only, and zero at once on a word with no odd letter.
 * :meth:`LinfMorphism.extend` — the cofunctor extension, a sum over the set
   partitions of the letters with blocks ordered by their first letter,
-  computed by recursion on the block B that holds the first letter:
-  φ̂(w) = Σ_{B ∋ w_0} ± φ^{|B|}(w_B) ⊙ φ̂(w∖B).  The rest of a canonical
-  word is canonical, so φ̂(w∖B) is a memoized sub-word of w.
+  computed by recursion on the block B that holds the first letter, of a
+  declared size: φ̂(w) = Σ_{B ∋ w_0} ± φ^{|B|}(w_B) ⊙ φ̂(w∖B).  The rest of a
+  canonical word is canonical, so φ̂(w∖B) is a memoized sub-word of w.
 * :func:`compose` — (G ∘ F)^k(w) = Σ_{u ∈ F̂(w)} coeff · G^{|u|}(u).
 * :func:`invert` — levelwise inverse of a morphism whose φ^1 is diagonal on
   basis generators: H^1 inverts the diagonal, and for k >= 2
@@ -40,7 +42,10 @@ head and rest positions of each (i, k-i)-shuffle, heads in the order of
 reads that block of a word as a tuple.  The blocks whose head holds
 position 0 come first, and they are the cofunctor's.  Plans depend on no word: each is
 built once into a memo filled through :func:`ellsuper.exact.remember` (at
-most ``CACHE_CAP`` plans), so a word only runs the getters.
+most ``CACHE_CAP`` plans), so a word only runs the getters.  A structure that
+declares ``odd_heads`` walks the plan filtered to the heads that hold an odd
+position, memoized the same way per (i, letter parities of the word), which
+names (k, i, odd mask).
 
 Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word, or per the ``memo_key`` a
@@ -56,9 +61,13 @@ crossing and skips the count.  Every output letter is placed by
 word; an odd letter flips the sign once per odd letter it crosses, and
 zeroes the word if it is already there.  Both
 extensions insert into canonical words (the rest of the coderivation, each
-term of φ̂(w∖B)), so they reject a word whose keys are not sorted with a
-ValueError; :func:`canonical_word` sorts arbitrary keys by a right-to-left
-fold of insertions.
+term of φ̂(w∖B)), so their public entries (:func:`extend_coderivation`,
+:meth:`LinfMorphism.extend` on a memo miss, :func:`check_structure` on each
+word it is given) reject a word whose keys are not sorted with a ValueError.
+Each word is checked once: the rests of φ̂'s recursion and the words of l̂(w)
+that :func:`check_structure` extends again are built canonical by the engine
+and take an unchecked path.  :func:`canonical_word` sorts arbitrary keys by
+a right-to-left fold of insertions.
 
 Level maps are required to land in single generators (length-one words);
 this holds for every structure in this package and keeps extensions small.
@@ -310,9 +319,15 @@ def _single_letter(comb_word: Word) -> Key:
 class LinfStructure:
     """L-infinity structure: lazy, memoized level maps l^k of degree +1.
 
-    ``arities`` declares the arities at which ``level_rule`` can be nonzero;
-    ``None`` (the default) means every arity.  :func:`extend_coderivation`
-    evaluates head blocks at the declared arities only.
+    Two declarations say where ``level_rule`` can be nonzero; each is a
+    promise about the rule, which :func:`extend_coderivation` keeps by
+    never asking the rule anywhere else:
+
+    * ``arities``: the arities at which it can be nonzero; ``None`` (the
+      default) means every arity.
+    * ``odd_heads``: when true, it is zero on every head with no odd
+      letter, so a word with no odd letter has l̂ = 0 and only heads that
+      hold an odd position are evaluated.
     """
 
     def __init__(
@@ -320,13 +335,11 @@ class LinfStructure:
         generators: GeneratorSet,
         level_rule: Callable[[int, Word], Combination],
         arities: Iterable[int] | None = None,
+        odd_heads: bool = False,
     ) -> None:
-        if arities is not None:
-            arities = tuple(sorted(set(arities)))
-            if any(not isinstance(i, int) or i < 1 for i in arities):
-                raise ValueError(f"arities must be positive integers, got {arities}")
         self.generators = generators
-        self.arities = arities
+        self.arities = _declared_arities(arities)
+        self.odd_heads = odd_heads
         self._rule = level_rule
         self._memo: dict[Word, Combination] = {}
 
@@ -339,16 +352,32 @@ class LinfStructure:
         return cached
 
 
+def _declared_arities(arities: Iterable[int] | None) -> tuple[int, ...] | None:
+    """The sorted distinct arities of a declaration, or None for every arity."""
+    if arities is None:
+        return None
+    arities = tuple(sorted(set(arities)))
+    if any(not isinstance(i, int) or i < 1 for i in arities):
+        raise ValueError(f"arities must be positive integers, got {arities}")
+    return arities
+
+
 def abelian(generators: GeneratorSet) -> LinfStructure:
     """The structure with all level maps zero."""
     return LinfStructure(generators, lambda k, word: Combination.zero(), arities=())
 
 
-def _parities(parity: Callable[[Key], int], word: Word) -> tuple[list[int], list[int]]:
-    """Letter parities of a canonical word, and the count of odd letters before each position."""
+def _check_word(word: Word) -> None:
+    """Reject an empty word and one whose keys are not sorted (ValueError)."""
+    if not word:
+        raise ValueError("words must be nonempty")
     if not all(map(le, word, word[1:])):
         raise ValueError(f"word {word!r} is not canonical: its keys must be sorted")
-    odd = [parity(key) for key in word]
+
+
+def _parities(parity: Callable[[Key], int], word: Word) -> tuple[tuple[int, ...], list[int]]:
+    """Letter parities of a word, and the count of odd letters before each position."""
+    odd = tuple(map(parity, word))
     odd_before = [0]
     for bit in odd:
         odd_before.append(odd_before[-1] + bit)
@@ -396,6 +425,19 @@ def _block_plan(k: int, i: int) -> tuple:
     return plan
 
 
+# (i, letter parities of a word) -> the blocks of its (k, i) plan whose head holds an odd letter
+_ODD_HEAD_PLANS: dict[tuple[int, tuple[int, ...]], tuple] = {}
+
+
+def _odd_head_plan(i: int, odd: tuple[int, ...]) -> tuple:
+    """The blocks of ``_block_plan(len(odd), i)`` whose head holds a position p with odd[p]."""
+    plan = _ODD_HEAD_PLANS.get((i, odd))
+    if plan is None:
+        blocks = tuple(block for block in _block_plan(len(odd), i) if any(odd[p] for p in block[0]))
+        plan = remember(_ODD_HEAD_PLANS, (i, odd), blocks)
+    return plan
+
+
 _EMPTY = {(): (1, 1)}  # the terms of φ̂ of the empty rest: the unit word
 
 
@@ -406,6 +448,10 @@ class LinfMorphism:
     word: the level memo stores each value under that key, so words with one
     key share one entry.  The key must determine the value: two words of one
     key must have equal levels.  Without it the memo is keyed by the word.
+
+    ``arities`` declares the block sizes at which ``level_rule`` can be
+    nonzero, as on :class:`LinfStructure`; ``None`` (the default) means
+    every size.  :meth:`extend` visits the declared sizes only.
     """
 
     def __init__(
@@ -414,9 +460,11 @@ class LinfMorphism:
         target: GeneratorSet,
         level_rule: Callable[[int, Word], Combination],
         memo_key: Callable[[Word], Hashable] | None = None,
+        arities: Iterable[int] | None = None,
     ) -> None:
         self.source = source
         self.target = target
+        self.arities = _declared_arities(arities)
         self._rule = level_rule
         self._memo_key = memo_key
         self._level_memo: dict[Hashable, Combination] = {}
@@ -435,19 +483,25 @@ class LinfMorphism:
         """The cofunctor extension φ̂ evaluated on a canonical word."""
         cached = self._extend_memo.get(word)
         if cached is None:
+            _check_word(word)
             cached = remember(self._extend_memo, word, self._extend(word))
         return cached
 
     def _extend(self, word: Word) -> Combination:
-        """φ̂(w) = Σ ± φ^{|B|}(w_B) ⊙ φ̂(w∖B) over the blocks B holding position 0."""
+        """φ̂(w) = Σ ± φ^{|B|}(w_B) ⊙ φ̂(w∖B) over the blocks B holding position 0.
+
+        ``word`` is canonical, so each rest w∖B is too, and its φ̂ is read
+        from the memo or computed here without a second check.
+        """
         k = len(word)
-        if k == 0:
-            raise ValueError("words must be nonempty")
         odd, odd_before = _parities(self.source.parity, word)
         signed = odd_before[-1] > 1
         target_parity = self.target.parity
+        memo = self._extend_memo
         out: _Sums = {}
-        for size in range(1, k + 1):
+        for size in range(1, k + 1) if self.arities is None else self.arities:
+            if size > k:
+                break
             for head, get_head, _, get_rest in _block_plan(k, size):
                 if head[0]:
                     break
@@ -456,7 +510,13 @@ class LinfMorphism:
                     continue
                 head_sign = -1 if signed and _head_crossings(head, odd, odd_before) & 1 else 1
                 tail = get_rest(word)
-                rest = self.extend(tail)._terms if tail else _EMPTY
+                if tail:
+                    rest = memo.get(tail)
+                    if rest is None:
+                        rest = remember(memo, tail, self._extend(tail))
+                    rest = rest._terms
+                else:
+                    rest = _EMPTY
                 for out_word, (num, den) in value.items():
                     letter = _single_letter(out_word)
                     for u, (d_num, d_den) in rest.items():
@@ -470,15 +530,24 @@ class LinfMorphism:
 def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
     """l̂(w) = Σ_{i} Σ_{(i, k-i)-shuffles} ± l^i(first block) ⊙ (rest).
 
-    Only the declared arities i of ``structure`` are visited.  The shuffle
-    sign counts, for each odd head letter, the odd rest letters before it;
-    the output letter of l^i goes into the rest by :func:`_insert_letter`.
+    Only the declared arities i of ``structure`` are visited, and, when it
+    declares ``odd_heads``, only the heads that hold an odd letter.  The
+    shuffle sign counts, for each odd head letter, the odd rest letters
+    before it; the output letter of l^i goes into the rest by
+    :func:`_insert_letter`.
     """
+    _check_word(word)
+    return _coderivation(structure, word)
+
+
+def _coderivation(structure: LinfStructure, word: Word) -> Combination:
+    """:func:`extend_coderivation` on a word already known to be canonical."""
     k = len(word)
-    if k == 0:
-        raise ValueError("words must be nonempty")
     parity = structure.generators.parity
     odd, odd_before = _parities(parity, word)
+    odd_heads = structure.odd_heads
+    if odd_heads and not odd_before[-1]:
+        return Combination()
     signed = odd_before[-1] > 1
     # a rest holding a repeated odd letter is zero (only in non-reduced words)
     repeats = any(odd[p] and word[p] == word[p + 1] for p in range(k - 1))
@@ -486,7 +555,7 @@ def extend_coderivation(structure: LinfStructure, word: Word) -> Combination:
     for i in range(1, k + 1) if structure.arities is None else structure.arities:
         if i > k:
             break
-        for head, get_head, rest, get_rest in _block_plan(k, i):
+        for head, get_head, rest, get_rest in _odd_head_plan(i, odd) if odd_heads else _block_plan(k, i):
             value = structure.level(i, get_head(word))._terms
             if not value:
                 continue
@@ -511,7 +580,7 @@ def identity_morphism(generators: GeneratorSet) -> LinfMorphism:
             return Combination.single(word)
         return Combination.zero()
 
-    return LinfMorphism(generators, generators, rule)
+    return LinfMorphism(generators, generators, rule, arities=(1,))
 
 
 def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
@@ -581,7 +650,8 @@ def check_structure(structure: LinfStructure, words: Iterable[Word]) -> Report:
     for word in words:
         checked += 1
         first = extend_coderivation(structure, word)
-        residual = first.apply(lambda u: extend_coderivation(structure, u))
+        # the words of l̂(w) are built canonical by the engine
+        residual = first.apply(lambda u: _coderivation(structure, u))
         if residual:
             failures.append(f"coderivation square nonzero on {word}: {residual}")
     return Report(not failures, checked, failures)

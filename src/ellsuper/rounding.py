@@ -23,6 +23,10 @@ on a window of words.  For an ellipsoid E(1, a) the inclusion-like morphism
 psi_a sending o_k to beta_{Γ^a_k} (and no higher levels) factors the
 stationary-descendant morphism: eps~ ∘ psi_a = eps_a.
 
+The algebra declares what the engine may skip: its levels vanish above
+arity 2 and on every head with no α (the only odd letters), so l̂ of an
+all-β word is zero without a rule call.  psi_a declares level 1 only.
+
 The algebra and the augmentation are module constants built at import
 (building one only stores its rule), so their memos are shared by every
 caller in the process; each memo holds at most ``CACHE_CAP`` entries.  The
@@ -122,7 +126,7 @@ def _v_rule(k: int, word: Word) -> Combination:
     return Combination.zero()
 
 
-_V_ALGEBRA = LinfStructure(v_generators(), _v_rule, arities=(1, 2))
+_V_ALGEBRA = LinfStructure(v_generators(), _v_rule, arities=(1, 2), odd_heads=True)
 
 
 def v_algebra() -> LinfStructure:
@@ -175,7 +179,7 @@ def psi_map(params: SpectrumParams) -> LinfMorphism:
         x, y = gamma(params, word[0][1])
         return Combination.single((beta_key(x, y),))
 
-    return LinfMorphism(ca_generators(), v_generators(), rule)
+    return LinfMorphism(ca_generators(), v_generators(), rule, arities=(1,))
 
 
 def _beta_window(index_bound: int) -> list[Key]:
@@ -252,17 +256,21 @@ def psi_factorization(
     return morphisms_agree(composed, direct, index_words(o_key, length_bound, index_cap))
 
 
-def structure_window_check(index_bound: int, length_bound: int) -> Report:
-    """Convenience: check_structure of the rounding algebra over the window."""
-    words = list(_window_words(index_bound, length_bound))
-    # also include words with two alphas: the odd/odd bracket is exercised there
+def _two_alpha_words(index_bound: int) -> list[Word]:
+    """The words of two distinct alpha letters, index sums <= index_bound."""
     alphas = _alpha_window(index_bound)
-    extra = [
+    return [
         tuple(sorted(pair))
         for pair in combinations_with_replacement(alphas, 2)
         if pair[0] != pair[1]
     ]
+
+
+def structure_window_check(index_bound: int, length_bound: int) -> Report:
+    """Convenience: check_structure of the rounding algebra over the window."""
+    words = list(_window_words(index_bound, length_bound))
+    # also include words with two alphas: the odd/odd bracket is exercised there
     return merge_reports(
         check_structure(v_algebra(), words),
-        check_structure(v_algebra(), extra),
+        check_structure(v_algebra(), _two_alpha_words(index_bound)),
     )

@@ -539,6 +539,113 @@ class TestDeclaredArities:
             LinfStructure(GRADED, lambda k, w: Combination.zero(), arities=arities)
 
 
+class TestDeclaredHeadSupport:
+    @staticmethod
+    def recording_structure(odd_heads):
+        """l^1(g_i) = g_{i+1} on odd i and l^2(g_i, g_j) = g_{i+j} when i or j is odd; records each head asked."""
+        asked = []
+
+        def rule(k, w):
+            asked.append(w)
+            if not any(key[1] % 2 for key in w):
+                return Combination.zero()
+            if k == 1:
+                return Combination.single(word(g(w[0][1] + 1)))
+            if k == 2:
+                return Combination.single(word(g(w[0][1] + w[1][1])))
+            return Combination.zero()
+
+        return LinfStructure(GRADED, rule, odd_heads=odd_heads), asked
+
+    def test_default_asks_every_head(self):
+        S, asked = self.recording_structure(False)
+        assert S.odd_heads is False
+        extend_coderivation(S, word(g(1), g(2), g(4)))
+        assert word(g(2), g(4)) in asked
+
+    def test_only_heads_holding_an_odd_letter_are_evaluated(self):
+        S, asked = self.recording_structure(True)
+        full, _ = self.recording_structure(False)
+        words = [word(g(1), g(2), g(4)), word(g(1), g(3), g(4), g(6)), word(g(2), g(2), g(3))]
+        for w in words:
+            assert extend_coderivation(S, w) == extend_coderivation(full, w)
+        assert check_structure(S, words).checked == len(words)
+        assert asked and all(any(key[1] % 2 for key in head) for head in asked)
+
+    def test_a_word_with_no_odd_letter_is_zero_at_once(self):
+        S, asked = self.recording_structure(True)
+        value = extend_coderivation(S, word(g(2), g(4), g(4)))
+        assert value == Combination() and not value
+        assert asked == []
+
+
+class TestDeclaredMorphismArities:
+    @staticmethod
+    def recording_morphism(arities):
+        """two_level_morphism that records each block size asked."""
+        asked = []
+        rule = two_level_morphism()
+
+        def recording(k, w):
+            asked.append(k)
+            return rule(k, w)
+
+        return LinfMorphism(EVEN_SOURCE, EVEN_TARGET, recording, arities=arities), asked
+
+    def test_default_is_every_block_size(self):
+        F, asked = self.recording_morphism(None)
+        assert F.arities is None
+        F.extend(word(g(1), g(2), g(3)))
+        assert sorted(set(asked)) == [1, 2, 3]
+
+    def test_only_declared_block_sizes_are_evaluated(self):
+        F, asked = self.recording_morphism((2, 1, 2))
+        assert F.arities == (1, 2)
+        full, _ = self.recording_morphism(None)
+        w = word(g(1), g(2), g(3), g(4))
+        assert F.extend(w) == full.extend(w)
+        assert sorted(set(asked)) == [1, 2]
+
+    def test_identity_declares_level_one(self):
+        assert identity_morphism(GRADED).arities == (1,)
+
+    @pytest.mark.parametrize("arities", [(0, 1), (-1,), (1.0,)])
+    def test_rejects_non_positive_arities(self, arities):
+        with pytest.raises(ValueError, match="arities must be positive integers"):
+            LinfMorphism(GRADED, EVEN_TARGET, lambda k, w: Combination.zero(), arities=arities)
+
+
+class TestWordsAreCheckedOnce:
+    """Every public entry rejects an unsorted word; the words the engine builds are not checked again."""
+
+    UNSORTED = (g(3), g(1))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda w: extend_coderivation(abelian(GRADED), w),
+            lambda w: LinfMorphism(GRADED, EVEN_TARGET, two_level_morphism()).extend(w),
+            lambda w: check_structure(TestCoderivationExtend.nilpotent_structure(), [w]),
+            lambda w: compose(identity_morphism(GRADED), identity_morphism(GRADED)).level(2, w),
+        ],
+        ids=["extend_coderivation", "LinfMorphism.extend", "check_structure", "composed level"],
+    )
+    def test_an_unsorted_word_raises(self, entry):
+        with pytest.raises(ValueError, match=r"\(\('g', 3\), \('g', 1\)\) is not canonical"):
+            entry(self.UNSORTED)
+
+    def test_the_engine_checks_only_the_words_it_is_given(self, monkeypatch):
+        checked = []
+        check_word = linf._check_word
+        monkeypatch.setattr(linf, "_check_word", lambda w: checked.append(w) or check_word(w))
+        w = word(g(1), g(2), g(3), g(4))
+        assert check_structure(TestCoderivationExtend.nilpotent_structure(), [w]).ok
+        F = LinfMorphism(GRADED, EVEN_TARGET, two_level_morphism())
+        assert F.extend(w)
+        assert F.extend(w)  # a memo hit is not checked again
+        assert checked == [w, w]
+
+
 class TestArityValidation:
     def test_structure_rejects_wrong_arity(self):
         S = abelian(GRADED)

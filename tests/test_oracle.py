@@ -219,7 +219,7 @@ class TestMergeSpectrum:
             merge_spectrum(normalized("3/2"), 10_001)
 
 
-def toy_morphism(shift=0, mixed=False):
+def toy_morphism(shift=0, mixed=False, arities=None):
     """Sign-sensitive toy: graded letters, F nonzero at arity 1 and 2.
 
     h_i has degree i; F^1(g_i) = h_i / 2 and F^2(g_i g_j) = h_{i+j+shift}.
@@ -229,7 +229,8 @@ def toy_morphism(shift=0, mixed=False):
     With ``mixed`` the levels carry the denominators 2, 3 and 5:
     F^2(g_i g_j) = ((i - j)/3) h_{i+j+shift} and F^3(g_i g_j g_l) =
     (2/5) h_{i+j+l}, so the extension adds over unequal denominators and
-    some coefficients cancel to zero.
+    some coefficients cancel to zero.  ``arities`` is passed on as the
+    morphism's declaration, true or not.
     """
     graded = GeneratorSet("toy", lambda key: key[1])
 
@@ -244,7 +245,7 @@ def toy_morphism(shift=0, mixed=False):
             return Combination.single(Word((("h", sum(indices)),)), Fraction(2, 5))
         return Combination.zero()
 
-    return LinfMorphism(graded, graded, rule)
+    return LinfMorphism(graded, graded, rule, arities=arities)
 
 
 class TestMorphismOracle:
@@ -313,6 +314,16 @@ class TestMorphismOracle:
         ]:
             assert te.extend(w) == morphism_bruteforce(te, w), w
 
+    def test_a_false_arity_declaration_shows(self):
+        """F^2 is nonzero, so a morphism that declares only level one drops
+        the g1.g3 block; the oracle reads every level whatever is declared."""
+        F = toy_morphism(arities=(1,))
+        w = Word((("g", 1), ("g", 3)))
+        h13 = Word((("h", 1), ("h", 3)))
+        assert F.extend(w) == Combination.single(h13, Fraction(1, 4))
+        assert morphism_bruteforce(F, w) == Combination({h13: Fraction(1, 4), Word((("h", 4),)): 1})
+        assert morphism_bruteforce(F, w) == toy_morphism().extend(w)
+
     def test_length_guard(self):
         F = toy_morphism()
         long_word = Word(tuple(("g", 2 * i) for i in range(6)))
@@ -320,14 +331,16 @@ class TestMorphismOracle:
             morphism_bruteforce(F, long_word)
 
 
-def toy_structure(mixed=False):
+def toy_structure(mixed=False, odd_heads=False):
     """Graded toy with nonzero l^1, l^2 and l^3 and the default arities.
 
     It need not square to zero: the differential test only compares two
     evaluations of the same extension formula.  With ``mixed``, l^1(g_i)
     also has a term c_i g_i, c_i one of 1/2, -1/3, 2/5, -1/2: every letter
     of a word then returns the word itself, so its coefficient adds over
-    unequal denominators and can cancel to zero and come back.
+    unequal denominators and can cancel to zero and come back.  The term
+    c_i g_i is nonzero on even letters too, so ``odd_heads`` (passed on as
+    the structure's declaration) is false for the mixed toy.
     """
     graded = GeneratorSet("toy", lambda key: key[1])
 
@@ -347,7 +360,7 @@ def toy_structure(mixed=False):
             return Combination.single((("g", sum(indices) + 1),), coefficient)
         return Combination.zero()
 
-    return LinfStructure(graded, rule)
+    return LinfStructure(graded, rule, odd_heads=odd_heads)
 
 
 ALPHAS = [alpha_key(i, j) for i in range(1, 4) for j in range(1, 4) if i + j <= 4]
@@ -398,6 +411,15 @@ class TestCoderivationOracle:
             ((("g", 3), ("g", 4), ("g", 6), ("g", 6)), Fraction(-1)),
         ]
         self.assert_same_terms(S, w)
+
+    @pytest.mark.parametrize("indices", [(2,), (1, 2), (2, 3, 4)])
+    def test_a_false_head_support_declaration_shows(self, indices):
+        """l^1(g_2) = (2/5) g_2 on the mixed toy: declared zero on heads with
+        no odd letter, the engine drops it; the oracle reads every head."""
+        S = toy_structure(mixed=True, odd_heads=True)
+        w = tuple(("g", i) for i in indices)
+        assert extend_coderivation(S, w) != coderivation_bruteforce(S, w)
+        assert coderivation_bruteforce(S, w) == extend_coderivation(toy_structure(mixed=True), w)
 
     def test_ternary_level_contributes(self):
         S = toy_structure()

@@ -1,6 +1,7 @@
 """Tests for the fully-rounded algebra and its augmentation identities."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -12,9 +13,11 @@ from ellsuper.linf import (
     LinfStructure,
     Word,
     extend_coderivation,
+    identity_morphism,
 )
 from ellsuper.orbits import Side, gamma, normalized
 from ellsuper.rounding import (
+    _two_alpha_words,
     _v_rule,
     _window_words,
     alpha_key,
@@ -27,7 +30,7 @@ from ellsuper.rounding import (
     v_generators,
     verify_aug,
 )
-from ellsuper.sft import o_key, q_key
+from ellsuper.sft import ca_generators, o_key, q_key
 
 
 def w(*keys):
@@ -140,6 +143,53 @@ class TestDeclaredArities:
                 assert _v_rule(len(word_), word_) == Combination.zero(), word_
                 checked += 1
         assert checked > 0
+
+    def test_algebra_declares_odd_heads(self):
+        assert v_algebra().odd_heads is True
+
+    def test_rule_vanishes_on_heads_without_an_alpha(self):
+        """The head-support declaration is honest.  A head of a window word is
+        a sub-word, and an α-free sub-word of a window word is an all-β
+        window word, so the all-β words of the window are all its α-free
+        heads.  The two-α words of the structure check hold no α-free head
+        themselves; their images under l̂, which check_structure feeds back,
+        do, and every head of those is checked."""
+        checked = 0
+        for word_ in _window_words(6, 4):
+            if all(kind == "beta" for kind, _, _ in word_):
+                assert _v_rule(len(word_), word_) == Combination.zero(), word_
+                checked += 1
+        assert checked == 27 + 378 + 3654 + 27405
+        words = _two_alpha_words(4)
+        words += [u for w_ in words for u, _ in extend_coderivation(v_algebra(), w_).terms()]
+        heads = {
+            head
+            for word_ in words
+            for i in range(1, len(word_) + 1)
+            for head in combinations(word_, i)
+            if all(kind == "beta" for kind, _, _ in head)
+        }
+        assert len(heads) == 9  # the image words are α.β and α, so these are single β letters
+        for head in heads:
+            assert _v_rule(len(head), head) == Combination.zero(), head
+
+    # the words of TestMorphismOracle.test_rounding_morphisms
+    MORPHISM_WORDS = [w(o_key(2)), w(o_key(1), o_key(2)), w(o_key(2), o_key(2), o_key(3))]
+
+    @pytest.mark.parametrize(
+        "morphism",
+        [psi_map(normalized("13/2", Side.MINUS)), identity_morphism(ca_generators())],
+        ids=["psi_map", "identity_morphism"],
+    )
+    def test_morphism_levels_vanish_above_arity_one(self, morphism):
+        assert morphism.arities == (1,)
+        checked = 0
+        for word_ in self.MORPHISM_WORDS:
+            for i in range(2, len(word_) + 1):
+                for head in combinations(word_, i):
+                    assert morphism.level(i, head) == Combination.zero(), head
+                    checked += 1
+        assert checked == 5
 
 
 class TestTildeEpsilon:
