@@ -15,11 +15,13 @@ denominator and a dict of integer numerators, and only the values it returns
 are ``Fraction``s.  It can resume from the state of an earlier pass, which
 the CP² counts use to recompute only the steps a new signature changes.
 
-:func:`remember` stores into a memo dict and keeps it at most ``CACHE_CAP``
-entries, evicting the oldest first, a block at a time; the lattice walks of
+:class:`Memo` is the one cache type of the package: a dict that fills a
+miss from its ``compute`` and keeps at most ``CACHE_CAP`` entries, evicting
+the oldest first, a block at a time.  The lattice walks of
 :mod:`ellsuper.orbits`, the ε/η/Ξ morphisms of :mod:`ellsuper.sft`, the
-Γ-signature counts of :mod:`ellsuper.superpotential` and the per-ratio
-jump tables of :mod:`ellsuper.jumps` are bounded this way.
+Γ-signature counts of :mod:`ellsuper.superpotential`, the per-ratio jump
+tables of :mod:`ellsuper.jumps`, and the block plans and the parity, level
+and extension memos of :mod:`ellsuper.linf` are all ``Memo``s.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "CACHE_CAP",
@@ -39,12 +41,12 @@ __all__ = [
     "vec_factorial",
     "aut_size",
     "exp_series_pass",
-    "remember",
+    "Memo",
 ]
 
 LatticePoint = tuple  # tuple[int, ...]
 
-# entries kept by each memo dict filled through ``remember``
+# entries kept by each ``Memo``, read at every insert
 CACHE_CAP = 4096
 
 
@@ -181,17 +183,36 @@ def exp_series_pass(steps: Iterable[tuple], state: tuple[dict, dict] | None = No
     return values
 
 
-def remember(cache: dict, key, value):
-    """``cache[key] = value``, first evicting the oldest entries of a full cache; returns value.
+class Memo(dict):
+    """A dict of at most ``CACHE_CAP`` entries; a miss of ``memo[key]`` stores ``compute(key)``.
 
-    A full cache drops its oldest ``CACHE_CAP // 16 + 1`` entries at once.
-    CPython leaves a deleted dict entry as a hole that iteration skips until
-    the dict is next resized, so finding the single oldest entry on every
-    insert would rescan the holes left by earlier evictions; one scan per
-    block keeps an insert into a full cache O(1) amortised.
+    Nothing is stored if ``compute`` raises.  Without ``compute`` a miss
+    raises KeyError and the memo is filled through :meth:`store`.
+    ``compute`` must not hold the memo's owner, which would make the owner a
+    reference cycle that only the garbage collector frees.
     """
-    if len(cache) >= CACHE_CAP:
-        for old in list(islice(cache, CACHE_CAP // 16 + 1)):
-            del cache[old]
-    cache[key] = value
-    return value
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable | None = None) -> None:
+        self.compute = compute
+
+    def __missing__(self, key):
+        if self.compute is None:
+            raise KeyError(key)
+        return self.store(key, self.compute(key))
+
+    def store(self, key, value):
+        """``self[key] = value``, first evicting the oldest entries of a full memo; returns value.
+
+        A full memo drops its oldest ``CACHE_CAP // 16 + 1`` entries at once.
+        CPython leaves a deleted dict entry as a hole that iteration skips
+        until the dict is next resized, so finding the single oldest entry
+        on every insert would rescan the holes left by earlier evictions;
+        one scan per block keeps an insert into a full memo O(1) amortised.
+        """
+        if len(self) >= CACHE_CAP:
+            for old in list(islice(self, CACHE_CAP // 16 + 1)):
+                del self[old]
+        self[key] = value
+        return value

@@ -27,8 +27,8 @@ k-fold transfer at a.  Three independent routes are implemented:
   P_I = Γ^{a+}_{out(I)} and N_I = 1/(Σ_s Γ^{a-}_{i_s})!.  The partitions into
   >= 2 blocks are aut(I) [t^I](E - F) for F = Σ_B J(B)/aut(B) t^B u^{P_B} and
   E = exp(F), so one pass at a ratio yields every jump of the family, and
-  repeated indices cost nothing extra.  Values are kept per ratio, for at
-  most ``CACHE_CAP`` ratios, and a ratio's table is replaced rather than
+  repeated indices cost nothing extra.  A ``Memo`` keeps values per ratio, for
+  at most ``CACHE_CAP`` ratios, and a ratio's table is replaced rather than
   grown past ``CACHE_CAP`` multisets.  The set-partition recursion itself is
   kept as the reference :func:`ellsuper.oracle.jump_partitions`;
 * :func:`jump_via_xi` — direct evaluation through the L-infinity engine.
@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from . import exact
-from .exact import aut_size, exp_series_pass, rational, remember, vec_add, vec_factorial
+from .exact import Memo, aut_size, exp_series_pass, rational, vec_add, vec_factorial
 from .orbits import Side, action, gamma, gamma_points, jump_set, normalized
 from .sft import o_key, single_coefficient, xi
 
@@ -85,8 +85,8 @@ def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     return term_minus - term_plus
 
 
-# ratio a -> {sorted index tuple I: J^a(I)}, at most CACHE_CAP ratios (see _store)
-_GENERAL_CACHE: dict[Fraction, dict[tuple[int, ...], Fraction]] = {}
+# ratio a -> {sorted index tuple I: J^a(I)}, at most CACHE_CAP ratios, filled by _store
+_GENERAL_CACHE = Memo()
 
 
 def _sub_multisets(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -142,7 +142,7 @@ def _store(a: Fraction, values: dict[tuple[int, ...], Fraction]) -> None:
     """Merge one pass into the ratio's table, or replace a table that would outgrow the cap."""
     table = _GENERAL_CACHE.get(a)
     if table is None:
-        remember(_GENERAL_CACHE, a, values)
+        _GENERAL_CACHE.store(a, values)
     elif len(table) + len(values) > exact.CACHE_CAP:
         _GENERAL_CACHE[a] = values
     else:

@@ -41,17 +41,17 @@ head and rest positions of each (i, k-i)-shuffle, heads in the order of
 ``itertools.combinations(range(k), i)``, each with an ``itemgetter`` that
 reads that block of a word as a tuple.  The blocks whose head holds
 position 0 come first, and they are the cofunctor's.  Plans depend on no word: each is
-built once into a memo filled through :func:`ellsuper.exact.remember` (at
-most ``CACHE_CAP`` plans), so a word only runs the getters.  A structure that
+built once into the :class:`ellsuper.exact.Memo` ``_BLOCK_PLANS`` (at most
+``CACHE_CAP`` plans), so a word only runs the getters.  A structure that
 declares ``odd_heads`` walks the plan filtered to the heads that hold an odd
-position, memoized the same way per (i, letter parities of the word), which
-names (k, i, odd mask).
+position, memoized the same way in ``_ODD_HEAD_PLANS`` per (i, letter
+parities of the word), which names (k, i, odd mask).
 
 Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word, or per the ``memo_key`` a
-morphism names.  Each level and extension memo is filled through
-:func:`ellsuper.exact.remember`, so it holds at most ``CACHE_CAP`` entries
-and evicts its oldest first.
+morphism names.  Each level and extension memo is an
+:class:`ellsuper.exact.Memo`, so it holds at most ``CACHE_CAP`` entries and
+evicts its oldest first; a memo's compute holds the rule, never the owner.
 
 Signs follow one rule.  Pulling a head block to the front costs (-1) to the
 number of crossings of two odd letters, counted from the word's parities at
@@ -83,9 +83,9 @@ their lcm, and one ``math.gcd`` reduces each surviving sum at the end.  A
 public coefficient is a ``Fraction``.  A word whose sum reaches 0 is
 dropped, and a later term appends it again, so term order is that of the
 first nonzero partial sum.  Letter parities come from
-:meth:`GeneratorSet.parity`, a per-set memo filled through
-:func:`ellsuper.exact.remember` (at most ``CACHE_CAP`` keys); a key the
-degree rule rejects is never stored, so it raises on every call.
+``GeneratorSet.parity``, the lookup of a per-set ``Memo`` (at most
+``CACHE_CAP`` keys); a key the degree rule rejects is never stored, so it
+raises on every call.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ from math import gcd
 from operator import itemgetter, le
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .exact import remember
+from .exact import Memo
 from .report import Report
 
 __all__ = [
@@ -127,25 +127,20 @@ class GeneratorSet:
     how unknown-generator errors surface.  Two generator sets are compatible
     for composition when their labels match — e.g. every ellipsoid algebra
     shares one key space regardless of its parameters.
+
+    ``parity(key)`` is ``degree(key) & 1``, memoized per set (at most
+    ``CACHE_CAP`` keys).  Only valid keys are stored: an unknown key raises
+    on every call.
     """
 
     def __init__(self, label: str, degree_fn: Callable[[Key], int]) -> None:
         self.label = label
         self._degree_fn = degree_fn
-        self._parity_memo: dict[Key, int] = {}
+        self._parity_memo = Memo(lambda key: degree_fn(key) & 1)
+        self.parity: Callable[[Key], int] = self._parity_memo.__getitem__
 
     def degree(self, key: Key) -> int:
         return self._degree_fn(key)
-
-    def parity(self, key: Key) -> int:
-        """``degree(key) & 1``, memoized per set (at most ``CACHE_CAP`` keys).
-
-        Only valid keys are stored: an unknown key raises on every call.
-        """
-        parity = self._parity_memo.get(key)
-        if parity is None:
-            parity = remember(self._parity_memo, key, self._degree_fn(key) & 1)
-        return parity
 
     def compatible(self, other: "GeneratorSet") -> bool:
         return self.label == other.label
@@ -340,16 +335,12 @@ class LinfStructure:
         self.generators = generators
         self.arities = _declared_arities(arities)
         self.odd_heads = odd_heads
-        self._rule = level_rule
-        self._memo: dict[Word, Combination] = {}
+        self._memo = Memo(lambda word: level_rule(len(word), word))
 
     def level(self, k: int, word: Word) -> Combination:
         if len(word) != k:
             raise ValueError(f"arity {k} does not match word length {len(word)}")
-        cached = self._memo.get(word)
-        if cached is None:
-            cached = remember(self._memo, word, self._rule(k, word))
-        return cached
+        return self._memo[word]
 
 
 def _declared_arities(arities: Iterable[int] | None) -> tuple[int, ...] | None:
@@ -406,36 +397,28 @@ def _getter(positions: tuple[int, ...]) -> Callable[[Word], Word]:
     return itemgetter(slice(start, start + len(positions)))
 
 
-# (k, i) -> the (i, k - i) blocks, each (head, head getter, rest, rest getter)
-_BLOCK_PLANS: dict[tuple[int, int], tuple] = {}
+def _block_plan(key: tuple[int, int]) -> tuple:
+    """For key (k, i), the (head, head getter, rest, rest getter) of every (i, k - i)-shuffle.
 
-
-def _block_plan(k: int, i: int) -> tuple:
-    """The head and rest positions of every (i, k - i)-shuffle, heads in ``combinations`` order.
-
-    The blocks whose head holds position 0 come first.
+    Heads come in ``combinations`` order, so those that hold position 0 come first.
     """
-    plan = _BLOCK_PLANS.get((k, i))
-    if plan is None:
-        blocks = []
-        for head in combinations(range(k), i):
-            rest = tuple(p for p in range(k) if p not in head)
-            blocks.append((head, _getter(head), rest, _getter(rest)))
-        plan = remember(_BLOCK_PLANS, (k, i), tuple(blocks))
-    return plan
+    k, i = key
+    blocks = []
+    for head in combinations(range(k), i):
+        rest = tuple(p for p in range(k) if p not in head)
+        blocks.append((head, _getter(head), rest, _getter(rest)))
+    return tuple(blocks)
 
 
-# (i, letter parities of a word) -> the blocks of its (k, i) plan whose head holds an odd letter
-_ODD_HEAD_PLANS: dict[tuple[int, tuple[int, ...]], tuple] = {}
+def _odd_head_plan(key: tuple[int, tuple[int, ...]]) -> tuple:
+    """For key (i, odd), the blocks of the (len(odd), i) plan whose head holds a p with odd[p]."""
+    i, odd = key
+    return tuple(block for block in _BLOCK_PLANS[len(odd), i] if any(odd[p] for p in block[0]))
 
 
-def _odd_head_plan(i: int, odd: tuple[int, ...]) -> tuple:
-    """The blocks of ``_block_plan(len(odd), i)`` whose head holds a position p with odd[p]."""
-    plan = _ODD_HEAD_PLANS.get((i, odd))
-    if plan is None:
-        blocks = tuple(block for block in _block_plan(len(odd), i) if any(odd[p] for p in block[0]))
-        plan = remember(_ODD_HEAD_PLANS, (i, odd), blocks)
-    return plan
+# (k, i) -> its block plan; (i, letter parities of a word) -> its odd-head blocks
+_BLOCK_PLANS = Memo(_block_plan)
+_ODD_HEAD_PLANS = Memo(_odd_head_plan)
 
 
 _EMPTY = {(): (1, 1)}  # the terms of φ̂ of the empty rest: the unit word
@@ -467,8 +450,9 @@ class LinfMorphism:
         self.arities = _declared_arities(arities)
         self._rule = level_rule
         self._memo_key = memo_key
-        self._level_memo: dict[Hashable, Combination] = {}
-        self._extend_memo: dict[Word, Combination] = {}
+        # filled through ``store``: a miss needs the word, or ``self._extend``
+        self._level_memo = Memo()
+        self._extend_memo = Memo()
 
     def level(self, k: int, word: Word) -> Combination:
         if len(word) != k:
@@ -476,7 +460,7 @@ class LinfMorphism:
         key = word if self._memo_key is None else self._memo_key(word)
         cached = self._level_memo.get(key)
         if cached is None:
-            cached = remember(self._level_memo, key, self._rule(k, word))
+            cached = self._level_memo.store(key, self._rule(k, word))
         return cached
 
     def extend(self, word: Word) -> Combination:
@@ -484,7 +468,7 @@ class LinfMorphism:
         cached = self._extend_memo.get(word)
         if cached is None:
             _check_word(word)
-            cached = remember(self._extend_memo, word, self._extend(word))
+            cached = self._extend_memo.store(word, self._extend(word))
         return cached
 
     def _extend(self, word: Word) -> Combination:
@@ -502,7 +486,7 @@ class LinfMorphism:
         for size in range(1, k + 1) if self.arities is None else self.arities:
             if size > k:
                 break
-            for head, get_head, _, get_rest in _block_plan(k, size):
+            for head, get_head, _, get_rest in _BLOCK_PLANS[k, size]:
                 if head[0]:
                     break
                 value = self.level(size, get_head(word))._terms
@@ -513,7 +497,7 @@ class LinfMorphism:
                 if tail:
                     rest = memo.get(tail)
                     if rest is None:
-                        rest = remember(memo, tail, self._extend(tail))
+                        rest = memo.store(tail, self._extend(tail))
                     rest = rest._terms
                 else:
                     rest = _EMPTY
@@ -555,7 +539,7 @@ def _coderivation(structure: LinfStructure, word: Word) -> Combination:
     for i in range(1, k + 1) if structure.arities is None else structure.arities:
         if i > k:
             break
-        for head, get_head, rest, get_rest in _odd_head_plan(i, odd) if odd_heads else _block_plan(k, i):
+        for head, get_head, rest, get_rest in _ODD_HEAD_PLANS[i, odd] if odd_heads else _BLOCK_PLANS[k, i]:
             value = structure.level(i, get_head(word))._terms
             if not value:
                 continue

@@ -26,7 +26,7 @@ and the tie rule becomes an integer rank per axis:
 The m-th cover of axis i then has the key (m * A_i, rank_i), and the spectrum
 is the integer merge of the n progressions in key order.  ``gamma`` and
 ``orbit`` read a memoized prefix of that merge, one walk per parameter set
-(at most ``exact.CACHE_CAP`` walks are kept; the oldest are evicted first), and
+(an ``exact.Memo`` of at most ``CACHE_CAP`` walks; the oldest go first), and
 ``gamma_points`` reads several indices from one walk lookup.
 
 ``SpectrumParams`` keys this memo and those of :mod:`ellsuper.sft`, so it
@@ -59,7 +59,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .exact import LatticePoint, format_rational, rational, remember
+from .exact import LatticePoint, Memo, format_rational, rational
 
 __all__ = [
     "Side",
@@ -209,13 +209,11 @@ class _Walk:
             add_point(tuple(counts))
 
 
-_WALKS: dict[SpectrumParams, _Walk] = {}
+_WALKS = Memo(_Walk)
 
 
 def _walk(params: SpectrumParams, k: int) -> _Walk:
-    walk = _WALKS.get(params)
-    if walk is None:
-        walk = remember(_WALKS, params, _Walk(params))
+    walk = _WALKS[params]
     walk.ensure(k)
     return walk
 

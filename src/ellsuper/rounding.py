@@ -29,7 +29,8 @@ all-β word is zero without a rule call.  psi_a declares level 1 only.
 
 The algebra and the augmentation are module constants built at import
 (building one only stores its rule), so their memos are shared by every
-caller in the process; each memo holds at most ``CACHE_CAP`` entries.  The
+caller in the process; each memo is an :class:`ellsuper.exact.Memo` and
+holds at most ``CACHE_CAP`` entries.  The
 level of eps~ on a word depends only on (Σi, Σj, k) when every letter is a
 β, and is zero otherwise, so its level memo is keyed by exactly that
 (:func:`_tilde_key`): one entry per index total and length, plus one

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
-from .exact import remember, vec_add, vec_factorial
+from .exact import Memo, vec_add, vec_factorial
 from .linf import (
     Combination,
     GeneratorSet,
@@ -88,41 +88,34 @@ def co_generators() -> GeneratorSet:
     return GeneratorSet("Co", lambda key: _orbit_degree("q", key))
 
 
-# filled through ``remember``, so each keeps at most ``exact.CACHE_CAP`` morphisms
-_EPSILON_CACHE: dict[SpectrumParams, LinfMorphism] = {}
-_ETA_CACHE: dict[SpectrumParams, LinfMorphism] = {}
-_XI_CACHE: dict[tuple[SpectrumParams, SpectrumParams], LinfMorphism] = {}
-
-
-def epsilon(params: SpectrumParams) -> LinfMorphism:
-    """The stationary-descendant morphism C_a -> C_o (all arities)."""
-    cached = _EPSILON_CACHE.get(params)
-    if cached is not None:
-        return cached
-
+def _epsilon(params: SpectrumParams) -> LinfMorphism:
     def rule(k: int, word: Word) -> Combination:
         count, psi_power = local_descendant(params, [key[1] for key in word])
         return Combination.single((q_key(psi_power + 1),), count)
 
-    return remember(_EPSILON_CACHE, params, LinfMorphism(ca_generators(), co_generators(), rule))
+    return LinfMorphism(ca_generators(), co_generators(), rule)
+
+
+# the computes call the public functions through the module globals
+_EPSILON_CACHE = Memo(_epsilon)
+_ETA_CACHE = Memo(lambda params: invert(epsilon(params), lambda key: o_key(key[1])))
+_XI_CACHE = Memo(lambda pair: compose(eta(pair[1]), epsilon(pair[0])))
+
+
+def epsilon(params: SpectrumParams) -> LinfMorphism:
+    """The stationary-descendant morphism C_a -> C_o (all arities)."""
+    return _EPSILON_CACHE[params]
 
 
 def eta(params: SpectrumParams) -> LinfMorphism:
     """Levelwise inverse of eps_params, cached per parameter set (all arities)."""
-    cached = _ETA_CACHE.get(params)
-    if cached is None:
-        cached = remember(_ETA_CACHE, params, invert(epsilon(params), lambda key: o_key(key[1])))
-    return cached
+    return _ETA_CACHE[params]
 
 
 def xi(source: SpectrumParams, target: SpectrumParams) -> LinfMorphism:
     """Transfer morphism Xi = eta_target ∘ eps_source : C_source -> C_target,
     cached per ordered pair and shared by every arity."""
-    cache_key = (source, target)
-    cached = _XI_CACHE.get(cache_key)
-    if cached is None:
-        cached = remember(_XI_CACHE, cache_key, compose(eta(target), epsilon(source)))
-    return cached
+    return _XI_CACHE[source, target]
 
 
 def local_descendant(params: SpectrumParams, indices: Sequence[int]) -> tuple[Fraction, int]:

@@ -24,9 +24,9 @@ first n points of the signature, so a new signature resumes from the kernel
 state (F_n, E_n) of the pass run last, after the longest prefix the two share;
 only that one pass of state is kept.  Tables sample a in ascending order, so
 consecutive signatures differ near their end.  Each value is cached under its
-signature (one entry per signature, at most ``CACHE_CAP``), so parameters
-with the same signature share one entry.  N_n = 1/(n!)^3 is written out once,
-in ``_signature_count``.  Two references check this path from outside:
+signature in a ``Memo`` (one entry per signature, at most ``CACHE_CAP``), so
+parameters with one signature share one entry.  N_n = 1/(n!)^3 is written
+out once, in ``_signature_pass``.  Two references check it from outside:
 :func:`ellsuper.oracle.wt_T_partitions` sums the recursion over partitions,
 and :func:`ellsuper.oracle.cp2_exp_mc` builds exp(Σ_e T̃_e o_{3e-1}), whose
 augmentation by :func:`ellsuper.sft.epsilon` must give N_d on single letters.
@@ -51,7 +51,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import LatticePoint, exp_series_pass, rational, remember
+from .exact import LatticePoint, Memo, exp_series_pass, rational
 from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma_points, jump_set, normalized, orbit
 from .report import Report
 
@@ -98,14 +98,12 @@ class CP2Target:
         return Fraction(self._check(label))
 
 
-# Γ-signature ((x_e, y_e))_{e <= d} -> T̃_d, one entry per signature, at most CACHE_CAP
-_WT_CACHE: dict[tuple[LatticePoint, ...], Fraction] = {}
 # the kernel pass run last: its signature, and the state (n -> F_n, n -> E_n) of its steps
 _last_signature: tuple[LatticePoint, ...] = ()
 _LAST_STATE: tuple[dict, dict] = ({}, {})
 
 
-def _signature_count(signature: tuple[LatticePoint, ...]) -> Fraction:
+def _signature_pass(signature: tuple[LatticePoint, ...]) -> Fraction:
     """T̃_d for the signature (Γ_{3e-1})_{e <= d}, resuming the last pass.
 
     Step n of the pass reads only the first n points, so the steps of the
@@ -113,9 +111,6 @@ def _signature_count(signature: tuple[LatticePoint, ...]) -> Fraction:
     prefix of the last signature reruns its final step alone.
     """
     global _last_signature
-    cached = _WT_CACHE.get(signature)
-    if cached is not None:
-        return cached
     last, (monomials, series) = _last_signature, _LAST_STATE
     shared, limit = 0, min(len(signature) - 1, len(last))
     while shared < limit and signature[shared] == last[shared]:
@@ -134,7 +129,11 @@ def _signature_count(signature: tuple[LatticePoint, ...]) -> Fraction:
         steps.append((n, n, 1, splits, signature[n - 1], Fraction(1, math.factorial(n) ** 3)))
     value = exp_series_pass(steps, _LAST_STATE)[len(signature)]
     _last_signature = signature
-    return remember(_WT_CACHE, signature, value)
+    return value
+
+
+# Γ-signature ((x_e, y_e))_{e <= d} -> T̃_d, one entry per signature, at most CACHE_CAP
+_WT_CACHE = Memo(_signature_pass)
 
 
 def _degree(target: CP2Target, label: object, params: SpectrumParams) -> int:
@@ -146,7 +145,7 @@ def _degree(target: CP2Target, label: object, params: SpectrumParams) -> int:
 def wt_T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
     """Weighted count T̃_A^a (multiplicity of the limiting orbit included)."""
     d = _degree(target, label, params)
-    return _signature_count(gamma_points(params, range(2, 3 * d, 3)))
+    return _WT_CACHE[gamma_points(params, range(2, 3 * d, 3))]
 
 
 def T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
@@ -158,7 +157,7 @@ def wt_T_infinity(d: int) -> Fraction:
     """T̃_d for CP^2 at a = infinity (any a > 3d - 1): all paths horizontal."""
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    return _signature_count(tuple((3 * e - 1, 0) for e in range(1, d + 1)))
+    return _WT_CACHE[tuple((3 * e - 1, 0) for e in range(1, d + 1))]
 
 
 def T_infinity(d: int) -> Fraction:

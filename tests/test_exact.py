@@ -4,10 +4,15 @@ The classes for the dual-number order (``oracle.DualRational``) and for the
 oracle's enumerations (``oracle.partitions``, ``oracle.set_partitions``,
 ``oracle.koszul_sign``) stay here beside the production enumerations they
 complement, and the integer exp-series kernel is compared here with its
-``Fraction`` reference ``oracle.exp_series_pass_fractions``.
+``Fraction`` reference ``oracle.exp_series_pass_fractions``.  The bounded
+``Memo`` is tested here too, with a guard that every cache of the package
+is one and that no memo keeps its owner alive.
 """
 
+import gc
 import math
+import sys
+import weakref
 from itertools import product
 from fractions import Fraction
 
@@ -15,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellsuper import exact, jumps, linf, rounding, sft, superpotential
 from ellsuper.exact import (
+    Memo,
     aut_size,
     exp_series_pass,
     rational,
@@ -23,6 +30,7 @@ from ellsuper.exact import (
     vec_factorial,
 )
 from ellsuper.oracle import DualRational, exp_series_pass_fractions, koszul_sign, partitions, set_partitions
+from ellsuper.orbits import Side, gamma, normalized
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=40)
 small_rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
@@ -266,3 +274,166 @@ class TestKoszulSign:
         # past letter 0 costs a sign.
         assert koszul_sign((2, 0, 1), (1, 0, 1)) == -1
         assert koszul_sign((1, 0, 2), (1, 0, 1)) == 1
+
+
+class TestMemo:
+    def test_a_miss_computes_once(self):
+        calls = []
+
+        def compute(key):
+            calls.append(key)
+            return key * 2
+
+        memo = Memo(compute)
+        assert memo[3] == memo[3] == 6
+        assert calls == [3]
+        assert dict(memo) == {3: 6}
+
+    def test_a_raising_compute_stores_nothing(self):
+        calls = []
+
+        def compute(key):
+            calls.append(key)
+            raise ValueError(f"no value for {key}")
+
+        memo = Memo(compute)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                memo[1]
+        assert calls == [1, 1]
+        assert not memo
+
+    def test_store_returns_its_value(self):
+        memo = Memo()
+        value = Fraction(5, 4)
+        assert memo.store("a", value) is value
+        assert memo["a"] is value
+
+    def test_without_compute_a_miss_raises_key_error(self):
+        memo = Memo()
+        with pytest.raises(KeyError):
+            memo["absent"]
+        assert not memo
+
+    def test_a_full_memo_evicts_exactly_the_oldest_block(self):
+        memo = Memo(lambda key: -key)
+        for key in range(exact.CACHE_CAP):
+            memo[key]
+        assert list(memo) == list(range(exact.CACHE_CAP))
+        block = exact.CACHE_CAP // 16 + 1
+        memo.store(exact.CACHE_CAP, 0)
+        assert list(memo) == list(range(block, exact.CACHE_CAP + 1))
+        memo[exact.CACHE_CAP + 1]  # room again: nothing more is evicted
+        assert list(memo) == list(range(block, exact.CACHE_CAP + 2))
+
+    def test_a_patched_cap_is_read_at_every_insert(self, monkeypatch):
+        monkeypatch.setattr(exact, "CACHE_CAP", 32)
+        memo = Memo(lambda key: key)
+        for key in range(100):
+            assert memo[key] == key
+            assert len(memo) <= 32
+        # 32 // 16 + 1 = 3 entries go per eviction
+        assert list(memo) == list(range(100 - len(memo), 100))
+
+
+# every module-level memo of the package
+MODULE_MEMOS = (
+    ("orbits", "_WALKS"),
+    ("sft", "_EPSILON_CACHE"),
+    ("sft", "_ETA_CACHE"),
+    ("sft", "_XI_CACHE"),
+    ("superpotential", "_WT_CACHE"),
+    ("jumps", "_GENERAL_CACHE"),
+    ("linf", "_BLOCK_PLANS"),
+    ("linf", "_ODD_HEAD_PLANS"),
+)
+# module-level dicts that are constants, not memos
+CONSTANT_DICTS = {("cli", "_SIDE_NAMES"), ("cli", "_SUITES"), ("linf", "_EMPTY")}
+
+
+class TestEveryCacheIsAMemo:
+    def test_module_and_engine_memos_are_memos(self):
+        plus, minus = normalized("5/4", Side.PLUS), normalized("5/4", Side.MINUS)
+        assert gamma(plus, 12) == (7, 5)
+        assert superpotential.wt_T(superpotential.CP2Target(), 1, plus) == 1  # 1 on (1, 2)
+        assert jumps.jump_general("5/4", (2, 8)) == jumps.jump_via_xi("5/4", (2, 8)) == Fraction(-1, 4)
+        assert rounding.verify_aug(3, 3).ok
+        assert rounding.psi_factorization(plus, 2).ok
+        for layer, name in MODULE_MEMOS:
+            memo = getattr(sys.modules[f"ellsuper.{layer}"], name)
+            assert isinstance(memo, Memo) and memo, (layer, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("ellsuper."):
+                layer = module_name.split(".", 1)[1]
+                for name, value in vars(module).items():
+                    if isinstance(value, dict) and not name.startswith("__"):
+                        assert isinstance(value, Memo) or (layer, name) in CONSTANT_DICTS, (layer, name)
+        owners = [
+            rounding.v_generators(),
+            rounding.v_algebra(),
+            rounding.tilde_epsilon(),
+            rounding.psi_map(plus),
+            linf.identity_morphism(sft.ca_generators()),
+            sft.epsilon(minus),
+            sft.eta(plus),
+            sft.xi(minus, plus),
+        ]
+        for owner in owners:
+            memos = [value for value in vars(owner).values() if isinstance(value, dict)]
+            assert memos and all(isinstance(memo, Memo) for memo in memos), owner
+
+
+def word_pair():
+    return (sft.o_key(1), sft.o_key(2))
+
+
+class TestNoMemoHoldsItsOwner:
+    """A memo's compute holds the rule or the degree function, never its owner,
+    so an owner is freed by reference counting alone, with the collector off.
+    ``invert`` is left out: its rule holds the inverse it builds."""
+
+    @staticmethod
+    def assert_freed(build):
+        gc.disable()
+        try:
+            owner, memos = build()
+            assert all(memos), memos
+            ref = weakref.ref(owner)
+            del owner, memos
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_generator_set(self):
+        def build():
+            gens = linf.GeneratorSet("toy", lambda key: key[1])
+            assert [gens.parity(("g", i)) for i in range(4)] == [0, 1, 0, 1]
+            return gens, [gens._parity_memo]
+
+        self.assert_freed(build)
+
+    def test_rounding_structure(self):
+        def build():
+            structure = linf.LinfStructure(rounding.v_generators(), rounding._v_rule, arities=(1, 2), odd_heads=True)
+            a, b = rounding.alpha_key(1, 1), rounding.beta_key(1, 0)
+            assert linf.check_structure(structure, [(a,), (a, b), (a, rounding.alpha_key(1, 2))]).ok
+            return structure, [structure._memo, structure.generators._parity_memo]
+
+        self.assert_freed(build)
+
+    def test_epsilon_morphism(self):
+        def build():
+            eps = sft._epsilon(normalized("13/2"))
+            assert eps.extend(word_pair())
+            return eps, [eps._level_memo, eps._extend_memo, eps.source._parity_memo]
+
+        self.assert_freed(build)
+
+    def test_composite(self):
+        def build():
+            plus, minus = normalized("5/4", Side.PLUS), normalized("5/4", Side.MINUS)
+            composite = linf.compose(sft.eta(plus), sft.epsilon(minus))
+            assert composite.extend(word_pair())
+            return composite, [composite._level_memo, composite._extend_memo]
+
+        self.assert_freed(build)

@@ -24,7 +24,6 @@ from ellsuper.linf import (
     invert,
     morphisms_agree,
 )
-from ellsuper.linf import _block_plan
 from ellsuper.oracle import koszul_sign, shuffles
 
 
@@ -379,18 +378,18 @@ class TestBlockPlans:
     def test_plans_split_the_shuffles_in_their_order(self):
         for k in range(1, 9):
             for i in range(k + 1):
-                plan = _block_plan(k, i)
+                plan = linf._BLOCK_PLANS[k, i]
                 assert [(head, rest) for head, _, rest, _ in plan] == [
                     (sigma[:i], sigma[i:]) for sigma in shuffles(i, k - i)
                 ]
-                assert _block_plan(k, i) is plan
+                assert linf._BLOCK_PLANS[k, i] is plan
 
     def test_getters_return_the_block_words_as_tuples(self):
         """Also for one-letter and empty blocks (i = 0, 1, k - 1, k)."""
         for k in range(1, 9):
             w = tuple(g(10 + p) for p in range(k))
             for i in range(k + 1):
-                for head, get_head, rest, get_rest in _block_plan(k, i):
+                for head, get_head, rest, get_rest in linf._BLOCK_PLANS[k, i]:
                     assert get_head(w) == tuple(w[p] for p in head)
                     assert get_rest(w) == tuple(w[p] for p in rest)
                     assert type(get_head(w)) is tuple and type(get_rest(w)) is tuple
@@ -399,7 +398,7 @@ class TestBlockPlans:
         """The cofunctor reads the leading blocks: 0 and the (i - 1, k - i)-shuffles of 1..k-1."""
         for k in range(1, 9):
             for i in range(1, k + 1):
-                plan = _block_plan(k, i)
+                plan = linf._BLOCK_PLANS[k, i]
                 first = comb(k - 1, i - 1)
                 assert [(head, rest) for head, _, rest, _ in plan[:first]] == [
                     ((0,) + tuple(p + 1 for p in sigma[:i - 1]), tuple(p + 1 for p in sigma[i - 1:]))
@@ -409,10 +408,10 @@ class TestBlockPlans:
 
     def test_plan_memo_stays_within_the_cache_cap(self, monkeypatch):
         monkeypatch.setattr(exact, "CACHE_CAP", 5)
-        monkeypatch.setattr(linf, "_BLOCK_PLANS", {})
+        monkeypatch.setattr(linf, "_BLOCK_PLANS", exact.Memo(linf._block_plan))
         for k in range(1, 7):
             for i in range(k + 1):
-                assert len(_block_plan(k, i)) == comb(k, i)
+                assert len(linf._BLOCK_PLANS[k, i]) == comb(k, i)
                 assert len(linf._BLOCK_PLANS) <= 5
 
 

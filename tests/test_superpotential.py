@@ -76,11 +76,11 @@ class TestWtT:
 
 class TestSignatureCache:
     def test_cache_is_bounded_and_counts_survive(self, monkeypatch):
-        monkeypatch.setattr(superpotential, "_WT_CACHE", {})
+        monkeypatch.setattr(superpotential, "_WT_CACHE", exact.Memo(superpotential._signature_pass))
         side = math.isqrt(CACHE_CAP + 10) + 1
         points = [(x, y) for x in range(side) for y in range(side)][: CACHE_CAP + 10]
         for x, y in points:  # one-degree signatures: T̃_1 = x! y!
-            assert superpotential._signature_count(((x, y),)) == math.factorial(x) * math.factorial(y)
+            assert superpotential._WT_CACHE[(x, y),] == math.factorial(x) * math.factorial(y)
         assert len(superpotential._WT_CACHE) <= CACHE_CAP
         assert (points[0],) not in superpotential._WT_CACHE
         assert wt_T(CP2, 5, normalized("13/2", Side.PLUS)) == 13
@@ -118,7 +118,7 @@ class TestSignatureCache:
 
 def fresh_count_state(monkeypatch):
     """An empty count memo and no last pass, restored after the test."""
-    monkeypatch.setattr(superpotential, "_WT_CACHE", {})
+    monkeypatch.setattr(superpotential, "_WT_CACHE", exact.Memo(superpotential._signature_pass))
     monkeypatch.setattr(superpotential, "_last_signature", ())
     monkeypatch.setattr(superpotential, "_LAST_STATE", ({}, {}))
 
@@ -176,7 +176,7 @@ class TestResume:
             for signature in sequence:
                 superpotential._WT_CACHE.clear()  # every count runs the resume
                 expected = exp_series_pass_fractions(degree_count_steps(signature))[len(signature)]
-                assert superpotential._signature_count(signature) == expected, (sequence, signature)
+                assert superpotential._WT_CACHE[signature] == expected, (sequence, signature)
 
     def test_fixed_sequence_of_every_kind(self):
         a = ((2, 0), (5, 0), (3, 2), (4, 4), (1, 6))
