@@ -47,7 +47,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import exact
 from .exact import Memo, aut_size, exp_series_pass, rational, vec_add, vec_factorial
 from .orbits import Side, action, gamma, gamma_points, jump_set, normalized
-from .sft import o_key, single_coefficient, xi
+from .sft import o_key, xi
 
 __all__ = [
     "jump_cylinder",
@@ -177,7 +177,7 @@ def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     morphism = xi(minus, plus)
     word = tuple(o_key(i) for i in idx)
     out_index = sum(idx) + len(idx) - 1
-    return single_coefficient(morphism.level(len(idx), word), o_key(out_index))
+    return morphism.level(word)[(o_key(out_index),)]
 
 
 class ScanHit(NamedTuple):

@@ -10,11 +10,12 @@ Objects
 * :class:`Combination` — a finite Q-linear combination of words;
   :meth:`Combination.apply` is the linear extension Σ_u c_u · f(u).
 * :class:`LinfStructure` — level maps l^k : Sym^k -> generators of degree +1,
-  given lazily by a rule and memoized.  A structure may declare the arities
-  at which its level maps can be nonzero (``arities=(1, 2)``; omitted means
-  every arity, ``()`` means abelian), and that they vanish on every head with
-  no odd letter (``odd_heads=True``).  Each declaration is a promise about
-  the rule: extensions never evaluate the arities or heads it excludes.
+  given lazily by a rule of the word alone (k is its length) and memoized.
+  It may declare the arities at which they can be nonzero
+  (``arities=(1, 2)``; omitted means every arity, ``()`` means abelian), and
+  that they vanish on every head with no odd letter (``odd_heads=True``).
+  Each declaration is a promise about the rule: extensions never evaluate
+  the arities or heads it excludes.
 * :class:`LinfMorphism` — level maps phi^k : Sym^k(source) -> target of
   degree 0, same representation, with the same ``arities`` declaration.
 
@@ -90,6 +91,7 @@ raises on every call.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
@@ -97,7 +99,7 @@ from math import gcd
 from operator import itemgetter, le
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .exact import Memo
+from .exact import Memo, rational
 from .report import Report
 
 __all__ = [
@@ -192,17 +194,13 @@ class Combination:
 
     Each coefficient is stored as a reduced (numerator, denominator) integer
     pair with a positive denominator; :meth:`terms`, ``[]`` and ``repr``
-    build the ``Fraction``.
+    build the ``Fraction``.  A float coefficient or scalar raises TypeError.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Word, int | Fraction] | None = None) -> None:
-        self._terms = {w: _pair(c) for w, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "Combination":
-        return cls()
+        self._terms = {w: pair for w, c in (terms or {}).items() if (pair := _pair(c))[0]}
 
     @classmethod
     def single(cls, word: Word, coeff: int | Fraction = 1) -> "Combination":
@@ -222,9 +220,8 @@ class Combination:
         return len(self._terms)
 
     def __mul__(self, scalar: int | Fraction) -> "Combination":
-        if scalar == 0:
-            return Combination()
-        return _scaled(self, *_pair(scalar))
+        num, den = _pair(scalar)
+        return _scaled(self, num, den) if num else Combination()
 
     __rmul__ = __mul__
 
@@ -251,9 +248,9 @@ class Combination:
 
 
 def _pair(value: int | Fraction) -> tuple[int, int]:
-    """The reduced (numerator, denominator) pair of a nonzero rational."""
+    """The reduced (numerator, denominator) pair of a rational; a float raises TypeError."""
     if not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
+        value = rational(value)
     return value.numerator, value.denominator
 
 
@@ -314,9 +311,10 @@ def _single_letter(comb_word: Word) -> Key:
 class LinfStructure:
     """L-infinity structure: lazy, memoized level maps l^k of degree +1.
 
-    Two declarations say where ``level_rule`` can be nonzero; each is a
-    promise about the rule, which :func:`extend_coderivation` keeps by
-    never asking the rule anywhere else:
+    ``level(word)`` is l^k(word), k = len(word), from ``level_rule(word)``.
+    Two declarations say where the rule can be nonzero; each is a promise
+    about it, which :func:`extend_coderivation` keeps by never asking the
+    rule anywhere else:
 
     * ``arities``: the arities at which it can be nonzero; ``None`` (the
       default) means every arity.
@@ -328,18 +326,16 @@ class LinfStructure:
     def __init__(
         self,
         generators: GeneratorSet,
-        level_rule: Callable[[int, Word], Combination],
+        level_rule: Callable[[Word], Combination],
         arities: Iterable[int] | None = None,
         odd_heads: bool = False,
     ) -> None:
         self.generators = generators
         self.arities = _declared_arities(arities)
         self.odd_heads = odd_heads
-        self._memo = Memo(lambda word: level_rule(len(word), word))
+        self._memo = Memo(level_rule)
 
-    def level(self, k: int, word: Word) -> Combination:
-        if len(word) != k:
-            raise ValueError(f"arity {k} does not match word length {len(word)}")
+    def level(self, word: Word) -> Combination:
         return self._memo[word]
 
 
@@ -355,7 +351,7 @@ def _declared_arities(arities: Iterable[int] | None) -> tuple[int, ...] | None:
 
 def abelian(generators: GeneratorSet) -> LinfStructure:
     """The structure with all level maps zero."""
-    return LinfStructure(generators, lambda k, word: Combination.zero(), arities=())
+    return LinfStructure(generators, lambda word: Combination(), arities=())
 
 
 def _check_word(word: Word) -> None:
@@ -427,9 +423,10 @@ _EMPTY = {(): (1, 1)}  # the terms of φ̂ of the empty rest: the unit word
 class LinfMorphism:
     """L-infinity morphism: lazy, memoized level maps phi^k of degree 0.
 
-    ``memo_key(word)``, when given, names what the level rule reads of a
-    word: the level memo stores each value under that key, so words with one
-    key share one entry.  The key must determine the value: two words of one
+    ``level(word)`` is phi^k(word), k = len(word), from ``level_rule(word)``.
+    ``memo_key(word)``, when given, names what the rule reads of a word: the
+    level memo stores each value under that key, so words with one key
+    share one entry.  The key must determine the value: two words of one
     key must have equal levels.  Without it the memo is keyed by the word.
 
     ``arities`` declares the block sizes at which ``level_rule`` can be
@@ -441,7 +438,7 @@ class LinfMorphism:
         self,
         source: GeneratorSet,
         target: GeneratorSet,
-        level_rule: Callable[[int, Word], Combination],
+        level_rule: Callable[[Word], Combination],
         memo_key: Callable[[Word], Hashable] | None = None,
         arities: Iterable[int] | None = None,
     ) -> None:
@@ -454,13 +451,11 @@ class LinfMorphism:
         self._level_memo = Memo()
         self._extend_memo = Memo()
 
-    def level(self, k: int, word: Word) -> Combination:
-        if len(word) != k:
-            raise ValueError(f"arity {k} does not match word length {len(word)}")
+    def level(self, word: Word) -> Combination:
         key = word if self._memo_key is None else self._memo_key(word)
         cached = self._level_memo.get(key)
         if cached is None:
-            cached = self._level_memo.store(key, self._rule(k, word))
+            cached = self._level_memo.store(key, self._rule(word))
         return cached
 
     def extend(self, word: Word) -> Combination:
@@ -489,7 +484,7 @@ class LinfMorphism:
             for head, get_head, _, get_rest in _BLOCK_PLANS[k, size]:
                 if head[0]:
                     break
-                value = self.level(size, get_head(word))._terms
+                value = self.level(get_head(word))._terms
                 if not value:
                     continue
                 head_sign = -1 if signed and _head_crossings(head, odd, odd_before) & 1 else 1
@@ -540,7 +535,7 @@ def _coderivation(structure: LinfStructure, word: Word) -> Combination:
         if i > k:
             break
         for head, get_head, rest, get_rest in _ODD_HEAD_PLANS[i, odd] if odd_heads else _BLOCK_PLANS[k, i]:
-            value = structure.level(i, get_head(word))._terms
+            value = structure.level(get_head(word))._terms
             if not value:
                 continue
             rest_word = get_rest(word)
@@ -559,10 +554,8 @@ def _coderivation(structure: LinfStructure, word: Word) -> Combination:
 def identity_morphism(generators: GeneratorSet) -> LinfMorphism:
     """phi^1 = id, phi^{>=2} = 0."""
 
-    def rule(k: int, word: Word) -> Combination:
-        if k == 1:
-            return Combination.single(word)
-        return Combination.zero()
+    def rule(word: Word) -> Combination:
+        return Combination.single(word) if len(word) == 1 else Combination()
 
     return LinfMorphism(generators, generators, rule, arities=(1,))
 
@@ -578,8 +571,8 @@ def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
             f"does not match outer source {outer.source.label!r}"
         )
 
-    def rule(k: int, word: Word) -> Combination:
-        return inner.extend(word).apply(lambda u: outer.level(len(u), u))
+    def rule(word: Word) -> Combination:
+        return inner.extend(word).apply(outer.level)
 
     return LinfMorphism(inner.source, outer.target, rule)
 
@@ -595,14 +588,16 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
         H^k(u) = -(1/c) Σ_{blocks not all singletons} H^s(F-blocks applied to w),
 
     with w the letterwise preimage of u and c the coefficient of u in the
-    all-singletons (length-k) part of F̂(w).
+    all-singletons (length-k) part of F̂(w).  The rule reads H^s through a
+    weak reference, so H is no reference cycle.
     """
 
-    def rule(k: int, u_word: Word) -> Combination:
+    def rule(u_word: Word) -> Combination:
+        k = len(u_word)
         if k == 1:
             source_key = preimage(u_word[0])
             w = (source_key,)
-            image = morphism.level(1, w)
+            image = morphism.level(w)
             coeff = image._terms.get(u_word)
             if coeff is None or len(image) != 1:
                 raise ValueError(
@@ -617,13 +612,13 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
         coeff = diagonal._terms.get(u_word)
         if coeff is None or len(diagonal) != 1:
             raise ValueError(f"phi^1 is not diagonal on the letters of {u_word}")
-        lower = expansion.apply(
-            lambda u2: Combination.zero() if len(u2) == k else inverse.level(len(u2), u2)
-        )
+        level = inverse_ref().level  # H is alive: only H.level calls this rule
+        lower = expansion.apply(lambda u2: Combination() if len(u2) == k else level(u2))
         num, den = _reciprocal(*coeff)
         return _scaled(lower, -num, den)
 
     inverse = LinfMorphism(morphism.target, morphism.source, rule)
+    inverse_ref = weakref.ref(inverse)
     return inverse
 
 
@@ -651,8 +646,8 @@ def morphisms_agree(
     checked = 0
     for word in words:
         checked += 1
-        a = left.level(len(word), word)
-        b = right.level(len(word), word)
+        a = left.level(word)
+        b = right.level(word)
         if a != b:
             failures.append(f"levels differ on {word}: {a} vs {b}")
     return Report(not failures, checked, failures)

@@ -315,7 +315,7 @@ def morphism_bruteforce(morphism: LinfMorphism, word: Word) -> Combination:
         sign = koszul_sign(arrangement, degrees)
         factors: list[Combination] = []
         for block in blocks:
-            value = morphism.level(len(block), tuple(word[p] for p in block))
+            value = morphism.level(tuple(word[p] for p in block))
             if not value:
                 factors = []
                 break
@@ -359,7 +359,7 @@ def coderivation_bruteforce(structure: LinfStructure, word: Word) -> Combination
         for head in combinations(range(k), arity):
             rest = tuple(p for p in range(k) if p not in head)
             sign = koszul_sign(head + rest, degrees)
-            value = structure.level(arity, tuple(word[p] for p in head))
+            value = structure.level(tuple(word[p] for p in head))
             for out_word, coeff in value.terms():
                 letters = [out_word[0]] + [word[p] for p in rest]
                 target, sort_sign = _sorted_word(structure.generators, letters)

@@ -27,10 +27,10 @@ The algebra declares what the engine may skip: its levels vanish above
 arity 2 and on every head with no α (the only odd letters), so l̂ of an
 all-β word is zero without a rule call.  psi_a declares level 1 only.
 
-The algebra and the augmentation are module constants built at import
-(building one only stores its rule), so their memos are shared by every
-caller in the process; each memo is an :class:`ellsuper.exact.Memo` and
-holds at most ``CACHE_CAP`` entries.  The
+The generators, the algebra and the augmentation are module constants
+built at import (building one only stores its rule), so their memos are
+shared by every caller in the process; each memo is an
+:class:`ellsuper.exact.Memo` and holds at most ``CACHE_CAP`` entries.  The
 level of eps~ on a word depends only on (Σi, Σj, k) when every letter is a
 β, and is zero otherwise, so its level memo is keyed by exactly that
 (:func:`_tilde_key`): one entry per index total and length, plus one
@@ -98,15 +98,20 @@ def _v_degree(key: Key) -> int:
     raise ValueError(f"unknown generator key {key!r} (expected alpha_(i>=1,j>=1) or beta_(i,j)!=(0,0))")
 
 
+_V_GENERATORS = GeneratorSet("V", _v_degree)
+
+
 def v_generators() -> GeneratorSet:
-    return GeneratorSet("V", _v_degree)
+    return _V_GENERATORS
 
 
-def _v_rule(k: int, word: Word) -> Combination:
+def _v_rule(word: Word) -> Combination:
+    """l^k(word) for k = len(word): l^1 and l^2 as above, zero above arity 2."""
+    k = len(word)
     if k == 1:
         kind, i, j = word[0]
         if kind != "alpha":
-            return Combination.zero()
+            return Combination()
         out: dict[Word, int] = {}
         if j != 0 and (i - 1, j) != (0, 0):
             out[(beta_key(i - 1, j),)] = j
@@ -118,13 +123,13 @@ def _v_rule(k: int, word: Word) -> Combination:
         (kind1, i, j), (kind2, kk, ll) = word
         coefficient = i * ll - j * kk
         if coefficient == 0:
-            return Combination.zero()
+            return Combination()
         if kind1 == "alpha" and kind2 == "alpha":
             return Combination.single((alpha_key(i + kk, j + ll),), coefficient)
         if kind1 == "alpha" and kind2 == "beta":
             return Combination.single((beta_key(i + kk, j + ll),), coefficient)
-        return Combination.zero()  # beta . beta
-    return Combination.zero()
+        return Combination()  # beta . beta
+    return Combination()
 
 
 _V_ALGEBRA = LinfStructure(v_generators(), _v_rule, arities=(1, 2), odd_heads=True)
@@ -150,11 +155,12 @@ def _tilde_key(word: Word) -> tuple:
     return (i_total, j_total, len(word))
 
 
-def _tilde_rule(k: int, word: Word) -> Combination:
+def _tilde_rule(word: Word) -> Combination:
+    """eps~^k(word) for k = len(word), read off the key: k is its last entry."""
     key = _tilde_key(word)
     if key is _HAS_ALPHA:
-        return Combination.zero()
-    i_total, j_total, _ = key
+        return Combination()
+    i_total, j_total, k = key
     return Combination.single(
         (q_key(i_total + j_total + k - 1),),
         Fraction(1, factorial(i_total) * factorial(j_total)),
@@ -174,9 +180,9 @@ def psi_map(params: SpectrumParams) -> LinfMorphism:
     if params.n != 2:
         raise ValueError("psi_map needs a two-axis ellipsoid (beta indices are pairs)")
 
-    def rule(k: int, word: Word) -> Combination:
-        if k != 1:
-            return Combination.zero()
+    def rule(word: Word) -> Combination:
+        if len(word) != 1:
+            return Combination()
         x, y = gamma(params, word[0][1])
         return Combination.single((beta_key(x, y),))
 
@@ -235,7 +241,7 @@ def verify_aug(
     for word in _window_words(index_bound, length_bound):
         checked += 1
         image = extend_coderivation(structure, word)
-        projected = image.apply(lambda u: morphism.level(len(u), u))
+        projected = image.apply(morphism.level)
         if projected:
             failures.append(f"pi_1(aug(coderivation)) nonzero on {word}: {projected}")
             continue

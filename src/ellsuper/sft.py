@@ -8,7 +8,7 @@ Two abelian models appear:
   point, i.e. of the trivial isotropy cylinder data).
 
 Neither generator set carries a filtration; the parameters a enter only
-through the level maps below.
+through the level maps below, so one set of each family serves every a.
 
 The stationary-descendant morphism eps_a : C_a -> C_o has level maps
 
@@ -51,7 +51,6 @@ __all__ = [
     "eta",
     "xi",
     "local_descendant",
-    "single_coefficient",
     "index_words",
     "inverse_check",
     "xi_chain_check",
@@ -78,18 +77,22 @@ def _orbit_degree(prefix: str, key: Key) -> int:
     return -2 - 2 * key[1]
 
 
+_CA_GENERATORS = GeneratorSet("Ca", lambda key: _orbit_degree("o", key))
+_CO_GENERATORS = GeneratorSet("Co", lambda key: _orbit_degree("q", key))
+
+
 def ca_generators() -> GeneratorSet:
-    """Generators o_k of the ellipsoid model (the same set for every E(a))."""
-    return GeneratorSet("Ca", lambda key: _orbit_degree("o", key))
+    """Generators o_k of the ellipsoid model (one set, shared by every E(a))."""
+    return _CA_GENERATORS
 
 
 def co_generators() -> GeneratorSet:
-    """Generators q_k (the target of the descendant morphism)."""
-    return GeneratorSet("Co", lambda key: _orbit_degree("q", key))
+    """Generators q_k of the point model (one set, the target for every E(a))."""
+    return _CO_GENERATORS
 
 
 def _epsilon(params: SpectrumParams) -> LinfMorphism:
-    def rule(k: int, word: Word) -> Combination:
+    def rule(word: Word) -> Combination:
         count, psi_power = local_descendant(params, [key[1] for key in word])
         return Combination.single((q_key(psi_power + 1),), count)
 
@@ -130,11 +133,6 @@ def local_descendant(params: SpectrumParams, indices: Sequence[int]) -> tuple[Fr
         raise ValueError(f"orbit indices must be positive integers, got {indices}")
     n_value = Fraction(1, vec_factorial(vec_add(*gamma_points(params, indices))))
     return n_value, sum(indices) + len(indices) - 2
-
-
-def single_coefficient(comb: Combination, key: Key) -> Fraction:
-    """Coefficient of the length-one word (key) in a combination."""
-    return comb[(key,)]
 
 
 def index_words(key_fn: Callable[[int], Key], length_bound: int, index_cap: int) -> list[Word]:

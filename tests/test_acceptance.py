@@ -26,7 +26,7 @@ from ellsuper.orbits import (
     normalized,
 )
 from ellsuper.rounding import psi_factorization, verify_aug
-from ellsuper.sft import inverse_check, o_key, single_coefficient, xi, xi_chain_check
+from ellsuper.sft import inverse_check, o_key, xi, xi_chain_check
 from ellsuper.superpotential import (
     CP2Target,
     T,
@@ -268,7 +268,7 @@ def _chain_through_breakpoints(d: int, a_top: Fraction | None = None) -> Fractio
         step = xi(normalized(b, Side.MINUS), normalized(b, Side.PLUS))
         total = step if total is None else compose(step, total)
     word = Word((o_key(2),) * d)
-    coefficient = single_coefficient(total.level(d, word), o_key(3 * d - 1))
+    coefficient = total.level(word)[(o_key(3 * d - 1),)]
     return coefficient / math.factorial(d)
 
 

@@ -389,8 +389,7 @@ def word_pair():
 
 class TestNoMemoHoldsItsOwner:
     """A memo's compute holds the rule or the degree function, never its owner,
-    so an owner is freed by reference counting alone, with the collector off.
-    ``invert`` is left out: its rule holds the inverse it builds."""
+    so an owner is freed by reference counting alone, with the collector off."""
 
     @staticmethod
     def assert_freed(build):
@@ -435,5 +434,23 @@ class TestNoMemoHoldsItsOwner:
             composite = linf.compose(sft.eta(plus), sft.epsilon(minus))
             assert composite.extend(word_pair())
             return composite, [composite._level_memo, composite._extend_memo]
+
+        self.assert_freed(build)
+
+    def test_inverse(self):
+        def build():
+            inverse = linf.invert(sft._epsilon(normalized("13/2")), lambda key: sft.o_key(key[1]))
+            assert inverse.extend((sft.q_key(1), sft.q_key(2)))  # fills H^2, which reads H^1
+            return inverse, [inverse._level_memo, inverse._extend_memo]
+
+        self.assert_freed(build)
+
+    def test_eta(self):
+        def build():
+            params = normalized("17/3")
+            eta = sft.eta(params)
+            assert eta.level((sft.q_key(1), sft.q_key(2)))
+            del sft._ETA_CACHE[params]  # the cache let go; nothing else holds it
+            return eta, [eta._level_memo]
 
         self.assert_freed(build)

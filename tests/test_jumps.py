@@ -20,7 +20,7 @@ from ellsuper.jumps import (
 from ellsuper.linf import Word, compose
 from ellsuper.oracle import jump_partitions
 from ellsuper.orbits import Side, action, jump_set, normalized
-from ellsuper.sft import o_key, single_coefficient, xi
+from ellsuper.sft import o_key, xi
 from ellsuper.superpotential import wt_T_infinity
 
 
@@ -261,5 +261,5 @@ class TestFactorization:
             step = xi(normalized(b, Side.MINUS), normalized(b, Side.PLUS))
             composed = step if composed is None else compose(step, composed)
         w = Word(tuple([o_key(2)] * d))
-        coeff = single_coefficient(composed.level(d, w), o_key(out_index))
+        coeff = composed.level(w)[(o_key(out_index),)]
         assert coeff / math.factorial(d) == wt_T_infinity(d) == 32

@@ -234,7 +234,8 @@ def toy_morphism(shift=0, mixed=False, arities=None):
     """
     graded = GeneratorSet("toy", lambda key: key[1])
 
-    def rule(k, w):
+    def rule(w):
+        k = len(w)
         indices = [key[1] for key in w]
         if k == 1:
             return Combination.single(Word((("h", indices[0]),)), Fraction(1, 2))
@@ -243,7 +244,7 @@ def toy_morphism(shift=0, mixed=False, arities=None):
             return Combination.single(Word((("h", sum(indices) + shift),)), coefficient)
         if k == 3 and mixed:
             return Combination.single(Word((("h", sum(indices)),)), Fraction(2, 5))
-        return Combination.zero()
+        return Combination()
 
     return LinfMorphism(graded, graded, rule, arities=arities)
 
@@ -344,7 +345,8 @@ def toy_structure(mixed=False, odd_heads=False):
     """
     graded = GeneratorSet("toy", lambda key: key[1])
 
-    def rule(k, w):
+    def rule(w):
+        k = len(w)
         indices = [key[1] for key in w]
         if k == 1:
             terms = {}
@@ -358,7 +360,7 @@ def toy_structure(mixed=False, odd_heads=False):
         if k == 3:
             coefficient = Fraction(indices[0] - indices[1] + 3 * indices[2], 2)
             return Combination.single((("g", sum(indices) + 1),), coefficient)
-        return Combination.zero()
+        return Combination()
 
     return LinfStructure(graded, rule, odd_heads=odd_heads)
 

@@ -30,7 +30,7 @@ from ellsuper.rounding import (
     v_generators,
     verify_aug,
 )
-from ellsuper.sft import ca_generators, o_key, q_key
+from ellsuper.sft import ca_generators, co_generators, epsilon, eta, o_key, q_key
 
 
 def w(*keys):
@@ -50,6 +50,18 @@ class TestGenerators:
         assert gens.degree(alpha_key(1, 2)) % 2 == 1
         assert gens.degree(beta_key(1, 2)) % 2 == 0
 
+    def test_one_set_per_family(self):
+        """Every structure and morphism of a family shares its one generator set."""
+        ca, co, v = ca_generators(), co_generators(), v_generators()
+        assert ca_generators() is ca and co_generators() is co and v_generators() is v
+        for a, side in (("13/2", Side.MINUS), ("13/2", Side.PLUS), (3, Side.CANONICAL), ("29/4", Side.PLUS)):
+            params = normalized(a, side)
+            assert epsilon(params).source is ca and epsilon(params).target is co
+            assert eta(params).source is co and eta(params).target is ca
+            assert psi_map(params).source is ca and psi_map(params).target is v
+        assert v_algebra().generators is v
+        assert tilde_epsilon().source is v and tilde_epsilon().target is co
+
     def test_index_validation(self):
         gens = v_generators()
         with pytest.raises(ValueError):
@@ -61,41 +73,39 @@ class TestGenerators:
 
 class TestLevelMaps:
     def test_differential_of_alpha(self):
-        assert v_algebra().level(1, w(alpha_key(1, 1))) == Combination(
+        assert v_algebra().level(w(alpha_key(1, 1))) == Combination(
             {w(beta_key(0, 1)): Fraction(1), w(beta_key(1, 0)): Fraction(-1)}
         )
 
     def test_differential_drops_zero_coefficients(self):
         # l1(alpha_{1,2}) = 2 beta_{0,2} - 1 beta_{1,1}; both substripts valid.
-        assert v_algebra().level(1, w(alpha_key(1, 2))) == Combination(
+        assert v_algebra().level(w(alpha_key(1, 2))) == Combination(
             {w(beta_key(0, 2)): Fraction(2), w(beta_key(1, 1)): Fraction(-1)}
         )
 
     def test_differential_of_beta_vanishes(self):
-        assert v_algebra().level(1, w(beta_key(2, 1))) == Combination.zero()
+        assert v_algebra().level(w(beta_key(2, 1))) == Combination()
 
     def test_bracket_alpha_alpha(self):
         # (il - jk) alpha_{i+k, j+l} on (1,2),(2,1): 1*1 - 2*2 = -3.
-        assert v_algebra().level(2, w(alpha_key(1, 2), alpha_key(2, 1))) == Combination.single(
+        assert v_algebra().level(w(alpha_key(1, 2), alpha_key(2, 1))) == Combination.single(
             w(alpha_key(3, 3)), -3
         )
 
     def test_bracket_with_vanishing_determinant(self):
-        assert v_algebra().level(2, w(alpha_key(1, 1), alpha_key(2, 2))) == Combination.zero()
+        assert v_algebra().level(w(alpha_key(1, 1), alpha_key(2, 2))) == Combination()
 
     def test_bracket_alpha_beta(self):
         # (il - jk) beta_{i+k, j+l} on alpha_{1,1}, beta_{1,0}: -1.
-        assert v_algebra().level(2, w(alpha_key(1, 1), beta_key(1, 0))) == Combination.single(
+        assert v_algebra().level(w(alpha_key(1, 1), beta_key(1, 0))) == Combination.single(
             w(beta_key(2, 1)), -1
         )
 
     def test_bracket_beta_beta_vanishes(self):
-        assert v_algebra().level(2, w(beta_key(1, 0), beta_key(0, 1))) == Combination.zero()
+        assert v_algebra().level(w(beta_key(1, 0), beta_key(0, 1))) == Combination()
 
     def test_higher_levels_vanish(self):
-        assert v_algebra().level(
-            3, w(alpha_key(1, 1), alpha_key(1, 2), beta_key(1, 0))
-        ) == Combination.zero()
+        assert v_algebra().level(w(alpha_key(1, 1), alpha_key(1, 2), beta_key(1, 0))) == Combination()
 
 
 class TestCoderivation:
@@ -140,7 +150,7 @@ class TestDeclaredArities:
         checked = 0
         for word_ in _window_words(3, 5):
             if len(word_) >= 3:
-                assert _v_rule(len(word_), word_) == Combination.zero(), word_
+                assert _v_rule(word_) == Combination(), word_
                 checked += 1
         assert checked > 0
 
@@ -157,7 +167,7 @@ class TestDeclaredArities:
         checked = 0
         for word_ in _window_words(6, 4):
             if all(kind == "beta" for kind, _, _ in word_):
-                assert _v_rule(len(word_), word_) == Combination.zero(), word_
+                assert _v_rule(word_) == Combination(), word_
                 checked += 1
         assert checked == 27 + 378 + 3654 + 27405
         words = _two_alpha_words(4)
@@ -171,7 +181,7 @@ class TestDeclaredArities:
         }
         assert len(heads) == 9  # the image words are α.β and α, so these are single β letters
         for head in heads:
-            assert _v_rule(len(head), head) == Combination.zero(), head
+            assert _v_rule(head) == Combination(), head
 
     # the words of TestMorphismOracle.test_rounding_morphisms
     MORPHISM_WORDS = [w(o_key(2)), w(o_key(1), o_key(2)), w(o_key(2), o_key(2), o_key(3))]
@@ -187,7 +197,7 @@ class TestDeclaredArities:
         for word_ in self.MORPHISM_WORDS:
             for i in range(2, len(word_) + 1):
                 for head in combinations(word_, i):
-                    assert morphism.level(i, head) == Combination.zero(), head
+                    assert morphism.level(head) == Combination(), head
                     checked += 1
         assert checked == 5
 
@@ -195,24 +205,22 @@ class TestDeclaredArities:
 class TestTildeEpsilon:
     def test_beta_words(self):
         te = tilde_epsilon()
-        assert te.level(1, w(beta_key(1, 0))) == Combination.single(
+        assert te.level(w(beta_key(1, 0))) == Combination.single(
             Word((q_key(1),))
         )
         # row sums (1, 2), word length 2 -> q_4, weight 1/(1! 2!).
-        assert te.level(2, w(beta_key(0, 1), beta_key(1, 1))) == Combination.single(
+        assert te.level(w(beta_key(0, 1), beta_key(1, 1))) == Combination.single(
             Word((q_key(4),)), Fraction(1, 2)
         )
         # (2,0)+(1,0): row sum 3, q_4, weight 1/3!.
-        assert te.level(2, w(beta_key(1, 0), beta_key(2, 0))) == Combination.single(
+        assert te.level(w(beta_key(1, 0), beta_key(2, 0))) == Combination.single(
             Word((q_key(4),)), Fraction(1, 6)
         )
 
     def test_alpha_words_vanish(self):
         te = tilde_epsilon()
-        assert te.level(1, w(alpha_key(1, 1))) == Combination.zero()
-        assert te.level(
-            2, w(alpha_key(1, 1), beta_key(1, 0))
-        ) == Combination.zero()
+        assert te.level(w(alpha_key(1, 1))) == Combination()
+        assert te.level(w(alpha_key(1, 1), beta_key(1, 0))) == Combination()
 
 
 class TestPsi:
@@ -221,13 +229,13 @@ class TestPsi:
         psi = psi_map(p)
         for k in (1, 2, 5):
             i, j = gamma(p, k)
-            assert psi.level(1, Word((o_key(k),))) == Combination.single(
+            assert psi.level(Word((o_key(k),))) == Combination.single(
                 w(beta_key(i, j))
             )
 
     def test_higher_levels_vanish(self):
         psi = psi_map(normalized(3))
-        assert psi.level(2, Word((o_key(1), o_key(2)))) == Combination.zero()
+        assert psi.level(Word((o_key(1), o_key(2)))) == Combination()
 
     def test_factorization_reproduces_augmentation(self):
         for a, side in (
@@ -251,9 +259,9 @@ class TestVerifyAug:
         terms cancel."""
         good = v_algebra()
 
-        def flipped_rule(k, word_):
-            out = good.level(k, word_)
-            return (-1) * out if k == 2 else out
+        def flipped_rule(word_):
+            out = good.level(word_)
+            return (-1) * out if len(word_) == 2 else out
 
         bad = LinfStructure(good.generators, flipped_rule)
         report = verify_aug(4, 3, structure=bad)
@@ -270,9 +278,9 @@ class TestVerifyAug:
         projected equation applies exactly one augmentation level)."""
         te = tilde_epsilon()
 
-        def unweighted_rule(k, word_):
-            out = te.level(k, word_)
-            return 2 * out if k == 2 else out
+        def unweighted_rule(word_):
+            out = te.level(word_)
+            return 2 * out if len(word_) == 2 else out
 
         bad = LinfMorphism(te.source, te.target, unweighted_rule)
         report = verify_aug(4, 3, morphism=bad)
@@ -300,11 +308,11 @@ class TestVerifyAug:
         for word_ in words:
             k = len(word_)
             if any(kind == "alpha" for kind, _, _ in word_):
-                expected = Combination.zero()
+                expected = Combination()
             else:
                 i_total = sum(i for _, i, _ in word_)
                 j_total = sum(j for _, _, j in word_)
                 expected = Combination.single(
                     (q_key(i_total + j_total + k - 1),), Fraction(1, factorial(i_total) * factorial(j_total))
                 )
-            assert te.level(k, word_) == expected, word_
+            assert te.level(word_) == expected, word_

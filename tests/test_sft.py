@@ -23,7 +23,6 @@ from ellsuper.sft import (
     local_descendant,
     o_key,
     q_key,
-    single_coefficient,
     xi,
     xi_chain_check,
 )
@@ -58,22 +57,22 @@ class TestGenerators:
             (abelian(ca_generators()), o_word(1, 2)),
             (abelian(co_generators()), q_word(1, 1, 2)),
         ):
-            assert structure.level(len(w), w) == Combination.zero()
+            assert structure.level(w) == Combination()
 
 
 class TestEpsilon:
     def test_level_one_uses_path_point_factorial(self):
         # Below 2 the second point is (1,1); at 3 it is (2,0).
         eps_low = epsilon(normalized("3/2"))
-        assert eps_low.level(1, o_word(2)) == Combination.single(q_word(2), 1)
+        assert eps_low.level(o_word(2)) == Combination.single(q_word(2), 1)
         eps_high = epsilon(normalized(3))
-        assert eps_high.level(1, o_word(2)) == Combination.single(
+        assert eps_high.level(o_word(2)) == Combination.single(
             q_word(2), Fraction(1, 2)
         )
 
     def test_level_two_example(self):
         eps = epsilon(normalized("3/2"))
-        assert eps.level(2, o_word(1, 1)) == Combination.single(
+        assert eps.level(o_word(1, 1)) == Combination.single(
             q_word(3), Fraction(1, 2)
         )
 
@@ -83,7 +82,7 @@ class TestEpsilon:
             eps = epsilon(p)
             for k in (1, 2, 3):
                 for combo in combinations_with_replacement(range(1, 5), k):
-                    out = eps.level(k, o_word(*combo))
+                    out = eps.level(o_word(*combo))
                     expected_index = sum(combo) + k - 1
                     for w, _ in out.terms():
                         assert w == q_word(expected_index)
@@ -107,9 +106,9 @@ class TestEpsilon:
 class TestEta:
     def test_level_one_inverts_diagonal(self):
         eta_low = eta(normalized("3/2"))
-        assert eta_low.level(1, q_word(2)) == Combination.single(o_word(2), 1)
+        assert eta_low.level(q_word(2)) == Combination.single(o_word(2), 1)
         eta_high = eta(normalized(3))
-        assert eta_high.level(1, q_word(2)) == Combination.single(o_word(2), 2)
+        assert eta_high.level(q_word(2)) == Combination.single(o_word(2), 2)
 
     def test_two_sided_inverse(self):
         for a, side in (("3/2", Side.CANONICAL), (2, Side.PLUS), ("13/2", Side.MINUS)):
@@ -128,7 +127,7 @@ class TestXi:
         src = normalized("5/4", Side.MINUS)
         tgt = normalized("5/4", Side.PLUS)
         F = xi(src, tgt)
-        assert single_coefficient(F.level(2, o_word(2, 8)), o_key(11)) == Fraction(
+        assert F.level(o_word(2, 8))[(o_key(11),)] == Fraction(
             -1, 4
         )
 
@@ -136,7 +135,7 @@ class TestXi:
         F = xi(normalized(3), normalized("3/2"))
         for k in (1, 2, 3):
             for combo in combinations_with_replacement(range(1, 5), k):
-                out = F.level(k, o_word(*combo))
+                out = F.level(o_word(*combo))
                 for w, _ in out.terms():
                     assert w == o_word(sum(combo) + k - 1)
 
@@ -173,7 +172,7 @@ class TestXi:
                 for combo in combinations_with_replacement(range(1, 5), k):
                     w = o_word(*combo)
                     a_in = sum(action(src, i) for i in combo)
-                    for ow, _ in F.level(k, w).terms():
+                    for ow, _ in F.level(w).terms():
                         a_out = sum(action(tgt, key[1]) for key in ow)
                         assert a_out <= a_in
                         saw_strict = saw_strict or a_out < a_in
@@ -218,7 +217,7 @@ class TestExpMc:
         """Single-letter part of ε(exp MC) in degree d, summed with ``Combination.apply``."""
         eps = epsilon(params)
         comb = cp2_exp_mc(TestExpMc.counts(params, d), d)
-        return single_coefficient(comb.apply(lambda w: eps.level(len(w), w)), q_key(3 * d - 1))
+        return comb.apply(eps.level)[(q_key(3 * d - 1),)]
 
     def test_degree_two_shape(self):
         counts = self.counts(normalized(3), 2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellsuper import exact, superpotential
+from ellsuper import cli, exact, superpotential
 from ellsuper.exact import CACHE_CAP
 from ellsuper.linf import Word
 from ellsuper.oracle import exp_series_pass_fractions
@@ -20,7 +20,7 @@ from ellsuper.orbits import (
     gamma_points,
     normalized,
 )
-from ellsuper.sft import o_key, single_coefficient, xi
+from ellsuper.sft import o_key, xi
 from ellsuper.superpotential import (
     CP2Target,
     T,
@@ -324,6 +324,29 @@ class TestEmbeddingBound:
         assert embedding_bound(CP2, 2, normalized("3/2")) is None
 
 
+class TestInvariantsToTheCliCaps:
+    """The paper's closed forms up to the degrees the CLI serves (``cli`` caps)."""
+
+    def test_counts_at_infinity_are_positive_integers(self):
+        for d in range(1, cli.COUNT_MAX_DEGREE + 1):
+            value = T_infinity(d)
+            assert value > 0 and value.denominator == 1, (d, value)
+
+    def test_fibonacci_counts_and_staircase_corners(self):
+        """At a = g_{n+2}/g_n and d = g_{n+1}, over g = 1, 2, 5, 13, 34, 89, 233
+        (g_{n+2} = 3 g_{n+1} - g_n), T_d = 1 on both sides and the bound is
+        g_{n+1}/g_{n+2}, the reciprocal of the Fibonacci-staircase corner."""
+        g = [1, 2]
+        while g[-1] <= cli.COUNT_MAX_DEGREE:
+            g.append(3 * g[-1] - g[-2])
+        # d runs over g[1:-1], every term up to the cap
+        for low, d, high in zip(g, g[1:-1], g[2:]):
+            for side in (Side.MINUS, Side.PLUS):
+                params = normalized(Fraction(high, low), side)
+                assert T(CP2, d, params) == 1, (d, side)
+                assert embedding_bound(CP2, d, params) == Fraction(d, high), (d, side)
+
+
 class TestGenfun:
     def test_small_coefficients_by_hand(self):
         # d=1: 3 * wt_T_1 = 6 = 3!/1; d=2: 6 * wt_T_2 + 15 * wt_T_1^2 = 90.
@@ -362,7 +385,7 @@ class TestCrossFormulation:
             for d in range(1, 5):
                 F = xi(src, tgt)
                 w = Word(tuple([o_key(2)] * d))
-                coeff = single_coefficient(F.level(d, w), o_key(3 * d - 1))
+                coeff = F.level(w)[(o_key(3 * d - 1),)]
                 assert coeff / math.factorial(d) == wt_T(CP2, d, tgt), (a, d)
 
     def test_depends_only_on_path_values(self):
