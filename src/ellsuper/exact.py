@@ -21,7 +21,9 @@ the oldest first, a block at a time.  The lattice walks of
 :mod:`ellsuper.orbits`, the ε/η/Ξ morphisms of :mod:`ellsuper.sft`, the
 Γ-signature counts of :mod:`ellsuper.superpotential`, the per-ratio jump
 tables of :mod:`ellsuper.jumps`, and the block plans and the parity, level
-and extension memos of :mod:`ellsuper.linf` are all ``Memo``s.
+and extension memos of :mod:`ellsuper.linf` are all ``Memo``s.  Every
+module-level memo fills a miss from its ``compute``; the level and extension
+memos of an L∞ morphism have none and are filled through :meth:`Memo.store`.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ k-fold transfer at a.  Three independent routes are implemented:
   >= 2 blocks are aut(I) [t^I](E - F) for F = Σ_B J(B)/aut(B) t^B u^{P_B} and
   E = exp(F), so one pass at a ratio yields every jump of the family, and
   repeated indices cost nothing extra.  A ``Memo`` keeps values per ratio, for
-  at most ``CACHE_CAP`` ratios, and a ratio's table is replaced rather than
-  grown past ``CACHE_CAP`` multisets.  The set-partition recursion itself is
+  at most ``CACHE_CAP`` ratios; a miss opens an empty table, each pass merges
+  into it in place, and a table that would pass ``CACHE_CAP`` multisets is
+  emptied first.  The set-partition recursion itself is
   kept as the reference :func:`ellsuper.oracle.jump_partitions`;
 * :func:`jump_via_xi` — direct evaluation through the L-infinity engine.
 
@@ -85,8 +86,8 @@ def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     return term_minus - term_plus
 
 
-# ratio a -> {sorted index tuple I: J^a(I)}, at most CACHE_CAP ratios, filled by _store
-_GENERAL_CACHE = Memo()
+# ratio a -> {sorted index tuple I: J^a(I)}, at most CACHE_CAP ratios, filled by _merge
+_GENERAL_CACHE = Memo(lambda a: {})
 
 
 def _sub_multisets(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -138,15 +139,12 @@ def _ratio_pass(a: Fraction, plan: list[tuple]) -> dict[tuple[int, ...], Fractio
     return exp_series_pass(steps)
 
 
-def _store(a: Fraction, values: dict[tuple[int, ...], Fraction]) -> None:
-    """Merge one pass into the ratio's table, or replace a table that would outgrow the cap."""
-    table = _GENERAL_CACHE.get(a)
-    if table is None:
-        _GENERAL_CACHE.store(a, values)
-    elif len(table) + len(values) > exact.CACHE_CAP:
-        _GENERAL_CACHE[a] = values
-    else:
-        table.update(values)
+def _merge(a: Fraction, values: dict[tuple[int, ...], Fraction]) -> None:
+    """Merge one pass into the ratio's table, emptying a table that would outgrow the cap first."""
+    table = _GENERAL_CACHE[a]
+    if len(table) + len(values) > exact.CACHE_CAP:
+        table.clear()
+    table.update(values)
 
 
 def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
@@ -163,7 +161,7 @@ def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     if table is not None and idx in table:
         return table[idx]
     values = _ratio_pass(a, _plan(sorted(_sub_multisets(idx)[1:], key=_weight_order)))
-    _store(a, values)
+    _merge(a, values)
     return values[idx]
 
 
@@ -219,7 +217,7 @@ def support_scan(bound: int) -> tuple[ScanHit, ...]:
     hits: list[ScanHit] = []
     for a in sorted(ratios):
         values = _ratio_pass(a, plan)
-        _store(a, values)
+        _merge(a, values)
         at_a = normalized(a)
         for idx, value in values.items():
             if len(idx) < 2 or value == 0:

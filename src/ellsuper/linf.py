@@ -50,9 +50,10 @@ parities of the word), which names (k, i, odd mask).
 
 Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word, or per the ``memo_key`` a
-morphism names.  Each level and extension memo is an
-:class:`ellsuper.exact.Memo`, so it holds at most ``CACHE_CAP`` entries and
-evicts its oldest first; a memo's compute holds the rule, never the owner.
+morphism names, whose rule then takes the key.  Each level and extension
+memo is an :class:`ellsuper.exact.Memo`, so it holds at most ``CACHE_CAP``
+entries and evicts its oldest first; a memo's compute holds the rule, never
+the owner.
 
 Signs follow one rule.  Pulling a head block to the front costs (-1) to the
 number of crossings of two odd letters, counted from the word's parities at
@@ -424,10 +425,9 @@ class LinfMorphism:
     """L-infinity morphism: lazy, memoized level maps phi^k of degree 0.
 
     ``level(word)`` is phi^k(word), k = len(word), from ``level_rule(word)``.
-    ``memo_key(word)``, when given, names what the rule reads of a word: the
-    level memo stores each value under that key, so words with one key
-    share one entry.  The key must determine the value: two words of one
-    key must have equal levels.  Without it the memo is keyed by the word.
+    Given ``memo_key``, the rule takes ``memo_key(word)`` instead of the word,
+    and the level memo stores its value under that key, so a level is a
+    function of its key and words with one key share one entry.
 
     ``arities`` declares the block sizes at which ``level_rule`` can be
     nonzero, as on :class:`LinfStructure`; ``None`` (the default) means
@@ -438,7 +438,7 @@ class LinfMorphism:
         self,
         source: GeneratorSet,
         target: GeneratorSet,
-        level_rule: Callable[[Word], Combination],
+        level_rule: Callable[[Hashable], Combination],
         memo_key: Callable[[Word], Hashable] | None = None,
         arities: Iterable[int] | None = None,
     ) -> None:
@@ -447,7 +447,7 @@ class LinfMorphism:
         self.arities = _declared_arities(arities)
         self._rule = level_rule
         self._memo_key = memo_key
-        # filled through ``store``: a miss needs the word, or ``self._extend``
+        # filled through ``get`` and ``store``: cheaper than ``__missing__``, and no cycle
         self._level_memo = Memo()
         self._extend_memo = Memo()
 
@@ -455,7 +455,7 @@ class LinfMorphism:
         key = word if self._memo_key is None else self._memo_key(word)
         cached = self._level_memo.get(key)
         if cached is None:
-            cached = self._level_memo.store(key, self._rule(word))
+            cached = self._level_memo.store(key, self._rule(key))
         return cached
 
     def extend(self, word: Word) -> Combination:
@@ -633,7 +633,7 @@ def check_structure(structure: LinfStructure, words: Iterable[Word]) -> Report:
         residual = first.apply(lambda u: _coderivation(structure, u))
         if residual:
             failures.append(f"coderivation square nonzero on {word}: {residual}")
-    return Report(not failures, checked, failures)
+    return Report(checked, failures)
 
 
 def morphisms_agree(
@@ -650,4 +650,4 @@ def morphisms_agree(
         b = right.level(word)
         if a != b:
             failures.append(f"levels differ on {word}: {a} vs {b}")
-    return Report(not failures, checked, failures)
+    return Report(checked, failures)

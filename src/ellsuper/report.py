@@ -14,7 +14,7 @@ from __future__ import annotations
 class Report:
     """Outcome of a batch verification.
 
-    ok        -- True when every checked instance passed
+    ok        -- read-only, True exactly when ``failures`` is empty
     checked   -- number of instances examined
     failures  -- human-readable description of each violation, in order found
 
@@ -23,17 +23,20 @@ class Report:
     ``failures`` gets its own list.
     """
 
-    __slots__ = ("ok", "checked", "failures")
+    __slots__ = ("checked", "failures")
 
-    def __init__(self, ok: bool, checked: int, failures: list[str] | None = None) -> None:
-        self.ok = ok
+    def __init__(self, checked: int, failures: list[str] | None = None) -> None:
         self.checked = checked
         self.failures = [] if failures is None else failures
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.ok, self.checked, self.failures) == (other.ok, other.checked, other.failures)
+        return (self.checked, self.failures) == (other.checked, other.failures)
 
     def __repr__(self) -> str:
         return f"Report(ok={self.ok!r}, checked={self.checked!r}, failures={self.failures!r})"
@@ -49,4 +52,4 @@ def merge_reports(*reports: Report) -> Report:
     for rep in reports:
         checked += rep.checked
         failures.extend(rep.failures)
-    return Report(not failures, checked, failures)
+    return Report(checked, failures)

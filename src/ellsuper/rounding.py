@@ -33,8 +33,8 @@ shared by every caller in the process; each memo is an
 :class:`ellsuper.exact.Memo` and holds at most ``CACHE_CAP`` entries.  The
 level of eps~ on a word depends only on (Σi, Σj, k) when every letter is a
 β, and is zero otherwise, so its level memo is keyed by exactly that
-(:func:`_tilde_key`): one entry per index total and length, plus one
-shared entry for every word that holds an α.
+(:func:`_tilde_key`) and its rule reads the key alone: one entry per index
+total and length, plus one shared entry for every word that holds an α.
 """
 
 from __future__ import annotations
@@ -155,9 +155,8 @@ def _tilde_key(word: Word) -> tuple:
     return (i_total, j_total, len(word))
 
 
-def _tilde_rule(word: Word) -> Combination:
-    """eps~^k(word) for k = len(word), read off the key: k is its last entry."""
-    key = _tilde_key(word)
+def _tilde_rule(key: tuple) -> Combination:
+    """eps~^k on every word whose ``_tilde_key`` is ``key``; k is its last entry."""
     if key is _HAS_ALPHA:
         return Combination()
     i_total, j_total, k = key
@@ -249,7 +248,7 @@ def verify_aug(
             full = image.apply(morphism.extend)
             if full:
                 failures.append(f"bar-level aug(coderivation) nonzero on {word}: {full}")
-    return Report(not failures, checked, failures)
+    return Report(checked, failures)
 
 
 def psi_factorization(

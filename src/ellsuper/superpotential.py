@@ -305,4 +305,4 @@ def genfun_check(dmax: int) -> Report:
         expected = Fraction(math.factorial(3 * d), math.factorial(d) ** 3)
         if power_d != expected:
             failures.append(f"d={d}: [x^d] F^{3 * d} = {power_d}, expected {expected}")
-    return Report(not failures, dmax, failures)
+    return Report(dmax, failures)

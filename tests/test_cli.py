@@ -38,6 +38,7 @@ from ellsuper.cli import (
     JUMPS_MAX_SUBMULTISETS,
     JUMPS_XI_MAX_ORBITS,
     LINF_MAX_BOUND,
+    PARAMS_MAX_AXES,
     TABLE_MAX_DEGREE,
     _build_parser,
     _SUITES,
@@ -229,6 +230,29 @@ def test_descendant_index_sum_above_cap_exits_1_before_counting(capsys, monkeypa
     error = run_error(capsys, ["descendant", "--a", a, "--orbits", orbits])
     assert "DESCENDANT_MAX_INDEX_SUM" in error
     assert f"cap is {DESCENDANT_MAX_INDEX_SUM}" in error
+
+
+def _axes(n):
+    return ",".join(str(i) for i in range(1, n + 1))
+
+
+def test_axes_at_the_cap_pass(capsys):
+    a = _axes(PARAMS_MAX_AXES)
+    assert len(run_json(capsys, ["gamma", "--a", a, "--k", "40"])["result"]["points"][0]["gamma"]) == PARAMS_MAX_AXES
+    assert len(run_json(capsys, ["spectrum", "--a", a, "--count", "40"])["result"]["orbits"]) == 40
+    assert run_json(capsys, ["descendant", "--a", a, "--orbits", "2,3"])["input"]["a"] == a
+
+
+@pytest.mark.parametrize("argv", [["gamma", "--k", "3"], ["spectrum", "--count", "3"], ["descendant", "--orbits", "2"]])
+def test_axes_above_the_cap_exit_1_before_any_work(capsys, monkeypatch, argv):
+    def boom(*args):
+        raise AssertionError("the work must not start")
+
+    monkeypatch.setattr("ellsuper.cli.gamma_range", boom)
+    monkeypatch.setattr("ellsuper.cli.local_descendant", boom)
+    error = run_error(capsys, [argv[0], "--a", _axes(PARAMS_MAX_AXES + 1), *argv[1:]])
+    assert f"{PARAMS_MAX_AXES + 1} axes" in error
+    assert f"cap is {PARAMS_MAX_AXES} (PARAMS_MAX_AXES)" in error
 
 
 def test_parameter_too_long_to_print_exits_1(capsys):
@@ -497,7 +521,7 @@ def test_check_bound_above_cap_exits_1_before_checking(capsys, monkeypatch, suit
 
 def test_check_failing_suite_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
-        "ellsuper.cli.genfun_check", lambda bound: Report(False, 1, ["forced failure"])
+        "ellsuper.cli.genfun_check", lambda bound: Report(1, ["forced failure"])
     )
     code, out, err = run_cli(capsys, ["check", "--suite", "genfun", "--bound", "1"])
     assert code == 2

@@ -10,6 +10,7 @@ is one and that no memo keeps its owner alive.
 """
 
 import gc
+import importlib
 import math
 import sys
 import weakref
@@ -381,6 +382,12 @@ class TestEveryCacheIsAMemo:
         for owner in owners:
             memos = [value for value in vars(owner).values() if isinstance(value, dict)]
             assert memos and all(isinstance(memo, Memo) for memo in memos), owner
+
+
+    def test_module_memos_compute_their_misses(self):
+        for layer, name in MODULE_MEMOS:
+            memo = getattr(importlib.import_module(f"ellsuper.{layer}"), name)
+            assert callable(memo.compute), (layer, name)
 
 
 def word_pair():

@@ -126,6 +126,20 @@ class TestGeneralCache:
             assert len(jumps._GENERAL_CACHE[a]) <= exact.CACHE_CAP
         assert jumps._GENERAL_CACHE[a][(1, 59)] == jump_pants(a, 1, 59)
 
+    def test_passes_merge_into_one_table_and_a_full_table_is_emptied_first(self, monkeypatch):
+        a = Fraction(5, 4)
+        jumps._GENERAL_CACHE.pop(a, None)
+        assert ScanHit(a, (2, 8), Fraction(-1, 4)) in support_scan(11)
+        scanned = dict(jumps._GENERAL_CACHE[a])
+        assert scanned[(2, 8)] == Fraction(-1, 4)
+        assert jump_general(a, (7, 7)) == jump_partitions(a, (7, 7))  # output index 15: a miss
+        table = jumps._GENERAL_CACHE[a]
+        assert scanned.items() < table.items() and (7, 7) in table
+        monkeypatch.setattr(exact, "CACHE_CAP", len(table) + 1)
+        assert jump_general(a, (2, 13)) == jump_pants(a, 2, 13)  # three more entries would pass the cap
+        assert jumps._GENERAL_CACHE[a] is table
+        assert set(table) == {(2,), (13,), (2, 13)}
+
     def test_table_holds_every_sub_multiset(self):
         a = Fraction(7, 3)
         jumps._GENERAL_CACHE.pop(a, None)

@@ -317,14 +317,14 @@ class TestLevelMemos:
     def test_memo_key_shares_one_entry_per_key(self):
         calls = []
 
-        def rule(w):
-            calls.append(w)
-            return Combination.single(word(h(sum(key[1] for key in w))))
+        def rule(key):
+            calls.append(key)
+            return Combination.single(word(h(key[0])))
 
         F = LinfMorphism(EVEN_SOURCE, EVEN_SOURCE, rule, memo_key=lambda w: (sum(key[1] for key in w), len(w)))
         assert F.level(word(g(1), g(3))) == F.level(word(g(2), g(2))) == Combination.single(word(h(4)))
         assert F.level(word(g(4))) == Combination.single(word(h(4)))
-        assert calls == [word(g(1), g(3)), word(g(4))]
+        assert calls == [(4, 2), (4, 1)]
         assert len(F._level_memo) == 2
 
 

@@ -18,6 +18,7 @@ from ellsuper.orbits import (
     candidate_discontinuities,
     gamma,
     gamma_points,
+    jump_set,
     normalized,
 )
 from ellsuper.sft import o_key, xi
@@ -345,6 +346,23 @@ class TestInvariantsToTheCliCaps:
                 params = normalized(Fraction(high, low), side)
                 assert T(CP2, d, params) == 1, (d, side)
                 assert embedding_bound(CP2, d, params) == Fraction(d, high), (d, side)
+
+
+    def test_table_at_the_cap_breaks_only_at_candidates(self):
+        """At d = TABLE_MAX_DEGREE every kept breakpoint is a candidate
+        discontinuity (with J_{c1-2} for T), and at 40 seeded candidates both
+        sides of each table equal wt_T and T."""
+        d = cli.TABLE_MAX_DEGREE
+        weighted, unweighted = piecewise_table(CP2, d, 1, None), normalized_table(CP2, d, 1, None)
+        candidates = set(candidate_discontinuities(d, 0))
+        assert set(weighted.breakpoints) <= candidates
+        candidates.update(jump_set(CP2.chern(d) - 2))
+        assert set(unweighted.breakpoints) <= candidates
+        for a in random.Random(d).sample(sorted(c for c in candidates if c > 1), 40):
+            for side in (Side.MINUS, Side.PLUS):
+                params = normalized(a, side)
+                assert weighted.value_at(a, side) == wt_T(CP2, d, params), (a, side)
+                assert unweighted.value_at(a, side) == T(CP2, d, params), (a, side)
 
 
 class TestGenfun:

@@ -42,8 +42,8 @@ REPRS = {
     ),
     "dual": (DualRational(F(1), F(-2)), "DualRational(main=Fraction(1, 1), eps=Fraction(-2, 1))"),
     "target": (CP2Target(), "CP2Target()"),
-    "report": (Report(True, 0), "Report(ok=True, checked=0, failures=[])"),
-    "report-failed": (Report(False, 2, ["x"]), "Report(ok=False, checked=2, failures=['x'])"),
+    "report": (Report(0), "Report(ok=True, checked=0, failures=[])"),
+    "report-failed": (Report(2, ["x"]), "Report(ok=False, checked=2, failures=['x'])"),
 }
 
 
@@ -101,19 +101,26 @@ def test_dual_rationals_order_by_main_then_eps():
 
 class TestReport:
     def test_reports_built_without_failures_do_not_share_a_list(self):
-        first, second = Report(True, 0), Report(True, 0)
+        first, second = Report(0), Report(0)
         first.failures.append("x")
         assert second.failures == []
 
     def test_equality_is_field_by_field(self):
-        assert Report(True, 1) == Report(True, 1, [])
-        assert Report(True, 1) != Report(True, 2)
-        assert Report(False, 1, ["a"]) != Report(False, 1, ["b"])
-        assert Report(True, 0) != (True, 0, [])
+        assert Report(1) == Report(1, [])
+        assert Report(1) != Report(2)
+        assert Report(1, ["a"]) != Report(1, ["b"])
+        assert Report(0) != (True, 0, [])
+
+    def test_ok_is_read_off_the_failures(self):
+        report = Report(1, ["x"])
+        assert not report.ok and not report
+        with pytest.raises(AttributeError):
+            report.ok = True
+        assert Report(1).ok and not report.ok
 
     def test_mutable_and_unhashable(self):
-        report = Report(True, 0)
-        report.ok = False
+        report = Report(0)
+        report.failures.append("x")
         assert not report
         with pytest.raises(TypeError):
             hash(report)
