@@ -10,7 +10,12 @@ serialized exactly as ``p/q`` (or ``p``), never as floats.  Exit codes:
 
 ``gamma --k lo..hi`` prints at most ``GAMMA_MAX_WIDTH`` (100000) points; a
 wider range exits 1.  The start of the range costs O(log lo) however large lo
-is (the closed form for one index), so only the width is capped.
+is (the closed form for one index), but every printed coordinate may have as
+many digits as hi, so a range whose width × axes × digits(hi) exceeds
+``GAMMA_MAX_OUTPUT_DIGITS`` (25,000,000) exits 1 too.  The worst accepted
+ranges took, as subprocesses on a 2-vCPU VM: 16 axes from 10^14 at full
+width 3.1 s (48 MB of JSON, a peak RSS of 325 MB), 2 axes from 10^124
+1.9 s (46 MB, 250 MB), 1 axis from 10^249 1.4 s (57 MB, 287 MB).
 ``spectrum --count N`` shares the cap: N above it exits 1.  Both commands
 read their rows from one unmemoized integer walk.
 ``check --suite S --bound B`` exits 1 above the suite's cap.  At their caps
@@ -27,7 +32,7 @@ sub-multisets, Π (m_i + 1) over the multiplicities m_i of the distinct indices.
 ``superpotential --d`` and ``bound --d`` exit 1 above ``COUNT_MAX_DEGREE``
 (120; one count there takes about 2 s at the slowest ratios), and
 ``table --d`` above ``TABLE_MAX_DEGREE`` (32; the table over (1, ∞) takes
-about 1.5 s, with or without ``--refine-orbit-id``).
+about 0.8 s as a subprocess, with or without ``--refine-orbit-id``).
 All these caps are checked before any work starts.
 ``descendant --orbits i_1,...,i_k`` exits 1 when Σ i_s exceeds
 ``DESCENDANT_MAX_INDEX_SUM`` (1500), before any work starts: Γ's coordinates
@@ -88,6 +93,8 @@ __all__ = ["main"]
 
 # widest ``gamma --k lo..hi`` range, in indices, and largest ``spectrum --count``
 GAMMA_MAX_WIDTH = 100_000
+# most digits ``gamma --k lo..hi`` may print, estimated as width * axes * digits(hi)
+GAMMA_MAX_OUTPUT_DIGITS = 25_000_000
 # most ``--a`` axes (``gamma``, ``spectrum``, ``descendant``, ``bound``)
 PARAMS_MAX_AXES = 16
 # largest ``check --suite S --bound`` per suite
@@ -236,6 +243,12 @@ def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     width = ks.stop - ks.start  # len() overflows on huge ranges
     if width > GAMMA_MAX_WIDTH:
         raise CLIError(f"--k range {args.k!r} spans {width} indices; the cap is {GAMMA_MAX_WIDTH}")
+    digits = width * params.n * len(str(ks.stop - 1))  # a coordinate of Γ_k is at most k
+    if digits > GAMMA_MAX_OUTPUT_DIGITS:
+        raise CLIError(
+            f"--k range {args.k!r} would print about {digits} digits; "
+            f"the cap is {GAMMA_MAX_OUTPUT_DIGITS} (GAMMA_MAX_OUTPUT_DIGITS)"
+        )
     points = [{"k": k, "gamma": list(p)} for k, p in zip(ks, gamma_range(params, ks.start, ks.stop - 1))]
     csv_lines = ["k," + ",".join(f"v{i}" for i in range(1, params.n + 1))]
     csv_lines += [f"{row['k']}," + ",".join(str(c) for c in row["gamma"]) for row in points]

@@ -42,6 +42,10 @@ sets J_{3i-1}, i <= d; :func:`piecewise_table` tabulates it over an interval
 with exact values on open subintervals and (Minus, Plus) side values at each
 jump.  T_d^a may additionally jump where the orbit identity of o_{3d-1}
 changes (at ratios in J_{3d-2}); :func:`normalized_table` includes those.
+Between consecutive candidates the signature, and the orbit o_{3d-1} for T,
+is constant, so a table evaluates each gap once and reads a candidate's Minus
+and Plus values, its limits from below and above, off the gaps on either
+side; the tests check them against the per-ratio :func:`wt_T` and :func:`T`.
 """
 
 from __future__ import annotations
@@ -194,13 +198,6 @@ class PiecewiseTable(NamedTuple):
         starts = (self.lo,) + self.breakpoints
         return tuple(zip(starts, ends))
 
-    def side_values(self, breakpoint: Fraction) -> tuple[Fraction, Fraction]:
-        """(Minus, Plus) values at a kept breakpoint."""
-        idx = bisect_left(self.breakpoints, breakpoint)
-        if idx == len(self.breakpoints) or self.breakpoints[idx] != breakpoint:
-            raise ValueError(f"{breakpoint} is not a kept breakpoint")
-        return self.values[idx], self.values[idx + 1]
-
     def value_at(self, a: Fraction, side: Side = Side.CANONICAL) -> Fraction:
         a = rational(a)
         idx = bisect_left(self.breakpoints, a)  # breakpoints below a
@@ -221,36 +218,27 @@ def _sweep(
     candidates: Iterable[Fraction],
     value_fn: Callable[[SpectrumParams], Fraction],
 ) -> PiecewiseTable:
-    candidates = tuple(sorted(set(candidates)))
+    """Tabulate ``value_fn`` over (lo, hi) from one sample per gap, in ascending order.
+
+    The signature (Γ_{3e-1})_{e <= d}, and the orbit o_{3d-1} for T, is
+    constant between consecutive candidates, so a candidate's Minus (Plus)
+    side is the value of the gap below (above) it; it is kept when they differ.
+    """
     if lo < 1:
         raise ValueError(f"tables are defined on subranges of (1, inf); got lo = {lo}")
     if hi is not None and hi <= lo:
         raise ValueError(f"empty range ({lo}, {hi})")
-    inner = [c for c in candidates if c > lo and (hi is None or c < hi)]
-    interiors: list[Fraction] = []
-    for gap in range(len(inner) + 1):
-        left = lo if gap == 0 else inner[gap - 1]
-        if gap == len(inner):
-            sample = left + 1 if hi is None else (left + hi) / 2
-        else:
-            sample = (left + inner[gap]) / 2
-        interiors.append(value_fn(normalized(sample)))
-    for i, b in enumerate(inner):
-        minus = value_fn(normalized(b, Side.MINUS))
-        plus = value_fn(normalized(b, Side.PLUS))
-        if minus != interiors[i] or plus != interiors[i + 1]:
-            raise RuntimeError(
-                f"sweep inconsistency at {b}: sides ({minus}, {plus}) vs "
-                f"adjacent interior values ({interiors[i]}, {interiors[i + 1]})"
-            )
-    kept: list[Fraction] = []
-    values: list[Fraction] = [interiors[0]]
-    for i, b in enumerate(inner):
-        if interiors[i + 1] != values[-1]:
-            kept.append(b)
-            values.append(interiors[i + 1])
+    candidates = sorted(set(candidates))
+    ends = [lo, *(c for c in candidates if c > lo and (hi is None or c < hi)), hi]
+    starts: list[Fraction] = []  # where each value begins; the first is lo, no breakpoint
+    values: list[Fraction] = []
+    for left, right in zip(ends, ends[1:]):
+        value = value_fn(normalized(left + 1 if right is None else (left + right) / 2))
+        if not values or value != values[-1]:
+            starts.append(left)
+            values.append(value)
     hi_out = None if hi is None or (candidates and hi > candidates[-1]) else hi
-    return PiecewiseTable(lo, hi_out, tuple(kept), tuple(values))
+    return PiecewiseTable(lo, hi_out, tuple(starts[1:]), tuple(values))
 
 
 def piecewise_table(

@@ -31,6 +31,7 @@ from ellsuper.cli import (
     AUG_MAX_BOUND,
     COUNT_MAX_DEGREE,
     DESCENDANT_MAX_INDEX_SUM,
+    GAMMA_MAX_OUTPUT_DIGITS,
     GAMMA_MAX_WIDTH,
     GAMMA_SUITE_MAX_BOUND,
     GENFUN_MAX_BOUND,
@@ -150,6 +151,25 @@ def test_gamma_range_wider_than_cap_exits_1_before_walking(capsys, monkeypatch):
     error = run_error(capsys, ["gamma", "--a", "1,7/3", "--k", f"{lo}..{lo + GAMMA_MAX_WIDTH}"])
     assert f"{GAMMA_MAX_WIDTH + 1} indices" in error
     assert f"cap is {GAMMA_MAX_WIDTH}" in error
+
+
+def test_gamma_output_over_the_digit_cap_exits_1_before_walking(capsys, monkeypatch):
+    """A full-width range from 10^4000 would print about 0.8 billion digits;
+    one from 10^12 at 16 axes (13-digit indices) stays accepted."""
+    monkeypatch.setattr("ellsuper.cli.gamma_range", lambda *args: iter(()))
+    lo = 10**12
+    argv = ["gamma", "--a", _axes(PARAMS_MAX_AXES), "--k", f"{lo}..{lo + GAMMA_MAX_WIDTH - 1}"]
+    assert run_json(capsys, argv)["result"]["points"] == []
+
+    def boom(*args):
+        raise AssertionError("the walk must not start")
+
+    monkeypatch.setattr("ellsuper.cli.gamma_range", boom)
+    monkeypatch.setattr("ellsuper.orbits.gamma_closed_form", boom)
+    lo = 10**4000
+    error = run_error(capsys, ["gamma", "--a", "1,7/3", "--k", f"{lo}..{lo + GAMMA_MAX_WIDTH - 1}"])
+    assert f"would print about {GAMMA_MAX_WIDTH * 2 * 4001} digits" in error
+    assert f"cap is {GAMMA_MAX_OUTPUT_DIGITS} (GAMMA_MAX_OUTPUT_DIGITS)" in error
 
 
 def test_gamma_large_single_index_is_fast(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellsuper import cli, exact, superpotential
+from ellsuper import cli, exact, orbits, superpotential
 from ellsuper.exact import CACHE_CAP
 from ellsuper.linf import Word
 from ellsuper.oracle import exp_series_pass_fractions
@@ -252,7 +252,6 @@ class TestPiecewiseTable:
 
     def test_side_values_and_value_at(self):
         table = piecewise_table(CP2, 5, 1, 20)
-        assert table.side_values(Fraction(13, 2)) == (2, 13)
         assert table.value_at(Fraction(7)) == 13
         assert table.value_at(Fraction(13, 2), Side.MINUS) == 2
         assert table.value_at(Fraction(13, 2), Side.PLUS) == 13
@@ -269,10 +268,32 @@ class TestPiecewiseTable:
                 for side in Side:
                     assert lookup(table.value_at, a, side) == linear_value_at(table, a, side), (table, a, side)
             for b in table.breakpoints:
-                assert table.side_values(b) == linear_side_values(table, b)
-            for a in (table.lo, table.lo + Fraction(1, 3)):
-                with pytest.raises(ValueError):
-                    table.side_values(a)
+                sides = table.value_at(b, Side.MINUS), table.value_at(b, Side.PLUS)
+                assert sides == linear_side_values(table, b)
+
+    def test_sides_equal_the_point_queries(self):
+        """Both sides of every candidate equal the per-ratio wt_T and T: a
+        kept breakpoint's from its two values, any other candidate's from the
+        value of the gap it lies in.  The range (5, 14) starts and ends at
+        candidates."""
+        for d in range(1, 15):
+            weighted = set(candidate_discontinuities(d, 1))
+            for tabulate, count, candidates in (
+                (piecewise_table, wt_T, weighted),
+                (normalized_table, T, weighted | set(jump_set(CP2.chern(d) - 2))),
+            ):
+                for lo, hi in ((1, None), (2, 10), (5, 14)):
+                    table = tabulate(CP2, d, lo, hi)
+                    for b in sorted(c for c in candidates if lo < c and (hi is None or c < hi)):
+                        for side in (Side.MINUS, Side.PLUS):
+                            read = table.value_at(b, side if b in table.breakpoints else Side.CANONICAL)
+                            assert read == count(CP2, d, normalized(b, side)), (tabulate, d, lo, hi, b, side)
+
+    def test_one_walk_per_gap(self, monkeypatch):
+        """The sweep evaluates each gap between candidates once and reads every side from a gap."""
+        monkeypatch.setattr(orbits, "_WALKS", exact.Memo(orbits._Walk))
+        piecewise_table(CP2, 11, 1, None)
+        assert len(orbits._WALKS) == len(candidate_discontinuities(11, 1)) + 1 == 63
 
     def test_jumps_lie_in_candidate_set(self):
         for d in (1, 2, 3, 4):
