@@ -16,8 +16,16 @@ many digits as hi, so a range whose width × axes × digits(hi) exceeds
 ranges took, as subprocesses on a 2-vCPU VM: 16 axes from 10^14 at full
 width 3.1 s (48 MB of JSON, a peak RSS of 325 MB), 2 axes from 10^124
 1.9 s (46 MB, 250 MB), 1 axis from 10^249 1.4 s (57 MB, 287 MB).
-``spectrum --count N`` shares the cap: N above it exits 1.  Both commands
-read their rows from one unmemoized integer walk.
+``spectrum --count N`` shares the cap: N above it exits 1.  It shares the
+digit cap too: each row holds a walk point of one coordinate per axis and
+prints an action m·a_i with up to digits(N) more digits than a_i, so N whose
+N × axes × (digits(N) + the numerator and denominator digits of the longest
+axis) exceeds ``GAMMA_MAX_OUTPUT_DIGITS`` exits 1 before any walk.  The worst
+accepted counts took, as subprocesses on a 2-vCPU VM: 1 axis of 4,295
+digits at N = 5800 2.4 s (25.5 MB of JSON, a peak RSS of 118 MB), 1 axis of
+243 digits at N = 100000 1.7–2.3 s (35.5 MB, 243 MB), 2 axes of 118 digits
+at N = 100000 1.6–2.0 s (23 MB, 194 MB).  Both commands read their rows
+from one unmemoized integer walk.
 ``check --suite S --bound B`` exits 1 above the suite's cap.  At their caps
 the other suites take seconds: ``LINF_MAX_BOUND`` (6; every further letter
 multiplies the words of the inverse checks), ``AUG_MAX_BOUND`` (6),
@@ -32,7 +40,7 @@ sub-multisets, Π (m_i + 1) over the multiplicities m_i of the distinct indices.
 ``superpotential --d`` and ``bound --d`` exit 1 above ``COUNT_MAX_DEGREE``
 (120; one count there takes about 2 s at the slowest ratios), and
 ``table --d`` above ``TABLE_MAX_DEGREE`` (32; the table over (1, ∞) takes
-about 0.8 s as a subprocess, with or without ``--refine-orbit-id``).
+0.7–1.1 s as a subprocess, with or without ``--refine-orbit-id``).
 All these caps are checked before any work starts.
 ``descendant --orbits i_1,...,i_k`` exits 1 when Σ i_s exceeds
 ``DESCENDANT_MAX_INDEX_SUM`` (1500), before any work starts: Γ's coordinates
@@ -93,7 +101,8 @@ __all__ = ["main"]
 
 # widest ``gamma --k lo..hi`` range, in indices, and largest ``spectrum --count``
 GAMMA_MAX_WIDTH = 100_000
-# most digits ``gamma --k lo..hi`` may print, estimated as width * axes * digits(hi)
+# most digits ``gamma --k lo..hi`` may print, estimated as width * axes * digits(hi),
+# and ``spectrum --count N``, estimated as N * axes * (digits(N) + digits of the longest axis)
 GAMMA_MAX_OUTPUT_DIGITS = 25_000_000
 # most ``--a`` axes (``gamma``, ``spectrum``, ``descendant``, ``bound``)
 PARAMS_MAX_AXES = 16
@@ -261,6 +270,15 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
         raise CLIError("--count must be >= 1")
     if args.count > GAMMA_MAX_WIDTH:
         raise CLIError(f"--count {args.count} asks for too many orbits; the cap is {GAMMA_MAX_WIDTH}")
+    # each row is a walk point of n coordinates, and its action m·a_i has up
+    # to digits(count) more digits than a_i
+    longest = max(len(str(x.numerator)) + len(str(x.denominator)) for x in params.a)
+    digits = args.count * params.n * (len(str(args.count)) + longest)
+    if digits > GAMMA_MAX_OUTPUT_DIGITS:
+        raise CLIError(
+            f"--count {args.count} would print about {digits} digits; "
+            f"the cap is {GAMMA_MAX_OUTPUT_DIGITS} (GAMMA_MAX_OUTPUT_DIGITS)"
+        )
     rows = []
     points = gamma_range(params, 0, args.count)
     for k, (before, after) in enumerate(zip(points, points[1:]), start=1):

@@ -47,14 +47,20 @@ The perturbation spelled out as dual numbers (``DualRational``,
 independent reference route; the test suite checks the walk and the closed
 form against it.
 
-``jump_set(k)`` = {k/1, (k-1)/2, ..., 1/k} collects the two-axis ratios at
-which Γ_k changes, and ``candidate_discontinuities`` aggregates these for the
-indices 3i - 1 relevant to degree-d curve counts.
+``jump_set(k)`` = {1/k, 2/(k-1), ..., k/1} collects the two-axis ratios at
+which Γ_k changes; i/(k-i+1) ascends in i, so no sort is needed.
+``jump_union(indices)`` is the ascending, deduplicated union of these sets.
+It orders and deduplicates i/(s-i+1) on the exact integer key
+i * (L // (s-i+1)), L = lcm(1..max s), so the only ``Fraction`` objects it
+builds are the survivors, and none is compared or hashed before then.
+``candidate_discontinuities`` is the slice of the union over the indices
+3i - 1 relevant to degree-d curve counts that lies above a lower end.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -73,6 +79,7 @@ __all__ = [
     "orbit",
     "action",
     "jump_set",
+    "jump_union",
     "candidate_discontinuities",
 ]
 
@@ -298,7 +305,28 @@ def jump_set(k: int) -> tuple[Fraction, ...]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return tuple(sorted(Fraction(i, k - i + 1) for i in range(1, k + 1)))
+    return tuple(Fraction(i, k - i + 1) for i in range(1, k + 1))  # ascends in i
+
+
+def jump_union(indices: Iterable[int]) -> tuple[Fraction, ...]:
+    """The union of J_s over ``indices``, ascending and deduplicated.
+
+    With L = lcm(1..max s), i/(s-i+1) = key / L for the integer key
+    i * (L // (s-i+1)), so the ratios are ordered and deduplicated on their
+    keys, and a ``Fraction`` is built once per distinct ratio.  The largest
+    ratio is max(indices)/1.
+    """
+    indices = set(indices)
+    if not indices:
+        return ()
+    if min(indices) < 1:
+        raise ValueError(f"k must be >= 1, got {sorted(indices)}")
+    scale = math.lcm(*range(1, max(indices) + 1))
+    ratios: dict[int, tuple[int, int]] = {}
+    for s in indices:
+        for i in range(1, s + 1):
+            ratios.setdefault(i * (scale // (s - i + 1)), (i, s - i + 1))
+    return tuple(Fraction(*ratios[key]) for key in sorted(ratios))
 
 
 def candidate_discontinuities(d: int, lower: int | str | Fraction) -> tuple[Fraction, ...]:
@@ -309,8 +337,5 @@ def candidate_discontinuities(d: int, lower: int | str | Fraction) -> tuple[Frac
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    low = rational(lower)
-    values: set[Fraction] = set()
-    for i in range(1, d + 1):
-        values.update(jump_set(3 * i - 1))
-    return tuple(sorted(v for v in values if v > low))
+    values = jump_union(range(2, 3 * d, 3))
+    return values[bisect_right(values, rational(lower)):]

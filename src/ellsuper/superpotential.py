@@ -46,17 +46,27 @@ Between consecutive candidates the signature, and the orbit o_{3d-1} for T,
 is constant, so a table evaluates each gap once and reads a candidate's Minus
 and Plus values, its limits from below and above, off the gaps on either
 side; the tests check them against the per-ratio :func:`wt_T` and :func:`T`.
+A table tracks only the points its count reads, Γ_s for s = 2, 5, ..., 3d-1
+and, for T, 3d-2 (the step Γ_{3d-2} -> Γ_{3d-1} names o_{3d-1}); the count
+is a function of those points alone, so no other Γ_s is kept.  It walks Γ
+once, at the first gap.  At a reduced candidate p/q, for each m >= 1, the
+mp-th cover of axis 1 and the mq-th of axis 2 tie, with the same m(p+q) - 2
+covers below them, so crossing p/q upward moves Γ_{m(p+q)-1} from
+(mp - 1, mq) to (mp, mq - 1) and no other point.  Each later gap updates the
+tracked indices of that form and reads the count memo on the new signature.
+Point queries (:func:`wt_T`, :func:`T`, :func:`embedding_bound`) walk per
+ratio, and the tests check every gap's points against such a walk.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .exact import LatticePoint, Memo, exp_series_pass, rational
-from .orbits import Side, SpectrumParams, action, candidate_discontinuities, gamma_points, jump_set, normalized, orbit
+from .orbits import Side, SpectrumParams, action, gamma_points, jump_union, normalized, orbit
 from .report import Report
 
 __all__ = [
@@ -212,33 +222,66 @@ class PiecewiseTable(NamedTuple):
         return self.values[idx]
 
 
+def _gaps(
+    lo: Fraction, hi: Fraction | None, indices: tuple[int, ...]
+) -> Iterator[tuple[Fraction, tuple[LatticePoint, ...]]]:
+    """Yield (left end, (Γ_s for s in indices)) for each gap of (lo, hi), ascending.
+
+    The gaps are cut by the candidates of ``jump_union(indices)`` inside
+    (lo, hi).  The first gap's points come from one walk at its midpoint (at
+    lo + 1 when it is unbounded); every later gap's from the gap below, since
+    crossing a reduced b = p/q upward moves Γ_{m(p+q)-1} to (mp, mq - 1) for
+    each m >= 1 and no other Γ_s (see the module docstring): b lies in J_s
+    exactly when p + q divides s + 1.
+    """
+    candidates = jump_union(indices)
+    end = len(candidates) if hi is None else bisect_left(candidates, hi)
+    inner = candidates[bisect_right(candidates, lo) : end]
+    first = inner[0] if inner else hi
+    points = list(gamma_points(normalized(lo + 1 if first is None else (lo + first) / 2), indices))
+    yield lo, tuple(points)
+    for b in inner:
+        p, q = b.numerator, b.denominator
+        for position, s in enumerate(indices):
+            m, rest = divmod(s + 1, p + q)
+            if not rest:
+                points[position] = (m * p, m * q - 1)
+        yield b, tuple(points)
+
+
 def _sweep(
     lo: Fraction,
     hi: Fraction | None,
-    candidates: Iterable[Fraction],
-    value_fn: Callable[[SpectrumParams], Fraction],
+    indices: tuple[int, ...],
+    value_fn: Callable[[tuple[LatticePoint, ...]], Fraction],
 ) -> PiecewiseTable:
-    """Tabulate ``value_fn`` over (lo, hi) from one sample per gap, in ascending order.
+    """Tabulate ``value_fn`` of (Γ_s for s in indices) over (lo, hi), one value per gap.
 
-    The signature (Γ_{3e-1})_{e <= d}, and the orbit o_{3d-1} for T, is
-    constant between consecutive candidates, so a candidate's Minus (Plus)
-    side is the value of the gap below (above) it; it is kept when they differ.
+    A count reads only its tracked points: T̃_d the signature
+    (Γ_{3e-1})_{e <= d}, and T also Γ_{3d-2}, whose step to Γ_{3d-1} names
+    o_{3d-1}.  Those points change only at the candidates ∪ J_s, so they are
+    walked once and updated at each candidate (see ``_gaps``), and a
+    candidate's Minus (Plus) side is the value of the gap below (above) it;
+    it is kept when they differ.
     """
     if lo < 1:
         raise ValueError(f"tables are defined on subranges of (1, inf); got lo = {lo}")
     if hi is not None and hi <= lo:
         raise ValueError(f"empty range ({lo}, {hi})")
-    candidates = sorted(set(candidates))
-    ends = [lo, *(c for c in candidates if c > lo and (hi is None or c < hi)), hi]
     starts: list[Fraction] = []  # where each value begins; the first is lo, no breakpoint
     values: list[Fraction] = []
-    for left, right in zip(ends, ends[1:]):
-        value = value_fn(normalized(left + 1 if right is None else (left + right) / 2))
+    for left, points in _gaps(lo, hi, indices):
+        value = value_fn(points)
         if not values or value != values[-1]:
             starts.append(left)
             values.append(value)
-    hi_out = None if hi is None or (candidates and hi > candidates[-1]) else hi
+    hi_out = None if hi is None or hi > max(indices) else hi  # the largest candidate is max(indices)/1
     return PiecewiseTable(lo, hi_out, tuple(starts[1:]), tuple(values))
+
+
+def _signature_indices(target: CP2Target, label: object) -> tuple[int, ...]:
+    """The indices 2, 5, ..., c1(A) - 1 of the Γ-signature."""
+    return tuple(range(2, target.chern(label), 3))
 
 
 def piecewise_table(
@@ -251,8 +294,8 @@ def piecewise_table(
     return _sweep(
         rational(lo),
         None if hi is None else rational(hi),
-        candidate_discontinuities(target._check(label), 0),
-        lambda params: wt_T(target, label, params),
+        _signature_indices(target, label),
+        _WT_CACHE.__getitem__,
     )
 
 
@@ -263,11 +306,18 @@ def normalized_table(
     hi: int | str | Fraction | None,
 ) -> PiecewiseTable:
     """Tabulate a -> T_A^a; includes the orbit-identity ratios J_{c1(A)-2}."""
+    signature = _signature_indices(target, label)
+    d = len(signature)
+
+    def unweighted(points: tuple[LatticePoint, ...]) -> Fraction:
+        after, before = points[d - 1], points[d]  # Γ_{3d-1}, Γ_{3d-2}
+        return _WT_CACHE[points[:d]] / (after[0] if after[0] > before[0] else after[1])
+
     return _sweep(
         rational(lo),
         None if hi is None else rational(hi),
-        candidate_discontinuities(target._check(label), 0) + jump_set(target.chern(label) - 2),
-        lambda params: T(target, label, params),
+        (*signature, target.chern(label) - 2),
+        unweighted,
     )
 
 

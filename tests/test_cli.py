@@ -212,6 +212,25 @@ def test_spectrum_count_above_cap_exits_1_before_walking(capsys, monkeypatch):
     assert f"cap is {GAMMA_MAX_WIDTH}" in error
 
 
+def test_spectrum_output_over_the_digit_cap_exits_1_before_walking(capsys, monkeypatch):
+    """Axes of about 4,000 digits print about 4 MB at --count 1000 and stay
+    accepted, as do 16 small axes at the full count; the full count on the
+    large axes would print about 400 MB."""
+    monkeypatch.setattr("ellsuper.cli.gamma_range", lambda *args: [])
+    x = 10**3990
+    assert run_json(capsys, ["spectrum", "--a", f"{x},{x + 1}", "--count", "1000"])["result"]["orbits"] == []
+    argv = ["spectrum", "--a", _axes(PARAMS_MAX_AXES), "--count", str(GAMMA_MAX_WIDTH)]
+    assert run_json(capsys, argv)["result"]["orbits"] == []
+
+    def boom(*args):
+        raise AssertionError("the walk must not start")
+
+    monkeypatch.setattr("ellsuper.cli.gamma_range", boom)
+    error = run_error(capsys, ["spectrum", "--a", f"{x},{x + 1}", "--count", str(GAMMA_MAX_WIDTH)])
+    assert f"would print about {GAMMA_MAX_WIDTH * 2 * (6 + 3991 + 1)} digits" in error
+    assert f"cap is {GAMMA_MAX_OUTPUT_DIGITS} (GAMMA_MAX_OUTPUT_DIGITS)" in error
+
+
 def test_spectrum_action_too_long_to_print_exits_1(capsys):
     # N has 4,300 digits, the most Python prints; the third orbit's action 2N has one more
     n = "9" * 4300

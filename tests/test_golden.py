@@ -15,6 +15,12 @@ with large numerators, where a denominator or rescaling slip of the integer
 kernel would show.  ``table --d 32 --min 1 --max inf --refine-orbit-id`` was
 printed before the count kernel resumed from its last pass and keyed its memo
 by signature: at the ``table --d`` cap, where 486 signatures are swept.
+The bounded-range tables (``table --d 8 --min 9/2 --max 23/2``, ``--d 2
+--min 3 --max 7/2``, ``--d 5 --min 2 --max 14``, all ``--refine-orbit-id``)
+were printed while each gap's points still came from their own walk: ends
+that are not candidates, a range narrower than 1 with no candidate inside,
+and ends that are candidates, so the first gap's sample and a finite upper
+end are reached.
 ``check --suite genfun --bound 30`` was printed at the genfun cap by the
 check that multiplied ``Fraction`` series over the full length.
 
@@ -43,6 +49,12 @@ CASES = [
     ("table_d8_refine.json", ["table", "--d", "8", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
     ("table_d14_refine.json", ["table", "--d", "14", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
     ("table_d32_refine.json", ["table", "--d", "32", "--min", "1", "--max", "inf", "--refine-orbit-id"]),
+    ("table_d8_9-2_23-2_refine.json", ["table", "--d", "8", "--min", "9/2", "--max", "23/2", "--refine-orbit-id"]),
+    ("table_d2_3_7-2_refine.json", ["table", "--d", "2", "--min", "3", "--max", "7/2", "--refine-orbit-id"]),
+    (
+        "table_d5_2_14_refine.csv",
+        ["table", "--d", "5", "--min", "2", "--max", "14", "--refine-orbit-id", "--format", "csv"],
+    ),
     (
         "table_d8_refine.csv",
         ["table", "--d", "8", "--min", "1", "--max", "inf", "--refine-orbit-id", "--format", "csv"],

@@ -21,6 +21,7 @@ from ellsuper.orbits import (
     gamma_points,
     gamma_range,
     jump_set,
+    jump_union,
     normalized,
     orbit,
 )
@@ -341,6 +342,15 @@ class TestJumpSets:
         values = jump_set(k)
         assert values == tuple(sorted(values))
         assert set(values) == {Fraction(i, k - i + 1) for i in range(1, k + 1)}
+
+    def test_union_is_ascending_and_deduplicated(self):
+        assert jump_union(()) == ()
+        assert jump_union((4, 2)) == (
+            Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2), Fraction(2), Fraction(4),
+        )
+        assert jump_union((5, 2, 5)) == jump_set(5)  # J_2 = {1/2, 2} lies in J_5
+        with pytest.raises(ValueError):
+            jump_union((3, 0))
 
     def test_candidate_discontinuities_degree_two(self):
         assert candidate_discontinuities(2, 1) == (Fraction(2), Fraction(5))

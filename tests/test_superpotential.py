@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellsuper import cli, exact, orbits, superpotential
@@ -19,6 +19,7 @@ from ellsuper.orbits import (
     gamma,
     gamma_points,
     jump_set,
+    jump_union,
     normalized,
 )
 from ellsuper.sft import o_key, xi
@@ -289,11 +290,13 @@ class TestPiecewiseTable:
                             read = table.value_at(b, side if b in table.breakpoints else Side.CANONICAL)
                             assert read == count(CP2, d, normalized(b, side)), (tabulate, d, lo, hi, b, side)
 
-    def test_one_walk_per_gap(self, monkeypatch):
-        """The sweep evaluates each gap between candidates once and reads every side from a gap."""
-        monkeypatch.setattr(orbits, "_WALKS", exact.Memo(orbits._Walk))
-        piecewise_table(CP2, 11, 1, None)
-        assert len(orbits._WALKS) == len(candidate_discontinuities(11, 1)) + 1 == 63
+    def test_one_walk_per_table(self, monkeypatch):
+        """Each table walks Γ once, at its first gap, and moves the tracked
+        points at every later candidate."""
+        for tabulate in (piecewise_table, normalized_table):
+            monkeypatch.setattr(orbits, "_WALKS", exact.Memo(orbits._Walk))
+            tabulate(CP2, 11, 1, None)
+            assert len(orbits._WALKS) == 1, tabulate
 
     def test_jumps_lie_in_candidate_set(self):
         for d in (1, 2, 3, 4):
@@ -307,6 +310,55 @@ class TestPiecewiseTable:
         table = normalized_table(CP2, 1, 1, 4)
         assert table.breakpoints == ()
         assert table.values == (1,)
+
+
+@st.composite
+def tracked_indices(draw):
+    """Indices a table tracks: a CP² signature 2, 5, ..., 3d - 1 up to the
+    table cap, with or without 3d - 2, or a small set in any order."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, cli.TABLE_MAX_DEGREE))
+        signature = tuple(range(2, 3 * d, 3))
+        return (*signature, 3 * d - 2) if draw(st.booleans()) else signature
+    return tuple(draw(st.lists(st.integers(1, 24), min_size=1, max_size=5, unique=True)))
+
+
+@st.composite
+def sweep_cases(draw):
+    """(lo, hi, indices) with lo >= 1 and hi None or above lo; the ends are
+    candidates or not, and some ranges are narrower than 1 with no candidate inside."""
+    indices = draw(tracked_indices())
+    candidates = [c for c in jump_union(indices) if c >= 1]
+    lo = draw(st.one_of(st.fractions(1, 40, max_denominator=12), st.sampled_from(candidates or [Fraction(1)])))
+    above = [c for c in candidates if c > lo]
+    widths = st.fractions("1/60", 2, max_denominator=60).filter(bool)
+    hi = draw(st.one_of(st.none(), widths.map(lo.__add__), st.sampled_from(above or [None])))
+    return lo, hi, indices
+
+
+class TestSweepWalk:
+    """The sweep's walked-once points against a fresh walk per gap."""
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(sweep_cases())
+    @example((Fraction(3), Fraction(7, 2), (2, 5, 4)))  # no candidate inside; lo + 1 = 4 is one
+    def test_each_gap_holds_the_points_of_its_interior(self, case):
+        """Compare the points, not only the counts: below a = 5 most counts
+        vanish, so a wrong signature can still give the right value."""
+        lo, hi, indices = case
+        inner = [c for c in jump_union(indices) if lo < c and (hi is None or c < hi)]
+        gaps = list(superpotential._gaps(lo, hi, indices))
+        assert [left for left, _ in gaps] == [lo, *inner]
+        for (left, points), right in zip(gaps, [*inner, hi]):
+            interior = left + 1 if right is None else (left + right) / 2
+            assert points == gamma_points(normalized(interior), indices), (left, right)
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(tracked_indices(), st.integers(1, cli.TABLE_MAX_DEGREE), st.fractions(0, 40, max_denominator=12))
+    def test_jump_union_is_the_union_of_the_jump_sets(self, indices, d, lower):
+        assert jump_union(indices) == tuple(sorted(set().union(*map(jump_set, indices))))
+        expected = sorted({v for e in range(1, d + 1) for v in jump_set(3 * e - 1) if v > lower})
+        assert candidate_discontinuities(d, lower) == tuple(expected)
 
 
 def lookup(fn, *args):
