@@ -27,16 +27,16 @@ k-fold transfer at a.  Three independent routes are implemented:
   P_I = Γ^{a+}_{out(I)} and N_I = 1/(Σ_s Γ^{a-}_{i_s})!.  The partitions into
   >= 2 blocks are aut(I) [t^I](E - F) for F = Σ_B J(B)/aut(B) t^B u^{P_B} and
   E = exp(F), so one pass at a ratio yields every jump of the family, and
-  repeated indices cost nothing extra.  A ``Memo`` keeps values per ratio, for
-  at most ``CACHE_CAP`` ratios; a miss opens an empty table, each pass merges
-  into it in place, and a table that would pass ``CACHE_CAP`` multisets is
-  emptied first.  The set-partition recursion itself is
+  repeated indices cost nothing extra.  The set-partition recursion itself is
   kept as the reference :func:`ellsuper.oracle.jump_partitions`;
 * :func:`jump_via_xi` — direct evaluation through the L-infinity engine.
 
 :func:`support_scan` enumerates every nonzero k >= 2 jump with output index
-up to a bound, one pass per candidate ratio, checking each hit against the
-energy inequality Σ_s A(Γ^a_{i_s}) >= A(Γ^a_j) at the unperturbed parameter.
+up to a bound, one pass per candidate ratio.  A ``Memo`` keyed by ratio keeps,
+per ratio, what the last scan there found: the bound and the nonzero jumps of
+every index tuple with output index up to it.
+:func:`jump_general` reads a covered tuple from it, a missing entry being 0,
+and runs one pass for any other tuple without storing it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from . import exact
 from .exact import Memo, aut_size, exp_series_pass, rational, vec_add, vec_factorial
-from .orbits import Side, action, gamma, gamma_points, jump_set, normalized
+from .orbits import Side, gamma, gamma_points, jump_union, normalized
 from .sft import o_key, xi
 
 __all__ = [
@@ -86,8 +85,9 @@ def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     return term_minus - term_plus
 
 
-# ratio a -> {sorted index tuple I: J^a(I)}, at most CACHE_CAP ratios, filled by _merge
-_GENERAL_CACHE = Memo(lambda a: {})
+# ratio a -> (bound, {sorted I with out(I) <= bound: J^a(I) != 0}) of the last support_scan at a
+_GENERAL_CACHE = Memo()
+_ZERO = Fraction(0)  # a covered tuple missing from its scan's table
 
 
 def _sub_multisets(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -139,30 +139,23 @@ def _ratio_pass(a: Fraction, plan: list[tuple]) -> dict[tuple[int, ...], Fractio
     return exp_series_pass(steps)
 
 
-def _merge(a: Fraction, values: dict[tuple[int, ...], Fraction]) -> None:
-    """Merge one pass into the ratio's table, emptying a table that would outgrow the cap first."""
-    table = _GENERAL_CACHE[a]
-    if len(table) + len(values) > exact.CACHE_CAP:
-        table.clear()
-    table.update(values)
-
-
 def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     """Arbitrary-arity jump via the exp-series form of the transfer recursion.
 
-    Values are kept per ratio; a miss runs one pass over the sub-multisets of
-    the sorted indices (Π (multiplicity + 1) of them).
+    A tuple whose output index a :func:`support_scan` at ``a`` covered is read
+    from that scan's nonzero values, a missing entry being 0: the scan ran
+    every sorted tuple up to its bound.  Any other tuple runs one pass over
+    the sub-multisets of the sorted indices (Π (multiplicity + 1) of them),
+    and nothing is stored.
     """
     a = rational(a)
     idx = tuple(sorted(indices))
     if not idx or any(i < 1 for i in idx):
         raise ValueError(f"orbit indices must be positive integers, got {indices}")
-    table = _GENERAL_CACHE.get(a)
-    if table is not None and idx in table:
-        return table[idx]
-    values = _ratio_pass(a, _plan(sorted(_sub_multisets(idx)[1:], key=_weight_order)))
-    _merge(a, values)
-    return values[idx]
+    scanned = _GENERAL_CACHE.get(a)
+    if scanned is not None and sum(idx) + len(idx) - 1 <= scanned[0]:
+        return scanned[1].get(idx, _ZERO)
+    return _ratio_pass(a, _plan(sorted(_sub_multisets(idx)[1:], key=_weight_order)))[idx]
 
 
 def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
@@ -205,30 +198,16 @@ def support_scan(bound: int) -> tuple[ScanHit, ...]:
 
     The ratio a ranges over ∪_{s <= bound} J_s; nonzero jumps cannot occur
     elsewhere.  At each ratio one pass gives the jump of every index tuple up
-    to the bound.  Every hit is checked against the energy inequality at the
-    unperturbed parameter; a violation raises RuntimeError.
+    to the bound, and its nonzero values replace the ratio's entry in
+    ``_GENERAL_CACHE``.
     """
     if bound < 3:
         return ()
     plan = _plan(_scan_family(bound))
-    ratios: set[Fraction] = set()
-    for s in range(1, bound + 1):
-        ratios.update(jump_set(s))
     hits: list[ScanHit] = []
-    for a in sorted(ratios):
-        values = _ratio_pass(a, plan)
-        _merge(a, values)
-        at_a = normalized(a)
-        for idx, value in values.items():
-            if len(idx) < 2 or value == 0:
-                continue
-            out_index = sum(idx) + len(idx) - 1
-            total_action = sum(action(at_a, i) for i in idx)
-            if total_action < action(at_a, out_index):
-                raise RuntimeError(
-                    f"energy inequality violated at a={a}, indices={idx}: "
-                    f"{total_action} < {action(at_a, out_index)}"
-                )
-            hits.append(ScanHit(a, idx, value))
+    for a in jump_union(range(1, bound + 1)):
+        nonzero = {idx: value for idx, value in _ratio_pass(a, plan).items() if value}
+        _GENERAL_CACHE.store(a, (bound, nonzero))
+        hits += [ScanHit(a, idx, value) for idx, value in nonzero.items() if len(idx) >= 2]
     hits.sort(key=lambda h: (h.a, len(h.indices), h.indices))
     return tuple(hits)

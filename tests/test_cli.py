@@ -45,6 +45,7 @@ from ellsuper.cli import (
     _SUITES,
     main,
 )
+from ellsuper.jumps import ScanHit, jump_pants
 from ellsuper.report import Report
 
 
@@ -530,6 +531,19 @@ def test_check_jumps_bound_above_cap_exits_1_before_scanning(capsys, monkeypatch
     assert f"cap is {JUMPS_MAX_BOUND}" in error
 
 
+def test_check_jumps_lists_an_energy_violation(capsys, monkeypatch):
+    # at a = 5, A(o_1) + A(o_2) = 3 < A(o_4) = 4; the value is the true jump, so only the energy check fails
+    a = Fraction(5)
+    hit = ScanHit(a, (1, 2), jump_pants(a, 1, 2))
+    monkeypatch.setattr("ellsuper.cli.support_scan", lambda bound: (hit,))
+    code, out, err = run_cli(capsys, ["check", "--suite", "jumps", "--bound", "4"])
+    assert code == 2
+    assert err == ""
+    result = json.loads(out)["result"]
+    assert result["ok"] is False and result["checked"] == 1
+    assert result["failures"] == [f"energy inequality violated at {hit}: 3 < 4"]
+
+
 def test_check_linf_bound_above_cap_exits_1_before_checking(capsys, monkeypatch):
     def boom(params, bound):
         raise AssertionError("the check must not start")
@@ -615,7 +629,7 @@ def test_internal_error_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["gamma", "--a", "1,2", "--k", "1"])
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"] == "internal: boom"
+    assert json.loads(err)["error"] == "internal: RuntimeError: boom"
 
 
 @pytest.mark.parametrize(

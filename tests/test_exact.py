@@ -344,7 +344,6 @@ MODULE_MEMOS = (
     ("sft", "_ETA_CACHE"),
     ("sft", "_XI_CACHE"),
     ("superpotential", "_WT_CACHE"),
-    ("jumps", "_GENERAL_CACHE"),
     ("linf", "_BLOCK_PLANS"),
     ("linf", "_ODD_HEAD_PLANS"),
 )

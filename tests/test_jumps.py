@@ -3,12 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsuper import exact, jumps
-from ellsuper.exact import CACHE_CAP
+from ellsuper.exact import Memo
 from ellsuper.jumps import (
     ScanHit,
     jump_cylinder,
@@ -19,7 +20,7 @@ from ellsuper.jumps import (
 )
 from ellsuper.linf import Word, compose
 from ellsuper.oracle import jump_partitions
-from ellsuper.orbits import Side, action, jump_set, normalized
+from ellsuper.orbits import Side, action, jump_set, jump_union, normalized
 from ellsuper.sft import o_key, xi
 from ellsuper.superpotential import wt_T_infinity
 
@@ -107,44 +108,58 @@ class TestGeneralRecursion:
 
 
 class TestGeneralCache:
-    def test_cache_is_bounded_and_evicted_ratios_recompute(self):
-        first = Fraction(5, 4)
-        ratios = [first] + [Fraction(10**6 + i, 7919) for i in range(CACHE_CAP + 9)]
-        for a in ratios:
-            jump_general(a, (1,))
-        assert len(jumps._GENERAL_CACHE) <= CACHE_CAP
-        assert first not in jumps._GENERAL_CACHE
-        assert ratios[-1] in jumps._GENERAL_CACHE
-        assert jump_general(first, (2, 8)) == Fraction(-1, 4)
+    """A ratio's entry is the last support scan there: its bound and its nonzero jumps."""
 
-    def test_one_ratio_table_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(exact, "CACHE_CAP", 16)
-        a = Fraction(2)
-        jumps._GENERAL_CACHE.pop(a, None)
-        for i in range(1, 60):
-            assert jump_general(a, (1, i)) == jump_pants(a, 1, i)
-            assert len(jumps._GENERAL_CACHE[a]) <= exact.CACHE_CAP
-        assert jumps._GENERAL_CACHE[a][(1, 59)] == jump_pants(a, 1, 59)
+    def test_a_scan_stores_only_nonzero_values(self):
+        support_scan(9)
+        for a in jump_union(range(1, 10)):
+            bound, values = jumps._GENERAL_CACHE[a]
+            assert bound == 9
+            assert values and all(values.values()), a
 
-    def test_passes_merge_into_one_table_and_a_full_table_is_emptied_first(self, monkeypatch):
-        a = Fraction(5, 4)
-        jumps._GENERAL_CACHE.pop(a, None)
-        assert ScanHit(a, (2, 8), Fraction(-1, 4)) in support_scan(11)
-        scanned = dict(jumps._GENERAL_CACHE[a])
-        assert scanned[(2, 8)] == Fraction(-1, 4)
-        assert jump_general(a, (7, 7)) == jump_partitions(a, (7, 7))  # output index 15: a miss
-        table = jumps._GENERAL_CACHE[a]
-        assert scanned.items() < table.items() and (7, 7) in table
-        monkeypatch.setattr(exact, "CACHE_CAP", len(table) + 1)
-        assert jump_general(a, (2, 13)) == jump_pants(a, 2, 13)  # three more entries would pass the cap
-        assert jumps._GENERAL_CACHE[a] is table
-        assert set(table) == {(2,), (13,), (2, 13)}
+    def test_covered_tuples_are_read_from_the_scan_zeros_included(self, monkeypatch):
+        bound = 8
+        support_scan(bound)
 
-    def test_table_holds_every_sub_multiset(self):
-        a = Fraction(7, 3)
-        jumps._GENERAL_CACHE.pop(a, None)
-        jump_general(a, (1, 1, 3))
-        assert set(jumps._GENERAL_CACHE[a]) == {(1,), (3,), (1, 1), (1, 3), (1, 1, 3)}
+        def no_pass(a, plan):
+            raise AssertionError(f"a covered tuple ran a pass at a={a}")
+
+        monkeypatch.setattr(jumps, "_ratio_pass", no_pass)
+        tuples = [idx for k in (1, 2, 3) for idx in combinations_with_replacement(range(1, bound + 1), k)
+                  if sum(idx) + k - 1 <= bound]
+        zeros = 0
+        for a in jump_union(range(1, bound + 1)):
+            for idx in tuples:
+                value = jump_general(a, idx)
+                assert value == jump_partitions(a, idx), (a, idx)
+                zeros += value == 0
+        assert zeros > 0
+
+    def test_a_miss_stores_nothing(self):
+        support_scan(6)
+        before = {a: (bound, dict(values)) for a, (bound, values) in jumps._GENERAL_CACHE.items()}
+        assert jump_general(2, (2, 13)) == jump_pants(2, 2, 13)  # scanned ratio, output index 16 > 6
+        assert jump_general(Fraction(17, 12), (1, 1, 2)) == 0  # ratio never scanned
+        after = {a: (bound, dict(values)) for a, (bound, values) in jumps._GENERAL_CACHE.items()}
+        assert after == before
+
+    def test_the_ratio_cap_holds_and_evicted_ratios_recompute(self, monkeypatch):
+        monkeypatch.setattr(jumps, "_GENERAL_CACHE", Memo())
+        monkeypatch.setattr(exact, "CACHE_CAP", 8)
+        bound = 9
+        ratios = jump_union(range(1, bound + 1))
+        assert len(ratios) > exact.CACHE_CAP
+        hits = support_scan(bound)
+        assert len(jumps._GENERAL_CACHE) <= exact.CACHE_CAP
+        evicted = [a for a in ratios if a not in jumps._GENERAL_CACHE]
+        assert evicted
+        for hit in hits:
+            if hit.a in evicted:
+                assert jump_general(hit.a, hit.indices) == hit.value, hit
+        for a in evicted:
+            for idx in ((1,), (2, 3), (1, 1, 2)):
+                assert jump_general(a, idx) == jump_partitions(a, idx), (a, idx)
+        assert len(jumps._GENERAL_CACHE) <= exact.CACHE_CAP
 
 
 class TestViaXi:
