@@ -20,10 +20,11 @@ miss from its ``compute`` and keeps at most ``CACHE_CAP`` entries, evicting
 the oldest first, a block at a time.  The lattice walks of
 :mod:`ellsuper.orbits`, the ε/η/Ξ morphisms of :mod:`ellsuper.sft`, the
 Γ-signature counts of :mod:`ellsuper.superpotential`, the per-ratio jump
-tables of :mod:`ellsuper.jumps`, and the block plans and the parity, level
-and extension memos of :mod:`ellsuper.linf` are all ``Memo``s.  Every
-module-level memo fills a miss from its ``compute``; the level and extension
-memos of an L∞ morphism have none and are filled through :meth:`Memo.store`.
+tables and sided parameter pairs of :mod:`ellsuper.jumps`, and the block
+plans and the parity, level and extension memos of :mod:`ellsuper.linf` are
+all ``Memo``s.  Every module-level memo but the jump tables fills a miss
+from its ``compute``; the jump tables and the level and extension memos of
+an L∞ morphism have none and are filled through :meth:`Memo.store`.
 """
 
 from __future__ import annotations
@@ -212,8 +213,9 @@ class Memo(dict):
         until the dict is next resized, so finding the single oldest entry
         on every insert would rescan the holes left by earlier evictions;
         one scan per block keeps an insert into a full memo O(1) amortised.
+        A key already present is overwritten in its place and evicts nothing.
         """
-        if len(self) >= CACHE_CAP:
+        if len(self) >= CACHE_CAP and key not in self:
             for old in list(islice(self, CACHE_CAP // 16 + 1)):
                 del self[old]
         self[key] = value

@@ -31,6 +31,11 @@ k-fold transfer at a.  Three independent routes are implemented:
   kept as the reference :func:`ellsuper.oracle.jump_partitions`;
 * :func:`jump_via_xi` — direct evaluation through the L-infinity engine.
 
+Every route reads the parameters (1, a-) and (1, a+) of a ratio from one
+``Memo`` keyed by the ratio, so equal ratios share one identical pair, and
+the ε/η/Ξ memos of :mod:`ellsuper.sft` and the lattice walks of
+:mod:`ellsuper.orbits` that are keyed by it find their entries by identity.
+
 :func:`support_scan` enumerates every nonzero k >= 2 jump with output index
 up to a bound, one pass per candidate ratio.  A ``Memo`` keyed by ratio keeps,
 per ratio, what the last scan there found: the bound and the nonzero jumps of
@@ -46,7 +51,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import Memo, aut_size, exp_series_pass, rational, vec_add, vec_factorial
-from .orbits import Side, gamma, gamma_points, jump_union, normalized
+from .orbits import Side, SpectrumParams, gamma, gamma_points, jump_union, normalized
 from .sft import o_key, xi
 
 __all__ = [
@@ -59,20 +64,23 @@ __all__ = [
 ]
 
 
-def _sides(a: Fraction) -> tuple:
-    return normalized(a, Side.MINUS), normalized(a, Side.PLUS)
+# ratio a -> (normalized(a, MINUS), normalized(a, PLUS))
+_SIDES = Memo(lambda a: (normalized(a, Side.MINUS), normalized(a, Side.PLUS)))
+
+
+def _sides(a: int | str | Fraction) -> tuple[SpectrumParams, SpectrumParams]:
+    """The (a-, a+) parameters of a ratio; equal ratios return the identical pair."""
+    return _SIDES[rational(a)]
 
 
 def jump_cylinder(a: int | str | Fraction, i: int) -> Fraction:
     """k = 1 jump: (Γ^{a+}_i)! / (Γ^{a-}_i)!; equals a on J_i and 1 otherwise."""
-    a = rational(a)
     minus, plus = _sides(a)
     return Fraction(vec_factorial(gamma(plus, i)), vec_factorial(gamma(minus, i)))
 
 
 def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     """k = 2 jump in closed form."""
-    a = rational(a)
     minus, plus = _sides(a)
     out_index = i + j + 1
     numerator = vec_factorial(gamma(plus, out_index))
@@ -160,7 +168,6 @@ def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
 
 def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     """Arbitrary-arity jump read off the L-infinity transfer morphism."""
-    a = rational(a)
     idx = tuple(sorted(indices))
     if not idx or any(i < 1 for i in idx):
         raise ValueError(f"orbit indices must be positive integers, got {indices}")

@@ -34,7 +34,9 @@ Operations
 * :func:`invert` — levelwise inverse of a morphism whose φ^1 is diagonal on
   basis generators: H^1 inverts the diagonal, and for k >= 2
   H^k(u) = -(1/c) Σ H^{s}(non-diagonal blocks of F̂ applied to the preimage),
-  where c is the coefficient of the all-singletons term.
+  where c is the coefficient of the all-singletons term.  One walk over the
+  terms of F̂(preimage) finds c among the length-k terms and sums the H^s of
+  the shorter ones.
 * :func:`check_structure` — verifies l̂ ∘ l̂ = 0 on supplied words.
 
 Both extensions walk one block plan per (word length k, block size i): the
@@ -588,8 +590,11 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
         H^k(u) = -(1/c) Σ_{blocks not all singletons} H^s(F-blocks applied to w),
 
     with w the letterwise preimage of u and c the coefficient of u in the
-    all-singletons (length-k) part of F̂(w).  The rule reads H^s through a
-    weak reference, so H is no reference cycle.
+    all-singletons (length-k) part of F̂(w).  The rule walks the terms of
+    F̂(w) once: a length-k term is the diagonal, which must be the single
+    term u, and each shorter term u' adds its coefficient times H^{|u'|}(u')
+    to one integer sum, which is then scaled by -1/c.  The rule reads H^s
+    through a weak reference, so H is no reference cycle.
     """
 
     def rule(u_word: Word) -> Combination:
@@ -607,15 +612,20 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
         w, _ = canonical_word(morphism.source, [preimage(key) for key in u_word])
         if w is None:
             raise ValueError(f"preimage of {u_word} vanishes (repeated odd letter)")
-        expansion = morphism.extend(w)
-        diagonal = expansion.restrict_length(k)
-        coeff = diagonal._terms.get(u_word)
+        level = inverse_ref().level  # H is alive: only H.level calls this rule
+        diagonal = {}
+        lower: _Sums = {}
+        for u2, (c_num, c_den) in morphism.extend(w)._terms.items():
+            if len(u2) == k:
+                diagonal[u2] = c_num, c_den
+                continue
+            for v, (d_num, d_den) in level(u2)._terms.items():
+                _add(lower, v, c_num * d_num, c_den * d_den)
+        coeff = diagonal.get(u_word)
         if coeff is None or len(diagonal) != 1:
             raise ValueError(f"phi^1 is not diagonal on the letters of {u_word}")
-        level = inverse_ref().level  # H is alive: only H.level calls this rule
-        lower = expansion.apply(lambda u2: Combination() if len(u2) == k else level(u2))
         num, den = _reciprocal(*coeff)
-        return _scaled(lower, -num, den)
+        return _combination({v: (s_num * -num, s_den * den) for v, (s_num, s_den) in lower.items()})
 
     inverse = LinfMorphism(morphism.target, morphism.source, rule)
     inverse_ref = weakref.ref(inverse)

@@ -23,11 +23,12 @@ coefficients are the building blocks of every jump formula downstream.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
-from .exact import Memo, vec_add, vec_factorial
+from .exact import Memo
 from .linf import (
     Combination,
     GeneratorSet,
@@ -126,13 +127,17 @@ def local_descendant(params: SpectrumParams, indices: Sequence[int]) -> tuple[Fr
     through a point with a maximal tangency (psi-power) constraint.
 
     Returns (N, m) with N = 1 / (Σ_s Γ_{i_s})! and m = Σ_s i_s + k - 2 the
-    psi-power of the point constraint.
+    psi-power of the point constraint.  The points Γ_{i_s} are read from one
+    walk, and the factorial is taken on integers, one axis at a time: the
+    walk's points are nonnegative and all have the same length.
     """
     indices = tuple(indices)
     if not indices or any(i < 1 for i in indices):
         raise ValueError(f"orbit indices must be positive integers, got {indices}")
-    n_value = Fraction(1, vec_factorial(vec_add(*gamma_points(params, indices))))
-    return n_value, sum(indices) + len(indices) - 2
+    denominator = 1
+    for axis in zip(*gamma_points(params, indices)):
+        denominator *= math.factorial(sum(axis))
+    return Fraction(1, denominator), sum(indices) + len(indices) - 2
 
 
 def index_words(key_fn: Callable[[int], Key], length_bound: int, index_cap: int) -> list[Word]:

@@ -336,6 +336,18 @@ class TestMemo:
         # 32 // 16 + 1 = 3 entries go per eviction
         assert list(memo) == list(range(100 - len(memo), 100))
 
+    def test_a_re_store_into_a_full_memo_keeps_its_size_and_the_key_in_place(self, monkeypatch):
+        monkeypatch.setattr(exact, "CACHE_CAP", 32)
+        memo = Memo()
+        for key in range(32):
+            memo.store(key, key)
+        for key in (31, 0, 17):
+            assert memo.store(key, -key) == -key
+            assert list(memo) == list(range(32))
+        assert memo[0] == 0 and memo[17] == -17 and memo[31] == -31
+        memo.store(32, 32)  # a new key still evicts the oldest block
+        assert list(memo) == list(range(3, 33))
+
 
 # every module-level memo of the package
 MODULE_MEMOS = (
@@ -343,6 +355,7 @@ MODULE_MEMOS = (
     ("sft", "_EPSILON_CACHE"),
     ("sft", "_ETA_CACHE"),
     ("sft", "_XI_CACHE"),
+    ("jumps", "_SIDES"),
     ("superpotential", "_WT_CACHE"),
     ("linf", "_BLOCK_PLANS"),
     ("linf", "_ODD_HEAD_PLANS"),

@@ -8,7 +8,10 @@ transfer-stack outputs (``jumps``, ``check``, ``gamma``, ``spectrum``,
 ``gamma``/``spectrum`` outputs by a walk over dual-number perturbed actions
 (now ``oracle.DualRational``); the code that replaced them must print the
 same bytes.  ``descendant --orbits 1500`` sits at the index-sum cap, where the
-printed denominator has 3,719 digits.  ``superpotential --d 60 --a inf`` and
+printed denominator has 3,719 digits, and ``jumps --a 1/3 --orbits
+2,3,3,3,3,3,3,3 --route all`` at the ξ arity cap (8 indices), where both
+routes give -4188800/2187, was printed before ε's levels were computed on
+integers and η's rule read F̂ in one pass.  ``superpotential --d 60 --a inf`` and
 ``table --d 20 --min 1 --max inf`` were computed by the ``Fraction``
 exp-series kernel (now ``oracle.exp_series_pass_fractions``): deep counts
 with large numerators, where a denominator or rescaling slip of the integer
@@ -70,6 +73,10 @@ CASES = [
     ("jumps_a1-2_o2-2-2-2_all.json", ["jumps", "--a", "1/2", "--orbits", "2,2,2,2", "--route", "all"]),
     ("jumps_a1-2_o1-2-2-2_recursive.json", ["jumps", "--a", "1/2", "--orbits", "1,2,2,2", "--route", "recursive"]),
     ("jumps_a2-9_o1-10_all.json", ["jumps", "--a", "2/9", "--orbits", "1,10", "--route", "all"]),
+    (
+        "jumps_a1-3_o2-3-3-3-3-3-3-3_all.json",
+        ["jumps", "--a", "1/3", "--orbits", "2,3,3,3,3,3,3,3", "--route", "all"],
+    ),
     ("check_aug_b3.json", ["check", "--suite", "aug", "--bound", "3"]),
     ("check_genfun_b30.json", ["check", "--suite", "genfun", "--bound", "30"]),
     ("gamma_a1-3-2_k0-8.csv", ["gamma", "--a", "1,3/2", "--k", "0..8", "--format", "csv"]),

@@ -162,6 +162,26 @@ class TestGeneralCache:
         assert len(jumps._GENERAL_CACHE) <= exact.CACHE_CAP
 
 
+class TestSides:
+    """Every route reads a ratio's (a-, a+) parameters from one memo keyed by the ratio."""
+
+    def test_equal_ratios_return_the_identical_pair(self):
+        minus, plus = pair = jumps._sides("3/2")
+        assert jumps._sides(Fraction(6, 4)) is pair
+        assert (minus, plus) == (normalized("3/2", Side.MINUS), normalized("3/2", Side.PLUS))
+
+    def test_the_cap_holds_and_evicted_ratios_recompute(self, monkeypatch):
+        monkeypatch.setattr(jumps, "_SIDES", Memo(jumps._SIDES.compute))
+        monkeypatch.setattr(exact, "CACHE_CAP", 8)
+        ratios = [Fraction(5, 4)] + [Fraction(3 + i, 2) for i in range(19)]
+        for a in ratios:
+            jumps._sides(a)
+            assert len(jumps._SIDES) <= exact.CACHE_CAP
+        assert ratios[0] not in jumps._SIDES
+        assert jump_via_xi(ratios[0], (2, 8)) == jump_partitions(ratios[0], (2, 8)) == Fraction(-1, 4)
+        assert len(jumps._SIDES) <= exact.CACHE_CAP
+
+
 class TestViaXi:
     def test_reference_value(self):
         assert jump_via_xi(Fraction(5, 4), (2, 8)) == Fraction(-1, 4)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsuper import exact, linf
@@ -738,6 +738,80 @@ class TestInvert:
         h_words = [Word(tuple(h(k[1]) for k in w)) for w in g_words]
         assert morphisms_agree(compose(H, F), ident, g_words).ok
         assert morphisms_agree(compose(F, H), ident, h_words).ok
+
+    @staticmethod
+    def table_morphism(levels):
+        """F^k(w) = levels[w], zero on every other word."""
+        return LinfMorphism(EVEN_SOURCE, EVEN_SOURCE, lambda w: levels.get(w, Combination()))
+
+    def test_level_one_rejects_a_non_diagonal_first_level(self):
+        F = self.table_morphism({word(g(1)): Combination({word(h(1)): 1, word(h(2)): 1})})
+        H = invert(F, preimage=lambda key: g(key[1]))
+        with pytest.raises(ValueError, match=r"phi\^1 is not diagonal at \('g', 1\)"):
+            H.level(word(h(1)))
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            # F̂(g1.g2) = F^1(g1) F^1(g2) = h1.h2 + h2.h2
+            {word(g(1)): Combination({word(h(1)): 1, word(h(2)): 1}), word(g(2)): Combination.single(word(h(2)))},
+            # F^1(g2) = 0, so F̂(g1.g2) = F^2(g1.g2) = h3, and H^1(h3) is defined
+            {
+                word(g(1)): Combination.single(word(h(1))),
+                word(g(3)): Combination.single(word(h(3))),
+                word(g(1), g(2)): Combination.single(word(h(3))),
+            },
+        ],
+        ids=["two length-k terms", "no length-k term"],
+    )
+    def test_level_k_rejects_an_expansion_without_one_diagonal_term(self, levels):
+        H = invert(self.table_morphism(levels), preimage=lambda key: g(key[1]))
+        with pytest.raises(ValueError, match=r"phi\^1 is not diagonal on the letters of \(\('h', 1\), \('h', 2\)\)"):
+            H.level(word(h(1), h(2)))
+
+    @staticmethod
+    def two_pass_inverse(morphism, preimage):
+        """The inverse by its defining formula: restrict F̂(w) to length k for
+        the diagonal, then apply H to the whole of F̂(w), length-k terms as 0."""
+
+        def rule(u_word):
+            k = len(u_word)
+            if k == 1:
+                w = (preimage(u_word[0]),)
+                return Combination.single(w, 1 / morphism.level(w)[u_word])
+            w, _ = canonical_word(morphism.source, [preimage(key) for key in u_word])
+            expansion = morphism.extend(w)
+            diagonal = expansion.restrict_length(k)
+            assert len(diagonal) == 1 and diagonal[u_word]
+            lower = expansion.apply(lambda u2: Combination() if len(u2) == k else inverse.level(u2))
+            return lower * (-1 / diagonal[u_word])
+
+        inverse = LinfMorphism(morphism.target, morphism.source, rule)
+        return inverse
+
+    @given(
+        genset=st.sampled_from([EVEN_SOURCE, GRADED]),
+        coeff=st.sampled_from([Fraction(1), Fraction(2), Fraction(-3, 2)]),
+        three=st.sampled_from([Fraction(0), Fraction(5, 7)]),
+        indices=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_one_pass_rule_equals_the_two_pass_formula(self, genset, coeff, three, indices):
+        """F^1 = coeff·id, F^2(g_i.g_j) = h_{i+j} and F^3(g_i.g_j.g_l) = three·h_{i+j+l},
+        on even letters or on letters of parity i: equal levels, terms in the same order."""
+
+        def rule(w):
+            if len(w) == 3:
+                return Combination.single(word(h(sum(key[1] for key in w))), three)
+            return two_level_morphism(coeff)(w)
+
+        F = LinfMorphism(genset, genset, rule)
+        u_word, _ = canonical_word(genset, [h(i) for i in indices])
+        if u_word is None:  # a repeated odd letter
+            return
+        one_pass = invert(F, lambda key: g(key[1])).level(u_word)
+        two_pass = self.two_pass_inverse(F, lambda key: g(key[1])).level(u_word)
+        assert list(one_pass.terms()) == list(two_pass.terms())
 
 
 class TestMorphismsAgree:

@@ -12,8 +12,8 @@ from ellsuper import sft
 from ellsuper.exact import CACHE_CAP
 from ellsuper.jumps import jump_general, jump_via_xi
 from ellsuper.linf import Combination, Word, abelian, compose, morphisms_agree
-from ellsuper.oracle import cp2_exp_mc
-from ellsuper.orbits import Side, action, candidate_discontinuities, normalized
+from ellsuper.oracle import cp2_exp_mc, gamma_bruteforce
+from ellsuper.orbits import SpectrumParams, Side, action, candidate_discontinuities, normalized
 from ellsuper.sft import (
     ca_generators,
     co_generators,
@@ -204,6 +204,32 @@ class TestLocalDescendant:
         count, psi_power = local_descendant(normalized("3/2"), (2,))
         assert count == 1
         assert psi_power == 1
+
+    @given(
+        params=st.one_of(
+            st.lists(
+                st.fractions(min_value="1/6", max_value=8, max_denominator=6), min_size=1, max_size=3
+            ).map(SpectrumParams),
+            st.builds(
+                normalized,
+                st.fractions(min_value=1, max_value=8, max_denominator=6),
+                st.sampled_from([Side.MINUS, Side.PLUS]),
+            ),
+        ),
+        indices=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_matches_brute_force_lattice_paths(self, params, indices):
+        """N = 1 / (Σ_s Γ_{i_s})! with each Γ from the brute-force minimizer."""
+        points = [gamma_bruteforce(params, i) for i in indices]
+        total = [sum(axis) for axis in zip(*points)]
+        expected = Fraction(1, math.prod(math.factorial(x) for x in total))
+        assert local_descendant(params, indices) == (expected, sum(indices) + len(indices) - 2)
+
+    @pytest.mark.parametrize("indices", [(), (0,), (2, 0), (-1, 3)])
+    def test_an_index_below_one_raises(self, indices):
+        with pytest.raises(ValueError, match="orbit indices must be positive integers"):
+            local_descendant(normalized("3/2"), indices)
 
 
 class TestExpMc:
