@@ -30,14 +30,18 @@ from one unmemoized integer walk.
 ``check --suite S --bound B`` exits 1 above the suite's cap.  At their caps
 the other suites take seconds: ``LINF_MAX_BOUND`` (6; every further letter
 multiplies the words of the inverse checks), ``AUG_MAX_BOUND`` (6),
-``JUMPS_MAX_BOUND`` (20; about 2 s and a peak RSS of 23 MB) and
-``GENFUN_MAX_BOUND`` (30).  ``GAMMA_SUITE_MAX_BOUND`` (500 cases) takes
+``JUMPS_MAX_BOUND`` (20, set in ``ellsuper.jumps``; 0.5–1.0 s and a peak RSS
+of 24 MB) and ``GENFUN_MAX_BOUND`` (30).  ``GAMMA_SUITE_MAX_BOUND`` (500 cases) takes
 about 0.5 s, since the brute force compares every composition on one integer
 action table.
 ``jumps --orbits i_1,...,i_k`` exits 1 when a route that runs ξ (``xi``,
 ``all``) gets more than ``JUMPS_XI_MAX_ORBITS`` (8) indices, or when
 ``recursive``/``all`` would visit more than ``JUMPS_MAX_SUBMULTISETS`` (4096)
 sub-multisets, Π (m_i + 1) over the multiplicities m_i of the distinct indices.
+At the cap ``--orbits 1,2,…,12 --route recursive`` took 1.1–1.3 s and a peak
+RSS of 131 MB, but the cap does not bound the splits between sub-multisets,
+which repeated indices multiply: seven each of 1, 2, 3, 4 took 3.7–4.0 s and
+516 MB, and 63 ones with 63 twos 58 s and 3.5 GB.
 ``superpotential --d`` and ``bound --d`` exit 1 above ``COUNT_MAX_DEGREE``
 (120; one count there takes about 2 s at the slowest ratios), and
 ``table --d`` above ``TABLE_MAX_DEGREE`` (32; the table over (1, ∞) takes
@@ -73,7 +77,7 @@ from math import prod
 from typing import Sequence
 
 from .exact import format_rational, rational
-from .jumps import jump_cylinder, jump_general, jump_pants, jump_via_xi, support_scan
+from .jumps import JUMPS_MAX_BOUND, jump_cylinder, jump_general, jump_pants, jump_via_xi, support_scan
 from .orbits import (
     Side,
     SpectrumParams,
@@ -108,11 +112,10 @@ GAMMA_MAX_WIDTH = 100_000
 GAMMA_MAX_OUTPUT_DIGITS = 25_000_000
 # most ``--a`` axes (``gamma``, ``spectrum``, ``descendant``, ``bound``)
 PARAMS_MAX_AXES = 16
-# largest ``check --suite S --bound`` per suite
+# largest ``check --suite S --bound`` per suite (``jumps``: ``jumps.JUMPS_MAX_BOUND``)
 GAMMA_SUITE_MAX_BOUND = 500
 LINF_MAX_BOUND = 6
 AUG_MAX_BOUND = 6
-JUMPS_MAX_BOUND = 20
 GENFUN_MAX_BOUND = 30
 # most ``jumps --orbits`` indices on a route that runs xi, and most
 # sub-multisets of the indices on the recursive route

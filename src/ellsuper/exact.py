@@ -201,9 +201,16 @@ class Memo(dict):
         self.compute = compute
 
     def __missing__(self, key):
-        if self.compute is None:
+        # inserts itself rather than through ``store``: a miss is the common
+        # insert, and the method call was a measurable share of its cost
+        compute = self.compute
+        if compute is None:
             raise KeyError(key)
-        return self.store(key, self.compute(key))
+        value = compute(key)
+        if len(self) >= CACHE_CAP and key not in self:
+            self._evict()
+        self[key] = value
+        return value
 
     def store(self, key, value):
         """``self[key] = value``, first evicting the oldest entries of a full memo; returns value.
@@ -214,9 +221,13 @@ class Memo(dict):
         on every insert would rescan the holes left by earlier evictions;
         one scan per block keeps an insert into a full memo O(1) amortised.
         A key already present is overwritten in its place and evicts nothing.
+        A miss of ``memo[key]`` inserts the same way.
         """
         if len(self) >= CACHE_CAP and key not in self:
-            for old in list(islice(self, CACHE_CAP // 16 + 1)):
-                del self[old]
+            self._evict()
         self[key] = value
         return value
+
+    def _evict(self) -> None:
+        for old in list(islice(self, CACHE_CAP // 16 + 1)):
+            del self[old]

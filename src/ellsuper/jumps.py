@@ -36,12 +36,42 @@ Every route reads the parameters (1, a-) and (1, a+) of a ratio from one
 the ε/η/Ξ memos of :mod:`ellsuper.sft` and the lattice walks of
 :mod:`ellsuper.orbits` that are keyed by it find their entries by identity.
 
+Every pass at a = p/q (lowest terms) seeds its first steps in closed form.
+Let m = p + q.  The ratio a lies in J_s exactly when m divides s + 1, so the
+least such s is s(a) = m - 1, and Γ^{a+}_t = Γ^{a-}_t for every t < s(a).
+Take a step I with w(I) < m, so that every index and every block of I has
+output index below s(a) and both sides read one Γ.  Then J(I) is 1 for
+|I| = 1, since the cylinder jump is (Γ_i)!/(Γ_i)!, and 0 for |I| >= 2 by
+induction on |I|: the blocks of I with |B| >= 2 have J(B) = 0, so only the
+partition into singletons survives the recursion's sum, and its term
+(Γ_j)!/(Σ_s Γ_{i_s})! cancels the one-block term.  Hence F_I is u^{Γ⁺_i}
+for I = (i) and 0 otherwise, and E_I = [t^I] exp(Σ_i t^i u^{Γ_i}) is
+u^{Σ_s Γ_{i_s}} / aut(I).  The pass puts these monomials and series into
+:func:`exact.exp_series_pass`'s ``state`` and runs only the steps with
+w(I) >= m, on every route that runs a pass.
+
 :func:`support_scan` enumerates every nonzero k >= 2 jump with output index
-up to a bound, one pass per candidate ratio.  A ``Memo`` keyed by ratio keeps,
-per ratio, what the last scan there found: the bound and the nonzero jumps of
-every index tuple with output index up to it.
-:func:`jump_general` reads a covered tuple from it, a missing entry being 0,
-and runs one pass for any other tuple without storing it.
+up to a bound, one pass per candidate ratio.  Up to ``JUMPS_MAX_BOUND`` each
+pass also drops the steps that cannot lead to a nonzero jump, by the support
+rule: a jump J^a(I) with k >= 2 is nonzero only if a ∈ J_{out(I)} or
+a ∈ J_i for some i ∈ I, that is, only if m | w(I) or m | i + 1 for some
+i ∈ I.  The rule is observed, not proven; the tests verify it exhaustively
+on the whole capped domain, every tuple with output index up to
+``JUMPS_MAX_BOUND`` at every ratio of ∪_{s <= JUMPS_MAX_BOUND} J_s, and a
+tuple's jump does not depend on the bound of the scan that reaches it, so
+it holds for every scan up to the cap.  The singletons and the tuples the
+rule allows to be nonzero are the targets, and a pass runs their
+down-closure in the family, which is a family again.  Adding one index j
+to I adds j + 1 >= 2 to the weight, so I lies below a target within the
+bound B exactly when I is a target, or w(I) + m <= B + 1 (add j = m - 1),
+or the next multiple of m above w(I) is at least w(I) + 2 and at most
+B + 1 (add one index to reach it).  That test reads only m and B, so one
+plan is filtered once per m.  Above the cap every step runs.
+
+A ``Memo`` keyed by ratio keeps, per ratio, what the last scan there found:
+the bound and the nonzero jumps of every index tuple with output index up
+to it.  :func:`jump_general` reads a covered tuple from it, a missing entry
+being 0, and runs one pass for any other tuple without storing it.
 """
 
 from __future__ import annotations
@@ -55,6 +85,7 @@ from .orbits import Side, SpectrumParams, gamma, gamma_points, jump_union, norma
 from .sft import o_key, xi
 
 __all__ = [
+    "JUMPS_MAX_BOUND",
     "jump_cylinder",
     "jump_pants",
     "jump_general",
@@ -63,6 +94,9 @@ __all__ = [
     "support_scan",
 ]
 
+# largest support_scan bound whose passes the support rule prunes (module
+# docstring), and the cap of the CLI's ``check --suite jumps --bound``
+JUMPS_MAX_BOUND = 20
 
 # ratio a -> (normalized(a, MINUS), normalized(a, PLUS))
 _SIDES = Memo(lambda a: (normalized(a, Side.MINUS), normalized(a, Side.PLUS)))
@@ -73,14 +107,31 @@ def _sides(a: int | str | Fraction) -> tuple[SpectrumParams, SpectrumParams]:
     return _SIDES[rational(a)]
 
 
+def _indices(indices: Sequence[int]) -> tuple[int, ...]:
+    """The orbit indices sorted; raises ValueError unless there are some and each is an int >= 1."""
+    try:
+        idx = tuple(sorted(indices))
+    except TypeError:  # not iterable, or values that do not compare, such as a str among ints
+        idx = ()
+    for i in idx:
+        if i.__class__ is not int:
+            idx = ()
+            break
+    if not idx or idx[0] < 1:
+        raise ValueError(f"orbit indices must be positive integers, got {indices}")
+    return idx
+
+
 def jump_cylinder(a: int | str | Fraction, i: int) -> Fraction:
     """k = 1 jump: (Γ^{a+}_i)! / (Γ^{a-}_i)!; equals a on J_i and 1 otherwise."""
+    _indices((i,))
     minus, plus = _sides(a)
     return Fraction(vec_factorial(gamma(plus, i)), vec_factorial(gamma(minus, i)))
 
 
 def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     """k = 2 jump in closed form."""
+    _indices((i, j))
     minus, plus = _sides(a)
     out_index = i + j + 1
     numerator = vec_factorial(gamma(plus, out_index))
@@ -95,7 +146,8 @@ def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
 
 # ratio a -> (bound, {sorted I with out(I) <= bound: J^a(I) != 0}) of the last support_scan at a
 _GENERAL_CACHE = Memo()
-_ZERO = Fraction(0)  # a covered tuple missing from its scan's table
+_ZERO = Fraction(0)  # a tuple missing from its scan's table or its pass's values
+_ONE = Fraction(1)  # a seeded singleton's jump
 
 
 def _sub_multisets(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -131,20 +183,35 @@ def _plan(family: Iterable[tuple[int, ...]]) -> list[tuple]:
 
 
 def _ratio_pass(a: Fraction, plan: list[tuple]) -> dict[tuple[int, ...], Fraction]:
-    """J^a(I) for every multiset I of a plan, in one :func:`exact.exp_series_pass`.
+    """The nonzero J^a(I) over the multisets I of a plan, from one :func:`exact.exp_series_pass`.
 
-    The pass gets P_I = Γ⁺_{out(I)} and N_I = 1/(Σ_s Γ⁻_{i_s})!.
+    The steps with w(I) < p + q are seeded in closed form (module
+    docstring); the pass resumes from them and gets P_I = Γ⁺_{out(I)} and
+    N_I = 1/(Σ_s Γ⁻_{i_s})! for the rest.
     """
-    minus, plus = _sides(a)
-    g_minus = gamma_points(minus, range(max(max(step[0]) for step in plan) + 1))
-    g_plus = gamma_points(plus, range(plan[-1][1]))
+    seeded = a.numerator + a.denominator  # steps with a smaller weight are seeded
+    g_minus, g_plus = (gamma_points(side, range(plan[-1][1])) for side in _sides(a))
+    x_minus = [point[0] for point in g_minus]  # Γ_i = (x, i - x)
+    values, monomials, series = {}, {}, {}
+    bases: dict[tuple[int, int], Fraction] = {}  # Σ_s Γ⁻_{i_s} -> N_I
     steps = []
     for idx, weight, aut, splits in plan:
-        x_in = sum(g_minus[i][0] for i in idx)
-        y_in = sum(g_minus[i][1] for i in idx)
-        base = Fraction(1, math.factorial(x_in) * math.factorial(y_in))
+        x_in = sum(map(x_minus.__getitem__, idx))
+        point = (x_in, weight - len(idx) - x_in)
+        if weight < seeded:
+            if len(idx) == 1:
+                values[idx] = _ONE
+                monomials[idx] = (*g_plus[weight - 1], 1, 1)
+            series[idx] = (aut, {point: 1})
+            continue
+        base = bases.get(point)
+        if base is None:
+            base = bases[point] = Fraction(1, math.factorial(point[0]) * math.factorial(point[1]))
         steps.append((idx, weight, aut, splits, g_plus[weight - 1], base))
-    return exp_series_pass(steps)
+    for idx, value in exp_series_pass(steps, (monomials, series)).items():
+        if value:
+            values[idx] = value
+    return values
 
 
 def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
@@ -157,20 +224,16 @@ def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     and nothing is stored.
     """
     a = rational(a)
-    idx = tuple(sorted(indices))
-    if not idx or any(i < 1 for i in idx):
-        raise ValueError(f"orbit indices must be positive integers, got {indices}")
+    idx = _indices(indices)
     scanned = _GENERAL_CACHE.get(a)
     if scanned is not None and sum(idx) + len(idx) - 1 <= scanned[0]:
         return scanned[1].get(idx, _ZERO)
-    return _ratio_pass(a, _plan(sorted(_sub_multisets(idx)[1:], key=_weight_order)))[idx]
+    return _ratio_pass(a, _plan(sorted(_sub_multisets(idx)[1:], key=_weight_order))).get(idx, _ZERO)
 
 
 def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     """Arbitrary-arity jump read off the L-infinity transfer morphism."""
-    idx = tuple(sorted(indices))
-    if not idx or any(i < 1 for i in idx):
-        raise ValueError(f"orbit indices must be positive integers, got {indices}")
+    idx = _indices(indices)
     minus, plus = _sides(a)
     morphism = xi(minus, plus)
     word = tuple(o_key(i) for i in idx)
@@ -200,20 +263,46 @@ def _scan_family(bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(family, key=_weight_order))
 
 
+def _reaches(idx: tuple[int, ...], weight: int, m: int, bound: int) -> bool:
+    """Whether I lies below a target of the support rule at p + q = m within the bound.
+
+    The targets are the singletons and the I with m | w(I) or m | i + 1 for
+    some i ∈ I; the closed form is derived in the module docstring.
+    """
+    if len(idx) == 1 or weight % m == 0 or any((i + 1) % m == 0 for i in idx):
+        return True
+    top = bound + 1  # the largest weight of the family
+    above = weight + m - weight % m  # the next multiple of m
+    return weight + m <= top or (above - weight >= 2 and above <= top)
+
+
 def support_scan(bound: int) -> tuple[ScanHit, ...]:
     """All nonzero jumps with k >= 2 inputs and output index Σi + k - 1 <= bound.
 
     The ratio a ranges over ∪_{s <= bound} J_s; nonzero jumps cannot occur
     elsewhere.  At each ratio one pass gives the jump of every index tuple up
     to the bound, and its nonzero values replace the ratio's entry in
-    ``_GENERAL_CACHE``.
+    ``_GENERAL_CACHE``.  Each pass seeds its steps with w(I) < p + q in
+    closed form, and up to ``JUMPS_MAX_BOUND`` runs only the down-closure
+    of the support rule's targets, filtered from one plan once per p + q;
+    the module docstring gives the seeding argument and the rule's verified
+    domain.  Above the cap every step runs.
     """
+    if not isinstance(bound, int):
+        raise TypeError(f"bound must be an integer, got {bound!r}")
     if bound < 3:
         return ()
     plan = _plan(_scan_family(bound))
+    kept: dict[int, list[tuple]] = {}  # p + q -> the steps its passes run
     hits: list[ScanHit] = []
     for a in jump_union(range(1, bound + 1)):
-        nonzero = {idx: value for idx, value in _ratio_pass(a, plan).items() if value}
+        m = a.numerator + a.denominator
+        steps = kept.get(m)
+        if steps is None:
+            steps = kept[m] = plan if bound > JUMPS_MAX_BOUND else [
+                step for step in plan if _reaches(step[0], step[1], m, bound)
+            ]
+        nonzero = _ratio_pass(a, steps)
         _GENERAL_CACHE.store(a, (bound, nonzero))
         hits += [ScanHit(a, idx, value) for idx, value in nonzero.items() if len(idx) >= 2]
     hits.sort(key=lambda h: (h.a, len(h.indices), h.indices))

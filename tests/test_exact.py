@@ -348,6 +348,17 @@ class TestMemo:
         memo.store(32, 32)  # a new key still evicts the oldest block
         assert list(memo) == list(range(3, 33))
 
+    def test_a_miss_into_a_full_memo_evicts_what_store_evicts(self, monkeypatch):
+        monkeypatch.setattr(exact, "CACHE_CAP", 32)
+        missed, stored = Memo(lambda key: -key), Memo()
+        for key in range(32):
+            missed[key]
+            stored.store(key, -key)
+        for key in range(32, 100):
+            assert missed[key] == stored.store(key, -key) == -key
+            assert list(missed.items()) == list(stored.items())
+            assert len(missed) <= 32
+
 
 # every module-level memo of the package
 MODULE_MEMOS = (

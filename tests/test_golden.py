@@ -24,6 +24,8 @@ were printed while each gap's points still came from their own walk: ends
 that are not candidates, a range narrower than 1 with no candidate inside,
 and ends that are candidates, so the first gap's sample and a finite upper
 end are reached.
+``check --suite jumps --bound 20`` was printed at the jumps cap before each
+support-scan pass was seeded and pruned to the support rule's targets.
 ``check --suite genfun --bound 30`` was printed at the genfun cap by the
 check that multiplied ``Fraction`` series over the full length.
 
@@ -70,6 +72,7 @@ CASES = [
     ("check_linf.json", ["check", "--suite", "linf"]),
     ("check_jumps_b7.json", ["check", "--suite", "jumps", "--bound", "7"]),
     ("check_jumps_b12.json", ["check", "--suite", "jumps", "--bound", "12"]),
+    ("check_jumps_b20.json", ["check", "--suite", "jumps", "--bound", "20"]),
     ("jumps_a1-2_o2-2-2-2_all.json", ["jumps", "--a", "1/2", "--orbits", "2,2,2,2", "--route", "all"]),
     ("jumps_a1-2_o1-2-2-2_recursive.json", ["jumps", "--a", "1/2", "--orbits", "1,2,2,2", "--route", "recursive"]),
     ("jumps_a2-9_o1-10_all.json", ["jumps", "--a", "2/9", "--orbits", "1,10", "--route", "all"]),

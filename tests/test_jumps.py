@@ -4,13 +4,16 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from unittest.mock import patch
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellsuper import exact, jumps
 from ellsuper.exact import Memo
 from ellsuper.jumps import (
+    JUMPS_MAX_BOUND,
     ScanHit,
     jump_cylinder,
     jump_general,
@@ -20,7 +23,7 @@ from ellsuper.jumps import (
 )
 from ellsuper.linf import Word, compose
 from ellsuper.oracle import jump_partitions
-from ellsuper.orbits import Side, action, jump_set, jump_union, normalized
+from ellsuper.orbits import Side, action, gamma, gamma_points, jump_set, jump_union, normalized
 from ellsuper.sft import o_key, xi
 from ellsuper.superpotential import wt_T_infinity
 
@@ -160,6 +163,142 @@ class TestGeneralCache:
             for idx in ((1,), (2, 3), (1, 1, 2)):
                 assert jump_general(a, idx) == jump_partitions(a, idx), (a, idx)
         assert len(jumps._GENERAL_CACHE) <= exact.CACHE_CAP
+
+
+class TestIndexValidation:
+    """Every route rejects the same inputs with the same message."""
+
+    @pytest.mark.parametrize(
+        "route, indices",
+        [
+            (lambda idx: jump_cylinder(2, *idx), (0,)),
+            (lambda idx: jump_cylinder(2, *idx), (-1,)),
+            (lambda idx: jump_cylinder(2, *idx), (1.5,)),
+            (lambda idx: jump_pants(2, *idx), (0, 1)),
+            (lambda idx: jump_pants(2, *idx), (2, 0)),
+            (lambda idx: jump_pants(2, *idx), (1, 2.0)),
+            (lambda idx: jump_general(2, idx), (2, 0)),
+            (lambda idx: jump_general(2, idx), (1.5, 2)),
+            (lambda idx: jump_general(2, idx), ()),
+            (lambda idx: jump_general(2, idx), ("1", 2)),
+            (lambda idx: jump_general(2, idx), ("1", "2")),
+            (lambda idx: jump_general(2, idx), (True, 2)),
+            (lambda idx: jump_via_xi(2, idx), (2, 0)),
+            (lambda idx: jump_via_xi(2, idx), (1.5, 2)),
+            (lambda idx: jump_via_xi(2, idx), ()),
+        ],
+    )
+    def test_a_bad_index_raises_one_message(self, route, indices):
+        with pytest.raises(ValueError, match=r"orbit indices must be positive integers, got \("):
+            route(indices)
+
+    @pytest.mark.parametrize("bound", [2.5, 3.5, Fraction(7, 2), "10"])
+    def test_support_scan_rejects_a_non_integer_bound(self, bound):
+        with pytest.raises(TypeError, match="bound must be an integer"):
+            support_scan(bound)
+
+
+class TestSeededPasses:
+    """Each pass seeds its steps with w(I) = out(I) + 1 < p + q in closed form."""
+
+    @given(
+        p=st.integers(1, 9),
+        q=st.integers(1, 9),
+        indices=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+    )
+    @example(p=3, q=4, indices=[1, 1, 2])  # w(I) = 7 = p + q: its parts are seeded, I is not
+    @example(p=4, q=5, indices=[1, 2])  # w(I) = 5 < 9: seeded outright
+    @example(p=2, q=1, indices=[2, 2, 5])  # w(I) = 12 > 3, the singleton (2) is on J_2
+    @settings(deadline=None, max_examples=120)
+    def test_a_miss_equals_the_partition_recursion(self, p, q, indices):
+        """jump_general's miss path, below and above w(I) = p + q."""
+        a = Fraction(p, q)
+        with patch.object(jumps, "_GENERAL_CACHE", Memo()):
+            assert jump_general(a, indices) == jump_partitions(a, indices), (a, indices)
+
+    def test_the_sides_first_differ_at_s_of_a(self):
+        """Γ⁺_t = Γ⁻_t for t < s(a) = p + q - 1 and not at s(a), the lemma behind
+        the seeding; so a singleton's seed may read either side."""
+        for a in jump_union(range(1, JUMPS_MAX_BOUND + 1)):
+            s_a = a.numerator + a.denominator - 1
+            minus, plus = jumps._sides(a)
+            below = range(s_a + 1)
+            assert gamma_points(minus, below)[:-1] == gamma_points(plus, below)[:-1], a
+            assert gamma(minus, s_a) != gamma(plus, s_a), a
+            assert a in jump_set(s_a) and not any(a in jump_set(t) for t in range(1, s_a)), a
+
+    def test_seeded_steps_hold_the_closed_form(self):
+        """Below s(a) = p + q - 1 a pass's values are 1 on singletons and 0 otherwise."""
+        plan = jumps._plan(jumps._scan_family(10))
+        for a in (Fraction(5, 6), Fraction(7, 4), Fraction(10, 1)):
+            m = a.numerator + a.denominator
+            values = jumps._ratio_pass(a, plan)
+            for idx, weight, *_ in plan:
+                if weight < m:
+                    assert values.get(idx, 0) == (1 if len(idx) == 1 else 0), (a, idx)
+                    assert jump_partitions(a, idx) == values.get(idx, 0), (a, idx)
+
+
+def is_target(idx, m):
+    """The support rule's targets at p + q = m: singletons, and I with m | w(I) or m | i + 1, i ∈ I."""
+    weight = sum(idx) + len(idx)
+    return len(idx) == 1 or weight % m == 0 or any((i + 1) % m == 0 for i in idx)
+
+
+class TestSupportRule:
+    """Up to JUMPS_MAX_BOUND a scan's passes run the down-closure of the rule's targets."""
+
+    def test_the_rule_holds_on_the_whole_capped_domain(self, monkeypatch):
+        """Exhaustive: the pruned scan at the cap equals unpruned passes at every
+        ratio of ∪_{s <= cap} J_s and every tuple, and every nonzero jump
+        with k >= 2 of the unpruned passes is a target."""
+        monkeypatch.setattr(jumps, "_GENERAL_CACHE", Memo())
+        support_scan(JUMPS_MAX_BOUND)
+        plan = jumps._plan(jumps._scan_family(JUMPS_MAX_BOUND))
+        ratios = jump_union(range(1, JUMPS_MAX_BOUND + 1))
+        assert set(jumps._GENERAL_CACHE) == set(ratios)
+        for a in ratios:
+            unpruned = jumps._ratio_pass(a, plan)
+            assert jumps._GENERAL_CACHE[a] == (JUMPS_MAX_BOUND, unpruned), a
+            m = a.numerator + a.denominator
+            assert all(is_target(idx, m) for idx in unpruned), a
+
+    def test_reach_is_the_down_closure_of_the_targets(self):
+        """For every m and every bound up to the cap."""
+        for bound in range(1, JUMPS_MAX_BOUND + 1):
+            family = jumps._scan_family(bound)
+            for m in range(2, bound + 2):
+                closure = {idx for idx in family if is_target(idx, m)}
+                frontier = list(closure)
+                while frontier:
+                    idx = frontier.pop()
+                    for i in set(idx) if len(idx) > 1 else ():
+                        rest = list(idx)
+                        rest.remove(i)
+                        rest = tuple(rest)
+                        if rest not in closure:
+                            closure.add(rest)
+                            frontier.append(rest)
+                reached = {idx for idx in family if jumps._reaches(idx, sum(idx) + len(idx), m, bound)}
+                assert reached == closure, (bound, m)
+
+    def test_passes_are_pruned_up_to_the_cap_and_whole_above_it(self, monkeypatch):
+        bound = 8
+        full = len(jumps._scan_family(bound))
+        sizes = []
+        ratio_pass = jumps._ratio_pass
+
+        def spy(a, plan):
+            sizes.append(len(plan))
+            return ratio_pass(a, plan)
+
+        monkeypatch.setattr(jumps, "_ratio_pass", spy)
+        pruned = support_scan(bound)
+        assert min(sizes) < full
+        sizes.clear()
+        monkeypatch.setattr(jumps, "JUMPS_MAX_BOUND", bound - 1)
+        assert support_scan(bound) == pruned == partition_scan(bound)
+        assert sizes == [full] * len(jump_union(range(1, bound + 1)))
 
 
 class TestSides:
