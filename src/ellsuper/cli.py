@@ -36,12 +36,10 @@ about 0.5 s, since the brute force compares every composition on one integer
 action table.
 ``jumps --orbits i_1,...,i_k`` exits 1 when a route that runs ξ (``xi``,
 ``all``) gets more than ``JUMPS_XI_MAX_ORBITS`` (8) indices, or when
-``recursive``/``all`` would visit more than ``JUMPS_MAX_SUBMULTISETS`` (4096)
-sub-multisets, Π (m_i + 1) over the multiplicities m_i of the distinct indices.
-At the cap ``--orbits 1,2,…,12 --route recursive`` took 1.1–1.3 s and a peak
-RSS of 131 MB, but the cap does not bound the splits between sub-multisets,
-which repeated indices multiply: seven each of 1, 2, 3, 4 took 3.7–4.0 s and
-516 MB, and 63 ones with 63 twos 58 s and 3.5 GB.
+``recursive``/``all`` would do more split work than ``JUMPS_MAX_SPLIT_WORK``
+(3^12 · 90): the splits Π (m_i + 1)(m_i + 2)/2 over the multiplicities m_i of
+the distinct indices, times w(I) = Σ i_s + k.  ``--orbits 1,2,…,12`` is
+exactly at the cap; README gives the worst accepted inputs' costs.
 ``superpotential --d`` and ``bound --d`` exit 1 above ``COUNT_MAX_DEGREE``
 (120; one count there takes about 2 s at the slowest ratios), and
 ``table --d`` above ``TABLE_MAX_DEGREE`` (32; the table over (1, ∞) takes
@@ -73,7 +71,6 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import prod
 from typing import Sequence
 
 from .exact import format_rational, rational
@@ -117,10 +114,11 @@ GAMMA_SUITE_MAX_BOUND = 500
 LINF_MAX_BOUND = 6
 AUG_MAX_BOUND = 6
 GENFUN_MAX_BOUND = 30
-# most ``jumps --orbits`` indices on a route that runs xi, and most
-# sub-multisets of the indices on the recursive route
+# most ``jumps --orbits`` indices on a route that runs xi, and most split work
+# on the recursive route: the splits Π (m_i + 1)(m_i + 2)/2 over the
+# multiplicities m_i of the distinct indices, times w(I) = Σ i_s + k
 JUMPS_XI_MAX_ORBITS = 8
-JUMPS_MAX_SUBMULTISETS = 4096
+JUMPS_MAX_SPLIT_WORK = 3**12 * 90
 # largest sum of the ``descendant --orbits`` indices
 DESCENDANT_MAX_INDEX_SUM = 1500
 # largest ``--d`` of one count (``superpotential``, ``bound``) and of ``table``
@@ -375,12 +373,15 @@ def _cmd_jumps(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
         raise CLIError(
             f"--orbits has {k} indices; the cap for the xi route is {JUMPS_XI_MAX_ORBITS} (JUMPS_XI_MAX_ORBITS)"
         )
-    submultisets = prod(m + 1 for m in Counter(indices).values())
-    if wanted in ("recursive", "all") and submultisets > JUMPS_MAX_SUBMULTISETS:
-        raise CLIError(
-            f"--orbits has {submultisets} sub-multisets; the cap for the recursive route "
-            f"is {JUMPS_MAX_SUBMULTISETS} (JUMPS_MAX_SUBMULTISETS)"
-        )
+    if wanted in ("recursive", "all"):
+        work = sum(indices) + k
+        for m in Counter(indices).values():
+            work *= (m + 1) * (m + 2) // 2
+            if work > JUMPS_MAX_SPLIT_WORK:
+                raise CLIError(
+                    f"--orbits needs more split work than the cap for the recursive route, {JUMPS_MAX_SPLIT_WORK} "
+                    "(JUMPS_MAX_SPLIT_WORK): the splits prod (m_i + 1)(m_i + 2)/2 times sum(i_s) + k"
+                )
     routes: dict[str, Fraction] = {}
     if wanted in ("closed", "all"):
         if k == 1:

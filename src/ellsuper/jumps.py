@@ -27,8 +27,10 @@ k-fold transfer at a.  Three independent routes are implemented:
   P_I = Γ^{a+}_{out(I)} and N_I = 1/(Σ_s Γ^{a-}_{i_s})!.  The partitions into
   >= 2 blocks are aut(I) [t^I](E - F) for F = Σ_B J(B)/aut(B) t^B u^{P_B} and
   E = exp(F), so one pass at a ratio yields every jump of the family, and
-  repeated indices cost nothing extra.  The set-partition recursion itself is
-  kept as the reference :func:`ellsuper.oracle.jump_partitions`;
+  repeated indices cost nothing extra.  :func:`_splits` builds the splits
+  of I in one product over its runs of equal indices, whose order lists every
+  part of I before I.  The set-partition recursion itself is kept as the
+  reference :func:`ellsuper.oracle.jump_partitions`;
 * :func:`jump_via_xi` — direct evaluation through the L-infinity engine.
 
 Every route reads the parameters (1, a-) and (1, a+) of a ratio from one
@@ -77,6 +79,7 @@ being 0, and runs one pass for any other tuple without storing it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -150,36 +153,30 @@ _ZERO = Fraction(0)  # a tuple missing from its scan's table or its pass's value
 _ONE = Fraction(1)  # a seeded singleton's jump
 
 
-def _sub_multisets(idx: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every sub-multiset of the sorted tuple ``idx``, each sorted; () first, ``idx`` last."""
-    out: list[tuple[int, ...]] = [()]
-    for value in sorted(set(idx)):
-        mult = idx.count(value)
-        out = [sub + (value,) * m for sub in out for m in range(mult + 1)]
+def _splits(idx: tuple[int, ...]) -> list[tuple]:
+    """Every (S, I∖S, w(S)) for the sub-multisets S of the sorted tuple ``idx``, in product order.
+
+    Each run of a value i with multiplicity m puts c copies of i in S and
+    m - c in I∖S, for c = 0..m, with the last run varying fastest; both
+    tuples stay sorted.  () comes first, ``idx`` last, and every S after
+    each of its own sub-multisets.
+    """
+    out = [((), (), 0)]
+    for value, mult in Counter(idx).items():
+        out = [(sub + (value,) * c, rest + (value,) * (mult - c), weight + c * (value + 1))
+               for sub, rest, weight in out for c in range(mult + 1)]
     return out
 
 
-def _weight_order(idx: tuple[int, ...]) -> tuple:
-    return sum(idx) + len(idx), len(idx), idx
-
-
 def _plan(family: Iterable[tuple[int, ...]]) -> list[tuple]:
-    """Per multiset I of a down-closed family, in weight order: (I, w(I), aut(I), splits).
+    """Per multiset I of a down-closed family, in the family's order: (I, w(I), aut(I), splits).
 
-    The weight of an index i is i + 1, so w(I) = out(I) + 1.  The splits are
-    the (S, I∖S, w(S)) for every nonempty proper sub-multiset S; none of
-    this depends on the ratio, so one plan serves every ratio.
+    The family lists every part of I before I, and its last multiset is the
+    heaviest.  The weight of an index i is i + 1, so w(I) = out(I) + 1.  The
+    splits are :func:`_splits` of I without () and I itself; none of this
+    depends on the ratio, so one plan serves every ratio.
     """
-    plan = []
-    for idx in family:
-        splits = []
-        for sub in _sub_multisets(idx)[1:-1]:
-            rest = list(idx)
-            for i in sub:
-                rest.remove(i)
-            splits.append((sub, tuple(rest), sum(sub) + len(sub)))
-        plan.append((idx, sum(idx) + len(idx), aut_size(idx), tuple(splits)))
-    return plan
+    return [(idx, sum(idx) + len(idx), aut_size(idx), _splits(idx)[1:-1]) for idx in family]
 
 
 def _ratio_pass(a: Fraction, plan: list[tuple]) -> dict[tuple[int, ...], Fraction]:
@@ -220,15 +217,15 @@ def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     A tuple whose output index a :func:`support_scan` at ``a`` covered is read
     from that scan's nonzero values, a missing entry being 0: the scan ran
     every sorted tuple up to its bound.  Any other tuple runs one pass over
-    the sub-multisets of the sorted indices (Π (multiplicity + 1) of them),
-    and nothing is stored.
+    the sub-multisets of the sorted indices in :func:`_splits` order, with
+    Π (m + 1)(m + 2)/2 splits over the multiplicities m, and stores nothing.
     """
     a = rational(a)
     idx = _indices(indices)
     scanned = _GENERAL_CACHE.get(a)
     if scanned is not None and sum(idx) + len(idx) - 1 <= scanned[0]:
         return scanned[1].get(idx, _ZERO)
-    return _ratio_pass(a, _plan(sorted(_sub_multisets(idx)[1:], key=_weight_order))).get(idx, _ZERO)
+    return _ratio_pass(a, _plan(sub for sub, _, _ in _splits(idx)[1:])).get(idx, _ZERO)
 
 
 def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
@@ -260,7 +257,7 @@ def _scan_family(bound: int) -> tuple[tuple[int, ...], ...]:
             build(prefix + (i,), i, room - i - 1)
 
     build((), 1, bound + 1)
-    return tuple(sorted(family, key=_weight_order))
+    return tuple(sorted(family, key=lambda idx: (sum(idx) + len(idx), len(idx), idx)))
 
 
 def _reaches(idx: tuple[int, ...], weight: int, m: int, bound: int) -> bool:

@@ -13,11 +13,13 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from ellsuper.cli import (
     GAMMA_SUITE_MAX_BOUND,
     GENFUN_MAX_BOUND,
     JUMPS_MAX_BOUND,
-    JUMPS_MAX_SUBMULTISETS,
+    JUMPS_MAX_SPLIT_WORK,
     JUMPS_XI_MAX_ORBITS,
     LINF_MAX_BOUND,
     PARAMS_MAX_AXES,
@@ -457,20 +459,34 @@ def test_jumps_xi_route_at_orbit_cap_runs(capsys, monkeypatch):
     assert payload["result"]["value"] == str(JUMPS_XI_MAX_ORBITS)
 
 
-def test_jumps_recursive_route_above_submultiset_cap_exits_1_before_work(capsys, monkeypatch):
+def split_work(indices):
+    """The recursive route's cost measure: the splits Π (m_i + 1)(m_i + 2)/2 times w(I) = Σ i_s + k."""
+    return math.prod((m + 1) * (m + 2) // 2 for m in Counter(indices).values()) * (sum(indices) + len(indices))
+
+
+def test_jumps_recursive_route_above_split_work_cap_exits_1_before_work(capsys, monkeypatch):
     monkeypatch.setattr("ellsuper.cli.jump_general", route_must_not_start)
-    # (16 + 1) * (240 + 1) = 4097 sub-multisets, one above the cap
-    orbits = ",".join(["1"] * 16 + ["2"] * 240)
-    error = run_error(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", "recursive"])
-    assert f"--orbits has {JUMPS_MAX_SUBMULTISETS + 1} sub-multisets" in error
-    assert f"is {JUMPS_MAX_SUBMULTISETS} (JUMPS_MAX_SUBMULTISETS)" in error
+    for indices in (
+        [1] * 362,  # one more than the most ones at the cap
+        [1] * 63 + [2] * 63,  # 4,096 sub-multisets, 4,326,400 splits
+        [1] * 4095,  # 4,096 sub-multisets
+        [1] * 1029,  # 530,965 splits
+        [i for i in (1, 2, 3, 4) for _ in range(7)],
+    ):
+        assert split_work(indices) > JUMPS_MAX_SPLIT_WORK
+        orbits = ",".join(map(str, indices))
+        error = run_error(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", "recursive"])
+        assert f"cap for the recursive route, {JUMPS_MAX_SPLIT_WORK} (JUMPS_MAX_SPLIT_WORK)" in error
 
 
-def test_jumps_recursive_route_at_submultiset_cap_runs(capsys, monkeypatch):
+def test_jumps_recursive_route_at_split_work_cap_runs(capsys, monkeypatch):
     monkeypatch.setattr("ellsuper.cli.jump_general", lambda a, indices: Fraction(len(indices)))
-    orbits = ",".join(str(i) for i in range(1, 13))  # 2**12 = 4096 sub-multisets
-    payload = run_json(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", "recursive"])
-    assert payload["result"]["value"] == "12"
+    assert split_work(list(range(1, 13))) == JUMPS_MAX_SPLIT_WORK  # 3**12 splits of weight 90
+    for indices in (list(range(1, 13)), [1] * 361):
+        assert split_work(indices) <= JUMPS_MAX_SPLIT_WORK
+        orbits = ",".join(map(str, indices))
+        payload = run_json(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", "recursive"])
+        assert payload["result"]["value"] == str(len(indices))
 
 
 # ---------------------------------------------------------------- bound

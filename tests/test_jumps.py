@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from unittest.mock import patch
@@ -196,6 +197,38 @@ class TestIndexValidation:
     def test_support_scan_rejects_a_non_integer_bound(self, bound):
         with pytest.raises(TypeError, match="bound must be an integer"):
             support_scan(bound)
+
+
+def listed_splits(idx):
+    """The enumeration that jumps._splits replaced: the sub-multisets value by
+    value, then each complement I∖S built by one list.remove per letter."""
+    subs = [()]
+    for value in sorted(set(idx)):
+        mult = idx.count(value)
+        subs = [sub + (value,) * m for sub in subs for m in range(mult + 1)]
+    out = []
+    for sub in subs:
+        rest = list(idx)
+        for i in sub:
+            rest.remove(i)
+        out.append((sub, tuple(rest), sum(sub) + len(sub)))
+    return out
+
+
+class TestSplits:
+    @given(st.lists(st.integers(1, 6), max_size=8).map(lambda xs: tuple(sorted(xs))))
+    @example((1, 1, 1, 2, 4, 4))
+    @settings(deadline=None, max_examples=150)
+    def test_one_product_matches_the_listed_splits(self, idx):
+        splits = jumps._splits(idx)
+        assert splits == listed_splits(idx)
+        assert len(splits) == math.prod(m + 1 for m in Counter(idx).values())
+        assert splits[0] == ((), idx, 0)
+        assert splits[-1] == (idx, (), sum(idx) + len(idx))
+        position = {sub: n for n, (sub, _, _) in enumerate(splits)}
+        for sub, _, _ in splits:
+            for part, _, _ in listed_splits(sub):
+                assert position[part] <= position[sub], (idx, part, sub)
 
 
 class TestSeededPasses:
