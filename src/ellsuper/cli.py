@@ -34,12 +34,16 @@ multiplies the words of the inverse checks), ``AUG_MAX_BOUND`` (6),
 of 24 MB) and ``GENFUN_MAX_BOUND`` (30).  ``GAMMA_SUITE_MAX_BOUND`` (500 cases) takes
 about 0.5 s, since the brute force compares every composition on one integer
 action table.
-``jumps --orbits i_1,...,i_k`` exits 1 when a route that runs ξ (``xi``,
-``all``) gets more than ``JUMPS_XI_MAX_ORBITS`` (8) indices, or when
-``recursive``/``all`` would do more split work than ``JUMPS_MAX_SPLIT_WORK``
-(3^12 · 90): the splits Π (m_i + 1)(m_i + 2)/2 over the multiplicities m_i of
-the distinct indices, times w(I) = Σ i_s + k.  ``--orbits 1,2,…,12`` is
-exactly at the cap; README gives the worst accepted inputs' costs.
+``jumps --orbits i_1,...,i_k`` exits 1 when w(I) = Σ i_s + k exceeds
+``JUMPS_MAX_INDEX_SUM`` (16,000) on any route, since every route takes
+factorials of Γ's coordinates; when a route that runs ξ (``xi``, ``all``)
+gets more than ``JUMPS_XI_MAX_ORBITS`` (8) indices or a w(I) above
+``JUMPS_XI_MAX_INDEX_SUM`` (200), since ξ sums over the set partitions of
+the indices; or when ``recursive``/``all`` would do more split work than
+``JUMPS_MAX_SPLIT_WORK`` (3^12 · 90): the splits Π (m_i + 1)(m_i + 2)/2 over
+the multiplicities m_i of the distinct indices, times w(I).
+``--orbits 1,2,…,12`` is exactly at the split cap; README gives the worst
+accepted inputs' costs.
 ``superpotential --d`` and ``bound --d`` exit 1 above ``COUNT_MAX_DEGREE``
 (120; one count there takes about 2 s at the slowest ratios), and
 ``table --d`` above ``TABLE_MAX_DEGREE`` (32; the table over (1, ∞) takes
@@ -114,9 +118,12 @@ GAMMA_SUITE_MAX_BOUND = 500
 LINF_MAX_BOUND = 6
 AUG_MAX_BOUND = 6
 GENFUN_MAX_BOUND = 30
-# most ``jumps --orbits`` indices on a route that runs xi, and most split work
-# on the recursive route: the splits Π (m_i + 1)(m_i + 2)/2 over the
-# multiplicities m_i of the distinct indices, times w(I) = Σ i_s + k
+# largest w(I) = Σ i_s + k of the ``jumps --orbits`` indices on every route,
+# and on a route that runs xi; most indices on a route that runs xi; and most
+# split work on the recursive route: the splits Π (m_i + 1)(m_i + 2)/2 over
+# the multiplicities m_i of the distinct indices, times w(I)
+JUMPS_MAX_INDEX_SUM = 16_000
+JUMPS_XI_MAX_INDEX_SUM = 200
 JUMPS_XI_MAX_ORBITS = 8
 JUMPS_MAX_SPLIT_WORK = 3**12 * 90
 # largest sum of the ``descendant --orbits`` indices
@@ -368,13 +375,24 @@ def _cmd_jumps(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
         raise CLIError("--a must be positive")
     indices = _parse_orbits(args.orbits)
     k = len(indices)
+    weight = sum(indices) + k
     wanted = args.route
-    if wanted in ("xi", "all") and k > JUMPS_XI_MAX_ORBITS:
+    if weight > JUMPS_MAX_INDEX_SUM:
         raise CLIError(
-            f"--orbits has {k} indices; the cap for the xi route is {JUMPS_XI_MAX_ORBITS} (JUMPS_XI_MAX_ORBITS)"
+            f"--orbits has sum(i_s) + k = {weight}; the cap is {JUMPS_MAX_INDEX_SUM} (JUMPS_MAX_INDEX_SUM)"
         )
+    if wanted in ("xi", "all"):
+        if k > JUMPS_XI_MAX_ORBITS:
+            raise CLIError(
+                f"--orbits has {k} indices; the cap for the xi route is {JUMPS_XI_MAX_ORBITS} (JUMPS_XI_MAX_ORBITS)"
+            )
+        if weight > JUMPS_XI_MAX_INDEX_SUM:
+            raise CLIError(
+                f"--orbits has sum(i_s) + k = {weight}; the cap for the xi route is "
+                f"{JUMPS_XI_MAX_INDEX_SUM} (JUMPS_XI_MAX_INDEX_SUM)"
+            )
     if wanted in ("recursive", "all"):
-        work = sum(indices) + k
+        work = weight
         for m in Counter(indices).values():
             work *= (m + 1) * (m + 2) // 2
             if work > JUMPS_MAX_SPLIT_WORK:

@@ -8,7 +8,9 @@ Objects
   canonical (sorted) order.  Reordering signs are Koszul: two odd letters
   crossing contribute -1, and a word with a repeated odd letter is zero.
 * :class:`Combination` — a finite Q-linear combination of words;
-  :meth:`Combination.apply` is the linear extension Σ_u c_u · f(u).
+  :meth:`Combination.apply` is the linear extension Σ_u c_u · f(u).  On a
+  single term with coefficient 1 it returns f(u) itself, not a copy: no
+  code changes a ``Combination`` after it is built.
 * :class:`LinfStructure` — level maps l^k : Sym^k -> generators of degree +1,
   given lazily by a rule of the word alone (k is its length) and memoized.
   It may declare the arities at which they can be nonzero
@@ -30,7 +32,10 @@ Operations
   computed by recursion on the block B that holds the first letter, of a
   declared size: φ̂(w) = Σ_{B ∋ w_0} ± φ^{|B|}(w_B) ⊙ φ̂(w∖B).  The rest of a
   canonical word is canonical, so φ̂(w∖B) is a memoized sub-word of w.
-* :func:`compose` — (G ∘ F)^k(w) = Σ_{u ∈ F̂(w)} coeff · G^{|u|}(u).
+* :func:`compose` — (G ∘ F)^k(w) = Σ_{u ∈ F̂(w)} coeff · G^{|u|}(u).  The
+  composite's cofunctor extension is Ĝ ∘ F̂ (the extension is a functor),
+  so it reads the factors' extension memos and runs no block recursion of
+  its own; its level memo fills only when a level is asked for.
 * :func:`invert` — levelwise inverse of a morphism whose φ^1 is diagonal on
   basis generators: H^1 inverts the diagonal, and for k >= 2
   H^k(u) = -(1/c) Σ H^{s}(non-diagonal blocks of F̂ applied to the preimage),
@@ -232,7 +237,14 @@ class Combination:
         return isinstance(other, Combination) and self._terms == other._terms
 
     def apply(self, fn: Callable[[Word], "Combination"]) -> "Combination":
-        """The linear extension Σ_u c_u · fn(u), accumulated in one dict."""
+        """The linear extension Σ_u c_u · fn(u), accumulated in one dict.
+
+        A single term u with coefficient 1 returns fn(u) itself.
+        """
+        if len(self._terms) == 1:
+            ((u, pair),) = self._terms.items()
+            if pair == (1, 1):
+                return fn(u)
         out: _Sums = {}
         for u, (c_num, c_den) in self._terms.items():
             for w, (d_num, d_den) in fn(u)._terms.items():
@@ -434,6 +446,9 @@ class LinfMorphism:
     ``arities`` declares the block sizes at which ``level_rule`` can be
     nonzero, as on :class:`LinfStructure`; ``None`` (the default) means
     every size.  :meth:`extend` visits the declared sizes only.
+
+    A composite built by :func:`compose` fills an extension miss from its
+    factors' extensions, Ĝ ∘ F̂, instead of the block recursion on its levels.
     """
 
     def __init__(
@@ -449,6 +464,7 @@ class LinfMorphism:
         self.arities = _declared_arities(arities)
         self._rule = level_rule
         self._memo_key = memo_key
+        self._extension: Callable[[Word], Combination] | None = None  # set by ``compose``
         # filled through ``get`` and ``store``: cheaper than ``__missing__``, and no cycle
         self._level_memo = Memo()
         self._extend_memo = Memo()
@@ -465,7 +481,8 @@ class LinfMorphism:
         cached = self._extend_memo.get(word)
         if cached is None:
             _check_word(word)
-            cached = self._extend_memo.store(word, self._extend(word))
+            value = self._extend(word) if self._extension is None else self._extension(word)
+            cached = self._extend_memo.store(word, value)
         return cached
 
     def _extend(self, word: Word) -> Combination:
@@ -565,7 +582,9 @@ def identity_morphism(generators: GeneratorSet) -> LinfMorphism:
 def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
     """Levelwise composition.
 
-    (outer ∘ inner)^k(w) = Σ_{u ∈ inner-hat(w)} coeff(u) · outer^{|u|}(u).
+    (outer ∘ inner)^k(w) = Σ_{u ∈ inner-hat(w)} coeff(u) · outer^{|u|}(u),
+    and the composite's extension is outer-hat ∘ inner-hat.  Neither the
+    rule nor the extension holds the composite.
     """
     if not inner.target.compatible(outer.source):
         raise ValueError(
@@ -576,7 +595,12 @@ def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
     def rule(word: Word) -> Combination:
         return inner.extend(word).apply(outer.level)
 
-    return LinfMorphism(inner.source, outer.target, rule)
+    def extension(word: Word) -> Combination:
+        return inner.extend(word).apply(outer.extend)
+
+    composite = LinfMorphism(inner.source, outer.target, rule)
+    composite._extension = extension
+    return composite
 
 
 def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphism:

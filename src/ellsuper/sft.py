@@ -19,6 +19,18 @@ where Γ_i is the lattice path of E(a) and (x, y)! = x! * y! (any number of
 axes).  Its levelwise inverse is eta_a, and the transfer map between two
 parameter sets is Xi = eta_{target} ∘ eps_{source}; its single-generator
 coefficients are the building blocks of every jump formula downstream.
+
+eps_a depends on a only through the points Γ^a_i, so it is built as
+eps_Γ ∘ psi_a.  The lattice model has one even generator g_P per nonzero
+lattice point P (any number of axes), of degree -2-2|P|; psi_a is the strict
+map o_i -> g_{Γ^a_i}, which keeps the order of the letters because
+Γ_{i+1} = Γ_i + e_j; and eps_Γ, one module constant with no parameters,
+sends g_{P_1} ... g_{P_k} to q_{Σ|P_s| + k - 1} / (Σ_s P_s)!, with its level
+memo keyed by (Σ_s P_s, k).  Every parameter set and side thus shares
+eps_Γ's level and extension memos: two ellipsoids whose paths agree on a
+word's indices, such as a- and a+ below the jump of a, return the identical
+extension.  :func:`local_descendant` keeps the closed form of one level for
+the CLI's ``descendant`` and for the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
-from .exact import Memo
+from .exact import LatticePoint, Memo
 from .linf import (
     Combination,
     GeneratorSet,
@@ -40,7 +52,7 @@ from .linf import (
     invert,
     morphisms_agree,
 )
-from .orbits import SpectrumParams, gamma_points
+from .orbits import SpectrumParams, gamma, gamma_points
 from .report import Report, merge_reports
 
 __all__ = [
@@ -92,12 +104,53 @@ def co_generators() -> GeneratorSet:
     return _CO_GENERATORS
 
 
-def _epsilon(params: SpectrumParams) -> LinfMorphism:
-    def rule(word: Word) -> Combination:
-        count, psi_power = local_descendant(params, [key[1] for key in word])
-        return Combination.single((q_key(psi_power + 1),), count)
+def _lattice_degree(key: Key) -> int:
+    if (
+        isinstance(key, tuple)
+        and len(key) == 2
+        and key[0] == "g"
+        and isinstance(key[1], tuple)
+        and all(isinstance(x, int) and x >= 0 for x in key[1])
+        and sum(key[1]) >= 1
+    ):
+        return -2 - 2 * sum(key[1])
+    raise ValueError(f"unknown generator key {key!r} (expected ('g', P) with P a nonzero lattice point)")
 
-    return LinfMorphism(ca_generators(), co_generators(), rule)
+
+_LATTICE_GENERATORS = GeneratorSet("Gamma", _lattice_degree)
+
+
+def _point_sum(word: Word) -> tuple[LatticePoint, int]:
+    """What eps_Γ's level reads of a word: (Σ_s P_s, k); points of unequal length raise."""
+    return tuple(map(sum, zip(*[key[1] for key in word], strict=True))), len(word)
+
+
+def _lattice_rule(key: tuple[LatticePoint, int]) -> Combination:
+    """eps_Γ^k on every word whose point sum and length are ``key``, on integers."""
+    total, k = key
+    denominator = 1
+    for x in total:
+        denominator *= math.factorial(x)
+    return Combination.single((q_key(sum(total) + k - 1),), Fraction(1, denominator))
+
+
+# eps_Γ : lattice model -> C_o, one morphism for every parameter set
+_EPSILON_GAMMA = LinfMorphism(_LATTICE_GENERATORS, _CO_GENERATORS, _lattice_rule, memo_key=_point_sum)
+
+
+def _psi(params: SpectrumParams) -> LinfMorphism:
+    """psi_a : C_a -> lattice model, o_i -> g_{Γ^a_i}, zero above level one."""
+
+    def rule(word: Word) -> Combination:
+        if len(word) != 1:
+            return Combination()
+        return Combination.single((("g", gamma(params, word[0][1])),))
+
+    return LinfMorphism(ca_generators(), _LATTICE_GENERATORS, rule, arities=(1,))
+
+
+def _epsilon(params: SpectrumParams) -> LinfMorphism:
+    return compose(_EPSILON_GAMMA, _psi(params))
 
 
 # the computes call the public functions through the module globals
@@ -107,7 +160,7 @@ _XI_CACHE = Memo(lambda pair: compose(eta(pair[1]), epsilon(pair[0])))
 
 
 def epsilon(params: SpectrumParams) -> LinfMorphism:
-    """The stationary-descendant morphism C_a -> C_o (all arities)."""
+    """The stationary-descendant morphism C_a -> C_o (all arities), eps_Γ ∘ psi_a."""
     return _EPSILON_CACHE[params]
 
 
@@ -124,7 +177,8 @@ def xi(source: SpectrumParams, target: SpectrumParams) -> LinfMorphism:
 
 def local_descendant(params: SpectrumParams, indices: Sequence[int]) -> tuple[Fraction, int]:
     """Count of rational curves in E(params) with ends o_{i_1}, ..., o_{i_k}
-    through a point with a maximal tangency (psi-power) constraint.
+    through a point with a maximal tangency (psi-power) constraint: the
+    closed form of eps_params^k(o_{i_1}, ..., o_{i_k}).
 
     Returns (N, m) with N = 1 / (Σ_s Γ_{i_s})! and m = Σ_s i_s + k - 2 the
     psi-power of the point constraint.  The points Γ_{i_s} are read from one

@@ -38,7 +38,9 @@ from ellsuper.cli import (
     GAMMA_SUITE_MAX_BOUND,
     GENFUN_MAX_BOUND,
     JUMPS_MAX_BOUND,
+    JUMPS_MAX_INDEX_SUM,
     JUMPS_MAX_SPLIT_WORK,
+    JUMPS_XI_MAX_INDEX_SUM,
     JUMPS_XI_MAX_ORBITS,
     LINF_MAX_BOUND,
     PARAMS_MAX_AXES,
@@ -457,6 +459,44 @@ def test_jumps_xi_route_at_orbit_cap_runs(capsys, monkeypatch):
     orbits = ",".join(str(i) for i in range(1, JUMPS_XI_MAX_ORBITS + 1))
     payload = run_json(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", "xi"])
     assert payload["result"]["value"] == str(JUMPS_XI_MAX_ORBITS)
+
+
+JUMP_ROUTES = ("jump_cylinder", "jump_pants", "jump_general", "jump_via_xi")
+
+
+@pytest.mark.parametrize("route", ["closed", "recursive", "xi", "all"])
+@pytest.mark.parametrize("shape", ["one", "two"])
+def test_jumps_index_sum_above_cap_exits_1_before_work(capsys, monkeypatch, route, shape):
+    for name in JUMP_ROUTES:
+        monkeypatch.setattr(f"ellsuper.cli.{name}", route_must_not_start)
+    # w(I) = Σ i_s + k is one above the cap
+    indices = [JUMPS_MAX_INDEX_SUM] if shape == "one" else [1, JUMPS_MAX_INDEX_SUM - 2]
+    error = run_error(capsys, ["jumps", "--a", "1/2", "--orbits", ",".join(map(str, indices)), "--route", route])
+    assert f"sum(i_s) + k = {JUMPS_MAX_INDEX_SUM + 1}" in error
+    assert f"the cap is {JUMPS_MAX_INDEX_SUM} (JUMPS_MAX_INDEX_SUM)" in error
+
+
+@pytest.mark.parametrize("route", ["closed", "recursive"])
+def test_jumps_index_sum_at_cap_runs(capsys, route):
+    index = JUMPS_MAX_INDEX_SUM - 1  # w(I) is the cap; a = 1/2 jumps at i exactly when 3 | i + 1
+    payload = run_json(capsys, ["jumps", "--a", "1/2", "--orbits", str(index), "--route", route])
+    assert payload["result"]["value"] == ("1/2" if (index + 1) % 3 == 0 else "1")
+
+
+@pytest.mark.parametrize("route", ["xi", "all"])
+def test_jumps_xi_route_above_index_sum_cap_exits_1_before_work(capsys, monkeypatch, route):
+    for name in JUMP_ROUTES:
+        monkeypatch.setattr(f"ellsuper.cli.{name}", route_must_not_start)
+    error = run_error(capsys, ["jumps", "--a", "1/2", "--orbits", str(JUMPS_XI_MAX_INDEX_SUM), "--route", route])
+    assert f"sum(i_s) + k = {JUMPS_XI_MAX_INDEX_SUM + 1}" in error
+    assert f"cap for the xi route is {JUMPS_XI_MAX_INDEX_SUM} (JUMPS_XI_MAX_INDEX_SUM)" in error
+
+
+@pytest.mark.parametrize("indices", [[JUMPS_XI_MAX_INDEX_SUM - 1], [98, 100]])
+def test_jumps_xi_route_at_index_sum_cap_runs(capsys, indices):
+    assert sum(indices) + len(indices) == JUMPS_XI_MAX_INDEX_SUM
+    payload = run_json(capsys, ["jumps", "--a", "1/2", "--orbits", ",".join(map(str, indices)), "--route", "all"])
+    assert set(payload["result"]["routes"]) >= {"recursive", "xi"}
 
 
 def split_work(indices):

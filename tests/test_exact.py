@@ -398,6 +398,7 @@ class TestEveryCacheIsAMemo:
             rounding.tilde_epsilon(),
             rounding.psi_map(plus),
             linf.identity_morphism(sft.ca_generators()),
+            sft._EPSILON_GAMMA,
             sft.epsilon(minus),
             sft.eta(plus),
             sft.xi(minus, plus),
@@ -450,11 +451,21 @@ class TestNoMemoHoldsItsOwner:
 
         self.assert_freed(build)
 
-    def test_epsilon_morphism(self):
+    def test_epsilon_morphism(self, monkeypatch):
+        """eps_a = eps_Γ ∘ psi_a: psi_a's memos fill, and neither psi_a's rule
+        nor the composite's extension holds eps_a."""
+        built = []
+        psi = sft._psi
+        monkeypatch.setattr(sft, "_psi", lambda params: built.append(psi(params)) or built[-1])
+
         def build():
             eps = sft._epsilon(normalized("13/2"))
+            (psi_a,) = built
+            built.clear()
             assert eps.extend(word_pair())
-            return eps, [eps._level_memo, eps._extend_memo, eps.source._parity_memo]
+            assert eps.level(word_pair())
+            memos = [eps._level_memo, eps._extend_memo, eps.source._parity_memo]
+            return eps, memos + [psi_a._level_memo, psi_a._extend_memo]
 
         self.assert_freed(build)
 
@@ -463,6 +474,7 @@ class TestNoMemoHoldsItsOwner:
             plus, minus = normalized("5/4", Side.PLUS), normalized("5/4", Side.MINUS)
             composite = linf.compose(sft.eta(plus), sft.epsilon(minus))
             assert composite.extend(word_pair())
+            composite.level(word_pair())  # fills the level memo; Ξ^2(o_1, o_2) is 0 at 5/4
             return composite, [composite._level_memo, composite._extend_memo]
 
         self.assert_freed(build)

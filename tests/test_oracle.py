@@ -18,6 +18,7 @@ from ellsuper.linf import (
     LinfMorphism,
     LinfStructure,
     Word,
+    compose,
     extend_coderivation,
 )
 from ellsuper.oracle import (
@@ -330,6 +331,59 @@ class TestMorphismOracle:
         long_word = Word(tuple(("g", 2 * i) for i in range(6)))
         with pytest.raises(ValueError):
             morphism_bruteforce(F, long_word)
+
+
+def strict_toy():
+    """A strict toy on the letters of :func:`toy_morphism`: F^1(g_i) = (i/3) h_{10-i}.
+
+    It reverses the order of the letters and keeps their parities, so the
+    extension sorts odd letters past each other and picks up their signs.
+    """
+    graded = GeneratorSet("toy", lambda key: key[1])
+
+    def rule(w):
+        if len(w) != 1:
+            return Combination()
+        i = w[0][1]
+        return Combination.single(Word((("h", 10 - i),)), Fraction(i, 3))
+
+    return LinfMorphism(graded, graded, rule, arities=(1,))
+
+
+class TestCompositeExtension:
+    """A composite extends as Ĝ ∘ F̂; the oracle sums its levels over set partitions.
+
+    The toy levels keep degree parity, as a morphism's levels do, so the
+    Koszul signs of the two sides agree.
+    """
+
+    FACTORS = {
+        "toy": lambda: toy_morphism(),
+        "mixed": lambda: toy_morphism(mixed=True),
+        "strict": strict_toy,
+    }
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=5),
+        st.sampled_from(sorted(FACTORS)),
+        st.sampled_from(sorted(FACTORS)),
+    )
+    def test_toy_composites_on_random_words(self, indices, outer, inner):
+        w = tuple(("g", i) for i in sorted(indices))
+        assume(all(w[p] != w[p + 1] or w[p][1] % 2 == 0 for p in range(len(w) - 1)))
+        composite = compose(self.FACTORS[outer](), self.FACTORS[inner]())
+        assert composite.extend(w) == morphism_bruteforce(composite, w)
+
+    def test_rounding_factorization(self):
+        """ε̃ ∘ ψ_a: a strict inner map into the V algebra."""
+        composite = compose(tilde_epsilon(), psi_map(normalized("13/2", Side.MINUS)))
+        for w in [
+            Word((o_key(2),)),
+            Word((o_key(1), o_key(2), o_key(2))),
+            Word((o_key(1), o_key(1), o_key(2), o_key(3), o_key(6))),
+        ]:
+            assert composite.extend(w) == morphism_bruteforce(composite, w), w
 
 
 def toy_structure(mixed=False, odd_heads=False):

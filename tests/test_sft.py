@@ -12,7 +12,7 @@ from ellsuper import sft
 from ellsuper.exact import CACHE_CAP
 from ellsuper.jumps import jump_general, jump_via_xi
 from ellsuper.linf import Combination, Word, abelian, compose, morphisms_agree
-from ellsuper.oracle import cp2_exp_mc, gamma_bruteforce
+from ellsuper.oracle import cp2_exp_mc, gamma_bruteforce, morphism_bruteforce
 from ellsuper.orbits import SpectrumParams, Side, action, candidate_discontinuities, normalized
 from ellsuper.sft import (
     ca_generators,
@@ -101,6 +101,64 @@ class TestEpsilon:
                 for ow, _ in eps.extend(w).terms():
                     dout = sum(co.degree(key) for key in ow)
                     assert din == dout
+
+
+SIDED_PARAMS = st.builds(
+    normalized,
+    st.fractions(min_value=1, max_value=8, max_denominator=6),
+    st.sampled_from([Side.MINUS, Side.PLUS]),
+)
+THREE_AXES = SpectrumParams([1, Fraction(3, 2), Fraction(7, 3)])
+
+
+class TestEpsilonThroughLatticePoints:
+    """ε_a = ε_Γ ∘ ψ_a against the closed form and the brute-force extension."""
+
+    @given(
+        params=st.one_of(SIDED_PARAMS, st.just(THREE_AXES)),
+        indices=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_level_is_the_closed_form(self, params, indices):
+        count, psi_power = local_descendant(params, indices)
+        assert epsilon(params).level(o_word(*sorted(indices))) == Combination.single(q_word(psi_power + 1), count)
+
+    @given(
+        params=st.one_of(SIDED_PARAMS, st.just(THREE_AXES)),
+        indices=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_extension_is_the_brute_force(self, params, indices):
+        """Both ε_a and ψ_a; the oracle reads every level of ψ_a, whatever it declares."""
+        word = o_word(*sorted(indices))
+        eps, psi = epsilon(params), sft._psi(params)
+        assert eps.extend(word) == morphism_bruteforce(eps, word)
+        assert psi.extend(word) == morphism_bruteforce(psi, word)
+
+    @given(
+        a=st.fractions(min_value="1/6", max_value=8, max_denominator=6),
+        indices=st.lists(st.integers(min_value=1, max_value=14), min_size=1, max_size=4),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_the_two_sides_share_one_value_below_the_jump(self, a, indices):
+        """Off the jump indices (p + q | i + 1) Γ^{a-} and Γ^{a+} agree, so both
+        sides reach one entry of ε_Γ's memos and return the identical object.
+
+        The two sides are built fresh: a cached ε may hold a value whose entry
+        ε_Γ has evicted since, and the other side would then get a new one."""
+        m = a.numerator + a.denominator
+        word = o_word(*sorted(i for i in indices if (i + 1) % m))
+        minus, plus = sft._epsilon(normalized(a, Side.MINUS)), sft._epsilon(normalized(a, Side.PLUS))
+        if word:
+            assert minus.extend(word) is plus.extend(word)
+            assert minus.level(word) is plus.level(word)
+        jump = o_word(m - 1)  # Γ^{a-}_{m-1} != Γ^{a+}_{m-1}: two entries
+        assert minus.extend(jump) is not plus.extend(jump)
+
+    def test_mixed_axis_counts_raise(self):
+        word = (("g", (1, 0)), ("g", (1, 0, 0)))
+        with pytest.raises(ValueError):
+            sft._EPSILON_GAMMA.level(word)
 
 
 class TestEta:
