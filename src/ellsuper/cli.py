@@ -30,8 +30,8 @@ from one unmemoized integer walk.
 ``check --suite S --bound B`` exits 1 above the suite's cap.  At their caps
 the other suites take seconds: ``LINF_MAX_BOUND`` (6; every further letter
 multiplies the words of the inverse checks), ``AUG_MAX_BOUND`` (6),
-``JUMPS_MAX_BOUND`` (20, set in ``ellsuper.jumps``; 0.5–1.0 s and a peak RSS
-of 24 MB) and ``GENFUN_MAX_BOUND`` (30).  ``GAMMA_SUITE_MAX_BOUND`` (500 cases) takes
+``JUMPS_MAX_BOUND`` (20, defined here beside the other caps; 0.34–0.35 s
+and a peak RSS of 23 MB) and ``GENFUN_MAX_BOUND`` (30).  ``GAMMA_SUITE_MAX_BOUND`` (500 cases) takes
 about 0.5 s, since the brute force compares every composition on one integer
 action table.
 ``jumps --orbits i_1,...,i_k`` exits 1 when w(I) = Σ i_s + k exceeds
@@ -78,7 +78,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import format_rational, rational
-from .jumps import JUMPS_MAX_BOUND, jump_cylinder, jump_general, jump_pants, jump_via_xi, support_scan
+from .jumps import jump_cylinder, jump_general, jump_pants, jump_via_xi, support_scan
 from .orbits import (
     Side,
     SpectrumParams,
@@ -113,9 +113,10 @@ GAMMA_MAX_WIDTH = 100_000
 GAMMA_MAX_OUTPUT_DIGITS = 25_000_000
 # most ``--a`` axes (``gamma``, ``spectrum``, ``descendant``, ``bound``)
 PARAMS_MAX_AXES = 16
-# largest ``check --suite S --bound`` per suite (``jumps``: ``jumps.JUMPS_MAX_BOUND``)
+# largest ``check --suite S --bound`` per suite
 GAMMA_SUITE_MAX_BOUND = 500
 LINF_MAX_BOUND = 6
+JUMPS_MAX_BOUND = 20
 AUG_MAX_BOUND = 6
 GENFUN_MAX_BOUND = 30
 # largest w(I) = Σ i_s + k of the ``jumps --orbits`` indices on every route,

@@ -38,37 +38,50 @@ Every route reads the parameters (1, a-) and (1, a+) of a ratio from one
 the ε/η/Ξ memos of :mod:`ellsuper.sft` and the lattice walks of
 :mod:`ellsuper.orbits` that are keyed by it find their entries by identity.
 
-Every pass at a = p/q (lowest terms) seeds its first steps in closed form.
-Let m = p + q.  The ratio a lies in J_s exactly when m divides s + 1, so the
-least such s is s(a) = m - 1, and Γ^{a+}_t = Γ^{a-}_t for every t < s(a).
-Take a step I with w(I) < m, so that every index and every block of I has
-output index below s(a) and both sides read one Γ.  Then J(I) is 1 for
-|I| = 1, since the cylinder jump is (Γ_i)!/(Γ_i)!, and 0 for |I| >= 2 by
-induction on |I|: the blocks of I with |B| >= 2 have J(B) = 0, so only the
-partition into singletons survives the recursion's sum, and its term
-(Γ_j)!/(Σ_s Γ_{i_s})! cancels the one-block term.  Hence F_I is u^{Γ⁺_i}
-for I = (i) and 0 otherwise, and E_I = [t^I] exp(Σ_i t^i u^{Γ_i}) is
-u^{Σ_s Γ_{i_s}} / aut(I).  The pass puts these monomials and series into
-:func:`exact.exp_series_pass`'s ``state`` and runs only the steps with
-w(I) >= m, on every route that runs a pass.
+Let a = p/q in lowest terms and m = p + q.  The ratio a lies in
+J_s = {i/(j + 1) : i + j = s} exactly when m divides s + 1 (write i = tp
+and j + 1 = tq), and Γ_s changes exactly when a crosses a value in J_s, so
+Γ^{a+}_t != Γ^{a-}_t exactly when m | t + 1.  Call such a t a jump index
+of a.  The jumps of the tuples that hold none are known in closed form:
+
+  Theorem.  If no i ∈ I is a jump index of a, then J^a(I) = 1 for |I| = 1
+  and J^a(I) = 0 for |I| >= 2.
+
+  Proof, by induction on |I|.
+  1. |I| = 1, I = (i): J(I) = (Γ^{a+}_i)! / (Γ^{a-}_i)! = 1, since i is
+     not a jump index, so Γ^{a+}_i = Γ^{a-}_i.
+  2. |I| >= 2: every block B of a partition of I into >= 2 blocks is a
+     proper part of I and holds no jump index either, so by induction
+     J(B) = 0 if |B| >= 2 and J(B) = 1 if |B| = 1.
+  3. Hence the only term left in the recursion's sum is the partition
+     into singletons, and since out((i)) = i it reads
+     (Γ^{a+}_j)! / (Σ_s Γ^{a+}_{i_s})! * 1.
+  4. No i_s is a jump index, so Γ^{a+}_{i_s} = Γ^{a-}_{i_s} for every s,
+     and this term equals the one-block term
+     (Γ^{a+}_j)! / (Σ_s Γ^{a-}_{i_s})!.  So J(I) = 0.
+     Whether the output index j is a jump index never enters.  ∎
+
+So at every bound a jump J^a(I) with k >= 2 is nonzero only if some
+i ∈ I is a jump index of a, that is, a ∈ J_i for some i ∈ I.
+
+Every pass seeds the steps that hold no jump index in closed form.  Those
+steps form a down-closed family, since a part of I holds only indices of I.
+By the theorem F_I is u^{Γ⁺_i} for I = (i) and 0 otherwise there, so
+E_I = [t^I] exp(Σ_i t^i u^{Γ_i}) is u^{Σ_s Γ_{i_s}} / aut(I).  The pass
+puts these monomials and series into :func:`exact.exp_series_pass`'s
+``state`` and runs only the steps with a jump index, on every route that
+runs a pass.
 
 :func:`support_scan` enumerates every nonzero k >= 2 jump with output index
-up to a bound, one pass per candidate ratio.  Up to ``JUMPS_MAX_BOUND`` each
-pass also drops the steps that cannot lead to a nonzero jump, by the support
-rule: a jump J^a(I) with k >= 2 is nonzero only if a ∈ J_{out(I)} or
-a ∈ J_i for some i ∈ I, that is, only if m | w(I) or m | i + 1 for some
-i ∈ I.  The rule is observed, not proven; the tests verify it exhaustively
-on the whole capped domain, every tuple with output index up to
-``JUMPS_MAX_BOUND`` at every ratio of ∪_{s <= JUMPS_MAX_BOUND} J_s, and a
-tuple's jump does not depend on the bound of the scan that reaches it, so
-it holds for every scan up to the cap.  The singletons and the tuples the
-rule allows to be nonzero are the targets, and a pass runs their
-down-closure in the family, which is a family again.  Adding one index j
-to I adds j + 1 >= 2 to the weight, so I lies below a target within the
-bound B exactly when I is a target, or w(I) + m <= B + 1 (add j = m - 1),
-or the next multiple of m above w(I) is at least w(I) + 2 and at most
-B + 1 (add one index to reach it).  That test reads only m and B, so one
-plan is filtered once per m.  Above the cap every step runs.
+up to a bound B, one pass per candidate ratio.  Its targets are the
+singletons and the tuples with a jump index; by the theorem every other
+tuple's jump is 0.  Each pass runs the down-closure of the targets in the
+family, which is a family again.  A tuple I with |I| >= 2 and no jump
+index lies below a target exactly when w(I) + m <= B + 1: a target T above
+I holds a jump index i ∉ I, of weight i + 1 >= m, so
+w(I) + m <= w(T) <= B + 1; conversely I with the index m - 1 added is a
+target of weight w(I) + m.  That test reads only m and B, so one plan is
+filtered once per m.
 
 A ``Memo`` keyed by ratio keeps, per ratio, what the last scan there found:
 the bound and the nonzero jumps of every index tuple with output index up
@@ -88,7 +101,6 @@ from .orbits import Side, SpectrumParams, gamma, gamma_points, jump_union, norma
 from .sft import o_key, xi
 
 __all__ = [
-    "JUMPS_MAX_BOUND",
     "jump_cylinder",
     "jump_pants",
     "jump_general",
@@ -96,10 +108,6 @@ __all__ = [
     "ScanHit",
     "support_scan",
 ]
-
-# largest support_scan bound whose passes the support rule prunes (module
-# docstring), and the cap of the CLI's ``check --suite jumps --bound``
-JUMPS_MAX_BOUND = 20
 
 # ratio a -> (normalized(a, MINUS), normalized(a, PLUS))
 _SIDES = Memo(lambda a: (normalized(a, Side.MINUS), normalized(a, Side.PLUS)))
@@ -182,11 +190,11 @@ def _plan(family: Iterable[tuple[int, ...]]) -> list[tuple]:
 def _ratio_pass(a: Fraction, plan: list[tuple]) -> dict[tuple[int, ...], Fraction]:
     """The nonzero J^a(I) over the multisets I of a plan, from one :func:`exact.exp_series_pass`.
 
-    The steps with w(I) < p + q are seeded in closed form (module
-    docstring); the pass resumes from them and gets P_I = Γ⁺_{out(I)} and
-    N_I = 1/(Σ_s Γ⁻_{i_s})! for the rest.
+    The steps that hold no jump index (no i ∈ I with p + q | i + 1) are
+    seeded in closed form (module docstring); the pass resumes from them and
+    gets P_I = Γ⁺_{out(I)} and N_I = 1/(Σ_s Γ⁻_{i_s})! for the rest.
     """
-    seeded = a.numerator + a.denominator  # steps with a smaller weight are seeded
+    m = a.numerator + a.denominator
     g_minus, g_plus = (gamma_points(side, range(plan[-1][1])) for side in _sides(a))
     x_minus = [point[0] for point in g_minus]  # Γ_i = (x, i - x)
     values, monomials, series = {}, {}, {}
@@ -195,7 +203,7 @@ def _ratio_pass(a: Fraction, plan: list[tuple]) -> dict[tuple[int, ...], Fractio
     for idx, weight, aut, splits in plan:
         x_in = sum(map(x_minus.__getitem__, idx))
         point = (x_in, weight - len(idx) - x_in)
-        if weight < seeded:
+        if all((i + 1) % m for i in idx):
             if len(idx) == 1:
                 values[idx] = _ONE
                 monomials[idx] = (*g_plus[weight - 1], 1, 1)
@@ -260,45 +268,30 @@ def _scan_family(bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(family, key=lambda idx: (sum(idx) + len(idx), len(idx), idx)))
 
 
-def _reaches(idx: tuple[int, ...], weight: int, m: int, bound: int) -> bool:
-    """Whether I lies below a target of the support rule at p + q = m within the bound.
-
-    The targets are the singletons and the I with m | w(I) or m | i + 1 for
-    some i ∈ I; the closed form is derived in the module docstring.
-    """
-    if len(idx) == 1 or weight % m == 0 or any((i + 1) % m == 0 for i in idx):
-        return True
-    top = bound + 1  # the largest weight of the family
-    above = weight + m - weight % m  # the next multiple of m
-    return weight + m <= top or (above - weight >= 2 and above <= top)
-
-
 def support_scan(bound: int) -> tuple[ScanHit, ...]:
     """All nonzero jumps with k >= 2 inputs and output index Σi + k - 1 <= bound.
 
     The ratio a ranges over ∪_{s <= bound} J_s; nonzero jumps cannot occur
     elsewhere.  At each ratio one pass gives the jump of every index tuple up
     to the bound, and its nonzero values replace the ratio's entry in
-    ``_GENERAL_CACHE``.  Each pass seeds its steps with w(I) < p + q in
-    closed form, and up to ``JUMPS_MAX_BOUND`` runs only the down-closure
-    of the support rule's targets, filtered from one plan once per p + q;
-    the module docstring gives the seeding argument and the rule's verified
-    domain.  Above the cap every step runs.
+    ``_GENERAL_CACHE``.  Each pass seeds its steps with no jump index in
+    closed form and runs only the down-closure of the singletons and the
+    steps with a jump index, filtered from one plan once per p + q; the
+    module docstring proves both.
     """
-    if not isinstance(bound, int):
+    if bound.__class__ is not int:
         raise TypeError(f"bound must be an integer, got {bound!r}")
     if bound < 3:
         return ()
     plan = _plan(_scan_family(bound))
-    kept: dict[int, list[tuple]] = {}  # p + q -> the steps its passes run
+    kept: dict[int, list[tuple]] = {}  # p + q -> the down-closure of its targets
     hits: list[ScanHit] = []
     for a in jump_union(range(1, bound + 1)):
         m = a.numerator + a.denominator
         steps = kept.get(m)
         if steps is None:
-            steps = kept[m] = plan if bound > JUMPS_MAX_BOUND else [
-                step for step in plan if _reaches(step[0], step[1], m, bound)
-            ]
+            steps = kept[m] = [step for step in plan if len(step[0]) == 1 or step[1] + m <= bound + 1
+                               or any((i + 1) % m == 0 for i in step[0])]
         nonzero = _ratio_pass(a, steps)
         _GENERAL_CACHE.store(a, (bound, nonzero))
         hits += [ScanHit(a, idx, value) for idx, value in nonzero.items() if len(idx) >= 2]

@@ -8,13 +8,13 @@ from itertools import combinations_with_replacement
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellsuper import exact, jumps
 from ellsuper.exact import Memo
+from ellsuper.cli import JUMPS_MAX_BOUND
 from ellsuper.jumps import (
-    JUMPS_MAX_BOUND,
     ScanHit,
     jump_cylinder,
     jump_general,
@@ -24,7 +24,7 @@ from ellsuper.jumps import (
 )
 from ellsuper.linf import Word, compose
 from ellsuper.oracle import jump_partitions
-from ellsuper.orbits import Side, action, gamma, gamma_points, jump_set, jump_union, normalized
+from ellsuper.orbits import Side, action, gamma_points, jump_set, jump_union, normalized
 from ellsuper.sft import o_key, xi
 from ellsuper.superpotential import wt_T_infinity
 
@@ -193,7 +193,7 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match=r"orbit indices must be positive integers, got \("):
             route(indices)
 
-    @pytest.mark.parametrize("bound", [2.5, 3.5, Fraction(7, 2), "10"])
+    @pytest.mark.parametrize("bound", [2.5, 3.5, Fraction(7, 2), "10", True, False])
     def test_support_scan_rejects_a_non_integer_bound(self, bound):
         with pytest.raises(TypeError, match="bound must be an integer"):
             support_scan(bound)
@@ -232,79 +232,124 @@ class TestSplits:
 
 
 class TestSeededPasses:
-    """Each pass seeds its steps with w(I) = out(I) + 1 < p + q in closed form."""
+    """Each pass seeds its steps with no jump index (no i ∈ I with p + q | i + 1) in closed form."""
 
     @given(
         p=st.integers(1, 9),
         q=st.integers(1, 9),
         indices=st.lists(st.integers(1, 7), min_size=1, max_size=4),
     )
-    @example(p=3, q=4, indices=[1, 1, 2])  # w(I) = 7 = p + q: its parts are seeded, I is not
-    @example(p=4, q=5, indices=[1, 2])  # w(I) = 5 < 9: seeded outright
-    @example(p=2, q=1, indices=[2, 2, 5])  # w(I) = 12 > 3, the singleton (2) is on J_2
+    @example(p=3, q=4, indices=[1, 1, 6])  # 6 is a jump index: its parts are seeded, I is not
+    @example(p=4, q=5, indices=[1, 2])  # no jump index: seeded outright
+    @example(p=1, q=1, indices=[2, 2, 4])  # w(I) = 11 > p + q = 2, no jump index: seeded outright
+    @example(p=2, q=1, indices=[2, 2, 5])  # every index a jump index at p + q = 3
     @settings(deadline=None, max_examples=120)
     def test_a_miss_equals_the_partition_recursion(self, p, q, indices):
-        """jump_general's miss path, below and above w(I) = p + q."""
+        """jump_general's miss path, on seeded steps and on steps with a jump index."""
         a = Fraction(p, q)
         with patch.object(jumps, "_GENERAL_CACHE", Memo()):
             assert jump_general(a, indices) == jump_partitions(a, indices), (a, indices)
 
-    def test_the_sides_first_differ_at_s_of_a(self):
-        """Γ⁺_t = Γ⁻_t for t < s(a) = p + q - 1 and not at s(a), the lemma behind
-        the seeding; so a singleton's seed may read either side."""
+    def test_the_sides_differ_exactly_at_the_jump_indices(self):
+        """Γ⁺_t != Γ⁻_t exactly when p + q | t + 1, that is, when a ∈ J_t: the
+        lemma behind the theorem; so a seeded step may read either side."""
+        top = 3 * (JUMPS_MAX_BOUND + 1)
         for a in jump_union(range(1, JUMPS_MAX_BOUND + 1)):
-            s_a = a.numerator + a.denominator - 1
-            minus, plus = jumps._sides(a)
-            below = range(s_a + 1)
-            assert gamma_points(minus, below)[:-1] == gamma_points(plus, below)[:-1], a
-            assert gamma(minus, s_a) != gamma(plus, s_a), a
-            assert a in jump_set(s_a) and not any(a in jump_set(t) for t in range(1, s_a)), a
+            m = a.numerator + a.denominator
+            minus, plus = (gamma_points(side, range(1, top + 1)) for side in jumps._sides(a))
+            for t, g_minus, g_plus in zip(range(1, top + 1), minus, plus):
+                assert (g_minus != g_plus) == ((t + 1) % m == 0) == (a in jump_set(t)), (a, t)
 
     def test_seeded_steps_hold_the_closed_form(self):
-        """Below s(a) = p + q - 1 a pass's values are 1 on singletons and 0 otherwise."""
+        """On every step with no jump index a pass's values are 1 on singletons and 0 otherwise."""
         plan = jumps._plan(jumps._scan_family(10))
-        for a in (Fraction(5, 6), Fraction(7, 4), Fraction(10, 1)):
+        past_p_plus_q = 0  # seeded steps with w(I) > p + q
+        for a in (Fraction(1, 2), Fraction(5, 6), Fraction(7, 4), Fraction(10, 1), Fraction(2, 3)):
             m = a.numerator + a.denominator
             values = jumps._ratio_pass(a, plan)
             for idx, weight, *_ in plan:
-                if weight < m:
+                if not has_jump_index(idx, m):
+                    past_p_plus_q += weight > m
                     assert values.get(idx, 0) == (1 if len(idx) == 1 else 0), (a, idx)
                     assert jump_partitions(a, idx) == values.get(idx, 0), (a, idx)
+        assert past_p_plus_q > 0
+
+    @given(
+        p=st.integers(1, 9),
+        q=st.integers(1, 9),
+        indices=st.lists(st.integers(1, 14), min_size=2, max_size=4),
+    )
+    @example(p=1, q=1, indices=[2, 4, 6, 8])  # every index even at p + q = 2, w(I) = 24
+    @example(p=5, q=4, indices=[7, 7, 10])  # p + q = 9 divides w(I) = 27: the old rule's disjunct
+    @settings(deadline=None, max_examples=80)
+    def test_tuples_with_no_jump_index_vanish_above_the_cap(self, p, q, indices):
+        """The theorem beyond the scanned domain, w(I) > JUMPS_MAX_BOUND + 1, on every route."""
+        a = Fraction(p, q)
+        m = a.numerator + a.denominator
+        indices = tuple(indices)
+        assume(not has_jump_index(indices, m) and sum(indices) + len(indices) > JUMPS_MAX_BOUND + 1)
+        with patch.object(jumps, "_GENERAL_CACHE", Memo()):
+            assert jump_via_xi(a, indices) == 0, (a, indices)
+            assert jump_general(a, indices) == 0, (a, indices)
+        assert jump_partitions(a, indices) == 0, (a, indices)
 
 
-def is_target(idx, m):
-    """The support rule's targets at p + q = m: singletons, and I with m | w(I) or m | i + 1, i ∈ I."""
-    weight = sum(idx) + len(idx)
-    return len(idx) == 1 or weight % m == 0 or any((i + 1) % m == 0 for i in idx)
+def has_jump_index(idx, m):
+    """Whether some i ∈ I is a jump index at p + q = m, that is, m | i + 1."""
+    return any((i + 1) % m == 0 for i in idx)
+
+
+def reference_pass(a, plan):
+    """The nonzero J^a(I) over a plan from one plain exp_series_pass: no step
+    seeded, none pruned, both sides read from their own walks."""
+    top = plan[-1][1]
+    minus = gamma_points(normalized(a, Side.MINUS), range(top))
+    plus = gamma_points(normalized(a, Side.PLUS), range(top))
+    steps = []
+    for idx, weight, aut, splits in plan:
+        x, y = (sum(minus[i][axis] for i in idx) for axis in (0, 1))
+        steps.append((idx, weight, aut, splits, plus[weight - 1], Fraction(1, math.factorial(x) * math.factorial(y))))
+    return {idx: value for idx, value in exact.exp_series_pass(steps).items() if value}
 
 
 class TestSupportRule:
-    """Up to JUMPS_MAX_BOUND a scan's passes run the down-closure of the rule's targets."""
+    """The theorem: a jump with k >= 2 is nonzero only if some i ∈ I is a jump index."""
 
     def test_the_rule_holds_on_the_whole_capped_domain(self, monkeypatch):
-        """Exhaustive: the pruned scan at the cap equals unpruned passes at every
-        ratio of ∪_{s <= cap} J_s and every tuple, and every nonzero jump
-        with k >= 2 of the unpruned passes is a target."""
+        """Exhaustive: the scan at the cap equals unseeded, unpruned passes at
+        every ratio of ∪_{s <= cap} J_s, and every nonzero jump with k >= 2
+        holds a jump index."""
         monkeypatch.setattr(jumps, "_GENERAL_CACHE", Memo())
         support_scan(JUMPS_MAX_BOUND)
         plan = jumps._plan(jumps._scan_family(JUMPS_MAX_BOUND))
         ratios = jump_union(range(1, JUMPS_MAX_BOUND + 1))
         assert set(jumps._GENERAL_CACHE) == set(ratios)
         for a in ratios:
-            unpruned = jumps._ratio_pass(a, plan)
-            assert jumps._GENERAL_CACHE[a] == (JUMPS_MAX_BOUND, unpruned), a
+            reference = reference_pass(a, plan)
+            assert jumps._GENERAL_CACHE[a] == (JUMPS_MAX_BOUND, reference), a
             m = a.numerator + a.denominator
-            assert all(is_target(idx, m) for idx in unpruned), a
+            assert all(has_jump_index(idx, m) for idx in reference if len(idx) >= 2), a
 
-    def test_reach_is_the_down_closure_of_the_targets(self):
-        """For every m and every bound up to the cap."""
-        for bound in range(1, JUMPS_MAX_BOUND + 1):
+    def test_reach_is_the_down_closure_of_the_targets(self, monkeypatch):
+        """Each pass runs the breadth-first down-closure of the singletons and
+        the tuples with a jump index, for every p + q and every bound up to the cap."""
+        monkeypatch.setattr(jumps, "_GENERAL_CACHE", Memo())
+        ran = {}
+
+        def record(a, plan):
+            ran[a] = plan
+            return {}
+
+        monkeypatch.setattr(jumps, "_ratio_pass", record)
+        for bound in range(3, JUMPS_MAX_BOUND + 1):  # a smaller bound runs no pass
+            ran.clear()
+            support_scan(bound)
             family = jumps._scan_family(bound)
             for m in range(2, bound + 2):
-                closure = {idx for idx in family if is_target(idx, m)}
+                closure = {idx for idx in family if len(idx) == 1 or has_jump_index(idx, m)}
                 frontier = list(closure)
                 while frontier:
-                    idx = frontier.pop()
+                    idx = frontier.pop(0)
                     for i in set(idx) if len(idx) > 1 else ():
                         rest = list(idx)
                         rest.remove(i)
@@ -312,12 +357,12 @@ class TestSupportRule:
                         if rest not in closure:
                             closure.add(rest)
                             frontier.append(rest)
-                reached = {idx for idx in family if jumps._reaches(idx, sum(idx) + len(idx), m, bound)}
-                assert reached == closure, (bound, m)
+                passes = [plan for a, plan in ran.items() if a.numerator + a.denominator == m]
+                assert passes, (bound, m)
+                for plan in passes:
+                    assert [step[0] for step in plan] == [idx for idx in family if idx in closure], (bound, m)
 
-    def test_passes_are_pruned_up_to_the_cap_and_whole_above_it(self, monkeypatch):
-        bound = 8
-        full = len(jumps._scan_family(bound))
+    def test_passes_are_pruned_below_and_above_the_cap(self, monkeypatch):
         sizes = []
         ratio_pass = jumps._ratio_pass
 
@@ -326,12 +371,15 @@ class TestSupportRule:
             return ratio_pass(a, plan)
 
         monkeypatch.setattr(jumps, "_ratio_pass", spy)
-        pruned = support_scan(bound)
-        assert min(sizes) < full
-        sizes.clear()
-        monkeypatch.setattr(jumps, "JUMPS_MAX_BOUND", bound - 1)
-        assert support_scan(bound) == pruned == partition_scan(bound)
-        assert sizes == [full] * len(jump_union(range(1, bound + 1)))
+        for bound in (8, JUMPS_MAX_BOUND + 1):
+            sizes.clear()
+            hits = support_scan(bound)
+            assert len(sizes) == len(jump_union(range(1, bound + 1)))
+            assert min(sizes) < len(jumps._scan_family(bound)), bound
+            if bound == 8:
+                assert hits == partition_scan(bound)
+            else:
+                assert all(jump_pants(hit.a, *hit.indices) == hit.value for hit in hits if len(hit.indices) == 2)
 
 
 class TestSides:
