@@ -9,68 +9,52 @@ serialized exactly as ``p/q`` (or ``p``), never as floats.  Exit codes:
 * 2 — internal assertion / invariant breach (including failing check suites);
   an internal error prints ``{"error": "internal: <exception type>: <message>"}``.
 
-``gamma --k lo..hi`` prints at most ``GAMMA_MAX_WIDTH`` (100000) points; a
-wider range exits 1.  The start of the range costs O(log lo) however large lo
-is (the closed form for one index), but every printed coordinate may have as
-many digits as hi, so a range whose width × axes × digits(hi) exceeds
-``GAMMA_MAX_OUTPUT_DIGITS`` (25,000,000) exits 1 too.  The worst accepted
-ranges took, as subprocesses on a 2-vCPU VM: 16 axes from 10^14 at full
-width 3.1 s (48 MB of JSON, a peak RSS of 325 MB), 2 axes from 10^124
-1.9 s (46 MB, 250 MB), 1 axis from 10^249 1.4 s (57 MB, 287 MB).
-``spectrum --count N`` shares the cap: N above it exits 1.  It shares the
-digit cap too: each row holds a walk point of one coordinate per axis and
-prints an action m·a_i with up to digits(N) more digits than a_i, so N whose
-N × axes × (digits(N) + the numerator and denominator digits of the longest
-axis) exceeds ``GAMMA_MAX_OUTPUT_DIGITS`` exits 1 before any walk.  The worst
-accepted counts took, as subprocesses on a 2-vCPU VM: 1 axis of 4,295
-digits at N = 5800 2.4 s (25.5 MB of JSON, a peak RSS of 118 MB), 1 axis of
-243 digits at N = 100000 1.7–2.3 s (35.5 MB, 243 MB), 2 axes of 118 digits
-at N = 100000 1.6–2.0 s (23 MB, 194 MB).  Both commands read their rows
-from one unmemoized integer walk.
-``check --suite S --bound B`` exits 1 above the suite's cap.  At their caps
-the other suites take seconds: ``LINF_MAX_BOUND`` (6; every further letter
-multiplies the words of the inverse checks), ``AUG_MAX_BOUND`` (6),
-``JUMPS_MAX_BOUND`` (20, defined here beside the other caps; 0.34–0.35 s
-and a peak RSS of 23 MB) and ``GENFUN_MAX_BOUND`` (30).  ``GAMMA_SUITE_MAX_BOUND`` (500 cases) takes
-about 0.5 s, since the brute force compares every composition on one integer
-action table.
-``jumps --orbits i_1,...,i_k`` exits 1 when w(I) = Σ i_s + k exceeds
-``JUMPS_MAX_INDEX_SUM`` (16,000) on any route, since every route takes
-factorials of Γ's coordinates; when a route that runs ξ (``xi``, ``all``)
-gets more than ``JUMPS_XI_MAX_ORBITS`` (8) indices or a w(I) above
-``JUMPS_XI_MAX_INDEX_SUM`` (200), since ξ sums over the set partitions of
-the indices; or when ``recursive``/``all`` would do more split work than
-``JUMPS_MAX_SPLIT_WORK`` (3^12 · 90): the splits Π (m_i + 1)(m_i + 2)/2 over
-the multiplicities m_i of the distinct indices, times w(I).
-``--orbits 1,2,…,12`` is exactly at the split cap; README gives the worst
-accepted inputs' costs.
-``superpotential --d`` and ``bound --d`` exit 1 above ``COUNT_MAX_DEGREE``
-(120; one count there takes about 2 s at the slowest ratios), and
-``table --d`` above ``TABLE_MAX_DEGREE`` (32; the table over (1, ∞) takes
-0.7–1.1 s as a subprocess, with or without ``--refine-orbit-id``).
-All these caps are checked before any work starts.
-``descendant --orbits i_1,...,i_k`` exits 1 when Σ i_s exceeds
-``DESCENDANT_MAX_INDEX_SUM`` (1500), before any work starts: Γ's coordinates
-sum to its index, so the printed denominator divides (Σ i_s)!, and 1500! has
-4,115 digits, below Python's 4,300-digit limit on printing an integer.  A
-parameter too long to print back is rejected with exit 1 as well, and so is
-any printed value that would pass that limit (a ``spectrum`` action m·a_i, a
-``bound`` area/action): the command exits 1 before printing anything,
-naming the limit.
-
 Ellipsoid parameters are given with ``--a`` as comma-separated rationals; the
 tie-breaking side can be attached as a trailing ``+``/``-`` (e.g. ``13/2+``)
 or spelled out with ``--side``; both forms are interchangeable but must not
-conflict.  ``--a`` takes at most ``PARAMS_MAX_AXES`` (16) axes, checked
-before any work starts: the walk and the closed form scale with the axes.
-At 16 axes the full-width ``gamma`` takes about 2–3 s (44 MB of JSON, a peak
-RSS near 320 MB) and ``spectrum --count 100000`` about 2 s.
+conflict.
+
+Every input is checked against its cap before any work starts.  An input
+above a cap exits 1, and the message names the cap's value and constant:
+
+* ``PARAMS_MAX_AXES``: the ``--a`` axes of ``gamma``, ``spectrum``,
+  ``descendant`` and ``bound``;
+* ``GAMMA_MAX_WIDTH``: the indices of ``gamma --k lo..hi`` and the orbits of
+  ``spectrum --count N``;
+* ``GAMMA_MAX_OUTPUT_DIGITS``: the digits those two would print, estimated
+  as width × axes × digits(hi) for ``gamma`` (a coordinate of Γ_k is at most
+  k) and as N × axes × (digits(N) + the numerator and denominator digits of
+  the longest axis) for ``spectrum`` (an action m·a_i has up to digits(N)
+  more digits than a_i);
+* ``DESCENDANT_MAX_INDEX_SUM``: Σ i_s of ``descendant --orbits``; the printed
+  denominator divides (Σ i_s)!, which stays below Python's 4,300-digit limit
+  on printing an integer;
+* ``COUNT_MAX_DEGREE``: ``superpotential --d`` and ``bound --d``;
+* ``TABLE_MAX_DEGREE``: ``table --d``;
+* ``JUMPS_MAX_INDEX_SUM``: w(I) = Σ i_s + k of ``jumps --orbits`` on every
+  route, since every route takes factorials of Γ's coordinates;
+* ``JUMPS_XI_MAX_ORBITS`` and ``JUMPS_XI_MAX_INDEX_SUM``: k and w(I) on the
+  routes that run ξ (``xi``, ``all``), since ξ sums over the set partitions
+  of the indices;
+* ``JUMPS_MAX_SPLIT_WORK``: the split work of ``recursive`` and ``all``,
+  the splits Π (m_i + 1)(m_i + 2)/2 over the multiplicities m_i of the
+  distinct indices, times w(I);
+* ``GAMMA_SUITE_MAX_BOUND``, ``LINF_MAX_BOUND``, ``AUG_MAX_BOUND``,
+  ``JUMPS_MAX_BOUND`` and ``GENFUN_MAX_BOUND``: ``check --suite S --bound``
+  of each suite.
+
+README's cap table gives each cap's value, its worst accepted input and
+what that input costs.  A parameter too long to print back exits 1 as well,
+and so does any printed value that would pass Python's limit on printing an
+integer (a ``spectrum`` action m·a_i, a ``bound`` area/action): the command
+exits 1 before printing anything, naming the limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -113,7 +97,7 @@ GAMMA_MAX_WIDTH = 100_000
 GAMMA_MAX_OUTPUT_DIGITS = 25_000_000
 # most ``--a`` axes (``gamma``, ``spectrum``, ``descendant``, ``bound``)
 PARAMS_MAX_AXES = 16
-# largest ``check --suite S --bound`` per suite
+# largest ``check --suite S --bound`` per suite (``_SUITES`` names each)
 GAMMA_SUITE_MAX_BOUND = 500
 LINF_MAX_BOUND = 6
 JUMPS_MAX_BOUND = 20
@@ -144,6 +128,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 _SIDE_NAMES = {"minus": Side.MINUS, "canonical": Side.CANONICAL, "plus": Side.PLUS}
+
+
+def _check_cap(name: str, value: int, what: str) -> None:
+    """Exit 1 with "<what>; the cap is <cap> (<name>)" when ``value`` exceeds the cap constant ``name``."""
+    cap = globals()[name]
+    if value > cap:
+        raise CLIError(f"{what}; the cap is {cap} ({name})")
 
 
 def _parse_rational(token: str) -> Fraction:
@@ -179,8 +170,7 @@ def _parse_params(a_text: str, side_flag: str | None) -> SpectrumParams:
     components = [tok for tok in core.split(",") if tok.strip() != ""]
     if not components:
         raise CLIError("--a needs at least one component")
-    if len(components) > PARAMS_MAX_AXES:
-        raise CLIError(f"--a has {len(components)} axes; the cap is {PARAMS_MAX_AXES} (PARAMS_MAX_AXES)")
+    _check_cap("PARAMS_MAX_AXES", len(components), f"--a has {len(components)} axes")
     values = tuple(_parse_rational(tok) for tok in components)
     try:
         return SpectrumParams(values, side)
@@ -217,11 +207,10 @@ def _parse_k_range(text: str) -> range:
     return range(k, k + 1)
 
 
-def _check_degree(d: int, cap: int, cap_name: str) -> None:
+def _check_degree(d: int, cap_name: str) -> None:
     if d < 1:
         raise CLIError("--d must be >= 1")
-    if d > cap:
-        raise CLIError(f"--d {d} is too large; the cap is {cap} ({cap_name})")
+    _check_cap(cap_name, d, f"--d {d} is too large")
 
 
 def _printable(value: Fraction, what: str) -> str:
@@ -261,14 +250,9 @@ def _cmd_gamma(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     params = _parse_params(args.a, args.side)
     ks = _parse_k_range(args.k)
     width = ks.stop - ks.start  # len() overflows on huge ranges
-    if width > GAMMA_MAX_WIDTH:
-        raise CLIError(f"--k range {args.k!r} spans {width} indices; the cap is {GAMMA_MAX_WIDTH}")
+    _check_cap("GAMMA_MAX_WIDTH", width, f"--k range {args.k!r} spans {width} indices")
     digits = width * params.n * len(str(ks.stop - 1))  # a coordinate of Γ_k is at most k
-    if digits > GAMMA_MAX_OUTPUT_DIGITS:
-        raise CLIError(
-            f"--k range {args.k!r} would print about {digits} digits; "
-            f"the cap is {GAMMA_MAX_OUTPUT_DIGITS} (GAMMA_MAX_OUTPUT_DIGITS)"
-        )
+    _check_cap("GAMMA_MAX_OUTPUT_DIGITS", digits, f"--k range {args.k!r} would print about {digits} digits")
     points = [{"k": k, "gamma": list(p)} for k, p in zip(ks, gamma_range(params, ks.start, ks.stop - 1))]
     csv_lines = ["k," + ",".join(f"v{i}" for i in range(1, params.n + 1))]
     csv_lines += [f"{row['k']}," + ",".join(str(c) for c in row["gamma"]) for row in points]
@@ -279,17 +263,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     params = _parse_params(args.a, args.side)
     if args.count < 1:
         raise CLIError("--count must be >= 1")
-    if args.count > GAMMA_MAX_WIDTH:
-        raise CLIError(f"--count {args.count} asks for too many orbits; the cap is {GAMMA_MAX_WIDTH}")
+    _check_cap("GAMMA_MAX_WIDTH", args.count, f"--count {args.count} asks for too many orbits")
     # each row is a walk point of n coordinates, and its action m·a_i has up
     # to digits(count) more digits than a_i
     longest = max(len(str(x.numerator)) + len(str(x.denominator)) for x in params.a)
     digits = args.count * params.n * (len(str(args.count)) + longest)
-    if digits > GAMMA_MAX_OUTPUT_DIGITS:
-        raise CLIError(
-            f"--count {args.count} would print about {digits} digits; "
-            f"the cap is {GAMMA_MAX_OUTPUT_DIGITS} (GAMMA_MAX_OUTPUT_DIGITS)"
-        )
+    _check_cap("GAMMA_MAX_OUTPUT_DIGITS", digits, f"--count {args.count} would print about {digits} digits")
     rows = []
     points = gamma_range(params, 0, args.count)
     for k, (before, after) in enumerate(zip(points, points[1:]), start=1):
@@ -306,10 +285,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
 def _cmd_descendant(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     params = _parse_params(args.a, args.side)
     indices = _parse_orbits(args.orbits)
-    if sum(indices) > DESCENDANT_MAX_INDEX_SUM:
-        raise CLIError(
-            f"--orbits indices sum to {sum(indices)}; the cap is {DESCENDANT_MAX_INDEX_SUM} (DESCENDANT_MAX_INDEX_SUM)"
-        )
+    _check_cap("DESCENDANT_MAX_INDEX_SUM", sum(indices), f"--orbits indices sum to {sum(indices)}")
     count, psi_power = local_descendant(params, indices)
     result = {"count": format_rational(count), "psi_power": psi_power}
     return {"a": params.describe(), "orbits": list(indices)}, result, []
@@ -317,7 +293,7 @@ def _cmd_descendant(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
 
 def _cmd_superpotential(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     target = _require_cp2(args.target)
-    _check_degree(args.d, COUNT_MAX_DEGREE, "COUNT_MAX_DEGREE")
+    _check_degree(args.d, "COUNT_MAX_DEGREE")
     core, suffix_side = _split_side_suffix(args.a)
     if core.strip() == "inf":
         if suffix_side is not None or args.side is not None:
@@ -342,7 +318,7 @@ def _cmd_superpotential(args: argparse.Namespace) -> tuple[dict, dict, list[str]
 
 def _cmd_table(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     target = _require_cp2(args.target)
-    _check_degree(args.d, TABLE_MAX_DEGREE, "TABLE_MAX_DEGREE")
+    _check_degree(args.d, "TABLE_MAX_DEGREE")
     lo = _parse_rational(args.min)
     hi = None if args.max.strip() == "inf" else _parse_rational(args.max)
     try:
@@ -378,29 +354,18 @@ def _cmd_jumps(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     k = len(indices)
     weight = sum(indices) + k
     wanted = args.route
-    if weight > JUMPS_MAX_INDEX_SUM:
-        raise CLIError(
-            f"--orbits has sum(i_s) + k = {weight}; the cap is {JUMPS_MAX_INDEX_SUM} (JUMPS_MAX_INDEX_SUM)"
-        )
+    _check_cap("JUMPS_MAX_INDEX_SUM", weight, f"--orbits has sum(i_s) + k = {weight}")
     if wanted in ("xi", "all"):
-        if k > JUMPS_XI_MAX_ORBITS:
-            raise CLIError(
-                f"--orbits has {k} indices; the cap for the xi route is {JUMPS_XI_MAX_ORBITS} (JUMPS_XI_MAX_ORBITS)"
-            )
-        if weight > JUMPS_XI_MAX_INDEX_SUM:
-            raise CLIError(
-                f"--orbits has sum(i_s) + k = {weight}; the cap for the xi route is "
-                f"{JUMPS_XI_MAX_INDEX_SUM} (JUMPS_XI_MAX_INDEX_SUM)"
-            )
+        _check_cap("JUMPS_XI_MAX_ORBITS", k, f"--orbits has {k} indices for the xi route")
+        _check_cap("JUMPS_XI_MAX_INDEX_SUM", weight, f"--orbits has sum(i_s) + k = {weight} for the xi route")
     if wanted in ("recursive", "all"):
-        work = weight
-        for m in Counter(indices).values():
-            work *= (m + 1) * (m + 2) // 2
-            if work > JUMPS_MAX_SPLIT_WORK:
-                raise CLIError(
-                    f"--orbits needs more split work than the cap for the recursive route, {JUMPS_MAX_SPLIT_WORK} "
-                    "(JUMPS_MAX_SPLIT_WORK): the splits prod (m_i + 1)(m_i + 2)/2 times sum(i_s) + k"
-                )
+        work = weight * math.prod((m + 1) * (m + 2) // 2 for m in Counter(indices).values())
+        _check_cap(
+            "JUMPS_MAX_SPLIT_WORK",
+            work,
+            f"--orbits needs {work} units of split work for the recursive route, "
+            "the splits prod (m_i + 1)(m_i + 2)/2 times sum(i_s) + k",
+        )
     routes: dict[str, Fraction] = {}
     if wanted in ("closed", "all"):
         if k == 1:
@@ -425,7 +390,7 @@ def _cmd_jumps(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
 
 def _cmd_bound(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     target = _require_cp2(args.target)
-    _check_degree(args.d, COUNT_MAX_DEGREE, "COUNT_MAX_DEGREE")
+    _check_degree(args.d, "COUNT_MAX_DEGREE")
     core, _ = _split_side_suffix(args.a)
     components = [tok for tok in core.split(",") if tok.strip() != ""]
     if len(components) not in (1, 2):
@@ -514,23 +479,23 @@ def _suite_jumps(bound: int) -> Report:
     return Report(checked, failures)
 
 
-# suite -> (run, default bound, cap); each run reads the checks it calls from the
-# module globals at call time
+# suite -> (run, default bound, name of its cap); each run reads the checks it
+# calls from the module globals at call time
 _SUITES = {
-    "gamma": (_suite_gamma, 50, GAMMA_SUITE_MAX_BOUND),
-    "linf": (_suite_linf, 3, LINF_MAX_BOUND),
-    "aug": (_suite_aug, 5, AUG_MAX_BOUND),
-    "jumps": (_suite_jumps, 9, JUMPS_MAX_BOUND),
-    "genfun": (lambda bound: genfun_check(bound), 5, GENFUN_MAX_BOUND),
+    "gamma": (_suite_gamma, 50, "GAMMA_SUITE_MAX_BOUND"),
+    "linf": (_suite_linf, 3, "LINF_MAX_BOUND"),
+    "aug": (_suite_aug, 5, "AUG_MAX_BOUND"),
+    "jumps": (_suite_jumps, 9, "JUMPS_MAX_BOUND"),
+    "genfun": (lambda bound: genfun_check(bound), 5, "GENFUN_MAX_BOUND"),
 }
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
-    run, default, cap = _SUITES[args.suite]
-    if args.bound is not None and args.bound < 1:
-        raise CLIError(f"--bound must be >= 1, got {args.bound}")
-    if args.bound is not None and args.bound > cap:
-        raise CLIError(f"--bound {args.bound} is too large for the {args.suite} suite; the cap is {cap}")
+    run, default, cap_name = _SUITES[args.suite]
+    if args.bound is not None:
+        if args.bound < 1:
+            raise CLIError(f"--bound must be >= 1, got {args.bound}")
+        _check_cap(cap_name, args.bound, f"--bound {args.bound} is too large for the {args.suite} suite")
     report = run(default if args.bound is None else args.bound)
     result = {"ok": report.ok, "checked": report.checked, "failures": report.failures}
     return {"suite": args.suite, "bound": args.bound}, result, []

@@ -86,7 +86,8 @@ filtered once per m.
 A ``Memo`` keyed by ratio keeps, per ratio, what the last scan there found:
 the bound and the nonzero jumps of every index tuple with output index up
 to it.  :func:`jump_general` reads a covered tuple from it, a missing entry
-being 0, and runs one pass for any other tuple without storing it.
+being 0.  Any other tuple with no jump index takes the theorem's value
+at once, and the rest run one pass without storing it.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import Memo, aut_size, exp_series_pass, rational, vec_add, vec_factorial
-from .orbits import Side, SpectrumParams, gamma, gamma_points, jump_union, normalized
+from .orbits import Side, SpectrumParams, gamma, gamma_points, jump_union, normalized, orbit_indices
 from .sft import o_key, xi
 
 __all__ = [
@@ -118,31 +119,16 @@ def _sides(a: int | str | Fraction) -> tuple[SpectrumParams, SpectrumParams]:
     return _SIDES[rational(a)]
 
 
-def _indices(indices: Sequence[int]) -> tuple[int, ...]:
-    """The orbit indices sorted; raises ValueError unless there are some and each is an int >= 1."""
-    try:
-        idx = tuple(sorted(indices))
-    except TypeError:  # not iterable, or values that do not compare, such as a str among ints
-        idx = ()
-    for i in idx:
-        if i.__class__ is not int:
-            idx = ()
-            break
-    if not idx or idx[0] < 1:
-        raise ValueError(f"orbit indices must be positive integers, got {indices}")
-    return idx
-
-
 def jump_cylinder(a: int | str | Fraction, i: int) -> Fraction:
     """k = 1 jump: (Γ^{a+}_i)! / (Γ^{a-}_i)!; equals a on J_i and 1 otherwise."""
-    _indices((i,))
+    orbit_indices((i,))
     minus, plus = _sides(a)
     return Fraction(vec_factorial(gamma(plus, i)), vec_factorial(gamma(minus, i)))
 
 
 def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     """k = 2 jump in closed form."""
-    _indices((i, j))
+    orbit_indices((i, j))
     minus, plus = _sides(a)
     out_index = i + j + 1
     numerator = vec_factorial(gamma(plus, out_index))
@@ -157,8 +143,8 @@ def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
 
 # ratio a -> (bound, {sorted I with out(I) <= bound: J^a(I) != 0}) of the last support_scan at a
 _GENERAL_CACHE = Memo()
-_ZERO = Fraction(0)  # a tuple missing from its scan's table or its pass's values
-_ONE = Fraction(1)  # a seeded singleton's jump
+_ZERO = Fraction(0)  # a tuple missing from its scan's table or its pass's values, or one with no jump index
+_ONE = Fraction(1)  # the jump of a singleton that is no jump index
 
 
 def _splits(idx: tuple[int, ...]) -> list[tuple]:
@@ -224,21 +210,26 @@ def jump_general(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
 
     A tuple whose output index a :func:`support_scan` at ``a`` covered is read
     from that scan's nonzero values, a missing entry being 0: the scan ran
-    every sorted tuple up to its bound.  Any other tuple runs one pass over
+    every sorted tuple up to its bound.  Any other tuple that holds no jump
+    index of a positive ``a`` takes the theorem's value at once (module
+    docstring): 1 for a singleton, 0 otherwise.  The rest run one pass over
     the sub-multisets of the sorted indices in :func:`_splits` order, with
-    Π (m + 1)(m + 2)/2 splits over the multiplicities m, and stores nothing.
+    Π (m + 1)(m + 2)/2 splits over the multiplicities m, and store nothing.
     """
     a = rational(a)
-    idx = _indices(indices)
+    idx = orbit_indices(indices)
     scanned = _GENERAL_CACHE.get(a)
     if scanned is not None and sum(idx) + len(idx) - 1 <= scanned[0]:
         return scanned[1].get(idx, _ZERO)
+    m = a.numerator + a.denominator
+    if a > 0 and all((i + 1) % m for i in idx):
+        return _ONE if len(idx) == 1 else _ZERO
     return _ratio_pass(a, _plan(sub for sub, _, _ in _splits(idx)[1:])).get(idx, _ZERO)
 
 
 def jump_via_xi(a: int | str | Fraction, indices: Sequence[int]) -> Fraction:
     """Arbitrary-arity jump read off the L-infinity transfer morphism."""
-    idx = _indices(indices)
+    idx = orbit_indices(indices)
     minus, plus = _sides(a)
     morphism = xi(minus, plus)
     word = tuple(o_key(i) for i in idx)

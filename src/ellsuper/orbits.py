@@ -47,6 +47,10 @@ The perturbation spelled out as dual numbers (``DualRational``,
 independent reference route; the test suite checks the walk and the closed
 form against it.
 
+``orbit_indices`` is the one check of the orbit indices that the jump
+routes and :func:`ellsuper.sft.local_descendant` take: it returns them
+sorted, or raises ValueError unless each is an int >= 1 (a bool is not).
+
 ``jump_set(k)`` = {1/k, 2/(k-1), ..., k/1} collects the two-axis ratios at
 which Γ_k changes; i/(k-i+1) ascends in i, so no sort is needed.
 ``jump_union(indices)`` is the ascending, deduplicated union of these sets.
@@ -63,7 +67,7 @@ import math
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import LatticePoint, Memo, format_rational, rational
 
@@ -74,6 +78,7 @@ __all__ = [
     "normalized",
     "gamma",
     "gamma_points",
+    "orbit_indices",
     "gamma_closed_form",
     "gamma_range",
     "orbit",
@@ -239,6 +244,21 @@ def gamma_points(params: SpectrumParams, indices: Iterable[int]) -> tuple[Lattic
         raise ValueError(f"k must be nonnegative, got {indices}")
     points = _walk(params, max(indices, default=0)).points
     return tuple(points[k] for k in indices)
+
+
+def orbit_indices(indices: Sequence[int]) -> tuple[int, ...]:
+    """The orbit indices sorted; raises ValueError unless there are some and each is an int >= 1."""
+    try:
+        idx = tuple(sorted(indices))
+    except TypeError:  # not iterable, or values that do not compare, such as a str among ints
+        idx = ()
+    for i in idx:
+        if i.__class__ is not int:
+            idx = ()
+            break
+    if not idx or idx[0] < 1:
+        raise ValueError(f"orbit indices must be positive integers, got {indices}")
+    return idx
 
 
 def gamma_closed_form(params: SpectrumParams, k: int) -> LatticePoint:

@@ -52,7 +52,7 @@ from .linf import (
     invert,
     morphisms_agree,
 )
-from .orbits import SpectrumParams, gamma, gamma_points
+from .orbits import SpectrumParams, gamma, gamma_points, orbit_indices
 from .report import Report, merge_reports
 
 __all__ = [
@@ -183,11 +183,10 @@ def local_descendant(params: SpectrumParams, indices: Sequence[int]) -> tuple[Fr
     Returns (N, m) with N = 1 / (Σ_s Γ_{i_s})! and m = Σ_s i_s + k - 2 the
     psi-power of the point constraint.  The points Γ_{i_s} are read from one
     walk, and the factorial is taken on integers, one axis at a time: the
-    walk's points are nonnegative and all have the same length.
+    walk's points are nonnegative and all have the same length.  Raises
+    ValueError unless the indices are ints >= 1 (:func:`orbits.orbit_indices`).
     """
-    indices = tuple(indices)
-    if not indices or any(i < 1 for i in indices):
-        raise ValueError(f"orbit indices must be positive integers, got {indices}")
+    indices = orbit_indices(indices)
     denominator = 1
     for axis in zip(*gamma_points(params, indices)):
         denominator *= math.factorial(sum(axis))

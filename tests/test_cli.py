@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ellsuper
-from ellsuper import orbits
+from ellsuper import cli, orbits
 from ellsuper.cli import (
     AUG_MAX_BOUND,
     COUNT_MAX_DEGREE,
@@ -450,8 +450,8 @@ def test_jumps_xi_route_above_orbit_cap_exits_1_before_work(capsys, monkeypatch,
         monkeypatch.setattr(f"ellsuper.cli.{name}", route_must_not_start)
     orbits = ",".join(str(i) for i in range(1, JUMPS_XI_MAX_ORBITS + 2))
     error = run_error(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", route])
-    assert f"--orbits has {JUMPS_XI_MAX_ORBITS + 1} indices" in error
-    assert f"cap for the xi route is {JUMPS_XI_MAX_ORBITS} (JUMPS_XI_MAX_ORBITS)" in error
+    assert f"--orbits has {JUMPS_XI_MAX_ORBITS + 1} indices for the xi route" in error
+    assert f"the cap is {JUMPS_XI_MAX_ORBITS} (JUMPS_XI_MAX_ORBITS)" in error
 
 
 def test_jumps_xi_route_at_orbit_cap_runs(capsys, monkeypatch):
@@ -488,8 +488,8 @@ def test_jumps_xi_route_above_index_sum_cap_exits_1_before_work(capsys, monkeypa
     for name in JUMP_ROUTES:
         monkeypatch.setattr(f"ellsuper.cli.{name}", route_must_not_start)
     error = run_error(capsys, ["jumps", "--a", "1/2", "--orbits", str(JUMPS_XI_MAX_INDEX_SUM), "--route", route])
-    assert f"sum(i_s) + k = {JUMPS_XI_MAX_INDEX_SUM + 1}" in error
-    assert f"cap for the xi route is {JUMPS_XI_MAX_INDEX_SUM} (JUMPS_XI_MAX_INDEX_SUM)" in error
+    assert f"sum(i_s) + k = {JUMPS_XI_MAX_INDEX_SUM + 1} for the xi route" in error
+    assert f"the cap is {JUMPS_XI_MAX_INDEX_SUM} (JUMPS_XI_MAX_INDEX_SUM)" in error
 
 
 @pytest.mark.parametrize("indices", [[JUMPS_XI_MAX_INDEX_SUM - 1], [98, 100]])
@@ -516,7 +516,8 @@ def test_jumps_recursive_route_above_split_work_cap_exits_1_before_work(capsys, 
         assert split_work(indices) > JUMPS_MAX_SPLIT_WORK
         orbits = ",".join(map(str, indices))
         error = run_error(capsys, ["jumps", "--a", "2", "--orbits", orbits, "--route", "recursive"])
-        assert f"cap for the recursive route, {JUMPS_MAX_SPLIT_WORK} (JUMPS_MAX_SPLIT_WORK)" in error
+        assert f"--orbits needs {split_work(indices)} units of split work for the recursive route" in error
+        assert f"the cap is {JUMPS_MAX_SPLIT_WORK} (JUMPS_MAX_SPLIT_WORK)" in error
 
 
 def test_jumps_recursive_route_at_split_work_cap_runs(capsys, monkeypatch):
@@ -628,6 +629,69 @@ def test_check_bound_above_cap_exits_1_before_checking(capsys, monkeypatch, suit
     assert f"cap is {cap}" in error
 
 
+# cap -> (an argument list one step above it, the names in ``cli`` that do the work it guards)
+CAP_ROWS = {
+    "PARAMS_MAX_AXES": (["gamma", "--a", _axes(PARAMS_MAX_AXES + 1), "--k", "1"], ["gamma_range"]),
+    "GAMMA_MAX_WIDTH": (["gamma", "--a", "1,7/3", "--k", f"0..{GAMMA_MAX_WIDTH}"], ["gamma_range"]),
+    # 1 axis at full width: hi of 250 digits prints exactly the cap, of 251 one step above it
+    "GAMMA_MAX_OUTPUT_DIGITS": (
+        ["gamma", "--a", "1", "--k", f"{10**250}..{10**250 + GAMMA_MAX_WIDTH - 1}"],
+        ["gamma_range"],
+    ),
+    "DESCENDANT_MAX_INDEX_SUM": (
+        ["descendant", "--a", "1,7/3", "--orbits", str(DESCENDANT_MAX_INDEX_SUM + 1)],
+        ["local_descendant"],
+    ),
+    "COUNT_MAX_DEGREE": (
+        ["superpotential", "--d", str(COUNT_MAX_DEGREE + 1), "--a", "7/3"],
+        ["wt_T", "T", "wt_T_infinity", "T_infinity"],
+    ),
+    "TABLE_MAX_DEGREE": (
+        ["table", "--d", str(TABLE_MAX_DEGREE + 1), "--min", "1", "--max", "inf"],
+        ["piecewise_table", "normalized_table"],
+    ),
+    "JUMPS_MAX_INDEX_SUM": (
+        ["jumps", "--a", "1/2", "--orbits", str(JUMPS_MAX_INDEX_SUM), "--route", "closed"],
+        JUMP_ROUTES,
+    ),
+    "JUMPS_XI_MAX_ORBITS": (
+        ["jumps", "--a", "2", "--orbits", ",".join(map(str, range(1, JUMPS_XI_MAX_ORBITS + 2))), "--route", "xi"],
+        JUMP_ROUTES,
+    ),
+    "JUMPS_XI_MAX_INDEX_SUM": (
+        ["jumps", "--a", "1/2", "--orbits", str(JUMPS_XI_MAX_INDEX_SUM), "--route", "xi"],
+        JUMP_ROUTES,
+    ),
+    "JUMPS_MAX_SPLIT_WORK": (
+        ["jumps", "--a", "1/2", "--orbits", ",".join(["1"] * 362), "--route", "recursive"],
+        JUMP_ROUTES,
+    ),
+    "GAMMA_SUITE_MAX_BOUND": (["check", "--suite", "gamma", "--bound", str(GAMMA_SUITE_MAX_BOUND + 1)], ["gamma"]),
+    "LINF_MAX_BOUND": (
+        ["check", "--suite", "linf", "--bound", str(LINF_MAX_BOUND + 1)],
+        ["inverse_check", "xi_chain_check", "structure_window_check"],
+    ),
+    "AUG_MAX_BOUND": (
+        ["check", "--suite", "aug", "--bound", str(AUG_MAX_BOUND + 1)],
+        ["verify_aug", "psi_factorization"],
+    ),
+    "JUMPS_MAX_BOUND": (["check", "--suite", "jumps", "--bound", str(JUMPS_MAX_BOUND + 1)], ["support_scan"]),
+    "GENFUN_MAX_BOUND": (["check", "--suite", "genfun", "--bound", str(GENFUN_MAX_BOUND + 1)], ["genfun_check"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_ROWS))
+def test_every_cap_rejects_an_input_above_it_by_name(capsys, monkeypatch, name):
+    """Each cap exits 1 before its work, naming its value and constant; a new cap needs a row."""
+    assert set(CAP_ROWS) == {constant for constant in vars(cli) if "_MAX_" in constant}
+    argv, guarded = CAP_ROWS[name]
+    for work in guarded:
+        monkeypatch.setattr(cli, work, route_must_not_start)
+    error = run_error(capsys, argv)
+    assert f"cap is {vars(cli)[name]}" in error
+    assert f"({name})" in error
+
+
 def test_check_failing_suite_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(
         "ellsuper.cli.genfun_check", lambda bound: Report(1, ["forced failure"])
@@ -672,8 +736,8 @@ def test_every_subcommand_prints_its_name(capsys, command):
 def test_suite_choices_are_the_suite_table():
     (suite,) = [a for a in _subparsers(_build_parser())["check"]._actions if a.dest == "suite"]
     assert suite.choices == list(_SUITES)
-    for name, (_, default, cap) in _SUITES.items():
-        assert 1 <= default <= cap, name
+    for name, (_, default, cap_name) in _SUITES.items():
+        assert 1 <= default <= vars(cli)[cap_name], name
     assert _SUITE_BOUNDS.keys() == _SUITES.keys()  # the random argument lists draw every suite
 
 

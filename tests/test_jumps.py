@@ -147,6 +147,24 @@ class TestGeneralCache:
         after = {a: (bound, dict(values)) for a, (bound, values) in jumps._GENERAL_CACHE.items()}
         assert after == before
 
+    def test_a_miss_with_no_jump_index_runs_no_pass(self):
+        """The theorem answers such a miss at once: 1 on a singleton, 0 on a longer tuple."""
+
+        def no_pass(a, plan):
+            raise AssertionError("no pass may run")
+
+        with patch.object(jumps, "_GENERAL_CACHE", Memo()), patch.object(jumps, "_ratio_pass", no_pass):
+            assert jump_general(Fraction(1, 13), range(1, 13)) == 0  # p + q = 14: 13 is the first jump index
+            assert jump_general(Fraction(1, 2), (1, 3, 4, 6, 7) * 3) == 0  # p + q = 3 divides no i + 1
+            assert jump_general(Fraction(1, 2), (1, 3, 4) * 7) == 0
+            assert jump_general(Fraction(1, 2), (4,)) == 1
+            assert jump_general(Fraction(7, 3), (1, 2, 3, 4, 5, 6, 7, 8)) == 0
+            with pytest.raises(AssertionError, match="no pass may run"):
+                jump_general(Fraction(1, 2), (2, 4))  # 2 is a jump index
+        with patch.object(jumps, "_GENERAL_CACHE", Memo()):
+            with pytest.raises(ValueError, match="must be positive"):  # p + q = 2 divides no odd i + 1
+                jump_general(Fraction(-1, 3), (2,))
+
     def test_the_ratio_cap_holds_and_evicted_ratios_recompute(self, monkeypatch):
         monkeypatch.setattr(jumps, "_GENERAL_CACHE", Memo())
         monkeypatch.setattr(exact, "CACHE_CAP", 8)
@@ -240,8 +258,8 @@ class TestSeededPasses:
         indices=st.lists(st.integers(1, 7), min_size=1, max_size=4),
     )
     @example(p=3, q=4, indices=[1, 1, 6])  # 6 is a jump index: its parts are seeded, I is not
-    @example(p=4, q=5, indices=[1, 2])  # no jump index: seeded outright
-    @example(p=1, q=1, indices=[2, 2, 4])  # w(I) = 11 > p + q = 2, no jump index: seeded outright
+    @example(p=4, q=5, indices=[1, 2])  # no jump index: the theorem's value, no pass
+    @example(p=1, q=1, indices=[2, 2, 4])  # w(I) = 11 > p + q = 2, no jump index: the theorem's value, no pass
     @example(p=2, q=1, indices=[2, 2, 5])  # every index a jump index at p + q = 3
     @settings(deadline=None, max_examples=120)
     def test_a_miss_equals_the_partition_recursion(self, p, q, indices):

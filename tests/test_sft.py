@@ -289,6 +289,12 @@ class TestLocalDescendant:
         with pytest.raises(ValueError, match="orbit indices must be positive integers"):
             local_descendant(normalized("3/2"), indices)
 
+    @pytest.mark.parametrize("indices", [(True,), (2, True), (1.0,), "x", ()])
+    def test_a_non_integer_index_raises(self, indices):
+        """Bools, floats and strings are rejected by the one orbit-index validator, as in every jump route."""
+        with pytest.raises(ValueError, match="orbit indices must be positive integers"):
+            local_descendant(normalized("3/2"), indices)
+
 
 class TestExpMc:
     @staticmethod
