@@ -322,20 +322,14 @@ def _cmd_table(args: argparse.Namespace) -> tuple[dict, dict, list[str]]:
     lo = _parse_rational(args.min)
     hi = None if args.max.strip() == "inf" else _parse_rational(args.max)
     try:
-        wt_table = piecewise_table(target, args.d, lo, hi)
-        result = {"wt_T_table": _table_payload(wt_table)}
-        tables = [("wt_T", wt_table)]
+        result = {"wt_T_table": _table_payload(piecewise_table(target, args.d, lo, hi))}
         if args.refine_orbit_id:
-            t_table = normalized_table(target, args.d, lo, hi)
-            result["T_table"] = _table_payload(t_table)
-            tables.append(("T", t_table))
+            result["T_table"] = _table_payload(normalized_table(target, args.d, lo, hi))
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     csv_lines = ["quantity,lo,hi,value"]
-    for name, table in tables:
-        for (lo_i, hi_i), value in zip(table.intervals(), table.values):
-            hi_text = "inf" if hi_i is None else format_rational(hi_i)
-            csv_lines.append(f"{name},{format_rational(lo_i)},{hi_text},{format_rational(value)}")
+    for key, table in result.items():
+        csv_lines += [f"{key.removesuffix('_table')},{r['lo']},{r['hi']},{r['value']}" for r in table["intervals"]]
     described = {
         "target": args.target,
         "d": args.d,

@@ -272,8 +272,6 @@ def support_scan(bound: int) -> tuple[ScanHit, ...]:
     """
     if bound.__class__ is not int:
         raise TypeError(f"bound must be an integer, got {bound!r}")
-    if bound < 3:
-        return ()
     plan = _plan(_scan_family(bound))
     kept: dict[int, list[tuple]] = {}  # p + q -> the down-closure of its targets
     hits: list[ScanHit] = []

@@ -37,11 +37,12 @@ Operations
   so it reads the factors' extension memos and runs no block recursion of
   its own; its level memo fills only when a level is asked for.
 * :func:`invert` — levelwise inverse of a morphism whose φ^1 is diagonal on
-  basis generators: H^1 inverts the diagonal, and for k >= 2
-  H^k(u) = -(1/c) Σ H^{s}(non-diagonal blocks of F̂ applied to the preimage),
-  where c is the coefficient of the all-singletons term.  One walk over the
-  terms of F̂(preimage) finds c among the length-k terms and sums the H^s of
-  the shorter ones.
+  basis generators: H^k(u) = -(1/c) Σ H^{s}(non-diagonal blocks of F̂
+  applied to the preimage), where c is the coefficient of the
+  all-singletons term, and H^1, which inverts the diagonal, is its k = 1
+  case with the sum started at minus the preimage.  One walk over the terms
+  of F̂(preimage) finds c among the length-k terms and sums the H^s of the
+  shorter ones.
 * :func:`check_structure` — verifies l̂ ∘ l̂ = 0 on supplied words.
 
 Both extensions walk one block plan per (word length k, block size i): the
@@ -610,36 +611,28 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
     image is proportional to it.  The inverse H satisfies (H ∘ F)^k = id^k;
     solving that relation for H^k gives
 
-        H^1(q) = (1/c_q) v_q,
-        H^k(u) = -(1/c) Σ_{blocks not all singletons} H^s(F-blocks applied to w),
+        H^k(u) = -(1/c) (Σ_{blocks not all singletons} H^s(F-blocks applied to w) - id^k(w)),
 
     with w the letterwise preimage of u and c the coefficient of u in the
-    all-singletons (length-k) part of F̂(w).  The rule walks the terms of
-    F̂(w) once: a length-k term is the diagonal, which must be the single
-    term u, and each shorter term u' adds its coefficient times H^{|u'|}(u')
-    to one integer sum, which is then scaled by -1/c.  The rule reads H^s
-    through a weak reference, so H is no reference cycle.
+    all-singletons (length-k) part of F̂(w).  id^k(w) is w at k = 1 and 0
+    above, so H^1(u) = w/c is the k = 1 case: its sum starts at -w, and F̂
+    of one letter is that letter's level.  The rule walks the terms of F̂(w)
+    once: a length-k term is the diagonal, which must be the single term u,
+    and each shorter term u' adds its coefficient times H^{|u'|}(u') to one
+    integer sum, which is then scaled by -1/c.  The rule reads H^s through a
+    weak reference, so H is no reference cycle.
     """
 
     def rule(u_word: Word) -> Combination:
         k = len(u_word)
-        if k == 1:
-            source_key = preimage(u_word[0])
-            w = (source_key,)
-            image = morphism.level(w)
-            coeff = image._terms.get(u_word)
-            if coeff is None or len(image) != 1:
-                raise ValueError(
-                    f"phi^1 is not diagonal at {source_key}: phi^1 = {image}, expected a multiple of {u_word}"
-                )
-            return _combination({w: _reciprocal(*coeff)})
         w, _ = canonical_word(morphism.source, [preimage(key) for key in u_word])
         if w is None:
             raise ValueError(f"preimage of {u_word} vanishes (repeated odd letter)")
+        # F̂ of one letter is its level, and id^1(w) = w starts the sum at -w
+        terms, lower = (morphism.level(w), {w: (-1, 1)}) if k == 1 else (morphism.extend(w), {})
         level = inverse_ref().level  # H is alive: only H.level calls this rule
         diagonal = {}
-        lower: _Sums = {}
-        for u2, (c_num, c_den) in morphism.extend(w)._terms.items():
+        for u2, (c_num, c_den) in terms._terms.items():
             if len(u2) == k:
                 diagonal[u2] = c_num, c_den
                 continue

@@ -40,7 +40,7 @@ total and length, plus one shared entry for every word that holds an α.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from typing import Iterator
 
@@ -263,13 +263,11 @@ def psi_factorization(
 
 
 def _two_alpha_words(index_bound: int) -> list[Word]:
-    """The words of two distinct alpha letters, index sums <= index_bound."""
-    alphas = _alpha_window(index_bound)
-    return [
-        tuple(sorted(pair))
-        for pair in combinations_with_replacement(alphas, 2)
-        if pair[0] != pair[1]
-    ]
+    """The words of two distinct alpha letters, index sums <= index_bound.
+
+    The window is built in canonical order, so each pair is a canonical word.
+    """
+    return list(combinations(_alpha_window(index_bound), 2))
 
 
 def structure_window_check(index_bound: int, length_bound: int) -> Report:

@@ -31,6 +31,12 @@ out once, in ``_signature_pass``.  Two references check it from outside:
 and :func:`ellsuper.oracle.cp2_exp_mc` builds exp(Σ_e T̃_e o_{3e-1}), whose
 augmentation by :func:`ellsuper.sft.epsilon` must give N_d on single letters.
 
+A degree is an ``int`` >= 1, never a bool.  One check, ``_cp2_degree``,
+guards every entry that takes one: :meth:`CP2Target.chern` and ``area``,
+through which every count and table reads its degree, :func:`wt_T_infinity`
+(so :func:`T_infinity`) and :func:`genfun_check`.  Anything else raises
+ValueError.
+
 "Infinite" parameters mean any a > 3d - 1, where every lattice path is
 horizontal (the signature ((3e - 1, 0))_{e <= d}); there the generating
 function F(x) = 1 + Σ_d T̃_d x^d obeys [x^d] F(x)^{3d} = (3d)!/(d!)^3.
@@ -83,6 +89,13 @@ __all__ = [
 ]
 
 
+def _cp2_degree(d: object) -> int:
+    """``d`` if it is a CP^2 degree, an int >= 1 and not a bool; ValueError otherwise."""
+    if d.__class__ is not int or d < 1:
+        raise ValueError(f"CP2 degrees are integers >= 1, got {d!r}")
+    return d
+
+
 class CP2Target:
     """The projective plane with its Fubini-Study form; classes are degrees d >= 1.
 
@@ -100,16 +113,11 @@ class CP2Target:
     def __repr__(self) -> str:
         return "CP2Target()"
 
-    def _check(self, d: object) -> int:
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"CP2 classes are positive integer degrees, got {d!r}")
-        return d
-
     def chern(self, label: object) -> int:
-        return 3 * self._check(label)
+        return 3 * _cp2_degree(label)
 
     def area(self, label: object) -> Fraction:
-        return Fraction(self._check(label))
+        return Fraction(_cp2_degree(label))
 
 
 # the kernel pass run last: its signature, and the state (n -> F_n, n -> E_n) of its steps
@@ -169,9 +177,7 @@ def T(target: CP2Target, label: object, params: SpectrumParams) -> Fraction:
 
 def wt_T_infinity(d: int) -> Fraction:
     """T̃_d for CP^2 at a = infinity (any a > 3d - 1): all paths horizontal."""
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
-    return _WT_CACHE[tuple((3 * e - 1, 0) for e in range(1, d + 1))]
+    return _WT_CACHE[tuple((3 * e - 1, 0) for e in range(1, _cp2_degree(d) + 1))]
 
 
 def T_infinity(d: int) -> Fraction:
@@ -329,9 +335,7 @@ def genfun_check(dmax: int) -> Report:
     each power keeps only the terms up to x^d.  It reads the counts through
     :func:`wt_T_infinity` alone and shares no arithmetic with the count path.
     """
-    if dmax < 1:
-        raise ValueError(f"dmax must be >= 1, got {dmax}")
-    counts = [wt_T_infinity(e) for e in range(1, dmax + 1)]
+    counts = [wt_T_infinity(e) for e in range(1, _cp2_degree(dmax) + 1)]
     scale = math.lcm(*(t.denominator for t in counts))
     base = [scale] + [t.numerator * (scale // t.denominator) for t in counts]  # scale * F
     failures: list[str] = []

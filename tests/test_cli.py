@@ -37,12 +37,10 @@ from ellsuper.cli import (
     GAMMA_MAX_WIDTH,
     GAMMA_SUITE_MAX_BOUND,
     GENFUN_MAX_BOUND,
-    JUMPS_MAX_BOUND,
     JUMPS_MAX_INDEX_SUM,
     JUMPS_MAX_SPLIT_WORK,
     JUMPS_XI_MAX_INDEX_SUM,
     JUMPS_XI_MAX_ORBITS,
-    LINF_MAX_BOUND,
     PARAMS_MAX_AXES,
     TABLE_MAX_DEGREE,
     _build_parser,
@@ -146,18 +144,6 @@ def test_gamma_bad_k_range(capsys, bad_k):
     assert "error" in json.loads(err)
 
 
-def test_gamma_range_wider_than_cap_exits_1_before_walking(capsys, monkeypatch):
-    def boom(*args):
-        raise AssertionError("the walk must not start")
-
-    monkeypatch.setattr("ellsuper.cli.gamma_range", boom)
-    monkeypatch.setattr("ellsuper.orbits.gamma_closed_form", boom)
-    lo = 10**9
-    error = run_error(capsys, ["gamma", "--a", "1,7/3", "--k", f"{lo}..{lo + GAMMA_MAX_WIDTH}"])
-    assert f"{GAMMA_MAX_WIDTH + 1} indices" in error
-    assert f"cap is {GAMMA_MAX_WIDTH}" in error
-
-
 def test_gamma_output_over_the_digit_cap_exits_1_before_walking(capsys, monkeypatch):
     """A full-width range from 10^4000 would print about 0.8 billion digits;
     one from 10^12 at 16 axes (13-digit indices) stays accepted."""
@@ -205,16 +191,6 @@ def test_spectrum_csv(capsys):
 def test_spectrum_count_must_be_positive(capsys):
     message = run_error(capsys, ["spectrum", "--a", "1,2", "--count", "0"])
     assert "--count" in message
-
-
-def test_spectrum_count_above_cap_exits_1_before_walking(capsys, monkeypatch):
-    def boom(*args):
-        raise AssertionError("the walk must not start")
-
-    monkeypatch.setattr("ellsuper.cli.gamma_range", boom)
-    error = run_error(capsys, ["spectrum", "--a", "1,7/3", "--count", str(GAMMA_MAX_WIDTH + 1)])
-    assert f"--count {GAMMA_MAX_WIDTH + 1}" in error
-    assert f"cap is {GAMMA_MAX_WIDTH}" in error
 
 
 def test_spectrum_output_over_the_digit_cap_exits_1_before_walking(capsys, monkeypatch):
@@ -400,6 +376,33 @@ def test_table_csv(capsys):
     assert lines == ["quantity,lo,hi,value", "wt_T,1,2,0", "wt_T,2,4,1"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    lo=st.fractions(min_value=1, max_value=30, max_denominator=6),
+    width=st.none() | st.fractions(min_value=Fraction(1, 6), max_value=20, max_denominator=6),
+    refine=st.booleans(),
+)
+def test_table_csv_rows_are_the_json_intervals(d, lo, width, refine):
+    """Row for row, the CSV holds each table's JSON intervals, wt_T first."""
+    hi = None if width is None else lo + width
+    argv = ["table", "--d", str(d), "--min", str(lo), "--max", "inf" if hi is None else str(hi)]
+    argv += ["--refine-orbit-id"] * refine
+    outputs = []
+    for fmt in ("json", "csv"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([*argv, "--format", fmt]) == 0
+        outputs.append(out.getvalue())
+    result = json.loads(outputs[0])["result"]
+    assert list(result) == ["wt_T_table", "T_table"][: 1 + refine]
+    rows = [
+        f"{quantity},{row['lo']},{row['hi']},{row['value']}"
+        for quantity in ("wt_T", "T")[: 1 + refine]
+        for row in result[f"{quantity}_table"]["intervals"]
+    ]
+    assert outputs[1].splitlines() == ["quantity,lo,hi,value", *rows]
+
+
 @pytest.mark.parametrize("refine", [[], ["--refine-orbit-id"]])
 def test_table_degree_above_cap_exits_1_before_tabulating(capsys, monkeypatch, refine):
     for name in ("piecewise_table", "normalized_table"):
@@ -549,12 +552,6 @@ def test_bound_vanishing_count_reports_no_obstruction(capsys):
     assert "no obstruction" in payload["result"]["note"]
 
 
-def test_bound_degree_above_cap_exits_1_before_counting(capsys, monkeypatch):
-    monkeypatch.setattr("ellsuper.cli.embedding_bound", count_must_not_start)
-    error = run_error(capsys, ["bound", "--d", str(COUNT_MAX_DEGREE + 1), "--a", "1,7/3"])
-    assert f"cap is {COUNT_MAX_DEGREE} (COUNT_MAX_DEGREE)" in error
-
-
 @pytest.mark.parametrize("d", ["3", "5", "9"])
 def test_bound_too_long_to_print_exits_1(capsys, d):
     # 1/N with N of 4,300 digits prints, but the bound d·N/m has one digit more
@@ -578,16 +575,6 @@ def test_check_rejects_bound_below_one(capsys, suite, bound):
     assert "--bound" in run_error(capsys, ["check", "--suite", suite, "--bound", bound])
 
 
-def test_check_jumps_bound_above_cap_exits_1_before_scanning(capsys, monkeypatch):
-    def boom(bound):
-        raise AssertionError("the scan must not start")
-
-    monkeypatch.setattr("ellsuper.cli.support_scan", boom)
-    error = run_error(capsys, ["check", "--suite", "jumps", "--bound", str(JUMPS_MAX_BOUND + 1)])
-    assert f"--bound {JUMPS_MAX_BOUND + 1}" in error
-    assert f"cap is {JUMPS_MAX_BOUND}" in error
-
-
 def test_check_jumps_lists_an_energy_violation(capsys, monkeypatch):
     # at a = 5, A(o_1) + A(o_2) = 3 < A(o_4) = 4; the value is the true jump, so only the energy check fails
     a = Fraction(5)
@@ -599,16 +586,6 @@ def test_check_jumps_lists_an_energy_violation(capsys, monkeypatch):
     result = json.loads(out)["result"]
     assert result["ok"] is False and result["checked"] == 1
     assert result["failures"] == [f"energy inequality violated at {hit}: 3 < 4"]
-
-
-def test_check_linf_bound_above_cap_exits_1_before_checking(capsys, monkeypatch):
-    def boom(params, bound):
-        raise AssertionError("the check must not start")
-
-    monkeypatch.setattr("ellsuper.cli.inverse_check", boom)
-    error = run_error(capsys, ["check", "--suite", "linf", "--bound", str(LINF_MAX_BOUND + 1)])
-    assert f"--bound {LINF_MAX_BOUND + 1}" in error
-    assert f"cap is {LINF_MAX_BOUND}" in error
 
 
 @pytest.mark.parametrize(
@@ -629,67 +606,129 @@ def test_check_bound_above_cap_exits_1_before_checking(capsys, monkeypatch, suit
     assert f"cap is {cap}" in error
 
 
-# cap -> (an argument list one step above it, the names in ``cli`` that do the work it guards)
-CAP_ROWS = {
-    "PARAMS_MAX_AXES": (["gamma", "--a", _axes(PARAMS_MAX_AXES + 1), "--k", "1"], ["gamma_range"]),
-    "GAMMA_MAX_WIDTH": (["gamma", "--a", "1,7/3", "--k", f"0..{GAMMA_MAX_WIDTH}"], ["gamma_range"]),
-    # 1 axis at full width: hi of 250 digits prints exactly the cap, of 251 one step above it
-    "GAMMA_MAX_OUTPUT_DIGITS": (
-        ["gamma", "--a", "1", "--k", f"{10**250}..{10**250 + GAMMA_MAX_WIDTH - 1}"],
+def _jumps_argv(a, indices, route):
+    return ["jumps", "--a", a, "--orbits", ",".join(map(str, indices)), "--route", route]
+
+
+_HUGE_AXIS = 10**3990  # 3,991 digits
+
+# one input per row, one step above its cap: (cap, argument list, the work it
+# guards, a fragment of the message's <what>); a name of the work without a
+# dot lives in ``cli``, and each is patched to fail
+CAP_ROWS = [
+    *(
+        ("PARAMS_MAX_AXES", [command, "--a", _axes(PARAMS_MAX_AXES + 1), *rest], ["gamma_range", "local_descendant"],
+         f"--a has {PARAMS_MAX_AXES + 1} axes")
+        for command, *rest in (["gamma", "--k", "3"], ["spectrum", "--count", "3"], ["descendant", "--orbits", "2"])
+    ),
+    (
+        "GAMMA_MAX_WIDTH",
+        ["gamma", "--a", "1,7/3", "--k", f"{10**9}..{10**9 + GAMMA_MAX_WIDTH}"],
+        ["gamma_range", "ellsuper.orbits.gamma_closed_form"],
+        f"spans {GAMMA_MAX_WIDTH + 1} indices",
+    ),
+    (
+        "GAMMA_MAX_WIDTH",
+        ["spectrum", "--a", "1,7/3", "--count", str(GAMMA_MAX_WIDTH + 1)],
         ["gamma_range"],
+        f"--count {GAMMA_MAX_WIDTH + 1} asks for too many orbits",
     ),
-    "DESCENDANT_MAX_INDEX_SUM": (
-        ["descendant", "--a", "1,7/3", "--orbits", str(DESCENDANT_MAX_INDEX_SUM + 1)],
-        ["local_descendant"],
+    # 1 axis at full width: hi of 250 digits prints exactly the cap, of 251 one step above it
+    (
+        "GAMMA_MAX_OUTPUT_DIGITS",
+        ["gamma", "--a", "1", "--k", f"{10**250}..{10**250 + GAMMA_MAX_WIDTH - 1}"],
+        ["gamma_range", "ellsuper.orbits.gamma_closed_form"],
+        f"would print about {GAMMA_MAX_WIDTH * 251} digits",
     ),
-    "COUNT_MAX_DEGREE": (
-        ["superpotential", "--d", str(COUNT_MAX_DEGREE + 1), "--a", "7/3"],
-        ["wt_T", "T", "wt_T_infinity", "T_infinity"],
+    # a full-width range from 10^4000 would print about 0.8 billion digits
+    (
+        "GAMMA_MAX_OUTPUT_DIGITS",
+        ["gamma", "--a", "1,7/3", "--k", f"{10**4000}..{10**4000 + GAMMA_MAX_WIDTH - 1}"],
+        ["gamma_range", "ellsuper.orbits.gamma_closed_form"],
+        f"would print about {GAMMA_MAX_WIDTH * 2 * 4001} digits",
     ),
-    "TABLE_MAX_DEGREE": (
-        ["table", "--d", str(TABLE_MAX_DEGREE + 1), "--min", "1", "--max", "inf"],
-        ["piecewise_table", "normalized_table"],
+    # the full count on two axes of about 4,000 digits would print about 400 MB
+    (
+        "GAMMA_MAX_OUTPUT_DIGITS",
+        ["spectrum", "--a", f"{_HUGE_AXIS},{_HUGE_AXIS + 1}", "--count", str(GAMMA_MAX_WIDTH)],
+        ["gamma_range"],
+        f"would print about {GAMMA_MAX_WIDTH * 2 * (6 + 3991 + 1)} digits",
     ),
-    "JUMPS_MAX_INDEX_SUM": (
-        ["jumps", "--a", "1/2", "--orbits", str(JUMPS_MAX_INDEX_SUM), "--route", "closed"],
-        JUMP_ROUTES,
+    *(
+        ("DESCENDANT_MAX_INDEX_SUM", ["descendant", "--a", a, "--orbits", ",".join(map(str, indices))],
+         ["local_descendant"], f"--orbits indices sum to {sum(indices)}")
+        for a, indices in (("1,7/3", [DESCENDANT_MAX_INDEX_SUM + 1]), ("1,1", [800, 800, 800]))
     ),
-    "JUMPS_XI_MAX_ORBITS": (
-        ["jumps", "--a", "2", "--orbits", ",".join(map(str, range(1, JUMPS_XI_MAX_ORBITS + 2))), "--route", "xi"],
-        JUMP_ROUTES,
+    *(
+        ("COUNT_MAX_DEGREE", ["superpotential", "--d", str(COUNT_MAX_DEGREE + 1), "--a", a],
+         ["wt_T", "T", "wt_T_infinity", "T_infinity"], f"--d {COUNT_MAX_DEGREE + 1} is too large")
+        for a in ("inf", "13/2+")
     ),
-    "JUMPS_XI_MAX_INDEX_SUM": (
-        ["jumps", "--a", "1/2", "--orbits", str(JUMPS_XI_MAX_INDEX_SUM), "--route", "xi"],
-        JUMP_ROUTES,
+    (
+        "COUNT_MAX_DEGREE",
+        ["bound", "--d", str(COUNT_MAX_DEGREE + 1), "--a", "1,7/3"],
+        ["embedding_bound"],
+        f"--d {COUNT_MAX_DEGREE + 1} is too large",
     ),
-    "JUMPS_MAX_SPLIT_WORK": (
-        ["jumps", "--a", "1/2", "--orbits", ",".join(["1"] * 362), "--route", "recursive"],
-        JUMP_ROUTES,
+    *(
+        ("TABLE_MAX_DEGREE", ["table", "--d", str(TABLE_MAX_DEGREE + 1), "--min", "1", "--max", "inf", *refine],
+         ["piecewise_table", "normalized_table"], f"--d {TABLE_MAX_DEGREE + 1} is too large")
+        for refine in ([], ["--refine-orbit-id"])
     ),
-    "GAMMA_SUITE_MAX_BOUND": (["check", "--suite", "gamma", "--bound", str(GAMMA_SUITE_MAX_BOUND + 1)], ["gamma"]),
-    "LINF_MAX_BOUND": (
-        ["check", "--suite", "linf", "--bound", str(LINF_MAX_BOUND + 1)],
-        ["inverse_check", "xi_chain_check", "structure_window_check"],
+    # w(I) = Σ i_s + k one above the cap, on one index and on two, on every route
+    *(
+        ("JUMPS_MAX_INDEX_SUM", _jumps_argv("1/2", indices, route), JUMP_ROUTES,
+         f"--orbits has sum(i_s) + k = {JUMPS_MAX_INDEX_SUM + 1}")
+        for indices in ([JUMPS_MAX_INDEX_SUM], [1, JUMPS_MAX_INDEX_SUM - 2])
+        for route in ("closed", "recursive", "xi", "all")
     ),
-    "AUG_MAX_BOUND": (
-        ["check", "--suite", "aug", "--bound", str(AUG_MAX_BOUND + 1)],
-        ["verify_aug", "psi_factorization"],
+    *(
+        ("JUMPS_XI_MAX_ORBITS", _jumps_argv("2", range(1, JUMPS_XI_MAX_ORBITS + 2), route), JUMP_ROUTES,
+         f"--orbits has {JUMPS_XI_MAX_ORBITS + 1} indices for the xi route")
+        for route in ("xi", "all")
     ),
-    "JUMPS_MAX_BOUND": (["check", "--suite", "jumps", "--bound", str(JUMPS_MAX_BOUND + 1)], ["support_scan"]),
-    "GENFUN_MAX_BOUND": (["check", "--suite", "genfun", "--bound", str(GENFUN_MAX_BOUND + 1)], ["genfun_check"]),
-}
+    *(
+        ("JUMPS_XI_MAX_INDEX_SUM", _jumps_argv("1/2", [JUMPS_XI_MAX_INDEX_SUM], route), JUMP_ROUTES,
+         f"--orbits has sum(i_s) + k = {JUMPS_XI_MAX_INDEX_SUM + 1} for the xi route")
+        for route in ("xi", "all")
+    ),
+    *(
+        ("JUMPS_MAX_SPLIT_WORK", _jumps_argv("2", indices, "recursive"), JUMP_ROUTES,
+         f"--orbits needs {split_work(indices)} units of split work for the recursive route")
+        for indices in (
+            [1] * 362,  # one more than the most ones at the cap
+            [1] * 63 + [2] * 63,  # 4,096 sub-multisets, 4,326,400 splits
+            [1] * 4095,  # 4,096 sub-multisets
+            [1] * 1029,  # 530,965 splits
+            [i for i in (1, 2, 3, 4) for _ in range(7)],
+        )
+    ),
+    *(
+        (cap, ["check", "--suite", suite, "--bound", str(vars(cli)[cap] + 1)], work,
+         f"--bound {vars(cli)[cap] + 1} is too large for the {suite} suite")
+        for cap, suite, work in (
+            ("GAMMA_SUITE_MAX_BOUND", "gamma", ["gamma"]),
+            ("LINF_MAX_BOUND", "linf", ["inverse_check", "xi_chain_check", "structure_window_check"]),
+            ("AUG_MAX_BOUND", "aug", ["verify_aug", "psi_factorization"]),
+            ("JUMPS_MAX_BOUND", "jumps", ["support_scan"]),
+            ("GENFUN_MAX_BOUND", "genfun", ["genfun_check"]),
+        )
+    ),
+]
 
 
-@pytest.mark.parametrize("name", sorted(CAP_ROWS))
+@pytest.mark.parametrize("name", sorted({row[0] for row in CAP_ROWS}))
 def test_every_cap_rejects_an_input_above_it_by_name(capsys, monkeypatch, name):
-    """Each cap exits 1 before its work, naming its value and constant; a new cap needs a row."""
-    assert set(CAP_ROWS) == {constant for constant in vars(cli) if "_MAX_" in constant}
-    argv, guarded = CAP_ROWS[name]
-    for work in guarded:
-        monkeypatch.setattr(cli, work, route_must_not_start)
-    error = run_error(capsys, argv)
-    assert f"cap is {vars(cli)[name]}" in error
-    assert f"({name})" in error
+    """Every row of a cap exits 1 before its work, naming the cap's value and
+    constant after its <what>; a new cap needs a row."""
+    assert {row[0] for row in CAP_ROWS} == {constant for constant in vars(cli) if "_MAX_" in constant}
+    for _, argv, guarded, what in (row for row in CAP_ROWS if row[0] == name):
+        with monkeypatch.context() as patched:
+            for work in guarded:
+                patched.setattr(work if "." in work else f"ellsuper.cli.{work}", route_must_not_start)
+            error = run_error(capsys, argv)
+        assert what in error, argv
+        assert error.endswith(f"; the cap is {vars(cli)[name]} ({name})"), argv
 
 
 def test_check_failing_suite_exits_2(capsys, monkeypatch):

@@ -509,6 +509,12 @@ class TestSupportScan:
     def test_small_bound_has_no_hits(self):
         assert support_scan(3) == ()
 
+    @pytest.mark.parametrize("bound", [-1, 0, 1, 2])
+    def test_bounds_below_three_hold_no_tuple_of_two(self, bound):
+        """A bound <= 0 plans no ratio, and bounds 1 and 2 hold only singletons."""
+        with patch.object(jumps, "_GENERAL_CACHE", Memo()):
+            assert support_scan(bound) == ()
+
     def test_hits_agree_with_other_routes(self):
         hits = support_scan(11)
         assert len(hits) > 100

@@ -747,7 +747,7 @@ class TestInvert:
     def test_level_one_rejects_a_non_diagonal_first_level(self):
         F = self.table_morphism({word(g(1)): Combination({word(h(1)): 1, word(h(2)): 1})})
         H = invert(F, preimage=lambda key: g(key[1]))
-        with pytest.raises(ValueError, match=r"phi\^1 is not diagonal at \('g', 1\)"):
+        with pytest.raises(ValueError, match=r"phi\^1 is not diagonal on the letters of \(\('h', 1\),\)"):
             H.level(word(h(1)))
 
     @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Tests for the fully-rounded algebra and its augmentation identities."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -12,6 +12,7 @@ from ellsuper.linf import (
     LinfMorphism,
     LinfStructure,
     Word,
+    canonical_word,
     extend_coderivation,
     identity_morphism,
 )
@@ -138,6 +139,16 @@ class TestCoderivation:
         report = structure_window_check(4, 3)
         assert report.ok, report.failures[:3]
         assert report.checked > 100
+
+    @pytest.mark.parametrize("bound", range(9))
+    def test_two_alpha_words_are_the_filtered_sorted_pairs(self, bound):
+        """Pairs of the sorted window equal the old enumeration, which drew
+        pairs with replacement, dropped the repeats and sorted each pair."""
+        alphas = [alpha_key(i, j) for i in range(1, bound) for j in range(1, bound) if i + j <= bound]
+        expected = [tuple(sorted(pair)) for pair in combinations_with_replacement(alphas, 2) if pair[0] != pair[1]]
+        assert _two_alpha_words(bound) == expected
+        for word_ in expected:
+            assert canonical_word(v_generators(), word_)[0] == word_
 
 
 class TestDeclaredArities:

@@ -43,6 +43,28 @@ class TestCP2Target:
         assert CP2.chern(4) == 12
         assert CP2.area(4) == 4
 
+    # every entry that takes a CP^2 degree, as a function of the degree alone
+    DEGREE_ENTRIES = {
+        "wt_T": lambda d: wt_T(CP2, d, normalized(7)),
+        "T": lambda d: T(CP2, d, normalized(7)),
+        "embedding_bound": lambda d: embedding_bound(CP2, d, normalized(7)),
+        "piecewise_table": lambda d: piecewise_table(CP2, d, 1, None),
+        "normalized_table": lambda d: normalized_table(CP2, d, 1, None),
+        "wt_T_infinity": wt_T_infinity,
+        "T_infinity": T_infinity,
+        "genfun_check": genfun_check,
+        "CP2Target.chern": CP2.chern,
+        "CP2Target.area": CP2.area,
+    }
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, 0, "2"], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(DEGREE_ENTRIES))
+    def test_every_degree_entry_rejects_a_non_degree(self, entry, bad):
+        """A degree is an int >= 1 and not a bool; a bool once counted as T̃_1
+        and a float reached ``range``."""
+        with pytest.raises(ValueError, match="CP2 degrees are integers >= 1"):
+            self.DEGREE_ENTRIES[entry](bad)
+
 
 class TestWtT:
     def test_base_case(self):
