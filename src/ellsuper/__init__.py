@@ -6,14 +6,17 @@ Exact-arithmetic computation of:
   lattice-path bookkeeping Γ_k (:mod:`ellsuper.orbits`);
 * a lazy L-infinity engine over Q — coderivation and cofunctor extensions,
   composition, levelwise inversion (:mod:`ellsuper.linf`);
-* the stationary-descendant morphism, its inverse, and transfer morphisms
-  (:mod:`ellsuper.sft`);
+* the lattice letters α/β, the one augmentation ε̃ on them, the letter
+  maps ψ_a, and the stationary-descendant morphism ε_a = ε̃ ∘ ψ_a, its
+  inverse, and transfer morphisms (:mod:`ellsuper.sft`);
 * weighted and unweighted counts T̃/T of rational curves in CP^2 with one
   end on an ellipsoid, piecewise in the parameter, with the generating
   function cross-check (:mod:`ellsuper.superpotential`);
 * jump formulas for the transfer morphism across a single rational ratio
   (:mod:`ellsuper.jumps`);
-* the two-family rounding algebra and its augmentation (:mod:`ellsuper.rounding`);
+* the two-family rounding algebra on the lattice letters, and the checks
+  that ε̃ intertwines it and that ε̃ ∘ ψ_a is the closed form
+  (:mod:`ellsuper.rounding`);
 * brute-force oracles for all of the above, with the dual-number spectrum
   and the CP^2 Maurer-Cartan exponential (:mod:`ellsuper.oracle`).
 

@@ -83,11 +83,13 @@ w(I) + m <= w(T) <= B + 1; conversely I with the index m - 1 added is a
 target of weight w(I) + m.  That test reads only m and B, so one plan is
 filtered once per m.
 
-A ``Memo`` keyed by ratio keeps, per ratio, what the last scan there found:
-the bound and the nonzero jumps of every index tuple with output index up
-to it.  :func:`jump_general` reads a covered tuple from it, a missing entry
-being 0.  Any other tuple with no jump index takes the theorem's value
-at once, and the rest run one pass without storing it.
+A ``Memo`` keyed by ratio keeps, per ratio, what the scan of the largest
+bound there found: the bound and the nonzero jumps of every index tuple
+with output index up to it.  A jump does not depend on the bound, so a scan
+at or below that bound reads the table and runs no pass.
+:func:`jump_general` reads a covered tuple from it, a missing entry being
+0.  Any other tuple with no jump index takes the theorem's value at once,
+and the rest run one pass without storing it.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def jump_pants(a: int | str | Fraction, i: int, j: int) -> Fraction:
     return term_minus - term_plus
 
 
-# ratio a -> (bound, {sorted I with out(I) <= bound: J^a(I) != 0}) of the last support_scan at a
+# ratio a -> (bound, {sorted I with out(I) <= bound: J^a(I) != 0}) of the largest support_scan at a
 _GENERAL_CACHE = Memo()
 _ZERO = Fraction(0)  # a tuple missing from its scan's table or its pass's values, or one with no jump index
 _ONE = Fraction(1)  # the jump of a singleton that is no jump index
@@ -263,26 +265,32 @@ def support_scan(bound: int) -> tuple[ScanHit, ...]:
     """All nonzero jumps with k >= 2 inputs and output index Σi + k - 1 <= bound.
 
     The ratio a ranges over ∪_{s <= bound} J_s; nonzero jumps cannot occur
-    elsewhere.  At each ratio one pass gives the jump of every index tuple up
-    to the bound, and its nonzero values replace the ratio's entry in
-    ``_GENERAL_CACHE``.  Each pass seeds its steps with no jump index in
+    elsewhere.  A ratio whose table in ``_GENERAL_CACHE`` is from a bound at
+    least this one reads its hits from it; at every other ratio one pass
+    gives the jump of every index tuple up to the bound, and its nonzero
+    values become the ratio's table, so a table only grows.  Only such a
+    ratio builds the plan.  Each pass seeds its steps with no jump index in
     closed form and runs only the down-closure of the singletons and the
     steps with a jump index, filtered from one plan once per p + q; the
     module docstring proves both.
     """
     if bound.__class__ is not int:
         raise TypeError(f"bound must be an integer, got {bound!r}")
-    plan = _plan(_scan_family(bound))
+    plan = None  # built only for a ratio whose table is missing or from a smaller bound
     kept: dict[int, list[tuple]] = {}  # p + q -> the down-closure of its targets
     hits: list[ScanHit] = []
     for a in jump_union(range(1, bound + 1)):
-        m = a.numerator + a.denominator
-        steps = kept.get(m)
-        if steps is None:
-            steps = kept[m] = [step for step in plan if len(step[0]) == 1 or step[1] + m <= bound + 1
-                               or any((i + 1) % m == 0 for i in step[0])]
-        nonzero = _ratio_pass(a, steps)
-        _GENERAL_CACHE.store(a, (bound, nonzero))
-        hits += [ScanHit(a, idx, value) for idx, value in nonzero.items() if len(idx) >= 2]
+        table = _GENERAL_CACHE.get(a)
+        if table is None or table[0] < bound:
+            if plan is None:
+                plan = _plan(_scan_family(bound))
+            m = a.numerator + a.denominator
+            steps = kept.get(m)
+            if steps is None:
+                steps = kept[m] = [step for step in plan if len(step[0]) == 1 or step[1] + m <= bound + 1
+                                   or any((i + 1) % m == 0 for i in step[0])]
+            table = _GENERAL_CACHE.store(a, (bound, _ratio_pass(a, steps)))
+        hits += [ScanHit(a, idx, value) for idx, value in table[1].items()
+                 if len(idx) >= 2 and sum(idx) + len(idx) - 1 <= bound]
     hits.sort(key=lambda h: (h.a, len(h.indices), h.indices))
     return tuple(hits)

@@ -23,86 +23,57 @@ on a window of words.  For an ellipsoid E(1, a) the inclusion-like morphism
 psi_a sending o_k to beta_{Γ^a_k} (and no higher levels) factors the
 stationary-descendant morphism: eps~ ∘ psi_a = eps_a.
 
+The letters, eps~ and psi_a live in :mod:`ellsuper.sft`, where eps_a is
+built as that composite; this module holds the algebra and the checks.
+:func:`psi_factorization` compares eps_a with a morphism whose levels are
+:func:`ellsuper.sft.local_descendant`'s closed form, so the check shares no
+rule with what it checks.
+
 The algebra declares what the engine may skip: its levels vanish above
 arity 2 and on every head with no α (the only odd letters), so l̂ of an
-all-β word is zero without a rule call.  psi_a declares level 1 only.
-
-The generators, the algebra and the augmentation are module constants
-built at import (building one only stores its rule), so their memos are
-shared by every caller in the process; each memo is an
-:class:`ellsuper.exact.Memo` and holds at most ``CACHE_CAP`` entries.  The
-level of eps~ on a word depends only on (Σi, Σj, k) when every letter is a
-β, and is zero otherwise, so its level memo is keyed by exactly that
-(:func:`_tilde_key`) and its rule reads the key alone: one entry per index
-total and length, plus one shared entry for every word that holds an α.
+all-β word is zero without a rule call.  It is a module constant built at
+import (building it only stores its rule), so its memos are shared by every
+caller in the process; each memo is an :class:`ellsuper.exact.Memo` and
+holds at most ``CACHE_CAP`` entries.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import factorial
 from typing import Iterator
 
 from .linf import (
     Combination,
-    GeneratorSet,
     Key,
     LinfMorphism,
     LinfStructure,
     Word,
     check_structure,
-    compose,
     extend_coderivation,
     morphisms_agree,
 )
-from .orbits import SpectrumParams, gamma
+from .orbits import SpectrumParams
 from .report import Report, merge_reports
-from .sft import ca_generators, co_generators, epsilon, index_words, o_key, q_key
+from .sft import (
+    alpha_key,
+    beta_key,
+    ca_generators,
+    co_generators,
+    epsilon,
+    index_words,
+    local_descendant,
+    o_key,
+    q_key,
+    tilde_epsilon,
+    v_generators,
+)
 
 __all__ = [
-    "alpha_key",
-    "beta_key",
-    "v_generators",
     "v_algebra",
-    "tilde_epsilon",
-    "psi_map",
     "verify_aug",
     "psi_factorization",
     "structure_window_check",
 ]
-
-
-def alpha_key(i: int, j: int) -> Key:
-    return ("alpha", i, j)
-
-
-def beta_key(i: int, j: int) -> Key:
-    return ("beta", i, j)
-
-
-def _v_degree(key: Key) -> int:
-    if isinstance(key, tuple) and len(key) == 3:
-        kind, i, j = key
-        if kind == "alpha" and isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1:
-            return -1 - 2 * (i + j)
-        if (
-            kind == "beta"
-            and isinstance(i, int)
-            and isinstance(j, int)
-            and i >= 0
-            and j >= 0
-            and (i, j) != (0, 0)
-        ):
-            return -2 - 2 * (i + j)
-    raise ValueError(f"unknown generator key {key!r} (expected alpha_(i>=1,j>=1) or beta_(i,j)!=(0,0))")
-
-
-_V_GENERATORS = GeneratorSet("V", _v_degree)
-
-
-def v_generators() -> GeneratorSet:
-    return _V_GENERATORS
 
 
 def _v_rule(word: Word) -> Combination:
@@ -138,54 +109,6 @@ _V_ALGEBRA = LinfStructure(v_generators(), _v_rule, arities=(1, 2), odd_heads=Tr
 def v_algebra() -> LinfStructure:
     """The structure above (one instance, shared module-wide)."""
     return _V_ALGEBRA
-
-
-_HAS_ALPHA = ("alpha",)  # the one key of every word with an α letter: its level is zero
-
-
-def _tilde_key(word: Word) -> tuple:
-    """What ``_tilde_rule`` reads of a word: (Σi, Σj, k) for all-β words, one key for the rest."""
-    i_total = 0
-    j_total = 0
-    for kind, i, j in word:
-        if kind != "beta":
-            return _HAS_ALPHA
-        i_total += i
-        j_total += j
-    return (i_total, j_total, len(word))
-
-
-def _tilde_rule(key: tuple) -> Combination:
-    """eps~^k on every word whose ``_tilde_key`` is ``key``; k is its last entry."""
-    if key is _HAS_ALPHA:
-        return Combination()
-    i_total, j_total, k = key
-    return Combination.single(
-        (q_key(i_total + j_total + k - 1),),
-        Fraction(1, factorial(i_total) * factorial(j_total)),
-    )
-
-
-_TILDE = LinfMorphism(v_generators(), co_generators(), _tilde_rule, memo_key=_tilde_key)
-
-
-def tilde_epsilon() -> LinfMorphism:
-    """The augmentation eps~ : V -> C_o (one instance, shared module-wide)."""
-    return _TILDE
-
-
-def psi_map(params: SpectrumParams) -> LinfMorphism:
-    """psi_a : C_a -> V with psi^1(o_k) = beta_{Γ^a_k} and psi^{>=2} = 0."""
-    if params.n != 2:
-        raise ValueError("psi_map needs a two-axis ellipsoid (beta indices are pairs)")
-
-    def rule(word: Word) -> Combination:
-        if len(word) != 1:
-            return Combination()
-        x, y = gamma(params, word[0][1])
-        return Combination.single((beta_key(x, y),))
-
-    return LinfMorphism(ca_generators(), v_generators(), rule, arities=(1,))
 
 
 def _beta_window(index_bound: int) -> list[Key]:
@@ -256,10 +179,19 @@ def psi_factorization(
     length_bound: int,
     index_cap: int = 4,
 ) -> Report:
-    """Check eps~ ∘ psi_a = eps_a on words of o_{1..index_cap} up to a length bound."""
-    composed = compose(tilde_epsilon(), psi_map(params))
-    direct = epsilon(params)
-    return morphisms_agree(composed, direct, index_words(o_key, length_bound, index_cap))
+    """Check eps~ ∘ psi_a = eps_a on words of o_{1..index_cap} up to a length bound.
+
+    The composite is :func:`ellsuper.sft.epsilon`.  The other side is a
+    morphism whose levels are :func:`ellsuper.sft.local_descendant`'s closed
+    form, extended by the block recursion, so it reads no rule of eps~.
+    """
+
+    def closed_form(word: Word) -> Combination:
+        count, psi_power = local_descendant(params, [key[1] for key in word])
+        return Combination.single((q_key(psi_power + 1),), count)
+
+    direct = LinfMorphism(ca_generators(), co_generators(), closed_form)
+    return morphisms_agree(epsilon(params), direct, index_words(o_key, length_bound, index_cap))
 
 
 def _two_alpha_words(index_bound: int) -> list[Word]:

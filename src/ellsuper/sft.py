@@ -21,16 +21,25 @@ parameter sets is Xi = eta_{target} ∘ eps_{source}; its single-generator
 coefficients are the building blocks of every jump formula downstream.
 
 eps_a depends on a only through the points Γ^a_i, so it is built as
-eps_Γ ∘ psi_a.  The lattice model has one even generator g_P per nonzero
-lattice point P (any number of axes), of degree -2-2|P|; psi_a is the strict
-map o_i -> g_{Γ^a_i}, which keeps the order of the letters because
-Γ_{i+1} = Γ_i + e_j; and eps_Γ, one module constant with no parameters,
-sends g_{P_1} ... g_{P_k} to q_{Σ|P_s| + k - 1} / (Σ_s P_s)!, with its level
-memo keyed by (Σ_s P_s, k).  Every parameter set and side thus shares
-eps_Γ's level and extension memos: two ellipsoids whose paths agree on a
-word's indices, such as a- and a+ below the jump of a, return the identical
+eps~ ∘ psi_a on the lattice model V.  V has an odd letter alpha_{i,j}
+(i, j >= 1) of degree -1-2(i+j) and an even letter beta_P = ("beta", *P) per
+nonzero lattice point P (any number of axes) of degree -2-2|P|; the rounding
+algebra of :mod:`ellsuper.rounding` lives on the same letters.  psi_a is the
+strict map o_i -> beta_{Γ^a_i}, which keeps the order of the letters because
+Γ_{i+1} = Γ_i + e_j; and eps~, the augmentation, is one module constant with
+no parameters: zero on any word that holds an alpha, and
+
+    eps~^k(beta_{P_1}, ..., beta_{P_k}) = q_{Σ|P_s| + k - 1} / (Σ_s P_s)!
+
+on the rest, with its level memo keyed by (Σ_s P_s, k) and one key for every
+word with an alpha (:func:`_lattice_key`, a plain loop on two-axis words).
+Every parameter set and side thus shares eps~'s level and extension memos
+with the rounding checks: two ellipsoids whose paths agree on a word's
+indices, such as a- and a+ below the jump of a, return the identical
 extension.  :func:`local_descendant` keeps the closed form of one level for
-the CLI's ``descendant`` and for the tests.
+the CLI's ``descendant`` and for the factorization check
+:func:`ellsuper.rounding.psi_factorization`, which shares no rule with
+eps~.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
-from .exact import LatticePoint, Memo
+from .exact import Memo
 from .linf import (
     Combination,
     GeneratorSet,
@@ -58,8 +67,13 @@ from .report import Report, merge_reports
 __all__ = [
     "o_key",
     "q_key",
+    "alpha_key",
+    "beta_key",
     "ca_generators",
     "co_generators",
+    "v_generators",
+    "tilde_epsilon",
+    "psi_map",
     "epsilon",
     "eta",
     "xi",
@@ -104,53 +118,89 @@ def co_generators() -> GeneratorSet:
     return _CO_GENERATORS
 
 
+def alpha_key(i: int, j: int) -> Key:
+    return ("alpha", i, j)
+
+
+def beta_key(*point: int) -> Key:
+    return ("beta", *point)
+
+
 def _lattice_degree(key: Key) -> int:
-    if (
-        isinstance(key, tuple)
-        and len(key) == 2
-        and key[0] == "g"
-        and isinstance(key[1], tuple)
-        and all(isinstance(x, int) and x >= 0 for x in key[1])
-        and sum(key[1]) >= 1
-    ):
-        return -2 - 2 * sum(key[1])
-    raise ValueError(f"unknown generator key {key!r} (expected ('g', P) with P a nonzero lattice point)")
+    if isinstance(key, tuple) and len(key) >= 2 and all(isinstance(x, int) and x >= 0 for x in key[1:]):
+        if key[0] == "beta" and sum(key[1:]) >= 1:
+            return -2 - 2 * sum(key[1:])
+        if key[0] == "alpha" and len(key) == 3 and min(key[1:]) >= 1:
+            return -1 - 2 * (key[1] + key[2])
+    raise ValueError(
+        f"unknown generator key {key!r} (expected ('alpha', i, j) with i, j >= 1"
+        " or ('beta', *P) with P a nonzero lattice point)"
+    )
 
 
-_LATTICE_GENERATORS = GeneratorSet("Gamma", _lattice_degree)
+_LATTICE_GENERATORS = GeneratorSet("V", _lattice_degree)
 
 
-def _point_sum(word: Word) -> tuple[LatticePoint, int]:
-    """What eps_Γ's level reads of a word: (Σ_s P_s, k); points of unequal length raise."""
-    return tuple(map(sum, zip(*[key[1] for key in word], strict=True))), len(word)
+def v_generators() -> GeneratorSet:
+    """Lattice letters α_{i,j} and β_P (one set, shared by the rounding algebra and every ψ_a)."""
+    return _LATTICE_GENERATORS
 
 
-def _lattice_rule(key: tuple[LatticePoint, int]) -> Combination:
-    """eps_Γ^k on every word whose point sum and length are ``key``, on integers."""
-    total, k = key
+_HAS_ALPHA = ("alpha",)  # the one key of every word with an α letter: its level is zero
+
+
+def _lattice_key(word: Word) -> tuple:
+    """What eps~'s level reads of a word: (*Σ_s P_s, k) for an all-β word, one key for a word with an α.
+
+    Two-axis letters are summed in a plain loop.  At the first letter with
+    another number of axes the word takes the general sum, which raises
+    ValueError on points of unequal length.
+    """
+    x = y = 0
+    try:
+        for kind, i, j in word:
+            if kind != "beta":
+                return _HAS_ALPHA
+            x += i
+            y += j
+    except ValueError:
+        return (*map(sum, zip(*[letter[1:] for letter in word], strict=True)), len(word))
+    return (x, y, len(word))
+
+
+def _lattice_rule(key: tuple) -> Combination:
+    """eps~^k on every word whose ``_lattice_key`` is ``key``, on integers; k is its last entry."""
+    if key is _HAS_ALPHA:
+        return Combination()
+    *total, k = key
     denominator = 1
     for x in total:
         denominator *= math.factorial(x)
     return Combination.single((q_key(sum(total) + k - 1),), Fraction(1, denominator))
 
 
-# eps_Γ : lattice model -> C_o, one morphism for every parameter set
-_EPSILON_GAMMA = LinfMorphism(_LATTICE_GENERATORS, _CO_GENERATORS, _lattice_rule, memo_key=_point_sum)
+# eps~ : lattice model -> C_o, one morphism for the rounding algebra and every parameter set
+_AUGMENTATION = LinfMorphism(_LATTICE_GENERATORS, _CO_GENERATORS, _lattice_rule, memo_key=_lattice_key)
 
 
-def _psi(params: SpectrumParams) -> LinfMorphism:
-    """psi_a : C_a -> lattice model, o_i -> g_{Γ^a_i}, zero above level one."""
+def tilde_epsilon() -> LinfMorphism:
+    """The augmentation eps~ : V -> C_o (one instance, shared module-wide)."""
+    return _AUGMENTATION
+
+
+def psi_map(params: SpectrumParams) -> LinfMorphism:
+    """psi_a : C_a -> V, o_i -> beta_{Γ^a_i} on any number of axes, zero above level one."""
 
     def rule(word: Word) -> Combination:
         if len(word) != 1:
             return Combination()
-        return Combination.single((("g", gamma(params, word[0][1])),))
+        return Combination.single((beta_key(*gamma(params, word[0][1])),))
 
     return LinfMorphism(ca_generators(), _LATTICE_GENERATORS, rule, arities=(1,))
 
 
 def _epsilon(params: SpectrumParams) -> LinfMorphism:
-    return compose(_EPSILON_GAMMA, _psi(params))
+    return compose(tilde_epsilon(), psi_map(params))
 
 
 # the computes call the public functions through the module globals
@@ -160,7 +210,7 @@ _XI_CACHE = Memo(lambda pair: compose(eta(pair[1]), epsilon(pair[0])))
 
 
 def epsilon(params: SpectrumParams) -> LinfMorphism:
-    """The stationary-descendant morphism C_a -> C_o (all arities), eps_Γ ∘ psi_a."""
+    """The stationary-descendant morphism C_a -> C_o (all arities), eps~ ∘ psi_a."""
     return _EPSILON_CACHE[params]
 
 

@@ -393,12 +393,11 @@ class TestEveryCacheIsAMemo:
                     if isinstance(value, dict) and not name.startswith("__"):
                         assert isinstance(value, Memo) or (layer, name) in CONSTANT_DICTS, (layer, name)
         owners = [
-            rounding.v_generators(),
+            sft.v_generators(),
             rounding.v_algebra(),
-            rounding.tilde_epsilon(),
-            rounding.psi_map(plus),
+            sft.tilde_epsilon(),
+            sft.psi_map(plus),
             linf.identity_morphism(sft.ca_generators()),
-            sft._EPSILON_GAMMA,
             sft.epsilon(minus),
             sft.eta(plus),
             sft.xi(minus, plus),
@@ -444,19 +443,19 @@ class TestNoMemoHoldsItsOwner:
 
     def test_rounding_structure(self):
         def build():
-            structure = linf.LinfStructure(rounding.v_generators(), rounding._v_rule, arities=(1, 2), odd_heads=True)
-            a, b = rounding.alpha_key(1, 1), rounding.beta_key(1, 0)
-            assert linf.check_structure(structure, [(a,), (a, b), (a, rounding.alpha_key(1, 2))]).ok
+            structure = linf.LinfStructure(sft.v_generators(), rounding._v_rule, arities=(1, 2), odd_heads=True)
+            a, b = sft.alpha_key(1, 1), sft.beta_key(1, 0)
+            assert linf.check_structure(structure, [(a,), (a, b), (a, sft.alpha_key(1, 2))]).ok
             return structure, [structure._memo, structure.generators._parity_memo]
 
         self.assert_freed(build)
 
     def test_epsilon_morphism(self, monkeypatch):
-        """eps_a = eps_Γ ∘ psi_a: psi_a's memos fill, and neither psi_a's rule
+        """eps_a = eps~ ∘ psi_a: psi_a's memos fill, and neither psi_a's rule
         nor the composite's extension holds eps_a."""
         built = []
-        psi = sft._psi
-        monkeypatch.setattr(sft, "_psi", lambda params: built.append(psi(params)) or built[-1])
+        psi = sft.psi_map
+        monkeypatch.setattr(sft, "psi_map", lambda params: built.append(psi(params)) or built[-1])
 
         def build():
             eps = sft._epsilon(normalized("13/2"))

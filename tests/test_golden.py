@@ -31,10 +31,11 @@ check that multiplied ``Fraction`` series over the full length.
 
 ``check_aug_b6.json`` and ``check_linf_b6.json`` (``check --suite aug|linf
 --bound 6``, at the caps) were printed before the engine skipped heads with
-no odd letter.  They take about 3 s together, so the installed-entry-point
-CI step compares them with ``cmp`` and ``CASES`` leaves them out.  That step
-also runs every case of ``CASES`` through the installed ``ellsuper`` script
-and compares its stdout with the golden file.
+no odd letter.  They take about 3 s together, so ``CASES`` leaves them out;
+CI compares them with ``cmp`` under the fixed hash seeds and again through
+the installed script.  The installed-entry-point step also runs every case
+of ``CASES`` through the installed ``ellsuper`` script and compares its
+stdout with the golden file.
 """
 
 from __future__ import annotations

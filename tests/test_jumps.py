@@ -112,9 +112,10 @@ class TestGeneralRecursion:
 
 
 class TestGeneralCache:
-    """A ratio's entry is the last support scan there: its bound and its nonzero jumps."""
+    """A ratio's entry is the largest support scan there: its bound and its nonzero jumps."""
 
-    def test_a_scan_stores_only_nonzero_values(self):
+    def test_a_scan_stores_only_nonzero_values(self, monkeypatch):
+        monkeypatch.setattr(jumps, "_GENERAL_CACHE", Memo())
         support_scan(9)
         for a in jump_union(range(1, 10)):
             bound, values = jumps._GENERAL_CACHE[a]
@@ -182,6 +183,51 @@ class TestGeneralCache:
             for idx in ((1,), (2, 3), (1, 1, 2)):
                 assert jump_general(a, idx) == jump_partitions(a, idx), (a, idx)
         assert len(jumps._GENERAL_CACHE) <= exact.CACHE_CAP
+
+
+def count_passes(monkeypatch):
+    """Wrap ``_ratio_pass`` and return the list of the ratios it ran at."""
+    ran = []
+    ratio_pass = jumps._ratio_pass
+
+    def counted(a, plan):
+        ran.append(a)
+        return ratio_pass(a, plan)
+
+    monkeypatch.setattr(jumps, "_ratio_pass", counted)
+    return ran
+
+
+class TestTablesOnlyGrow:
+    """A scan at or below a ratio's table reads its hits from it, and no table shrinks."""
+
+    FRESH: dict = {}  # bound -> the hits of a scan on an empty cache
+
+    @classmethod
+    def fresh(cls, bound):
+        if bound not in cls.FRESH:
+            with patch.object(jumps, "_GENERAL_CACHE", Memo()):
+                cls.FRESH[bound] = support_scan(bound)
+        return cls.FRESH[bound]
+
+    @given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=4))
+    @settings(deadline=None, max_examples=20)
+    def test_every_scan_returns_the_hits_of_a_fresh_cache(self, bounds):
+        with patch.object(jumps, "_GENERAL_CACHE", Memo()):
+            for bound in bounds:
+                assert support_scan(bound) == self.fresh(bound), bounds
+
+    def test_a_covered_scan_runs_no_pass(self, monkeypatch):
+        monkeypatch.setattr(jumps, "_GENERAL_CACHE", Memo())
+        ran = count_passes(monkeypatch)
+        support_scan(10)
+        assert len(ran) == len(jump_union(range(1, 11))) == 41
+        ran.clear()
+        for bound in (3, 10, 7, 1, 10):
+            support_scan(bound)
+        assert jump_general(1, (1, 5)) == jump_partitions(1, (1, 5))
+        assert ran == []
+        assert {bound for bound, _ in jumps._GENERAL_CACHE.values()} == {10}
 
 
 class TestIndexValidation:
@@ -381,6 +427,7 @@ class TestSupportRule:
                     assert [step[0] for step in plan] == [idx for idx in family if idx in closure], (bound, m)
 
     def test_passes_are_pruned_below_and_above_the_cap(self, monkeypatch):
+        monkeypatch.setattr(jumps, "_GENERAL_CACHE", Memo())
         sizes = []
         ratio_pass = jumps._ratio_pass
 

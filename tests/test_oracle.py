@@ -43,7 +43,8 @@ from ellsuper.orbits import (
     normalized,
     orbit,
 )
-from ellsuper.rounding import alpha_key, beta_key, psi_map, tilde_epsilon, v_algebra
+from ellsuper.rounding import v_algebra
+from ellsuper.sft import alpha_key, beta_key, psi_map, tilde_epsilon
 from ellsuper.sft import epsilon, o_key
 from ellsuper.superpotential import CP2Target, wt_T, wt_T_infinity
 

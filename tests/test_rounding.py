@@ -6,7 +6,8 @@ from math import factorial
 
 import pytest
 
-from ellsuper.exact import CACHE_CAP
+from ellsuper import sft
+from ellsuper.exact import CACHE_CAP, Memo
 from ellsuper.linf import (
     Combination,
     LinfMorphism,
@@ -16,26 +17,36 @@ from ellsuper.linf import (
     extend_coderivation,
     identity_morphism,
 )
-from ellsuper.orbits import Side, gamma, normalized
+from ellsuper.orbits import Side, SpectrumParams, gamma, normalized
 from ellsuper.rounding import (
     _two_alpha_words,
     _v_rule,
     _window_words,
-    alpha_key,
-    beta_key,
     psi_factorization,
-    psi_map,
     structure_window_check,
-    tilde_epsilon,
     v_algebra,
-    v_generators,
     verify_aug,
 )
-from ellsuper.sft import ca_generators, co_generators, epsilon, eta, o_key, q_key
+from ellsuper.sft import (
+    alpha_key,
+    beta_key,
+    ca_generators,
+    co_generators,
+    epsilon,
+    eta,
+    o_key,
+    psi_map,
+    q_key,
+    tilde_epsilon,
+    v_generators,
+)
 
 
 def w(*keys):
     return Word(tuple(keys))
+
+
+THREE_AXES = SpectrumParams([1, Fraction(3, 2), Fraction(7, 3)])
 
 
 class TestGenerators:
@@ -235,28 +246,52 @@ class TestTildeEpsilon:
 
 
 class TestPsi:
-    def test_level_one_lands_on_path_point(self):
-        p = normalized("13/2", Side.MINUS)
+    @pytest.mark.parametrize("p", [normalized("13/2", Side.MINUS), THREE_AXES], ids=["two", "three"])
+    def test_level_one_lands_on_path_point(self, p):
         psi = psi_map(p)
         for k in (1, 2, 5):
-            i, j = gamma(p, k)
-            assert psi.level(Word((o_key(k),))) == Combination.single(
-                w(beta_key(i, j))
-            )
+            assert psi.level(Word((o_key(k),))) == Combination.single(w(beta_key(*gamma(p, k))))
 
     def test_higher_levels_vanish(self):
         psi = psi_map(normalized(3))
         assert psi.level(Word((o_key(1), o_key(2)))) == Combination()
 
     def test_factorization_reproduces_augmentation(self):
-        for a, side in (
-            ("3/2", Side.CANONICAL),
-            (3, Side.CANONICAL),
-            ("13/2", Side.MINUS),
-            ("13/2", Side.PLUS),
+        for params in (
+            normalized("3/2"),
+            normalized(3),
+            normalized("13/2", Side.MINUS),
+            normalized("13/2", Side.PLUS),
+            THREE_AXES,
         ):
-            report = psi_factorization(normalized(a, side), length_bound=3)
-            assert report.ok, (a, side, report.failures[:3])
+            report = psi_factorization(params, length_bound=3)
+            assert report.ok, (params, report.failures[:3])
+
+    # the parameters of acceptance criterion 11
+    CRITERION_11 = [
+        normalized(Fraction(3, 2)),
+        normalized(2, Side.PLUS),
+        normalized(3),
+        normalized(Fraction(13, 2), Side.MINUS),
+        normalized(Fraction(13, 2), Side.PLUS),
+    ]
+
+    def test_factorization_sees_a_changed_lattice_rule(self, monkeypatch):
+        """The check's other side is the closed form, not eps~: doubling the
+        one lattice rule at k = 2 fails it at each of criterion 11's
+        parameters.  The augmentation and ε get fresh memos for the mutant,
+        which are dropped with it."""
+        assert all(psi_factorization(p, 3).ok for p in self.CRITERION_11)
+        augmentation = tilde_epsilon()
+        rule = augmentation._rule
+        monkeypatch.setattr(augmentation, "_rule", lambda key: rule(key) * 2 if key[-1] == 2 else rule(key))
+        monkeypatch.setattr(augmentation, "_level_memo", Memo())
+        monkeypatch.setattr(augmentation, "_extend_memo", Memo())
+        monkeypatch.setattr(sft, "_EPSILON_CACHE", Memo(sft._epsilon))
+        for p in self.CRITERION_11:
+            report = psi_factorization(p, 3)
+            assert not report.ok, p
+            assert report.failures[0].startswith("levels differ on (('o', 1), ('o', 1)): "), report.failures[0]
 
 
 class TestVerifyAug:
@@ -301,7 +336,7 @@ class TestVerifyAug:
         )
 
     def test_parity_memos_stay_within_the_cache_cap(self):
-        # the memos are shared module-wide; start eps~'s level memo from empty
+        # the memos are shared module-wide (every ε_a reads eps~'s); start its level memo from empty
         tilde_epsilon()._level_memo.clear()
         assert verify_aug(4, 4).ok
         generator_sets = [v_algebra().generators, tilde_epsilon().source, tilde_epsilon().target]

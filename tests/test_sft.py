@@ -15,6 +15,7 @@ from ellsuper.linf import Combination, Word, abelian, compose, morphisms_agree
 from ellsuper.oracle import cp2_exp_mc, gamma_bruteforce, morphism_bruteforce
 from ellsuper.orbits import SpectrumParams, Side, action, candidate_discontinuities, normalized
 from ellsuper.sft import (
+    beta_key,
     ca_generators,
     co_generators,
     epsilon,
@@ -23,6 +24,7 @@ from ellsuper.sft import (
     local_descendant,
     o_key,
     q_key,
+    tilde_epsilon,
     xi,
     xi_chain_check,
 )
@@ -112,7 +114,7 @@ THREE_AXES = SpectrumParams([1, Fraction(3, 2), Fraction(7, 3)])
 
 
 class TestEpsilonThroughLatticePoints:
-    """ε_a = ε_Γ ∘ ψ_a against the closed form and the brute-force extension."""
+    """ε_a = ε̃ ∘ ψ_a against the closed form and the brute-force extension."""
 
     @given(
         params=st.one_of(SIDED_PARAMS, st.just(THREE_AXES)),
@@ -131,7 +133,7 @@ class TestEpsilonThroughLatticePoints:
     def test_extension_is_the_brute_force(self, params, indices):
         """Both ε_a and ψ_a; the oracle reads every level of ψ_a, whatever it declares."""
         word = o_word(*sorted(indices))
-        eps, psi = epsilon(params), sft._psi(params)
+        eps, psi = epsilon(params), sft.psi_map(params)
         assert eps.extend(word) == morphism_bruteforce(eps, word)
         assert psi.extend(word) == morphism_bruteforce(psi, word)
 
@@ -142,10 +144,10 @@ class TestEpsilonThroughLatticePoints:
     @settings(deadline=None, max_examples=80)
     def test_the_two_sides_share_one_value_below_the_jump(self, a, indices):
         """Off the jump indices (p + q | i + 1) Γ^{a-} and Γ^{a+} agree, so both
-        sides reach one entry of ε_Γ's memos and return the identical object.
+        sides reach one entry of ε̃'s memos and return the identical object.
 
         The two sides are built fresh: a cached ε may hold a value whose entry
-        ε_Γ has evicted since, and the other side would then get a new one."""
+        ε̃ has evicted since, and the other side would then get a new one."""
         m = a.numerator + a.denominator
         word = o_word(*sorted(i for i in indices if (i + 1) % m))
         minus, plus = sft._epsilon(normalized(a, Side.MINUS)), sft._epsilon(normalized(a, Side.PLUS))
@@ -155,10 +157,30 @@ class TestEpsilonThroughLatticePoints:
         jump = o_word(m - 1)  # Γ^{a-}_{m-1} != Γ^{a+}_{m-1}: two entries
         assert minus.extend(jump) is not plus.extend(jump)
 
-    def test_mixed_axis_counts_raise(self):
-        word = (("g", (1, 0)), ("g", (1, 0, 0)))
+    @pytest.mark.parametrize(
+        "word",
+        [
+            (beta_key(1, 0), beta_key(1, 0, 0)),  # the two-axis loop meets a three-axis letter
+            (beta_key(1, 0, 0), beta_key(1, 0, 0, 0)),  # the general path from the first letter
+        ],
+        ids=["two-axis-loop", "general-path"],
+    )
+    def test_mixed_axis_counts_raise(self, word):
         with pytest.raises(ValueError):
-            sft._EPSILON_GAMMA.level(word)
+            tilde_epsilon().level(word)
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(any), min_size=1, max_size=6))
+    @settings(deadline=None, max_examples=100)
+    def test_two_axis_loop_is_the_general_point_sum(self, points):
+        """A two-axis word's key is its point sum and length; the word lifted
+        to three axes with a zero coordinate takes the general path, whose
+        key has that sum with a 0 inserted and whose level is the same."""
+        word = tuple(sorted(beta_key(*point) for point in points))
+        lifted = tuple(sorted(beta_key(*point, 0) for point in points))
+        x, y = (sum(axis) for axis in zip(*points))
+        assert sft._lattice_key(word) == (x, y, len(word))
+        assert sft._lattice_key(lifted) == (x, y, 0, len(word))
+        assert tilde_epsilon().level(word) == tilde_epsilon().level(lifted)
 
 
 class TestEta:
