@@ -100,7 +100,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import Memo, aut_size, exp_series_pass, rational, vec_add, vec_factorial
-from .orbits import Side, SpectrumParams, gamma, gamma_points, jump_union, normalized, orbit_indices
+from .orbits import Side, SpectrumParams, check_index, gamma, gamma_points, jump_union, normalized, orbit_indices
 from .sft import o_key, xi
 
 __all__ = [
@@ -274,8 +274,7 @@ def support_scan(bound: int) -> tuple[ScanHit, ...]:
     steps with a jump index, filtered from one plan once per p + q; the
     module docstring proves both.
     """
-    if bound.__class__ is not int:
-        raise TypeError(f"bound must be an integer, got {bound!r}")
+    check_index(bound, None, "bound")  # a bound <= 0 plans no ratio
     plan = None  # built only for a ratio whose table is missing or from a smaller bound
     kept: dict[int, list[tuple]] = {}  # p + q -> the down-closure of its targets
     hits: list[ScanHit] = []

@@ -20,6 +20,12 @@ Objects
   the arities or heads it excludes.
 * :class:`LinfMorphism` — level maps phi^k : Sym^k(source) -> target of
   degree 0, same representation, with the same ``arities`` declaration.
+* :func:`letter_map` — the strict morphism phi^1(x) = letter(x) with
+  coefficient 1 and phi^{>=2} = 0, read through one letter memo.  It
+  promises to keep the parity of each letter and the order of the keys, so
+  the image of a canonical word, letter by letter, is canonical and carries
+  no sign; a key that is no generator of its source raises ValueError on a
+  letter memo miss.  :func:`identity_morphism` is one.
 
 Operations
 ----------
@@ -35,7 +41,10 @@ Operations
 * :func:`compose` — (G ∘ F)^k(w) = Σ_{u ∈ F̂(w)} coeff · G^{|u|}(u).  The
   composite's cofunctor extension is Ĝ ∘ F̂ (the extension is a functor),
   so it reads the factors' extension memos and runs no block recursion of
-  its own; its level memo fills only when a level is asked for.
+  its own; its level memo fills only when a level is asked for.  When F is
+  a letter map, F̂(w) is the one image word u of w with coefficient 1, or 0
+  when u repeats an odd letter, so the composite reads its outer factor at
+  the image, G^k(u) and Ĝ(u), and reads or fills no memo of F.
 * :func:`invert` — levelwise inverse of a morphism whose φ^1 is diagonal on
   basis generators: H^k(u) = -(1/c) Σ H^{s}(non-diagonal blocks of F̂
   applied to the preimage), where c is the coefficient of the
@@ -58,10 +67,10 @@ parities of the word), which names (k, i, odd mask).
 
 Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word, or per the ``memo_key`` a
-morphism names, whose rule then takes the key.  Each level and extension
-memo is an :class:`ellsuper.exact.Memo`, so it holds at most ``CACHE_CAP``
-entries and evicts its oldest first; a memo's compute holds the rule, never
-the owner.
+morphism names, whose rule then takes the key.  Each level, extension and
+letter memo is an :class:`ellsuper.exact.Memo`, so it holds at most
+``CACHE_CAP`` entries and evicts its oldest first; a memo's compute holds the
+rule or the letter, never the owner.
 
 Signs follow one rule.  Pulling a head block to the front costs (-1) to the
 number of crossings of two odd letters, counted from the word's parities at
@@ -105,7 +114,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from operator import itemgetter, le
+from operator import itemgetter, le, lt
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .exact import Memo, rational
@@ -121,6 +130,7 @@ __all__ = [
     "LinfMorphism",
     "abelian",
     "extend_coderivation",
+    "letter_map",
     "identity_morphism",
     "compose",
     "invert",
@@ -449,7 +459,8 @@ class LinfMorphism:
     every size.  :meth:`extend` visits the declared sizes only.
 
     A composite built by :func:`compose` fills an extension miss from its
-    factors' extensions, Ĝ ∘ F̂, instead of the block recursion on its levels.
+    factors' extensions, Ĝ ∘ F̂, instead of the block recursion on its levels;
+    one whose inner factor is a :func:`letter_map` reads Ĝ at the image word.
     """
 
     def __init__(
@@ -466,6 +477,7 @@ class LinfMorphism:
         self._rule = level_rule
         self._memo_key = memo_key
         self._extension: Callable[[Word], Combination] | None = None  # set by ``compose``
+        self._letters: Memo | None = None  # set by ``letter_map``
         # filled through ``get`` and ``store``: cheaper than ``__missing__``, and no cycle
         self._level_memo = Memo()
         self._extend_memo = Memo()
@@ -571,21 +583,53 @@ def _coderivation(structure: LinfStructure, word: Word) -> Combination:
     return _combination(out)
 
 
-def identity_morphism(generators: GeneratorSet) -> LinfMorphism:
-    """phi^1 = id, phi^{>=2} = 0."""
+def letter_map(source: GeneratorSet, target: GeneratorSet, letter: Callable[[Key], Key]) -> LinfMorphism:
+    """The strict morphism phi^1(x) = letter(x) with coefficient 1, phi^{>=2} = 0.
+
+    ``letter`` is read through one :class:`ellsuper.exact.Memo` per map,
+    whose compute holds ``letter`` and ``source``, never the morphism.  The
+    map promises to keep the parity of each letter, as a morphism of
+    degree 0 does, and the order of the keys: x <= y gives
+    letter(x) <= letter(y).  So φ̂ of a canonical word w is the one word
+    ``tuple(map(letter, w))``, canonical and with coefficient 1 and no
+    sign, or 0 when it repeats an odd letter; :func:`compose` reads its
+    outer factor at that image instead of extending this map.  A map that
+    breaks the order promise raises ValueError on a composite's memo miss.
+    A letter memo miss reads ``source.parity`` first, so a key that is no
+    generator of ``source`` raises ValueError and is never stored.
+    """
+
+    def checked(key: Key) -> Key:
+        source.parity(key)  # an unknown key raises ValueError, and is not stored
+        return letter(key)
+
+    letters = Memo(checked)
 
     def rule(word: Word) -> Combination:
-        return Combination.single(word) if len(word) == 1 else Combination()
+        return Combination.single((letters[word[0]],)) if len(word) == 1 else Combination()
 
-    return LinfMorphism(generators, generators, rule, arities=(1,))
+    morphism = LinfMorphism(source, target, rule, arities=(1,))
+    morphism._letters = letters
+    return morphism
+
+
+def identity_morphism(generators: GeneratorSet) -> LinfMorphism:
+    """phi^1 = id, phi^{>=2} = 0: the letter map of the identity, which keeps
+    every key, so its order and parity, and composes by reading the outer
+    factor at the word itself (a repeated odd letter gives 0)."""
+    return letter_map(generators, generators, lambda key: key)
 
 
 def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
     """Levelwise composition.
 
     (outer ∘ inner)^k(w) = Σ_{u ∈ inner-hat(w)} coeff(u) · outer^{|u|}(u),
-    and the composite's extension is outer-hat ∘ inner-hat.  Neither the
-    rule nor the extension holds the composite.
+    and the composite's extension is outer-hat ∘ inner-hat.  When ``inner``
+    is a :func:`letter_map`, inner-hat(w) is the one image word u of w with
+    coefficient 1, or 0, so the composite reads ``outer.level(u)`` and
+    ``outer.extend(u)`` themselves, after checking w, and reads or fills no
+    memo of ``inner``.  Neither the rule nor the extension holds the
+    composite.
     """
     if not inner.target.compatible(outer.source):
         raise ValueError(
@@ -593,11 +637,36 @@ def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
             f"does not match outer source {outer.source.label!r}"
         )
 
-    def rule(word: Word) -> Combination:
-        return inner.extend(word).apply(outer.level)
+    if inner._letters is None:
 
-    def extension(word: Word) -> Combination:
-        return inner.extend(word).apply(outer.extend)
+        def rule(word: Word) -> Combination:
+            return inner.extend(word).apply(outer.level)
+
+        def extension(word: Word) -> Combination:
+            return inner.extend(word).apply(outer.extend)
+
+    else:
+        get, parity = inner._letters.__getitem__, inner.target.parity
+
+        def image(word: Word) -> Word | None:
+            """inner-hat(word) as its one word, or None when it is 0 (a repeated odd letter)."""
+            u = tuple(map(get, word))
+            if not all(map(lt, u, u[1:])):  # equal letters, or a broken order promise
+                for x, y in zip(u, u[1:]):
+                    if y < x:
+                        raise ValueError(f"letter map breaks the key order on {word!r}: its image is {u!r}")
+                    if x == y and parity(x):
+                        return None
+            return u
+
+        def rule(word: Word) -> Combination:
+            _check_word(word)
+            u = image(word)
+            return Combination() if u is None else outer.level(u)
+
+        def extension(word: Word) -> Combination:  # ``extend`` has checked the word
+            u = image(word)
+            return Combination() if u is None else outer.extend(u)
 
     composite = LinfMorphism(inner.source, outer.target, rule)
     composite._extension = extension

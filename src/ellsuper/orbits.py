@@ -47,9 +47,23 @@ The perturbation spelled out as dual numbers (``DualRational``,
 independent reference route; the test suite checks the walk and the closed
 form against it.
 
-``orbit_indices`` is the one check of the orbit indices that the jump
-routes and :func:`ellsuper.sft.local_descendant` take: it returns them
-sorted, or raises ValueError unless each is an int >= 1 (a bool is not).
+An index is an int, not a bool or a float, at or above a lower end:
+:func:`is_index` is that one rule, and :func:`check_index` raises
+ValueError where it fails.  Every entry here that takes an index or a degree
+(``gamma``, ``gamma_points``, ``gamma_closed_form``, ``gamma_range``,
+``orbit``, ``action``, ``jump_set``, ``jump_union``,
+``candidate_discontinuities``) checks it so, several indices in one loop
+(a range at its ends); and so do the degree rules of :mod:`ellsuper.sft`,
+the CP² degree of :mod:`ellsuper.superpotential` and the bound of
+:func:`ellsuper.jumps.support_scan`.  ``orbit_indices`` is the check of the
+orbit indices that the jump routes and :func:`ellsuper.sft.local_descendant`
+take: it returns them sorted, or raises ValueError unless each is an index
+>= 1.  Each of these checks runs before any memo is read.  The L∞
+morphisms of :mod:`ellsuper.sft` are the exception: their memos are keyed by
+words, and ``('o', True) == ('o', 1)`` with the same hash, so a word with a
+bool index raises only while the word with the int is not stored.  After
+``epsilon(p).level((('o', 1),))``, ``epsilon(p).level((('o', True),))``
+returns the same q_1.
 
 ``jump_set(k)`` = {1/k, 2/(k-1), ..., k/1} collects the two-axis ratios at
 which Γ_k changes; i/(k-i+1) ascends in i, so no sort is needed.
@@ -78,6 +92,8 @@ __all__ = [
     "normalized",
     "gamma",
     "gamma_points",
+    "is_index",
+    "check_index",
     "orbit_indices",
     "gamma_closed_form",
     "gamma_range",
@@ -230,18 +246,40 @@ def _walk(params: SpectrumParams, k: int) -> _Walk:
     return walk
 
 
+def is_index(k: object, low: int | None) -> bool:
+    """The one index rule: ``k`` is an int, not a bool or a float, and k >= ``low``
+    (any int when ``low`` is None)."""
+    return k.__class__ is int and (low is None or k >= low)
+
+
+def check_index(k: int, low: int | None, name: str = "k") -> int:
+    """``k`` if :func:`is_index` holds; ValueError naming ``name`` otherwise."""
+    if not is_index(k, low):
+        raise ValueError(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {k!r}")
+    return k
+
+
+def _check_indices(indices: Iterable[int], low: int) -> tuple[int, ...]:
+    """The indices as a tuple if :func:`is_index` holds for each; otherwise
+    :func:`check_index`'s ValueError for the first that fails.  The rule is
+    inlined in one loop, which on a few indices is cheaper than a call per
+    index or a set of their classes; a range holds only ints and has its
+    least at one end, so only its ends are checked."""
+    ks = tuple(indices)
+    for k in ks[:1] + ks[-1:] if indices.__class__ is range else ks:
+        if k.__class__ is not int or k < low:
+            check_index(k, low)
+    return ks
+
+
 def gamma(params: SpectrumParams, k: int) -> LatticePoint:
     """Γ_k: per-axis cover counts among the k smallest perturbed actions."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    return _walk(params, k).points[k]
+    return _walk(params, check_index(k, 0)).points[k]
 
 
 def gamma_points(params: SpectrumParams, indices: Iterable[int]) -> tuple[LatticePoint, ...]:
     """(Γ_k for k in indices), read from one walk."""
-    indices = tuple(indices)
-    if indices and min(indices) < 0:
-        raise ValueError(f"k must be nonnegative, got {indices}")
+    indices = _check_indices(indices, 0)
     points = _walk(params, max(indices, default=0)).points
     return tuple(points[k] for k in indices)
 
@@ -249,14 +287,10 @@ def gamma_points(params: SpectrumParams, indices: Iterable[int]) -> tuple[Lattic
 def orbit_indices(indices: Sequence[int]) -> tuple[int, ...]:
     """The orbit indices sorted; raises ValueError unless there are some and each is an int >= 1."""
     try:
-        idx = tuple(sorted(indices))
-    except TypeError:  # not iterable, or values that do not compare, such as a str among ints
+        idx = _check_indices(sorted(indices), 1)
+    except (TypeError, ValueError):  # not iterable, values that do not compare, or no index >= 1
         idx = ()
-    for i in idx:
-        if i.__class__ is not int:
-            idx = ()
-            break
-    if not idx or idx[0] < 1:
+    if not idx:
         raise ValueError(f"orbit indices must be positive integers, got {indices}")
     return idx
 
@@ -268,9 +302,7 @@ def gamma_closed_form(params: SpectrumParams, k: int) -> LatticePoint:
     included) lie at least k covers; per axis the smallest such m is found
     by bisection, and Γ_k counts the covers of each axis up to the least key.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if k == 0:
+    if check_index(k, 0) == 0:
         return (0,) * params.n
     actions, ranks = _integer_actions(params)
 
@@ -295,8 +327,7 @@ def gamma_closed_form(params: SpectrumParams, k: int) -> LatticePoint:
 
 def gamma_range(params: SpectrumParams, lo: int, hi: int) -> list[LatticePoint]:
     """[Γ_lo, ..., Γ_hi]: the closed form at lo, then integer steps; nothing memoized."""
-    if not 0 <= lo <= hi:
-        raise ValueError(f"need 0 <= lo <= hi, got {lo}..{hi}")
+    check_index(hi, check_index(lo, 0, "lo"), "hi")
     walk = _Walk(params, gamma_closed_form(params, lo))
     walk.ensure(hi - lo)
     return walk.points
@@ -304,9 +335,7 @@ def gamma_range(params: SpectrumParams, lo: int, hi: int) -> list[LatticePoint]:
 
 def orbit(params: SpectrumParams, k: int) -> OrbitId:
     """The k-th closed orbit (k >= 1) in increasing perturbed action."""
-    if k < 1:
-        raise ValueError(f"orbit index must be >= 1, got {k}")
-    walk = _walk(params, k)
+    walk = _walk(params, check_index(k, 1, "orbit index"))
     axis = walk.axes[k - 1]
     return OrbitId(axis, walk.points[k][axis - 1])
 
@@ -323,8 +352,7 @@ def jump_set(k: int) -> tuple[Fraction, ...]:
     For the normalized ellipsoid E(1, a), Γ_k changes exactly when a crosses
     a value in J_k.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_index(k, 1)
     return tuple(Fraction(i, k - i + 1) for i in range(1, k + 1))  # ascends in i
 
 
@@ -336,11 +364,9 @@ def jump_union(indices: Iterable[int]) -> tuple[Fraction, ...]:
     keys, and a ``Fraction`` is built once per distinct ratio.  The largest
     ratio is max(indices)/1.
     """
-    indices = set(indices)
+    indices = set(_check_indices(indices, 1))  # checked first, so True does not merge with 1
     if not indices:
         return ()
-    if min(indices) < 1:
-        raise ValueError(f"k must be >= 1, got {sorted(indices)}")
     scale = math.lcm(*range(1, max(indices) + 1))
     ratios: dict[int, tuple[int, int]] = {}
     for s in indices:
@@ -355,7 +381,5 @@ def candidate_discontinuities(d: int, lower: int | str | Fraction) -> tuple[Frac
     Only values strictly greater than ``lower`` are returned, sorted ascending
     and deduplicated.
     """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    values = jump_union(range(2, 3 * d, 3))
+    values = jump_union(range(2, 3 * check_index(d, 1, "d"), 3))
     return values[bisect_right(values, rational(lower)):]

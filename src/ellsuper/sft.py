@@ -25,9 +25,12 @@ eps~ ∘ psi_a on the lattice model V.  V has an odd letter alpha_{i,j}
 (i, j >= 1) of degree -1-2(i+j) and an even letter beta_P = ("beta", *P) per
 nonzero lattice point P (any number of axes) of degree -2-2|P|; the rounding
 algebra of :mod:`ellsuper.rounding` lives on the same letters.  psi_a is the
-strict map o_i -> beta_{Γ^a_i}, which keeps the order of the letters because
-Γ_{i+1} = Γ_i + e_j; and eps~, the augmentation, is one module constant with
-no parameters: zero on any word that holds an alpha, and
+:func:`ellsuper.linf.letter_map` o_i -> beta_{Γ^a_i}: it keeps the parity of
+the letters (both are even) and their order, because Γ_{i+1} = Γ_i + e_j, so
+the image of a sorted o-word is a sorted beta-word with coefficient 1, and
+eps_a reads eps~ at that image with no extension of psi_a.  eps~, the
+augmentation, is one module constant with no parameters: zero on any word
+that holds an alpha, and
 
     eps~^k(beta_{P_1}, ..., beta_{P_k}) = q_{Σ|P_s| + k - 1} / (Σ_s P_s)!
 
@@ -35,11 +38,13 @@ on the rest, with its level memo keyed by (Σ_s P_s, k) and one key for every
 word with an alpha (:func:`_lattice_key`, a plain loop on two-axis words).
 Every parameter set and side thus shares eps~'s level and extension memos
 with the rounding checks: two ellipsoids whose paths agree on a word's
-indices, such as a- and a+ below the jump of a, return the identical
-extension.  :func:`local_descendant` keeps the closed form of one level for
-the CLI's ``descendant`` and for the factorization check
-:func:`ellsuper.rounding.psi_factorization`, which shares no rule with
-eps~.
+indices, such as a- and a+ below the jump of a, return the identical level
+and extension.  What psi_a keeps of its own is one letter memo, o_i ->
+beta_{Γ^a_i}, filled by one ``gamma`` call per index after C_a's degree rule
+has accepted the key, so eps_a rejects ('o', 0) or ('q', 1) on every call.
+:func:`local_descendant` keeps the closed form of one level for the CLI's
+``descendant`` and for the factorization check
+:func:`ellsuper.rounding.psi_factorization`, which shares no rule with eps~.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ from .linf import (
     compose,
     identity_morphism,
     invert,
+    letter_map,
     morphisms_agree,
 )
-from .orbits import SpectrumParams, gamma, gamma_points, orbit_indices
+from .orbits import SpectrumParams, gamma, gamma_points, is_index, orbit_indices
 from .report import Report, merge_reports
 
 __all__ = [
@@ -97,8 +103,7 @@ def _orbit_degree(prefix: str, key: Key) -> int:
         not isinstance(key, tuple)
         or len(key) != 2
         or key[0] != prefix
-        or not isinstance(key[1], int)
-        or key[1] < 1
+        or not is_index(key[1], 1)
     ):
         raise ValueError(f"unknown generator key {key!r} (expected ('{prefix}', k) with k >= 1)")
     return -2 - 2 * key[1]
@@ -127,7 +132,7 @@ def beta_key(*point: int) -> Key:
 
 
 def _lattice_degree(key: Key) -> int:
-    if isinstance(key, tuple) and len(key) >= 2 and all(isinstance(x, int) and x >= 0 for x in key[1:]):
+    if isinstance(key, tuple) and len(key) >= 2 and all(is_index(x, 0) for x in key[1:]):
         if key[0] == "beta" and sum(key[1:]) >= 1:
             return -2 - 2 * sum(key[1:])
         if key[0] == "alpha" and len(key) == 3 and min(key[1:]) >= 1:
@@ -189,14 +194,8 @@ def tilde_epsilon() -> LinfMorphism:
 
 
 def psi_map(params: SpectrumParams) -> LinfMorphism:
-    """psi_a : C_a -> V, o_i -> beta_{Γ^a_i} on any number of axes, zero above level one."""
-
-    def rule(word: Word) -> Combination:
-        if len(word) != 1:
-            return Combination()
-        return Combination.single((beta_key(*gamma(params, word[0][1])),))
-
-    return LinfMorphism(ca_generators(), _LATTICE_GENERATORS, rule, arities=(1,))
+    """psi_a : C_a -> V, the letter map o_i -> beta_{Γ^a_i} on any number of axes."""
+    return letter_map(ca_generators(), _LATTICE_GENERATORS, lambda key: beta_key(*gamma(params, key[1])))
 
 
 def _epsilon(params: SpectrumParams) -> LinfMorphism:

@@ -72,7 +72,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .exact import LatticePoint, Memo, exp_series_pass, rational
-from .orbits import Side, SpectrumParams, action, gamma_points, jump_union, normalized, orbit
+from .orbits import Side, SpectrumParams, action, gamma_points, is_index, jump_union, normalized, orbit
 from .report import Report
 
 __all__ = [
@@ -91,7 +91,7 @@ __all__ = [
 
 def _cp2_degree(d: object) -> int:
     """``d`` if it is a CP^2 degree, an int >= 1 and not a bool; ValueError otherwise."""
-    if d.__class__ is not int or d < 1:
+    if not is_index(d, 1):
         raise ValueError(f"CP2 degrees are integers >= 1, got {d!r}")
     return d
 

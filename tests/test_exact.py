@@ -405,6 +405,8 @@ class TestEveryCacheIsAMemo:
         for owner in owners:
             memos = [value for value in vars(owner).values() if isinstance(value, dict)]
             assert memos and all(isinstance(memo, Memo) for memo in memos), owner
+        psi = owners[3]  # a letter map: its letter memo is one of the memos checked above
+        assert isinstance(psi._letters, Memo) and callable(psi._letters.compute)
 
 
     def test_module_memos_compute_their_misses(self):
@@ -451,8 +453,10 @@ class TestNoMemoHoldsItsOwner:
         self.assert_freed(build)
 
     def test_epsilon_morphism(self, monkeypatch):
-        """eps_a = eps~ ∘ psi_a: psi_a's memos fill, and neither psi_a's rule
-        nor the composite's extension holds eps_a."""
+        """eps_a = eps~ ∘ psi_a: eps_a's memos and psi_a's letter memo fill,
+        psi_a's extension memo stays empty, since the composite reads eps~ at
+        psi_a's image word, and neither the letter compute nor the composite
+        holds eps_a."""
         built = []
         psi = sft.psi_map
         monkeypatch.setattr(sft, "psi_map", lambda params: built.append(psi(params)) or built[-1])
@@ -463,8 +467,8 @@ class TestNoMemoHoldsItsOwner:
             built.clear()
             assert eps.extend(word_pair())
             assert eps.level(word_pair())
-            memos = [eps._level_memo, eps._extend_memo, eps.source._parity_memo]
-            return eps, memos + [psi_a._level_memo, psi_a._extend_memo]
+            assert not psi_a._extend_memo
+            return eps, [eps._level_memo, eps._extend_memo, psi_a._letters]
 
         self.assert_freed(build)
 

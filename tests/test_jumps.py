@@ -259,7 +259,7 @@ class TestIndexValidation:
 
     @pytest.mark.parametrize("bound", [2.5, 3.5, Fraction(7, 2), "10", True, False])
     def test_support_scan_rejects_a_non_integer_bound(self, bound):
-        with pytest.raises(TypeError, match="bound must be an integer"):
+        with pytest.raises(ValueError, match="bound must be an integer"):
             support_scan(bound)
 
 

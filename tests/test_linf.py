@@ -22,6 +22,7 @@ from ellsuper.linf import (
     extend_coderivation,
     identity_morphism,
     invert,
+    letter_map,
     morphisms_agree,
 )
 from ellsuper.oracle import koszul_sign, shuffles
@@ -700,6 +701,96 @@ class TestCompose:
         G = LinfMorphism(GRADED, EVEN_TARGET, two_level_morphism())
         with pytest.raises(ValueError):
             compose(G, F)
+
+
+def graded_outer():
+    """A graded morphism on GRADED: F^1(g_i) = h_i / 2, F^2(g_i g_j) = ((i - j)/3 + 1) h_{i+j}
+    and F^3(g_i g_j g_l) = (2/5) h_{i+j+l}; h_i has degree i, so the levels keep parity.
+
+    F^2 is nonzero on a word that repeats an odd letter, which is 0 in Sym."""
+
+    def rule(w):
+        indices = [key[1] for key in w]
+        coefficient = {1: Fraction(1, 2), 2: Fraction(indices[0] - indices[-1], 3) + 1, 3: Fraction(2, 5)}
+        if len(w) > 3:
+            return Combination()
+        return Combination.single(word(h(sum(indices))), coefficient[len(w)])
+
+    return LinfMorphism(GRADED, GRADED, rule)
+
+
+def block_recursion_letter_map(source, target, letter):
+    """The reference for :func:`letter_map`: a plain morphism with the same arity-1 rule."""
+    rule = lambda w: Combination.single((letter(w[0]),)) if len(w) == 1 else Combination()  # noqa: E731
+    return LinfMorphism(source, target, rule, arities=(1,))
+
+
+class TestLetterMap:
+    """A composite through a letter map reads its outer factor at the image word."""
+
+    LETTERS = {"identity": lambda key: key, "shift": lambda key: g(key[1] + 2)}
+
+    @given(
+        indices=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
+        letters=st.sampled_from(sorted(LETTERS)),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_composite_equals_the_block_recursion_composite(self, indices, letters):
+        """Levels, extensions and term order agree on every sorted word over
+        GRADED, repeated even and odd letters included; a repeated odd letter
+        gives 0 on both sides."""
+        w = word(*(g(i) for i in sorted(indices)))
+        letter = self.LETTERS[letters]
+        outer = graded_outer()
+        fast = compose(outer, letter_map(GRADED, GRADED, letter))
+        reference = compose(outer, block_recursion_letter_map(GRADED, GRADED, letter))
+        for get in (lambda m: m.level(w), lambda m: m.extend(w)):
+            assert list(get(fast).terms()) == list(get(reference).terms())
+        if any(a == b and a[1] % 2 for a, b in zip(w, w[1:])):
+            assert not fast.level(w) and not fast.extend(w)
+
+    def test_a_repeated_odd_letter_composes_to_zero(self):
+        F = graded_outer()
+        assert F.extend(word(g(1), g(1)))  # F^2(g1.g1) is nonzero
+        composite = compose(F, identity_morphism(GRADED))
+        assert composite.extend(word(g(1), g(1))) == Combination()
+        assert composite.level(word(g(1), g(1), g(2))) == Combination()
+        assert composite.extend(word(g(2), g(2))) == F.extend(word(g(2), g(2)))  # an even repeat survives
+
+    def test_the_composite_reads_no_memo_of_the_letter_map(self):
+        inner = letter_map(GRADED, GRADED, self.LETTERS["shift"])
+        composite = compose(graded_outer(), inner)
+        w = word(g(1), g(2), g(2))
+        assert composite.extend(w) and composite.level(w)
+        assert not inner._level_memo and not inner._extend_memo
+        assert sorted(inner._letters) == [g(1), g(2)]
+
+    def test_a_key_outside_the_source_raises(self):
+        """A letter memo miss reads the source's degree rule, so a key that is
+        no generator raises and is never stored, through the map and through
+        a composite."""
+
+        def degree(key):
+            if key[0] != "g" or key[1].__class__ is not int:
+                raise ValueError(f"unknown generator key {key!r}")
+            return key[1]
+
+        strict = GeneratorSet("toy", degree)
+        identity = identity_morphism(strict)
+        composite = compose(graded_outer(), identity)
+        calls = [(identity.level, word(h(1)))]
+        calls += [(get, bad) for get in (composite.level, composite.extend) for bad in (word(h(1)), word(g(1), h(2)))]
+        for get, bad in calls:
+            with pytest.raises(ValueError, match="unknown generator key"):
+                get(bad)
+        assert h(1) not in identity._letters and h(2) not in identity._letters
+
+    def test_a_broken_order_promise_raises_on_a_miss(self):
+        reverse = letter_map(GRADED, GRADED, lambda key: g(10 - key[1]))  # keeps parity, reverses order
+        composite = compose(graded_outer(), reverse)
+        for get in (composite.level, composite.extend):
+            with pytest.raises(ValueError, match="breaks the key order"):
+                get(word(g(1), g(3)))
 
 
 class TestInvert:

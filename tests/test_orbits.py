@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellsuper import orbits
+from ellsuper import jumps, orbits, sft
 from ellsuper.exact import CACHE_CAP
 from ellsuper.oracle import DualRational, action_dual, gamma_bruteforce, merge_spectrum, perturbed_value
 from ellsuper.orbits import (
@@ -382,3 +382,33 @@ class TestJumpSets:
             Fraction(v) for v in ("2", "11/4", "3", "7/2", "4", "5", "13/2", "8", "11", "14")
         )
         assert got == expected
+
+
+# every entry that takes an index, a degree or a bound, as a function of one bad value
+INDEX_ENTRIES = {
+    "gamma": lambda k: gamma(normalized("3/2"), k),
+    "gamma_points": lambda k: gamma_points(normalized("3/2"), (2, k)),
+    "gamma_closed_form": lambda k: gamma_closed_form(normalized("3/2"), k),
+    "gamma_range lo": lambda k: gamma_range(normalized("3/2"), k, 3),
+    "gamma_range hi": lambda k: gamma_range(normalized("3/2"), 0, k),
+    "orbit": lambda k: orbit(normalized("3/2"), k),
+    "action": lambda k: action(normalized("3/2"), k),
+    "jump_set": jump_set,
+    "jump_union": lambda k: jump_union([k, 3]),
+    "candidate_discontinuities": lambda k: candidate_discontinuities(k, 1),
+    "o degree": lambda k: sft.ca_generators().degree(("o", k)),
+    "q degree": lambda k: sft.co_generators().degree(("q", k)),
+    "beta degree": lambda k: sft.v_generators().degree(("beta", k, 0)),
+    "alpha degree": lambda k: sft.v_generators().degree(("alpha", k, 1)),
+    "support_scan": jumps.support_scan,
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0], ids=repr)
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
+def test_every_index_entry_rejects_a_bool_or_a_float(entry, bad):
+    """An index is an int, not a bool: ``gamma(p, True)`` once returned Γ_1,
+    ``('o', True)`` was a generator, and ``gamma(p, 2.0)`` and
+    ``support_scan(2.0)`` raised TypeError."""
+    with pytest.raises(ValueError, match=r"must be an integer|unknown generator key"):
+        INDEX_ENTRIES[entry](bad)

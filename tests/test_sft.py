@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from ellsuper import sft
 from ellsuper.exact import CACHE_CAP
 from ellsuper.jumps import jump_general, jump_via_xi
-from ellsuper.linf import Combination, Word, abelian, compose, morphisms_agree
+from ellsuper.linf import Combination, LinfMorphism, Word, abelian, compose, morphisms_agree
 from ellsuper.oracle import cp2_exp_mc, gamma_bruteforce, morphism_bruteforce
-from ellsuper.orbits import SpectrumParams, Side, action, candidate_discontinuities, normalized
+from ellsuper.orbits import SpectrumParams, Side, action, candidate_discontinuities, gamma, normalized
 from ellsuper.sft import (
     beta_key,
     ca_generators,
@@ -71,6 +71,16 @@ class TestEpsilon:
         assert eps_high.level(o_word(2)) == Combination.single(
             q_word(2), Fraction(1, 2)
         )
+
+    @pytest.mark.parametrize("bad", [(("o", 0),), (("q", 1),), (("o", 1), ("q", 1)), (("x", 3),)], ids=repr)
+    def test_a_key_outside_ca_raises(self, bad):
+        """ψ_a's letter memo reads C_a's degree rule on a miss, so ε_a's level
+        and extension reject a key that is no o_i (i >= 1), and store nothing."""
+        eps = epsilon(normalized("3/2"))
+        assert eps.level(o_word(1)) and eps.extend(o_word(1, 2))  # warm memos
+        for get in (eps.level, eps.extend):
+            with pytest.raises(ValueError, match="unknown generator key"):
+                get(bad)
 
     def test_level_two_example(self):
         eps = epsilon(normalized("3/2"))
@@ -181,6 +191,45 @@ class TestEpsilonThroughLatticePoints:
         assert sft._lattice_key(word) == (x, y, len(word))
         assert sft._lattice_key(lifted) == (x, y, 0, len(word))
         assert tilde_epsilon().level(word) == tilde_epsilon().level(lifted)
+
+
+class TestPsiLetterMap:
+    """psi_a is a letter map: ε_a reads ε̃ at psi_a's image word."""
+
+    @given(
+        params=st.one_of(SIDED_PARAMS, st.just(THREE_AXES)),
+        indices=st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=5),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_composite_equals_the_block_recursion_composite(self, params, indices):
+        """Levels, extensions and term order of ε̃ ∘ psi_a agree with ε̃ composed
+        with a plain morphism of the same arity-1 rule, extended by the block recursion."""
+
+        def rule(w):
+            if len(w) != 1:
+                return Combination()
+            return Combination.single((beta_key(*gamma(params, w[0][1])),))
+
+        reference = compose(tilde_epsilon(), LinfMorphism(ca_generators(), sft.v_generators(), rule, arities=(1,)))
+        fast = sft._epsilon(params)
+        word = o_word(*sorted(indices))
+        for get in (lambda m: m.level(word), lambda m: m.extend(word)):
+            assert list(get(fast).terms()) == list(get(reference).terms())
+
+    @given(
+        params=st.one_of(SIDED_PARAMS, st.just(THREE_AXES)),
+        indices=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=6),
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_the_image_of_a_sorted_word_is_sorted(self, params, indices):
+        """Γ_{i+1} = Γ_i + e_j, so i < i' gives beta_{Γ_i} < beta_{Γ_i'}: psi_a keeps the key order."""
+        psi = sft.psi_map(params)
+        image = [psi._letters[o_key(i)] for i in sorted(indices)]
+        assert image == sorted(image)
+        assert len(set(image)) == len(set(indices))
+        for i in sorted(set(indices)):
+            step = [b - a for a, b in zip(gamma(params, i), gamma(params, i + 1))]
+            assert sorted(step) == [0] * (params.n - 1) + [1]
 
 
 class TestEta:
