@@ -10,7 +10,9 @@ Objects
 * :class:`Combination` — a finite Q-linear combination of words;
   :meth:`Combination.apply` is the linear extension Σ_u c_u · f(u).  On a
   single term with coefficient 1 it returns f(u) itself, not a copy: no
-  code changes a ``Combination`` after it is built.
+  code changes a ``Combination`` after it is built.  Zero is one shared
+  ``Combination`` with read-only terms: every zero the engine makes, and
+  ``apply`` on a zero, returns it.
 * :class:`LinfStructure` — level maps l^k : Sym^k -> generators of degree +1,
   given lazily by a rule of the word alone (k is its length) and memoized.
   It may declare the arities at which they can be nonzero
@@ -44,14 +46,18 @@ Operations
   its own; its level memo fills only when a level is asked for.  When F is
   a letter map, F̂(w) is the one image word u of w with coefficient 1, or 0
   when u repeats an odd letter, so the composite reads its outer factor at
-  the image, G^k(u) and Ĝ(u), and reads or fills no memo of F.
+  the image, G^k(u) and Ĝ(u), and reads or fills no memo of F.  It keeps a
+  level memo only: Ĝ's memo already holds Ĝ(u), so its ``extend`` reads
+  that on every call.
 * :func:`invert` — levelwise inverse of a morphism whose φ^1 is diagonal on
   basis generators: H^k(u) = -(1/c) Σ H^{s}(non-diagonal blocks of F̂
   applied to the preimage), where c is the coefficient of the
   all-singletons term, and H^1, which inverts the diagonal, is its k = 1
-  case with the sum started at minus the preimage.  One walk over the terms
-  of F̂(preimage) finds c among the length-k terms and sums the H^s of the
-  shorter ones.
+  case with the sum started at minus the preimage.  Like a letter map, the
+  preimage promises to keep key order and parity, so the preimage word is
+  read letter by letter through the image check :func:`compose` uses.  One
+  walk over the terms of F̂(preimage) finds c among the length-k terms and
+  sums the H^s of the shorter ones.
 * :func:`check_structure` — verifies l̂ ∘ l̂ = 0 on supplied words.
 
 Both extensions walk one block plan per (word length k, block size i): the
@@ -67,15 +73,22 @@ parities of the word), which names (k, i, odd mask).
 
 Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word, or per the ``memo_key`` a
-morphism names, whose rule then takes the key.  Each level, extension and
-letter memo is an :class:`ellsuper.exact.Memo`, so it holds at most
-``CACHE_CAP`` entries and evicts its oldest first; a memo's compute holds the
-rule or the letter, never the owner.
+morphism names, whose rule then takes the key.  Every extension is memoized
+per word too, except that of a composite through a letter map, which reads
+its outer factor's.  Each level, extension and letter memo is an
+:class:`ellsuper.exact.Memo`, so it holds at most ``CACHE_CAP`` entries and
+evicts its oldest first; a memo's compute holds the rule or the letter,
+never the owner.
 
 Signs follow one rule.  Pulling a head block to the front costs (-1) to the
 number of crossings of two odd letters, counted from the word's parities at
-the plan's head positions; a word with fewer than two odd letters has no
-crossing and skips the count.  Every output letter is placed by
+the plan's head positions.  Each extension reads a word's parities once, as
+a tuple, and pays for signs only where its letters allow them: only a word
+with two or more odd letters has a crossing or a repeated odd letter, so
+only then are the odd-prefix counts built and, in the coderivation, the
+rests scanned for a repeated odd letter.  A structure that declares
+``odd_heads`` returns zero on a word with no odd letter before any of that
+work.  Every output letter is placed by
 :func:`_insert_letter`, which bisects to its sorted place in a canonical
 word; an odd letter flips the sign once per odd letter it crosses, and
 zeroes the word if it is already there.  Both
@@ -86,7 +99,8 @@ word it is given) reject a word whose keys are not sorted with a ValueError.
 Each word is checked once: the rests of φ̂'s recursion and the words of l̂(w)
 that :func:`check_structure` extends again are built canonical by the engine
 and take an unchecked path.  :func:`canonical_word` sorts arbitrary keys by
-a right-to-left fold of insertions.
+a right-to-left fold of insertions; no engine path needs it, since the image
+of a letter map and the preimage of :func:`invert` are canonical by promise.
 
 Level maps are required to land in single generators (length-one words);
 this holds for every structure in this package and keeps extensions small.
@@ -112,9 +126,10 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd
 from operator import itemgetter, le, lt
+from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .exact import Memo, rational
@@ -240,7 +255,7 @@ class Combination:
 
     def __mul__(self, scalar: int | Fraction) -> "Combination":
         num, den = _pair(scalar)
-        return _scaled(self, num, den) if num else Combination()
+        return _scaled(self, num, den) if num else _ZERO
 
     __rmul__ = __mul__
 
@@ -250,7 +265,8 @@ class Combination:
     def apply(self, fn: Callable[[Word], "Combination"]) -> "Combination":
         """The linear extension Σ_u c_u · fn(u), accumulated in one dict.
 
-        A single term u with coefficient 1 returns fn(u) itself.
+        A single term u with coefficient 1 returns fn(u) itself, and zero
+        returns the shared zero.
         """
         if len(self._terms) == 1:
             ((u, pair),) = self._terms.items()
@@ -263,9 +279,7 @@ class Combination:
         return _combination(out)
 
     def restrict_length(self, length: int) -> "Combination":
-        out = Combination()
-        out._terms = {w: c for w, c in self._terms.items() if len(w) == length}
-        return out
+        return _of_pairs({w: c for w, c in self._terms.items() if len(w) == length})
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -323,9 +337,21 @@ def _combination(sums: _Sums) -> Combination:
     for w, (num, den) in sums.items():
         g = gcd(num, den)
         terms[w] = (num // g, den // g) if g != 1 else (num, den)
+    return _of_pairs(terms)
+
+
+def _of_pairs(pairs: dict[Word, tuple[int, int]]) -> Combination:
+    """The Combination of reduced nonzero pairs; the shared zero when there is none."""
+    if not pairs:
+        return _ZERO
     out = Combination.__new__(Combination)
-    out._terms = terms
+    out._terms = pairs
     return out
+
+
+# the one zero the engine returns; its terms are read-only, so sharing it is safe
+_ZERO = Combination.__new__(Combination)
+_ZERO._terms = MappingProxyType({})
 
 
 def _single_letter(comb_word: Word) -> Key:
@@ -377,7 +403,7 @@ def _declared_arities(arities: Iterable[int] | None) -> tuple[int, ...] | None:
 
 def abelian(generators: GeneratorSet) -> LinfStructure:
     """The structure with all level maps zero."""
-    return LinfStructure(generators, lambda word: Combination(), arities=())
+    return LinfStructure(generators, lambda word: _ZERO, arities=())
 
 
 def _check_word(word: Word) -> None:
@@ -386,15 +412,6 @@ def _check_word(word: Word) -> None:
         raise ValueError("words must be nonempty")
     if not all(map(le, word, word[1:])):
         raise ValueError(f"word {word!r} is not canonical: its keys must be sorted")
-
-
-def _parities(parity: Callable[[Key], int], word: Word) -> tuple[tuple[int, ...], list[int]]:
-    """Letter parities of a word, and the count of odd letters before each position."""
-    odd = tuple(map(parity, word))
-    odd_before = [0]
-    for bit in odd:
-        odd_before.append(odd_before[-1] + bit)
-    return odd, odd_before
 
 
 def _head_crossings(head: Sequence[int], odd: Sequence[int], odd_before: Sequence[int]) -> int:
@@ -460,7 +477,8 @@ class LinfMorphism:
 
     A composite built by :func:`compose` fills an extension miss from its
     factors' extensions, Ĝ ∘ F̂, instead of the block recursion on its levels;
-    one whose inner factor is a :func:`letter_map` reads Ĝ at the image word.
+    one whose inner factor is a :func:`letter_map` reads Ĝ at the image word
+    on every call and keeps no extension memo (``_extend_memo`` is None).
     """
 
     def __init__(
@@ -491,11 +509,14 @@ class LinfMorphism:
 
     def extend(self, word: Word) -> Combination:
         """The cofunctor extension φ̂ evaluated on a canonical word."""
-        cached = self._extend_memo.get(word)
+        memo = self._extend_memo
+        if memo is None:  # a composite through a letter map: its outer factor's memo holds φ̂
+            return self._extension(word)
+        cached = memo.get(word)
         if cached is None:
             _check_word(word)
             value = self._extend(word) if self._extension is None else self._extension(word)
-            cached = self._extend_memo.store(word, value)
+            cached = memo.store(word, value)
         return cached
 
     def _extend(self, word: Word) -> Combination:
@@ -505,8 +526,9 @@ class LinfMorphism:
         from the memo or computed here without a second check.
         """
         k = len(word)
-        odd, odd_before = _parities(self.source.parity, word)
-        signed = odd_before[-1] > 1
+        odd = tuple(map(self.source.parity, word))
+        signed = sum(odd) > 1  # only then can a head cross an odd letter
+        odd_before = list(accumulate(odd, initial=0)) if signed else None
         target_parity = self.target.parity
         memo = self._extend_memo
         out: _Sums = {}
@@ -555,13 +577,15 @@ def _coderivation(structure: LinfStructure, word: Word) -> Combination:
     """:func:`extend_coderivation` on a word already known to be canonical."""
     k = len(word)
     parity = structure.generators.parity
-    odd, odd_before = _parities(parity, word)
+    odd = tuple(map(parity, word))
     odd_heads = structure.odd_heads
-    if odd_heads and not odd_before[-1]:
-        return Combination()
-    signed = odd_before[-1] > 1
+    if odd_heads and 1 not in odd:
+        return _ZERO
+    # only a word with two or more odd letters has a crossing or a repeated odd letter
+    signed = sum(odd) > 1
+    odd_before = list(accumulate(odd, initial=0)) if signed else None
     # a rest holding a repeated odd letter is zero (only in non-reduced words)
-    repeats = any(odd[p] and word[p] == word[p + 1] for p in range(k - 1))
+    repeats = signed and any(odd[p] and word[p] == word[p + 1] for p in range(k - 1))
     out: _Sums = {}
     for i in range(1, k + 1) if structure.arities is None else structure.arities:
         if i > k:
@@ -583,6 +607,25 @@ def _coderivation(structure: LinfStructure, word: Word) -> Combination:
     return _combination(out)
 
 
+def _image(letter: Callable[[Key], Key], parity: Callable[[Key], int], word: Word, name: str) -> Word | None:
+    """The letterwise image of a canonical word under a map that keeps key order and parity.
+
+    The image is canonical and carries no sign, so it is the one word
+    ``tuple(map(letter, word))``, or None when it repeats an odd letter (the
+    image is 0).  One C-level pass finds a strictly ascending image; only
+    otherwise is it scanned, and a descent, a broken order promise, raises
+    ValueError naming the map ``name``.  ``parity`` is that of the image letters.
+    """
+    u = tuple(map(letter, word))
+    if not all(map(lt, u, u[1:])):  # equal letters, or a broken order promise
+        for x, y in zip(u, u[1:]):
+            if y < x:
+                raise ValueError(f"{name} breaks the key order on {word!r}: its image is {u!r}")
+            if x == y and parity(x):
+                return None
+    return u
+
+
 def letter_map(source: GeneratorSet, target: GeneratorSet, letter: Callable[[Key], Key]) -> LinfMorphism:
     """The strict morphism phi^1(x) = letter(x) with coefficient 1, phi^{>=2} = 0.
 
@@ -594,9 +637,10 @@ def letter_map(source: GeneratorSet, target: GeneratorSet, letter: Callable[[Key
     ``tuple(map(letter, w))``, canonical and with coefficient 1 and no
     sign, or 0 when it repeats an odd letter; :func:`compose` reads its
     outer factor at that image instead of extending this map.  A map that
-    breaks the order promise raises ValueError on a composite's memo miss.
-    A letter memo miss reads ``source.parity`` first, so a key that is no
-    generator of ``source`` raises ValueError and is never stored.
+    breaks the order promise raises ValueError when a composite reads a
+    word whose image descends.  A letter memo miss reads ``source.parity``
+    first, so a key that is no generator of ``source`` raises ValueError and
+    is never stored.
     """
 
     def checked(key: Key) -> Key:
@@ -606,7 +650,7 @@ def letter_map(source: GeneratorSet, target: GeneratorSet, letter: Callable[[Key
     letters = Memo(checked)
 
     def rule(word: Word) -> Combination:
-        return Combination.single((letters[word[0]],)) if len(word) == 1 else Combination()
+        return Combination.single((letters[word[0]],)) if len(word) == 1 else _ZERO
 
     morphism = LinfMorphism(source, target, rule, arities=(1,))
     morphism._letters = letters
@@ -625,11 +669,13 @@ def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
 
     (outer ∘ inner)^k(w) = Σ_{u ∈ inner-hat(w)} coeff(u) · outer^{|u|}(u),
     and the composite's extension is outer-hat ∘ inner-hat.  When ``inner``
-    is a :func:`letter_map`, inner-hat(w) is the one image word u of w with
-    coefficient 1, or 0, so the composite reads ``outer.level(u)`` and
-    ``outer.extend(u)`` themselves, after checking w, and reads or fills no
-    memo of ``inner``.  Neither the rule nor the extension holds the
-    composite.
+    is a :func:`letter_map`, which promises to keep key order and parity,
+    inner-hat(w) is the one image word u of w with coefficient 1, or 0, so
+    the composite checks w and reads ``outer.level(u)`` and
+    ``outer.extend(u)`` themselves, and reads or fills no memo of ``inner``.
+    It keeps a level memo but no extension memo: ``outer``'s extension memo
+    already holds Ĝ(u), so the composite's ``extend`` reads it on every
+    call.  Neither the rule nor the extension holds the composite.
     """
     if not inner.target.compatible(outer.source):
         raise ValueError(
@@ -646,30 +692,22 @@ def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
             return inner.extend(word).apply(outer.extend)
 
     else:
-        get, parity = inner._letters.__getitem__, inner.target.parity
-
-        def image(word: Word) -> Word | None:
-            """inner-hat(word) as its one word, or None when it is 0 (a repeated odd letter)."""
-            u = tuple(map(get, word))
-            if not all(map(lt, u, u[1:])):  # equal letters, or a broken order promise
-                for x, y in zip(u, u[1:]):
-                    if y < x:
-                        raise ValueError(f"letter map breaks the key order on {word!r}: its image is {u!r}")
-                    if x == y and parity(x):
-                        return None
-            return u
+        letter, parity = inner._letters.__getitem__, inner.target.parity
 
         def rule(word: Word) -> Combination:
             _check_word(word)
-            u = image(word)
-            return Combination() if u is None else outer.level(u)
+            u = _image(letter, parity, word, "letter map")
+            return _ZERO if u is None else outer.level(u)
 
-        def extension(word: Word) -> Combination:  # ``extend`` has checked the word
-            u = image(word)
-            return Combination() if u is None else outer.extend(u)
+        def extension(word: Word) -> Combination:
+            _check_word(word)
+            u = _image(letter, parity, word, "letter map")
+            return _ZERO if u is None else outer.extend(u)
 
     composite = LinfMorphism(inner.source, outer.target, rule)
     composite._extension = extension
+    if inner._letters is not None:
+        composite._extend_memo = None  # outer's extension memo holds Ĝ(u)
     return composite
 
 
@@ -677,24 +715,32 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
     """Levelwise inverse of a morphism with diagonal phi^1.
 
     ``preimage`` maps a target generator key to the source key whose phi^1
-    image is proportional to it.  The inverse H satisfies (H ∘ F)^k = id^k;
+    image is proportional to it.  Like a :func:`letter_map`, it promises to
+    keep key order and parity, so the letterwise preimage w of a canonical
+    word u is canonical.  The rule checks u as :func:`compose`'s rule
+    checks its word, and w in the one pass that
+    :func:`compose` uses for an image word: a descent raises ValueError
+    naming the promise, and a repeated odd letter in w raises ValueError
+    (the preimage vanishes).  The inverse H satisfies (H ∘ F)^k = id^k;
     solving that relation for H^k gives
 
         H^k(u) = -(1/c) (Σ_{blocks not all singletons} H^s(F-blocks applied to w) - id^k(w)),
 
-    with w the letterwise preimage of u and c the coefficient of u in the
-    all-singletons (length-k) part of F̂(w).  id^k(w) is w at k = 1 and 0
-    above, so H^1(u) = w/c is the k = 1 case: its sum starts at -w, and F̂
-    of one letter is that letter's level.  The rule walks the terms of F̂(w)
-    once: a length-k term is the diagonal, which must be the single term u,
-    and each shorter term u' adds its coefficient times H^{|u'|}(u') to one
-    integer sum, which is then scaled by -1/c.  The rule reads H^s through a
-    weak reference, so H is no reference cycle.
+    with c the coefficient of u in the all-singletons (length-k) part of
+    F̂(w).  id^k(w) is w at k = 1 and 0 above, so H^1(u) = w/c is the k = 1
+    case: its sum starts at -w, and F̂ of one letter is that letter's level.
+    The rule walks the terms of F̂(w) once: a length-k term is the diagonal,
+    which must be the single term u, and each shorter term u' adds its
+    coefficient times H^{|u'|}(u') to one integer sum, which is then scaled
+    by -1/c.  The rule reads H^s through a weak reference, so H is no
+    reference cycle.
     """
+    parity = morphism.source.parity
 
     def rule(u_word: Word) -> Combination:
+        _check_word(u_word)
         k = len(u_word)
-        w, _ = canonical_word(morphism.source, [preimage(key) for key in u_word])
+        w = _image(preimage, parity, u_word, "preimage")
         if w is None:
             raise ValueError(f"preimage of {u_word} vanishes (repeated odd letter)")
         # F̂ of one letter is its level, and id^1(w) = w starts the sum at -w

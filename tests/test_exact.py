@@ -453,10 +453,10 @@ class TestNoMemoHoldsItsOwner:
         self.assert_freed(build)
 
     def test_epsilon_morphism(self, monkeypatch):
-        """eps_a = eps~ ∘ psi_a: eps_a's memos and psi_a's letter memo fill,
-        psi_a's extension memo stays empty, since the composite reads eps~ at
-        psi_a's image word, and neither the letter compute nor the composite
-        holds eps_a."""
+        """eps_a = eps~ ∘ psi_a: eps_a's level memo and psi_a's letter memo
+        fill.  eps_a keeps no extension memo and psi_a's stays empty, since
+        the composite reads eps~'s extension, memo included, at psi_a's image
+        word.  Neither the letter compute nor the composite holds eps_a."""
         built = []
         psi = sft.psi_map
         monkeypatch.setattr(sft, "psi_map", lambda params: built.append(psi(params)) or built[-1])
@@ -467,8 +467,10 @@ class TestNoMemoHoldsItsOwner:
             built.clear()
             assert eps.extend(word_pair())
             assert eps.level(word_pair())
-            assert not psi_a._extend_memo
-            return eps, [eps._level_memo, eps._extend_memo, psi_a._letters]
+            assert eps._extend_memo is None and not psi_a._extend_memo
+            image = tuple(psi_a._letters[key] for key in word_pair())
+            assert sft.tilde_epsilon()._extend_memo[image] is eps.extend(word_pair())
+            return eps, [eps._level_memo, psi_a._letters]
 
         self.assert_freed(build)
 

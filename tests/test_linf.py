@@ -110,6 +110,15 @@ class TestCombination:
         c = Combination({word(g(1)): Fraction(1), word(g(1), g(2)): Fraction(5)})
         assert c.restrict_length(2) == Combination.single(word(g(1), g(2)), 5)
 
+    def test_the_engine_returns_one_read_only_zero(self):
+        a = Combination.single(word(g(1)), 2)
+        zero = 0 * a
+        assert zero is a.restrict_length(2) is zero.apply(lambda u: a)
+        assert zero is extend_coderivation(abelian(GRADED), word(g(1)))
+        assert not zero and zero == Combination() and list(zero.terms()) == []
+        with pytest.raises(TypeError):
+            zero._terms[word(g(1))] = (1, 1)
+
     def test_apply_drops_a_cancelled_word_and_appends_it_when_it_returns(self):
         """A word whose sum reaches 0 leaves the combination; a later term puts
         it back at the end.  Sums over unequal denominators meet on the way."""
@@ -859,6 +868,29 @@ class TestInvert:
         H = invert(self.table_morphism(levels), preimage=lambda key: g(key[1]))
         with pytest.raises(ValueError, match=r"phi\^1 is not diagonal on the letters of \(\('h', 1\), \('h', 2\)\)"):
             H.level(word(h(1), h(2)))
+
+    def test_a_broken_order_promise_raises(self):
+        """The preimage promises to keep key order, as a letter map does: one
+        that keeps parity but reverses the order raises, on a word of two
+        letters; a single letter has no order to break."""
+        reverse = lambda w: Combination.single(word(h(10 - w[0][1])), 2) if len(w) == 1 else Combination()  # noqa: E731
+        H = invert(LinfMorphism(GRADED, GRADED, reverse), preimage=lambda key: g(10 - key[1]))
+        assert H.level(word(h(3))) == Combination.single(word(g(7)), Fraction(1, 2))
+        with pytest.raises(ValueError, match=r"preimage breaks the key order on \(\('h', 1\), \('h', 3\)\)"):
+            H.level(word(h(1), h(3)))
+        with pytest.raises(ValueError, match="is not canonical"):  # the word is at fault, not the preimage
+            H.level(word(h(3), h(1)))
+
+    def test_a_repeated_odd_preimage_letter_vanishes(self):
+        """Two odd letters with one preimage: the preimage word is 0, and the
+        rule says so rather than inverting it."""
+        F = LinfMorphism(GRADED, GRADED, two_level_morphism(Fraction(2)))
+        H = invert(F, preimage=lambda key: g(1 if key[1] in (1, 3) else key[1]))
+        with pytest.raises(ValueError, match=r"vanishes \(repeated odd letter\)"):
+            H.level(word(h(1), h(3)))
+        with pytest.raises(ValueError, match=r"vanishes \(repeated odd letter\)"):
+            H.level(word(h(1), h(1)))
+        assert H.level(word(h(2), h(2))) == Combination.single(word(g(4)), Fraction(-1, 8))
 
     @staticmethod
     def two_pass_inverse(morphism, preimage):

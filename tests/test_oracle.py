@@ -455,6 +455,15 @@ class TestCoderivationOracle:
         S = toy_structure(mixed)
         self.assert_same_terms(S, tuple(("g", i) for i in sorted(indices)))
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_a_rest_with_a_repeated_odd_letter_is_zero(self, mixed):
+        """g1.g1.g3 is not reduced: the head g3 leaves the rest g1.g1, which is
+        0, so l^1(g3) = g4 adds nothing there.  The structure declares no
+        ``odd_heads``, so every head is read."""
+        S = toy_structure(mixed)
+        assert not S.odd_heads
+        self.assert_same_terms(S, (("g", 1), ("g", 1), ("g", 3)))
+
     def test_mixed_denominators_cancel_and_come_back(self):
         """On g3.g4.g5.g6 the word itself collects -1/2 + 1/2 = 0 from g3 and
         g4 and is dropped; g5 and g6 bring it back at -1/3 + 2/5 = 1/15,
