@@ -109,8 +109,11 @@ Arithmetic runs on integers.  A :class:`Combination` stores each
 coefficient as a reduced (numerator, denominator) pair with a positive
 denominator, and ``apply``, both extensions, :func:`compose` and
 :func:`invert` read the pairs directly.  They sum each output word as an
-unreduced pair: equal denominators add numerators, unequal ones meet over
-their lcm, and one ``math.gcd`` reduces each surviving sum at the end.  A
+unreduced pair in one fresh dict per sum: a new word is stored by one
+``dict.setdefault``, so it is hashed once, equal denominators add
+numerators, and unequal ones meet over their lcm.  At the end one
+``math.gcd`` reduces each surviving sum in place, and that same dict
+becomes the terms of the result, so no sum is copied.  A
 ``Fraction`` is built only where a value leaves the engine, in
 :meth:`Combination.terms`, ``Combination[word]`` and ``repr``, so every
 public coefficient is a ``Fraction``.  A word whose sum reaches 0 is
@@ -118,7 +121,7 @@ dropped, and a later term appends it again, so term order is that of the
 first nonzero partial sum.  Letter parities come from
 ``GeneratorSet.parity``, the lookup of a per-set ``Memo`` (at most
 ``CACHE_CAP`` keys); a key the degree rule rejects is never stored, so it
-raises on every call.
+raises until a key equal to it is stored (see :class:`GeneratorSet`).
 """
 
 from __future__ import annotations
@@ -165,8 +168,11 @@ class GeneratorSet:
     shares one key space regardless of its parameters.
 
     ``parity(key)`` is ``degree(key) & 1``, memoized per set (at most
-    ``CACHE_CAP`` keys).  Only valid keys are stored: an unknown key raises
-    on every call.
+    ``CACHE_CAP`` keys).  Only valid keys are stored, so an unknown key
+    raises until a key equal to it is stored.  A bool in a key is such a
+    case: ``('o', True) == ('o', 1)`` with the same hash, so once
+    ``('o', 1)`` is stored, ``parity(('o', True))`` answers from the memo
+    although the degree rule rejects it.
     """
 
     def __init__(self, label: str, degree_fn: Callable[[Key], int]) -> None:
@@ -311,12 +317,14 @@ _Sums = dict[Word, tuple[int, int]]
 def _add(sums: _Sums, word: Word, num: int, den: int) -> None:
     """Add num/den to the coefficient of ``word`` in ``sums`` on integers.
 
-    Equal denominators add numerators; otherwise both go over the lcm.  A
-    word whose sum reaches 0 is dropped, and a later term re-appends it.
+    A new word is stored by one ``setdefault``, which hashes it once; only
+    when that returns an older pair are the two combined.  Equal
+    denominators add numerators; otherwise both go over the lcm.  A word
+    whose sum reaches 0 is dropped, and a later term re-appends it.
     """
-    old = sums.get(word)
-    if old is None:
-        sums[word] = (num, den)
+    pair = (num, den)
+    old = sums.setdefault(word, pair)
+    if old is pair:
         return
     old_num, old_den = old
     if old_den == den:
@@ -332,12 +340,16 @@ def _add(sums: _Sums, word: Word, num: int, den: int) -> None:
 
 
 def _combination(sums: _Sums) -> Combination:
-    """The Combination of nonzero integer sums, each reduced by one gcd."""
-    terms = {}
+    """The Combination of nonzero integer sums, each reduced in place by one gcd.
+
+    ``sums`` becomes the terms of the result, so it must be a fresh dict
+    that no one else holds or changes.
+    """
     for w, (num, den) in sums.items():
         g = gcd(num, den)
-        terms[w] = (num // g, den // g) if g != 1 else (num, den)
-    return _of_pairs(terms)
+        if g != 1:
+            sums[w] = (num // g, den // g)
+    return _of_pairs(sums)
 
 
 def _of_pairs(pairs: dict[Word, tuple[int, int]]) -> Combination:
@@ -732,7 +744,7 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
     The rule walks the terms of F̂(w) once: a length-k term is the diagonal,
     which must be the single term u, and each shorter term u' adds its
     coefficient times H^{|u'|}(u') to one integer sum, which is then scaled
-    by -1/c.  The rule reads H^s through a weak reference, so H is no
+    by -1/c in place.  The rule reads H^s through a weak reference, so H is no
     reference cycle.
     """
     parity = morphism.source.parity
@@ -757,7 +769,10 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
         if coeff is None or len(diagonal) != 1:
             raise ValueError(f"phi^1 is not diagonal on the letters of {u_word}")
         num, den = _reciprocal(*coeff)
-        return _combination({v: (s_num * -num, s_den * den) for v, (s_num, s_den) in lower.items()})
+        num = -num
+        for v, (s_num, s_den) in lower.items():
+            lower[v] = (s_num * num, s_den * den)
+        return _combination(lower)
 
     inverse = LinfMorphism(morphism.target, morphism.source, rule)
     inverse_ref = weakref.ref(inverse)

@@ -67,7 +67,7 @@ from .linf import (
     letter_map,
     morphisms_agree,
 )
-from .orbits import SpectrumParams, gamma, gamma_points, is_index, orbit_indices
+from .orbits import SpectrumParams, check_index, gamma, gamma_points, is_index, orbit_indices
 from .report import Report, merge_reports
 
 __all__ = [
@@ -243,7 +243,13 @@ def local_descendant(params: SpectrumParams, indices: Sequence[int]) -> tuple[Fr
 
 
 def index_words(key_fn: Callable[[int], Key], length_bound: int, index_cap: int) -> list[Word]:
-    """Canonical words of key_fn(1..index_cap) of length 1..length_bound, shortest first."""
+    """Canonical words of key_fn(1..index_cap) of length 1..length_bound, shortest first.
+
+    Each bound must be an int, not a bool or a float (ValueError); a bound
+    <= 0 gives no word.
+    """
+    check_index(length_bound, None, "length_bound")
+    check_index(index_cap, None, "index_cap")
     letters = [key_fn(i) for i in range(1, index_cap + 1)]
     return [
         keys

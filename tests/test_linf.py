@@ -137,6 +137,53 @@ class TestCombination:
         ]
 
 
+# nonzero rationals over unequal denominators, so sums cancel and meet over an lcm
+COEFFICIENTS = st.builds(
+    Fraction,
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    st.sampled_from([1, 2, 3, 4, 6]),
+)
+
+
+def reference_apply(source, images):
+    """Σ_u c_u · images[u] on Fractions in a plain dict: a word whose sum
+    reaches 0 is popped, and a later term re-appends it at the end."""
+    sums = {}
+    for u, c in source.items():
+        for v, d in images[u].items():
+            total = sums.get(v, 0) + c * d
+            if total:
+                sums[v] = total
+            else:
+                del sums[v]
+    return sums
+
+
+class TestSumsAgainstAReference:
+    @given(
+        source=st.dictionaries(st.integers(min_value=1, max_value=4), COEFFICIENTS, min_size=1),
+        images=st.lists(
+            st.dictionaries(st.integers(min_value=1, max_value=3), COEFFICIENTS), min_size=4, max_size=4
+        ),
+        scalar=COEFFICIENTS,
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_apply_equals_a_fraction_sum(self, source, images, scalar):
+        """The same reduced pairs, with positive denominators, in the same term
+        order as the plain sum; a scalar multiple scales each pair."""
+        source = {word(h(u)): c for u, c in source.items()}
+        images = {word(h(u)): {word(g(v)): d for v, d in image.items()} for u, image in enumerate(images, 1)}
+        expected = reference_apply(source, images)
+        total = Combination(source).apply(lambda u: Combination(images[u]))
+        pairs = [(v, (f.numerator, f.denominator)) for v, f in expected.items()]
+        assert list(total._terms.items()) == pairs
+        assert list(total.terms()) == list(expected.items())
+        scaled = total * scalar
+        assert list(scaled._terms.items()) == [
+            (v, ((f * scalar).numerator, (f * scalar).denominator)) for v, f in expected.items()
+        ]
+
+
 def assert_fraction_coefficients(comb, probes=()):
     """Every public coefficient of ``comb`` is exactly a ``Fraction``."""
     for w, c in comb.terms():

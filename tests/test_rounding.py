@@ -5,6 +5,8 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellsuper import sft
 from ellsuper.exact import CACHE_CAP, Memo
@@ -18,6 +20,7 @@ from ellsuper.linf import (
     identity_morphism,
 )
 from ellsuper.orbits import Side, SpectrumParams, gamma, normalized
+from ellsuper.report import Report
 from ellsuper.rounding import (
     _two_alpha_words,
     _v_rule,
@@ -362,3 +365,80 @@ class TestVerifyAug:
                     (q_key(i_total + j_total + k - 1),), Fraction(1, factorial(i_total) * factorial(j_total))
                 )
             assert te.level(word_) == expected, word_
+
+
+def two_pass_verify_aug(index_bound, length_bound, structure, morphism):
+    """The loop ``verify_aug`` replaced: pi_1 by ``apply(level)`` on every
+    length, then the bar level on lengths <= 3 only where pi_1 vanishes."""
+    failures = []
+    checked = 0
+    for word_ in _window_words(index_bound, length_bound):
+        checked += 1
+        image = extend_coderivation(structure, word_)
+        projected = image.apply(morphism.level)
+        if projected:
+            failures.append(f"pi_1(aug(coderivation)) nonzero on {word_}: {projected}")
+            continue
+        if len(word_) <= 3:
+            full = image.apply(morphism.extend)
+            if full:
+                failures.append(f"bar-level aug(coderivation) nonzero on {word_}: {full}")
+    return Report(checked, failures)
+
+
+class TestVerifyAugAgainstTwoPasses:
+    """``verify_aug`` reads pi_1 off the bar-level image on short words; the
+    old loop applied the levels and the extension to the image separately."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        perturb_morphism=st.booleans(),
+        arity=st.sampled_from([1, 2]),
+        factor=st.sampled_from([-1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]),
+        index_bound=st.integers(1, 4),
+        length_bound=st.integers(1, 3),
+    )
+    def test_same_report_as_the_two_pass_loop(self, perturb_morphism, arity, factor, index_bound, length_bound):
+        good = tilde_epsilon() if perturb_morphism else v_algebra()
+
+        def rule(word_):
+            out = good.level(word_)
+            return factor * out if len(word_) == arity else out
+
+        if perturb_morphism:
+            structure, morphism = v_algebra(), LinfMorphism(good.source, good.target, rule)
+        else:
+            structure = LinfStructure(good.generators, rule, arities=(1, 2), odd_heads=True)
+            morphism = tilde_epsilon()
+        new = verify_aug(index_bound, length_bound, structure=structure, morphism=morphism)
+        old = two_pass_verify_aug(index_bound, length_bound, structure, morphism)
+        assert new.checked == old.checked
+        assert new.failures == old.failures
+
+
+class TestWindowBounds:
+    P = normalized("13/2", Side.MINUS)
+    BOUND_ENTRIES = {
+        "verify_aug": lambda b: verify_aug(b, 2),
+        "structure_window_check": lambda b: structure_window_check(b, 2),
+        "psi_factorization": lambda b: psi_factorization(TestWindowBounds.P, b),
+        "inverse_check": lambda b: sft.inverse_check(TestWindowBounds.P, b),
+        "xi_chain_check": lambda b: sft.xi_chain_check(
+            normalized("3/2"), normalized(2, Side.MINUS), normalized(3), b
+        ),
+        "index_words": lambda b: sft.index_words(o_key, b, 2),
+    }
+
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "2"], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(BOUND_ENTRIES))
+    def test_every_window_entry_rejects_a_non_integer_bound(self, entry, bad):
+        """A window bound is an int and not a bool; a bool once counted as 1
+        or 0 and a float reached ``range``."""
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            self.BOUND_ENTRIES[entry](bad)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_a_bound_below_one_gives_an_empty_window(self, bound):
+        assert list(_window_words(bound, 3)) == list(_window_words(3, bound)) == []
+        assert sft.index_words(o_key, bound, 3) == sft.index_words(o_key, 3, bound) == []
+        assert verify_aug(bound, 3).checked == 0
