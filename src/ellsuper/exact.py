@@ -22,9 +22,10 @@ the oldest first, a block at a time.  The lattice walks of
 Γ-signature counts of :mod:`ellsuper.superpotential`, the per-ratio jump
 tables and sided parameter pairs of :mod:`ellsuper.jumps`, and the block
 plans and the parity, level and extension memos of :mod:`ellsuper.linf` are
-all ``Memo``s.  Every module-level memo but the jump tables fills a miss
-from its ``compute``; the jump tables and the level and extension memos of
-an L∞ morphism have none and are filled through :meth:`Memo.store`.
+all ``Memo``s.  Every level memo, of an L∞ structure or morphism alike,
+and every module-level memo but the jump tables fills a miss from its
+``compute``; the jump tables and the extension memos of an L∞ morphism have
+none and are filled through :meth:`Memo.store`.
 """
 
 from __future__ import annotations
@@ -56,11 +57,15 @@ CACHE_CAP = 4096
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce to an exact rational; floats are rejected to keep arithmetic exact.
 
-    A plain ``Fraction`` is returned as it is: it is immutable, and skipping
-    the constructor skips its numeric-type checks.
+    A bool is rejected too, by its class as :func:`ellsuper.orbits.is_index`
+    does, although ``Fraction(True)`` is 1.  A plain ``Fraction`` is returned
+    as it is: it is immutable, and skipping the constructor skips its
+    numeric-type checks.
     """
     if value.__class__ is Fraction:
         return value
+    if value.__class__ is bool:
+        raise TypeError("bools are not accepted; pass an int, Fraction, or 'p/q' string")
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass an int, Fraction, or 'p/q' string")
     return Fraction(value)

@@ -21,7 +21,9 @@ Objects
   Each declaration is a promise about the rule: extensions never evaluate
   the arities or heads it excludes.
 * :class:`LinfMorphism` — level maps phi^k : Sym^k(source) -> target of
-  degree 0, same representation, with the same ``arities`` declaration.
+  degree 0, given by a rule and memoized like a structure's, per word or
+  per the ``memo_key`` it names.  It declares nothing: its extension visits
+  every block size.
 * :func:`letter_map` — the strict morphism phi^1(x) = letter(x) with
   coefficient 1 and phi^{>=2} = 0, read through one letter memo.  It
   promises to keep the parity of each letter and the order of the keys, so
@@ -37,8 +39,8 @@ Operations
   hold an odd letter only, and zero at once on a word with no odd letter.
 * :meth:`LinfMorphism.extend` — the cofunctor extension, a sum over the set
   partitions of the letters with blocks ordered by their first letter,
-  computed by recursion on the block B that holds the first letter, of a
-  declared size: φ̂(w) = Σ_{B ∋ w_0} ± φ^{|B|}(w_B) ⊙ φ̂(w∖B).  The rest of a
+  computed by recursion on the block B that holds the first letter, of
+  every size: φ̂(w) = Σ_{B ∋ w_0} ± φ^{|B|}(w_B) ⊙ φ̂(w∖B).  The rest of a
   canonical word is canonical, so φ̂(w∖B) is a memoized sub-word of w.
 * :func:`compose` — (G ∘ F)^k(w) = Σ_{u ∈ F̂(w)} coeff · G^{|u|}(u).  The
   composite's cofunctor extension is Ĝ ∘ F̂ (the extension is a functor),
@@ -73,12 +75,15 @@ parities of the word), which names (k, i, odd mask).
 
 Every level map, including those of composites and inverses, is defined
 lazily at every arity and memoized per word, or per the ``memo_key`` a
-morphism names, whose rule then takes the key.  Every extension is memoized
-per word too, except that of a composite through a letter map, which reads
-its outer factor's.  Each level, extension and letter memo is an
-:class:`ellsuper.exact.Memo`, so it holds at most ``CACHE_CAP`` entries and
-evicts its oldest first; a memo's compute holds the rule or the letter,
-never the owner.
+morphism names, whose rule then takes the key.  Each level memo, of a
+structure or a morphism, is ``Memo(level_rule)``, so a level is one
+subscript and a miss fills from the rule.  Every extension is memoized per
+word too, except that of a composite through a letter map, which reads its
+outer factor's; an extension memo has no compute, since it would be the
+morphism's own ``_extend``, and is filled through ``get`` and ``store``.
+Each level, extension and letter memo is an :class:`ellsuper.exact.Memo`,
+so it holds at most ``CACHE_CAP`` entries and evicts its oldest first; a
+memo's compute holds the rule or the letter, never the owner.
 
 Signs follow one rule.  Pulling a head block to the front costs (-1) to the
 number of crossings of two odd letters, counted from the word's parities at
@@ -162,10 +167,11 @@ Key = Hashable
 class GeneratorSet:
     """Graded generators addressed by keys (tuples, orderable within one set).
 
-    ``degree_fn`` must raise ValueError on keys outside the family; this is
-    how unknown-generator errors surface.  Two generator sets are compatible
-    for composition when their labels match — e.g. every ellipsoid algebra
-    shares one key space regardless of its parameters.
+    ``degree`` is ``degree_fn`` itself, which must raise ValueError on keys
+    outside the family; this is how unknown-generator errors surface.  Two
+    generator sets are compatible for composition when their labels match —
+    e.g. every ellipsoid algebra shares one key space regardless of its
+    parameters.
 
     ``parity(key)`` is ``degree(key) & 1``, memoized per set (at most
     ``CACHE_CAP`` keys).  Only valid keys are stored, so an unknown key
@@ -177,12 +183,9 @@ class GeneratorSet:
 
     def __init__(self, label: str, degree_fn: Callable[[Key], int]) -> None:
         self.label = label
-        self._degree_fn = degree_fn
+        self.degree = degree_fn
         self._parity_memo = Memo(lambda key: degree_fn(key) & 1)
         self.parity: Callable[[Key], int] = self._parity_memo.__getitem__
-
-    def degree(self, key: Key) -> int:
-        return self._degree_fn(key)
 
     def compatible(self, other: "GeneratorSet") -> bool:
         return self.label == other.label
@@ -234,7 +237,8 @@ class Combination:
 
     Each coefficient is stored as a reduced (numerator, denominator) integer
     pair with a positive denominator; :meth:`terms`, ``[]`` and ``repr``
-    build the ``Fraction``.  A float coefficient or scalar raises TypeError.
+    build the ``Fraction``.  A float or bool coefficient or scalar raises
+    TypeError.
     """
 
     __slots__ = ("_terms",)
@@ -294,8 +298,8 @@ class Combination:
 
 
 def _pair(value: int | Fraction) -> tuple[int, int]:
-    """The reduced (numerator, denominator) pair of a rational; a float raises TypeError."""
-    if not isinstance(value, (int, Fraction)):
+    """The reduced (numerator, denominator) pair of a rational; a float or a bool raises TypeError."""
+    if value.__class__ is bool or not isinstance(value, (int, Fraction)):
         value = rational(value)
     return value.numerator, value.denominator
 
@@ -394,23 +398,17 @@ class LinfStructure:
         arities: Iterable[int] | None = None,
         odd_heads: bool = False,
     ) -> None:
+        if arities is not None:
+            arities = tuple(sorted(set(arities)))
+            if any(not isinstance(i, int) or i < 1 for i in arities):
+                raise ValueError(f"arities must be positive integers, got {arities}")
         self.generators = generators
-        self.arities = _declared_arities(arities)
+        self.arities = arities
         self.odd_heads = odd_heads
         self._memo = Memo(level_rule)
 
     def level(self, word: Word) -> Combination:
         return self._memo[word]
-
-
-def _declared_arities(arities: Iterable[int] | None) -> tuple[int, ...] | None:
-    """The sorted distinct arities of a declaration, or None for every arity."""
-    if arities is None:
-        return None
-    arities = tuple(sorted(set(arities)))
-    if any(not isinstance(i, int) or i < 1 for i in arities):
-        raise ValueError(f"arities must be positive integers, got {arities}")
-    return arities
 
 
 def abelian(generators: GeneratorSet) -> LinfStructure:
@@ -478,14 +476,12 @@ _EMPTY = {(): (1, 1)}  # the terms of φ̂ of the empty rest: the unit word
 class LinfMorphism:
     """L-infinity morphism: lazy, memoized level maps phi^k of degree 0.
 
-    ``level(word)`` is phi^k(word), k = len(word), from ``level_rule(word)``.
-    Given ``memo_key``, the rule takes ``memo_key(word)`` instead of the word,
-    and the level memo stores its value under that key, so a level is a
-    function of its key and words with one key share one entry.
-
-    ``arities`` declares the block sizes at which ``level_rule`` can be
-    nonzero, as on :class:`LinfStructure`; ``None`` (the default) means
-    every size.  :meth:`extend` visits the declared sizes only.
+    ``level(word)`` is phi^k(word), k = len(word), from ``level_rule(word)``:
+    one subscript of the level memo ``Memo(level_rule)``.  Given
+    ``memo_key``, the rule takes ``memo_key(word)`` instead of the word, and
+    the level memo stores its value under that key, so a level is a function
+    of its key and words with one key share one entry.  :meth:`extend`
+    visits every block size.
 
     A composite built by :func:`compose` fills an extension miss from its
     factors' extensions, Ĝ ∘ F̂, instead of the block recursion on its levels;
@@ -499,25 +495,18 @@ class LinfMorphism:
         target: GeneratorSet,
         level_rule: Callable[[Hashable], Combination],
         memo_key: Callable[[Word], Hashable] | None = None,
-        arities: Iterable[int] | None = None,
     ) -> None:
         self.source = source
         self.target = target
-        self.arities = _declared_arities(arities)
-        self._rule = level_rule
         self._memo_key = memo_key
         self._extension: Callable[[Word], Combination] | None = None  # set by ``compose``
         self._letters: Memo | None = None  # set by ``letter_map``
-        # filled through ``get`` and ``store``: cheaper than ``__missing__``, and no cycle
-        self._level_memo = Memo()
+        self._level_memo = Memo(level_rule)
+        # filled through ``get`` and ``store``: a compute would be ``self._extend``, a cycle
         self._extend_memo = Memo()
 
     def level(self, word: Word) -> Combination:
-        key = word if self._memo_key is None else self._memo_key(word)
-        cached = self._level_memo.get(key)
-        if cached is None:
-            cached = self._level_memo.store(key, self._rule(key))
-        return cached
+        return self._level_memo[word if self._memo_key is None else self._memo_key(word)]
 
     def extend(self, word: Word) -> Combination:
         """The cofunctor extension φ̂ evaluated on a canonical word."""
@@ -544,9 +533,7 @@ class LinfMorphism:
         target_parity = self.target.parity
         memo = self._extend_memo
         out: _Sums = {}
-        for size in range(1, k + 1) if self.arities is None else self.arities:
-            if size > k:
-                break
+        for size in range(1, k + 1):
             for head, get_head, _, get_rest in _BLOCK_PLANS[k, size]:
                 if head[0]:
                     break
@@ -620,14 +607,16 @@ def _coderivation(structure: LinfStructure, word: Word) -> Combination:
 
 
 def _image(letter: Callable[[Key], Key], parity: Callable[[Key], int], word: Word, name: str) -> Word | None:
-    """The letterwise image of a canonical word under a map that keeps key order and parity.
+    """The letterwise image of a word under a map that keeps key order and parity.
 
+    The word is checked first, so an empty or unsorted one raises ValueError.
     The image is canonical and carries no sign, so it is the one word
     ``tuple(map(letter, word))``, or None when it repeats an odd letter (the
     image is 0).  One C-level pass finds a strictly ascending image; only
     otherwise is it scanned, and a descent, a broken order promise, raises
     ValueError naming the map ``name``.  ``parity`` is that of the image letters.
     """
+    _check_word(word)
     u = tuple(map(letter, word))
     if not all(map(lt, u, u[1:])):  # equal letters, or a broken order promise
         for x, y in zip(u, u[1:]):
@@ -664,7 +653,7 @@ def letter_map(source: GeneratorSet, target: GeneratorSet, letter: Callable[[Key
     def rule(word: Word) -> Combination:
         return Combination.single((letters[word[0]],)) if len(word) == 1 else _ZERO
 
-    morphism = LinfMorphism(source, target, rule, arities=(1,))
+    morphism = LinfMorphism(source, target, rule)
     morphism._letters = letters
     return morphism
 
@@ -707,12 +696,10 @@ def compose(outer: LinfMorphism, inner: LinfMorphism) -> LinfMorphism:
         letter, parity = inner._letters.__getitem__, inner.target.parity
 
         def rule(word: Word) -> Combination:
-            _check_word(word)
             u = _image(letter, parity, word, "letter map")
             return _ZERO if u is None else outer.level(u)
 
         def extension(word: Word) -> Combination:
-            _check_word(word)
             u = _image(letter, parity, word, "letter map")
             return _ZERO if u is None else outer.extend(u)
 
@@ -729,9 +716,8 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
     ``preimage`` maps a target generator key to the source key whose phi^1
     image is proportional to it.  Like a :func:`letter_map`, it promises to
     keep key order and parity, so the letterwise preimage w of a canonical
-    word u is canonical.  The rule checks u as :func:`compose`'s rule
-    checks its word, and w in the one pass that
-    :func:`compose` uses for an image word: a descent raises ValueError
+    word u is canonical.  The rule reads w through the image check that
+    :func:`compose` uses, which checks u first: a descent raises ValueError
     naming the promise, and a repeated odd letter in w raises ValueError
     (the preimage vanishes).  The inverse H satisfies (H ∘ F)^k = id^k;
     solving that relation for H^k gives
@@ -750,7 +736,6 @@ def invert(morphism: LinfMorphism, preimage: Callable[[Key], Key]) -> LinfMorphi
     parity = morphism.source.parity
 
     def rule(u_word: Word) -> Combination:
-        _check_word(u_word)
         k = len(u_word)
         w = _image(preimage, parity, u_word, "preimage")
         if w is None:

@@ -48,6 +48,12 @@ class TestRational:
             rational(1.5)
         with pytest.raises(TypeError):
             rational(2.0)
+        # a bool is rejected by its class, although Fraction(True) == 1
+        for value in (True, False):
+            with pytest.raises(TypeError, match="bools are not accepted"):
+                rational(value)
+        with pytest.raises(TypeError, match="bools are not accepted"):
+            normalized(True)
 
     def test_returns_a_plain_fraction_as_it_is(self):
         value = Fraction(7, 3)
@@ -501,3 +507,24 @@ class TestNoMemoHoldsItsOwner:
             return eta, [eta._level_memo]
 
         self.assert_freed(build)
+
+    # every morphism the models build: ε̃, an ε_a, its η, a Ξ, ψ_a and the identity
+    MODEL_MORPHISMS = {
+        "tilde_epsilon": sft.tilde_epsilon,
+        "epsilon": lambda: sft.epsilon(normalized("13/2", Side.MINUS)),
+        "eta": lambda: sft.eta(normalized("13/2", Side.MINUS)),
+        "xi": lambda: sft.xi(normalized("5/4", Side.MINUS), normalized("5/4", Side.PLUS)),
+        "psi": lambda: sft.psi_map(normalized("13/2", Side.MINUS)),
+        "identity": lambda: linf.identity_morphism(sft.ca_generators()),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODEL_MORPHISMS))
+    def test_every_model_morphism_fills_its_levels_from_its_rule(self, name):
+        """A morphism's level memo is ``Memo(level_rule)``: its compute is the
+        callable rule, which neither binds nor closes over the morphism."""
+        morphism = self.MODEL_MORPHISMS[name]()
+        compute = morphism._level_memo.compute
+        assert callable(compute)
+        bound = getattr(compute, "__self__", None)
+        held = [bound] if bound is not None else [cell.cell_contents for cell in compute.__closure__ or ()]
+        assert all(obj is not morphism for obj in held), held

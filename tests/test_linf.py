@@ -299,7 +299,8 @@ class TestFractionCoefficients:
         assert repr(Combination()) == "0"
 
     def test_floats_are_rejected(self):
-        """No float enters a combination, a float zero included."""
+        """No float enters a combination, a float zero included, and no bool,
+        which would otherwise read as the int it equals (1*w, 0, or c itself)."""
         c = Combination.single(word(g(1)), Fraction(1, 2))
         for build in (
             lambda: Combination({word(g(1)): 0.5}),
@@ -311,6 +312,17 @@ class TestFractionCoefficients:
             lambda: 0.0 * c,
         ):
             with pytest.raises(TypeError, match="floats are not accepted"):
+                build()
+        for build in (
+            lambda: Combination({word(g(1)): True}),
+            lambda: Combination({word(g(1)): False}),
+            lambda: Combination.single(word(g(1)), False),
+            lambda: c * True,
+            lambda: True * c,
+            lambda: c * False,
+            lambda: False * c,
+        ):
+            with pytest.raises(TypeError, match="bools are not accepted"):
                 build()
 
     def test_integer_inputs_come_out_as_fractions(self):
@@ -654,42 +666,6 @@ class TestDeclaredHeadSupport:
         assert asked == []
 
 
-class TestDeclaredMorphismArities:
-    @staticmethod
-    def recording_morphism(arities):
-        """two_level_morphism that records each block size asked."""
-        asked = []
-        rule = two_level_morphism()
-
-        def recording(w):
-            asked.append(len(w))
-            return rule(w)
-
-        return LinfMorphism(EVEN_SOURCE, EVEN_TARGET, recording, arities=arities), asked
-
-    def test_default_is_every_block_size(self):
-        F, asked = self.recording_morphism(None)
-        assert F.arities is None
-        F.extend(word(g(1), g(2), g(3)))
-        assert sorted(set(asked)) == [1, 2, 3]
-
-    def test_only_declared_block_sizes_are_evaluated(self):
-        F, asked = self.recording_morphism((2, 1, 2))
-        assert F.arities == (1, 2)
-        full, _ = self.recording_morphism(None)
-        w = word(g(1), g(2), g(3), g(4))
-        assert F.extend(w) == full.extend(w)
-        assert sorted(set(asked)) == [1, 2]
-
-    def test_identity_declares_level_one(self):
-        assert identity_morphism(GRADED).arities == (1,)
-
-    @pytest.mark.parametrize("arities", [(0, 1), (-1,), (1.0,)])
-    def test_rejects_non_positive_arities(self, arities):
-        with pytest.raises(ValueError, match="arities must be positive integers"):
-            LinfMorphism(GRADED, EVEN_TARGET, lambda w: Combination(), arities=arities)
-
-
 class TestWordsAreCheckedOnce:
     """Every public entry rejects an unsorted word; the words the engine builds are not checked again."""
 
@@ -702,8 +678,17 @@ class TestWordsAreCheckedOnce:
             lambda w: LinfMorphism(GRADED, EVEN_TARGET, two_level_morphism()).extend(w),
             lambda w: check_structure(TestCoderivationExtend.nilpotent_structure(), [w]),
             lambda w: compose(identity_morphism(GRADED), identity_morphism(GRADED)).level(w),
+            lambda w: compose(identity_morphism(GRADED), identity_morphism(GRADED)).extend(w),
+            lambda w: invert(identity_morphism(GRADED), lambda key: key).level(w),
         ],
-        ids=["extend_coderivation", "LinfMorphism.extend", "check_structure", "composed level"],
+        ids=[
+            "extend_coderivation",
+            "LinfMorphism.extend",
+            "check_structure",
+            "composed level",
+            "composed extend",
+            "inverted level",
+        ],
     )
     def test_an_unsorted_word_raises(self, entry):
         with pytest.raises(ValueError, match=r"\(\('g', 3\), \('g', 1\)\) is not canonical"):
@@ -778,7 +763,7 @@ def graded_outer():
 def block_recursion_letter_map(source, target, letter):
     """The reference for :func:`letter_map`: a plain morphism with the same arity-1 rule."""
     rule = lambda w: Combination.single((letter(w[0]),)) if len(w) == 1 else Combination()  # noqa: E731
-    return LinfMorphism(source, target, rule, arities=(1,))
+    return LinfMorphism(source, target, rule)
 
 
 class TestLetterMap:

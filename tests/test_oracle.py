@@ -221,7 +221,7 @@ class TestMergeSpectrum:
             merge_spectrum(normalized("3/2"), 10_001)
 
 
-def toy_morphism(shift=0, mixed=False, arities=None):
+def toy_morphism(shift=0, mixed=False):
     """Sign-sensitive toy: graded letters, F nonzero at arity 1 and 2.
 
     h_i has degree i; F^1(g_i) = h_i / 2 and F^2(g_i g_j) = h_{i+j+shift}.
@@ -231,8 +231,7 @@ def toy_morphism(shift=0, mixed=False, arities=None):
     With ``mixed`` the levels carry the denominators 2, 3 and 5:
     F^2(g_i g_j) = ((i - j)/3) h_{i+j+shift} and F^3(g_i g_j g_l) =
     (2/5) h_{i+j+l}, so the extension adds over unequal denominators and
-    some coefficients cancel to zero.  ``arities`` is passed on as the
-    morphism's declaration, true or not.
+    some coefficients cancel to zero.
     """
     graded = GeneratorSet("toy", lambda key: key[1])
 
@@ -248,7 +247,7 @@ def toy_morphism(shift=0, mixed=False, arities=None):
             return Combination.single(Word((("h", sum(indices)),)), Fraction(2, 5))
         return Combination()
 
-    return LinfMorphism(graded, graded, rule, arities=arities)
+    return LinfMorphism(graded, graded, rule)
 
 
 class TestMorphismOracle:
@@ -317,16 +316,6 @@ class TestMorphismOracle:
         ]:
             assert te.extend(w) == morphism_bruteforce(te, w), w
 
-    def test_a_false_arity_declaration_shows(self):
-        """F^2 is nonzero, so a morphism that declares only level one drops
-        the g1.g3 block; the oracle reads every level whatever is declared."""
-        F = toy_morphism(arities=(1,))
-        w = Word((("g", 1), ("g", 3)))
-        h13 = Word((("h", 1), ("h", 3)))
-        assert F.extend(w) == Combination.single(h13, Fraction(1, 4))
-        assert morphism_bruteforce(F, w) == Combination({h13: Fraction(1, 4), Word((("h", 4),)): 1})
-        assert morphism_bruteforce(F, w) == toy_morphism().extend(w)
-
     def test_length_guard(self):
         F = toy_morphism()
         long_word = Word(tuple(("g", 2 * i) for i in range(6)))
@@ -348,7 +337,7 @@ def strict_toy():
         i = w[0][1]
         return Combination.single(Word((("h", 10 - i),)), Fraction(i, 3))
 
-    return LinfMorphism(graded, graded, rule, arities=(1,))
+    return LinfMorphism(graded, graded, rule)
 
 
 class TestCompositeExtension:

@@ -217,7 +217,6 @@ class TestDeclaredArities:
         ids=["psi_map", "identity_morphism"],
     )
     def test_morphism_levels_vanish_above_arity_one(self, morphism):
-        assert morphism.arities == (1,)
         checked = 0
         for word_ in self.MORPHISM_WORDS:
             for i in range(2, len(word_) + 1):
@@ -282,13 +281,13 @@ class TestPsi:
     def test_factorization_sees_a_changed_lattice_rule(self, monkeypatch):
         """The check's other side is the closed form, not eps~: doubling the
         one lattice rule at k = 2 fails it at each of criterion 11's
-        parameters.  The augmentation and ε get fresh memos for the mutant,
-        which are dropped with it."""
+        parameters.  The doubled rule is the compute of the augmentation's
+        fresh level memo; its extension memo and ε's cache are fresh too, and
+        all are dropped with the mutant."""
         assert all(psi_factorization(p, 3).ok for p in self.CRITERION_11)
         augmentation = tilde_epsilon()
-        rule = augmentation._rule
-        monkeypatch.setattr(augmentation, "_rule", lambda key: rule(key) * 2 if key[-1] == 2 else rule(key))
-        monkeypatch.setattr(augmentation, "_level_memo", Memo())
+        rule = augmentation._level_memo.compute
+        monkeypatch.setattr(augmentation, "_level_memo", Memo(lambda key: rule(key) * 2 if key[-1] == 2 else rule(key)))
         monkeypatch.setattr(augmentation, "_extend_memo", Memo())
         monkeypatch.setattr(sft, "_EPSILON_CACHE", Memo(sft._epsilon))
         for p in self.CRITERION_11:

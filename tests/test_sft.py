@@ -210,7 +210,7 @@ class TestPsiLetterMap:
                 return Combination()
             return Combination.single((beta_key(*gamma(params, w[0][1])),))
 
-        reference = compose(tilde_epsilon(), LinfMorphism(ca_generators(), sft.v_generators(), rule, arities=(1,)))
+        reference = compose(tilde_epsilon(), LinfMorphism(ca_generators(), sft.v_generators(), rule))
         fast = sft._epsilon(params)
         word = o_word(*sorted(indices))
         for get in (lambda m: m.level(word), lambda m: m.extend(word)):
